@@ -3,19 +3,17 @@ partitioning with per-node binary SVMs, plus baselines and exact test-time
 complexity accounting."""
 
 from .boosting import (BoostConfig, BoostedClassifier, DecisionStump,
-                       adaboost_train, error_bound, prob_negative,
-                       prob_positive, strong_score, train_stump)
-from .dataset import (Dataset, LabeledSample, generate_gaussian_blobs,
-                      generate_two_cluster_2d, load_csv, split_train_test,
-                      write_csv)
+                       adaboost_train, error_bound, prob_positive_batch,
+                       strong_score_batch, train_stump)
+from .dataset import (Dataset, generate_gaussian_blobs, generate_two_cluster_2d,
+                      load_csv, split_train_test, write_csv)
 from .errors import AtreeError, ParseError, SchemaError, ValidationError
 from .metrics import (ComplexityReport, EvaluationRun, complexity_report,
                       evaluate_atree, evaluate_one_vs_all, evaluate_one_vs_one,
                       mean_per_class_accuracy, train_one_vs_all,
                       train_one_vs_one)
-from .svm import (KernelEvalCounter, KernelSpec, KernelSvmModel,
-                  LinearSvmModel, SvmConfig, decision_value,
-                  kernel_eval_count_hook, kernel_matrix, kernel_vector,
+from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
+                  decision_values_batch, kernel_computations, kernel_matrix,
                   predict, select_c, train_kernel_svm, train_linear_svm,
                   truncate_svs)
 from .tree import (Atree, AtreeConfig, EntropySplit, InternalNode, LeafNode,

@@ -27,9 +27,6 @@ class DecisionStump:
     threshold: float
     polarity: int
 
-    def predict(self, x):
-        return 1 if self.polarity * (x[self.feature_index] - self.threshold) > 0 else -1
-
     def predict_batch(self, X):
         s = self.polarity * (X[:, self.feature_index] - self.threshold)
         return np.where(s > 0, 1, -1).astype(np.int64)
@@ -189,14 +186,9 @@ def _check_dimension(model, dim):
         raise ValidationError(f"input has {dim} feature(s), model expects at least {need}")
 
 
-def strong_score(model, x):
-    """Alpha-weighted vote sum H(x); an empty model scores 0."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_dimension(model, x.shape[0])
-    return float(sum(alpha * stump.predict(x) for alpha, stump in model.rounds))
-
-
 def strong_score_batch(model, X):
+    """Alpha-weighted vote sums H(x) over the rows of X; an empty model
+    scores 0."""
     X = np.asarray(X, dtype=np.float64)
     _check_dimension(model, X.shape[1])
     h = np.zeros(X.shape[0])
@@ -210,25 +202,8 @@ def strong_score_batch(model, X):
 _PROB_CLAMP = 1e-15
 
 
-def _logistic(h):
-    if h >= 0:
-        p = 1.0 / (1.0 + math.exp(-h))
-    else:
-        e = math.exp(h)
-        p = e / (1.0 + e)
-    return min(max(p, _PROB_CLAMP), 1.0 - _PROB_CLAMP)
-
-
-def prob_positive(model, x):
-    """Logistic partition probability 1/(1 + exp(-H(x))), clamped into (0, 1)."""
-    return _logistic(strong_score(model, x))
-
-
-def prob_negative(model, x):
-    return 1.0 - prob_positive(model, x)
-
-
 def prob_positive_batch(model, X):
+    """Logistic partition probabilities 1/(1 + exp(-H(x))), clamped into (0, 1)."""
     h = strong_score_batch(model, X)
     p = np.empty_like(h)
     pos = h >= 0

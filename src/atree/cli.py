@@ -235,8 +235,7 @@ def cmd_eval(args):
     if args.out_traces:
         trace_rows = []
         nonlinear = atree_run.kernel_computations is not None
-        for i in range(len(test)):
-            _, trace = tr.predict(tree, test.features[i])
+        for i, trace in enumerate(atree_run.traces):
             trace_rows.append({
                 "instance": i,
                 "true": test.label_names[test.labels[i]],

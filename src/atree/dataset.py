@@ -8,20 +8,9 @@ across any number of concurrent readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParseError, ValidationError
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """A single training point: feature vector, dense class id, weight."""
-
-    features: np.ndarray
-    label: int
-    weight: float
 
 
 class Dataset:
@@ -65,9 +54,6 @@ class Dataset:
     @property
     def dimension(self):
         return self.features.shape[1]
-
-    def sample(self, i):
-        return LabeledSample(self.features[i], int(self.labels[i]), float(self.weights[i]))
 
     def subset(self, indices, renormalize=True):
         """New Dataset restricted to ``indices`` (class ids and names kept)."""

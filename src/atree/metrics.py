@@ -3,8 +3,9 @@
 Costs follow the kernel family: with linear classifiers every evaluation
 costs one unit, so a method's per-instance cost is the number of classifiers
 it evaluates; with kernel classifiers the cost is the number of kernel
-computations, counted under per-instance caching so a support vector shared
-by several classifiers is computed once.
+computations, counted as the union of the support-vector ids an instance
+meets, which is what a per-instance cache would compute: a support vector
+shared by several classifiers is computed once.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .svm import (decision_value, decision_values_batch, kernel_eval_count_hook,
-                  train_kernel_svm, train_linear_svm)
+from .svm import (decision_values_batch, kernel_computations, train_kernel_svm,
+                  train_linear_svm)
+from .tree import InternalNode, iter_nodes
 from .tree import predict as predict_tree
 
 
@@ -46,6 +48,7 @@ class EvaluationRun:
     classifier_evaluations: np.ndarray
     kernel_computations: np.ndarray | None = None       # union-cached
     kernel_computations_uncached: np.ndarray | None = None
+    traces: list | None = None         # ATree only: tree.predict trace per instance
 
 
 @dataclass
@@ -103,18 +106,6 @@ def train_one_vs_one(data, kernel, svm_config):
     return OneVsOneModel(pairs, models, data.num_classes, _kernel_family(kernel))
 
 
-def predict_one_vs_all(model, x, session=None):
-    values = [decision_value(m, x, session) for m in model.models]
-    return int(np.argmax(values))
-
-
-def predict_one_vs_one(model, x, session=None):
-    votes = np.zeros(model.num_classes, dtype=np.int64)
-    for (a, b), m in zip(model.pairs, model.models):
-        votes[b if decision_value(m, x, session) >= 0 else a] += 1
-    return int(np.argmax(votes))
-
-
 def mean_per_class_accuracy(predictions, truths, num_classes):
     """Unweighted mean over classes of per-class recall."""
     predictions = np.asarray(predictions)
@@ -129,65 +120,65 @@ def mean_per_class_accuracy(predictions, truths, num_classes):
 
 
 def evaluate_atree(tree, data):
-    """Run every test instance through the tree, recording trace lengths and
-    (for kernel trees) cached/uncached kernel computation counts."""
+    """Run every test instance through the tree, recording its trace and
+    (for kernel trees) the cached/uncached kernel computation counts of the
+    nodes on it."""
     nonlinear = not tree.config.kernel.is_linear
-    counter = kernel_eval_count_hook() if nonlinear else None
+    svms = {n.node_id: n.svm for n in iter_nodes(tree.root)
+            if isinstance(n, InternalNode)}
     preds = np.empty(len(data), dtype=np.int64)
-    evals = np.empty(len(data), dtype=np.int64)
+    traces = []
+    counts = []
     for i in range(len(data)):
-        label, trace = predict_tree(tree, data.features[i], counter=counter)
-        preds[i] = label
-        evals[i] = len(trace)
+        preds[i], trace = predict_tree(tree, data.features[i])
+        traces.append(trace)
+        if nonlinear:
+            counts.append(kernel_computations([svms[nid] for nid, _ in trace]))
     run = EvaluationRun(
         method="atree", kernel_family="nonlinear" if nonlinear else "linear",
         num_classes=tree.num_classes, predictions=preds, truths=data.labels.copy(),
-        classifier_evaluations=evals)
+        classifier_evaluations=np.fromiter(map(len, traces), np.int64, len(traces)),
+        traces=traces)
     if nonlinear:
-        per = np.asarray(counter.per_instance, dtype=np.int64)
-        run.kernel_computations = per[:, 0]
-        run.kernel_computations_uncached = per[:, 1]
+        counts = np.asarray(counts, dtype=np.int64)
+        run.kernel_computations = counts[:, 0]
+        run.kernel_computations_uncached = counts[:, 1]
     return run
 
 
-def _evaluate_flat(model, data, method, predict_fn, n_models):
-    nonlinear = model.kernel_family == "nonlinear"
-    preds = np.empty(len(data), dtype=np.int64)
-    union = np.empty(len(data), dtype=np.int64) if nonlinear else None
-    unc = np.empty(len(data), dtype=np.int64) if nonlinear else None
-    if nonlinear:
-        counter = kernel_eval_count_hook()
-        for i in range(len(data)):
-            session = counter.start_instance(data.features[i])
-            preds[i] = predict_fn(model, data.features[i], session)
-            union[i], unc[i] = session.counts
+def _evaluate_flat(model, data, method):
+    """Every model is evaluated on every instance, so the per-instance costs
+    are constant: the model count, and for kernel models the kernel
+    computations of all of them together."""
+    n = len(data)
+    values = np.stack([decision_values_batch(m, data.features) for m in model.models])
+    if method == "ova":
+        preds = values.argmax(axis=0).astype(np.int64)
     else:
-        # linear evaluation is a dense matrix product per model
-        values = np.stack([decision_values_batch(m, data.features)
-                           for m in model.models])
-        if method == "ova":
-            preds = values.argmax(axis=0).astype(np.int64)
-        else:
-            votes = np.zeros((model.num_classes, len(data)), dtype=np.int64)
-            for (a, b), dv in zip(model.pairs, values):
-                winner = np.where(dv >= 0, b, a)
-                for cls in (a, b):
-                    votes[cls] += winner == cls
-            preds = votes.argmax(axis=0).astype(np.int64)
-    return EvaluationRun(
+        votes = np.zeros((model.num_classes, n), dtype=np.int64)
+        for (a, b), dv in zip(model.pairs, values):
+            winner = np.where(dv >= 0, b, a)
+            for cls in (a, b):
+                votes[cls] += winner == cls
+        preds = votes.argmax(axis=0).astype(np.int64)
+    run = EvaluationRun(
         method=method, kernel_family=model.kernel_family,
         num_classes=model.num_classes, predictions=preds,
         truths=data.labels.copy(),
-        classifier_evaluations=np.full(len(data), n_models, dtype=np.int64),
-        kernel_computations=union, kernel_computations_uncached=unc)
+        classifier_evaluations=np.full(n, len(model.models), dtype=np.int64))
+    if model.kernel_family == "nonlinear":
+        union, uncached = kernel_computations(model.models)
+        run.kernel_computations = np.full(n, union, dtype=np.int64)
+        run.kernel_computations_uncached = np.full(n, uncached, dtype=np.int64)
+    return run
 
 
 def evaluate_one_vs_all(model, data):
-    return _evaluate_flat(model, data, "ova", predict_one_vs_all, len(model.models))
+    return _evaluate_flat(model, data, "ova")
 
 
 def evaluate_one_vs_one(model, data):
-    return _evaluate_flat(model, data, "ovo", predict_one_vs_one, len(model.models))
+    return _evaluate_flat(model, data, "ovo")
 
 
 def run_cost(run):

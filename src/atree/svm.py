@@ -1,13 +1,12 @@
 """Binary max-margin classifiers: a linear solver, a kernel dual solver, and
-kernel-evaluation accounting used by the test-time cost reports.
+the kernel-computation accounting used by the test-time cost reports.
 
 Trained models are immutable; prediction is safe under concurrent readers.
-A KernelEvalCounter and its per-instance sessions are single-threaded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,11 +84,6 @@ def kernel_matrix(spec, A, B):
     _require_nonnegative(A, spec.kind)
     _require_nonnegative(B, spec.kind)
     return np.minimum(A[:, None, :], B[None, :, :]).sum(axis=2)
-
-
-def kernel_vector(spec, A, z):
-    """k(a_i, z) for a single point z."""
-    return kernel_matrix(spec, A, np.asarray(z, dtype=np.float64)[None, :])[:, 0]
 
 
 @dataclass
@@ -256,91 +250,35 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None):
     )
 
 
-class KernelEvalCounter:
-    """Counts kernel computations across an evaluation session.
-
-    union_total counts computations actually performed under per-instance
-    caching (each sv_id at most once per instance); sum_total counts what an
-    uncached evaluation would have performed. per_instance holds
-    (union, sum) pairs in instance order.
-    """
-
-    def __init__(self):
-        self.union_total = 0
-        self.sum_total = 0
-        self.per_instance = []
-
-    def start_instance(self, x):
-        session = _InstanceSession(self, np.asarray(x, dtype=np.float64))
-        self.per_instance.append(session.counts)
-        return session
-
-
-class _InstanceSession:
-    """Per-instance kernel cache keyed by sv_id; assumes one kernel spec."""
-
-    def __init__(self, counter, x):
-        self.counter = counter
-        self.x = x
-        self.values = {}
-        self.kernel = None
-        self.counts = [0, 0]  # [union, sum]
-
-    def gather(self, model):
-        if self.kernel is None:
-            self.kernel = model.kernel
-        elif self.kernel != model.kernel:
-            raise ValidationError("one evaluation session cannot mix kernel specs")
-        ids = model.sv_ids
-        missing = [k for k, sid in enumerate(ids) if int(sid) not in self.values]
-        if missing:
-            fresh = kernel_vector(model.kernel, model.support_vectors[missing], self.x)
-            for k, v in zip(missing, fresh):
-                self.values[int(ids[k])] = float(v)
-            self.counts[0] += len(missing)
-            self.counter.union_total += len(missing)
-        self.counts[1] += len(ids)
-        self.counter.sum_total += len(ids)
-        return np.array([self.values[int(sid)] for sid in ids])
-
-
-def kernel_eval_count_hook():
-    """Fresh instrumentation handle; counts reset with each new handle."""
-    return KernelEvalCounter()
-
-
-def decision_value(model, x, session=None):
-    """f(x) for either model type; kernel evaluations go through ``session``
-    when one is supplied so shared support vectors are computed once per
-    instance."""
-    x = np.asarray(x, dtype=np.float64)
-    if isinstance(model, LinearSvmModel):
-        if x.shape[0] != model.weights.shape[0]:
-            raise ValidationError("dimension mismatch")
-        return float(model.weights @ x + model.bias)
-    if x.shape[0] != model.support_vectors.shape[1]:
-        raise ValidationError("dimension mismatch")
-    if session is not None:
-        k = session.gather(model)
-    else:
-        k = kernel_vector(model.kernel, model.support_vectors, x)
-    return float(model.dual_coefficients @ k + model.bias)
-
-
-def predict(model, x, session=None):
-    """Sign of the decision value, with 0 mapped to +1."""
-    return 1 if decision_value(model, x, session) >= 0 else -1
+def kernel_computations(models):
+    """Kernel computations needed to evaluate ``models`` on one instance, as
+    (union, uncached). Under a per-instance cache a support vector shared by
+    several models is computed once, so union counts the distinct sv_ids;
+    uncached sums every model's support-vector count."""
+    if not models:
+        return 0, 0
+    ids = np.concatenate([m.sv_ids for m in models])
+    return len(np.unique(ids)), len(ids)
 
 
 def decision_values_batch(model, X):
+    """f(x) for either model type over the rows of X. A single instance of
+    shape (d,) gives a scalar, an (n, d) batch gives n values."""
     X = np.asarray(X, dtype=np.float64)
     if isinstance(model, LinearSvmModel):
-        if X.shape[1] != model.weights.shape[0]:
+        if X.shape[-1] != model.weights.shape[0]:
             raise ValidationError("dimension mismatch")
         return X @ model.weights + model.bias
-    if X.shape[1] != model.support_vectors.shape[1]:
+    if X.shape[-1] != model.support_vectors.shape[1]:
         raise ValidationError("dimension mismatch")
-    return kernel_matrix(model.kernel, X, model.support_vectors) @ model.dual_coefficients + model.bias
+    k = kernel_matrix(model.kernel, X, model.support_vectors) @ model.dual_coefficients
+    return k.reshape(X.shape[:-1]) + model.bias
+
+
+def predict(model, X):
+    """Sign of the decision values, with 0 mapped to +1; a scalar for a
+    single instance."""
+    return np.where(decision_values_batch(model, X) >= 0, 1, -1)[()]
 
 
 def truncate_svs(model, n_keep):
@@ -393,8 +331,7 @@ def select_c(X, y, kernel, config, grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds=3):
                 model = train_linear_svm(X[~test], y[~test], trial)
             else:
                 model = train_kernel_svm(X[~test], y[~test], kernel, trial)
-            dv = decision_values_batch(model, X[test])
-            correct += int((np.where(dv >= 0, 1, -1) == y[test]).sum())
+            correct += int((predict(model, X[test]) == y[test]).sum())
         acc = correct / n
         if acc > best_acc:
             best_acc, best_c = acc, c

@@ -10,7 +10,7 @@ node on the confidently routed samples only; traversal at test time follows
 the sign of the node SVM's decision value.
 
 A built tree is immutable; predict is safe under concurrent callers, each
-holding a private trace and kernel cache.
+holding a private trace.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .boosting import (BoostConfig, BoostedClassifier, DecisionStump,
 from .dataset import Dataset
 from .errors import SchemaError, ValidationError
 from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
-                  decision_value, decision_values_batch, train_kernel_svm,
-                  train_linear_svm, truncate_svs)
+                  decision_values_batch, predict as svm_predict,
+                  train_kernel_svm, train_linear_svm, truncate_svs)
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -182,24 +182,18 @@ def _split_from_masses(feature, threshold, lm, rm):
     return EntropySplit(feature, threshold, zl, zr, his_l, his_r, objective)
 
 
-def entropy_split(X, labels, weights, num_classes, literal_label_compare=False):
+def entropy_split(X, labels, weights, num_classes):
     """Exhaustive minimum-entropy split over (feature, midpoint) candidates.
 
     The splitting rule is the feature test x[f] < v. Ties break to the lowest
     feature index, then the lowest threshold. Returns None when fewer than
     two classes are present or no candidate separates the samples.
-
-    literal_label_compare is a study-only mode that compares the class id
-    (not the feature value) against the threshold; it is never used by tree
-    construction.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     if len(np.unique(labels)) < 2:
         return None
-    if literal_label_compare:
-        return _entropy_split_literal(X, labels, weights, num_classes)
     n, d = X.shape
     scans = []
     fast_min = math.inf
@@ -232,22 +226,6 @@ def entropy_split(X, labels, weights, num_classes, literal_label_compare=False):
         for idx in np.flatnonzero(obj <= fast_min + _TIE_SLACK):
             v = float(thresholds[idx])
             lm, rm = _masses_for_mask(labels, weights, X[:, f] < v, num_classes)
-            cand = _split_from_masses(f, v, lm, rm)
-            if best is None or cand.objective < best.objective:
-                best = cand
-    return best
-
-
-def _entropy_split_literal(X, labels, weights, num_classes):
-    best = None
-    for f in range(X.shape[1]):
-        values = np.unique(X[:, f])
-        for i in range(len(values) - 1):
-            v = float((values[i] + values[i + 1]) / 2.0)
-            mask = labels < v
-            if mask.all() or not mask.any():
-                continue
-            lm, rm = _masses_for_mask(labels, weights, mask, num_classes)
             cand = _split_from_masses(f, v, lm, rm)
             if best is None or cand.objective < best.objective:
                 best = cand
@@ -438,8 +416,7 @@ def _train_node_svm(node, data, config):
 
 def _apply_sv_budget(model, Xn, yn, n_pos, n_neg, budgets):
     def accuracy(m):
-        dv = decision_values_batch(m, Xn)
-        return float((np.where(dv >= 0, 1, -1) == yn).mean())
+        return float((svm_predict(m, Xn) == yn).mean())
 
     full_acc = accuracy(model)
     best, best_cost = model, _node_svm_cost(model, n_pos, n_neg)
@@ -476,15 +453,14 @@ def train_atree(data, config):
     return attach_svms_phase2(root, data, config)
 
 
-def predict(tree, x, counter=None):
+def predict(tree, x):
     """Traverse from the root, routing right when the node decision value is
     nonnegative. Returns (class id, trace); the trace lists every evaluated
-    node as (node_id, decision_value). Pass-through nodes evaluate nothing
+    node as (node_id, decision value). Pass-through nodes evaluate nothing
     and do not appear in the trace."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
-    session = counter.start_instance(x) if counter is not None else None
     trace = []
     node = tree.root
     while isinstance(node, InternalNode):
@@ -493,7 +469,7 @@ def predict(tree, x, counter=None):
             continue
         if node.svm is None:
             raise ValidationError("phase two has not been attached to this tree")
-        dv = decision_value(node.svm, x, session)
+        dv = decision_values_batch(node.svm, x)
         trace.append((node.node_id, dv))
         node = node.right if dv >= 0 else node.left
     return node.label, trace
@@ -618,6 +594,20 @@ def _node_from_doc(node_id, doc, built):
         svm=svm, passthrough=passthrough)
 
 
+def _check_node_kernel(node, kernel):
+    """Every node classifier must follow the configured kernel: kernel
+    counts take the union of sv_ids across nodes, which is only a count of
+    shared computations when all nodes evaluate the same kernel."""
+    svm = getattr(node, "svm", None)
+    if svm is None:
+        return
+    found = "linear" if isinstance(svm, LinearSvmModel) else svm.kernel
+    expected = "linear" if kernel.is_linear else kernel
+    if found != expected:
+        raise SchemaError(f"node {node.node_id} classifier uses kernel {found!r}, "
+                          f"the model config says {kernel!r}")
+
+
 def deserialize(text):
     """Rebuild a tree from serialize() output; predictions and traces match
     the original exactly. Raises SchemaError on malformed documents or a
@@ -646,6 +636,7 @@ def deserialize(text):
         # reverse id order
         for node_id in range(len(node_docs) - 1, -1, -1):
             built[node_id] = _node_from_doc(node_id, node_docs[node_id], built)
+            _check_node_kernel(built[node_id], config.kernel)
         return Atree(root=built[0], config=config,
                      label_names=list(doc["label_names"]),
                      num_classes=int(doc["num_classes"]),

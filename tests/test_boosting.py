@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from atree.boosting import (BoostConfig, BoostedClassifier, DecisionStump,
-                            adaboost_train, error_bound, prob_negative,
-                            prob_positive, strong_score, train_stump)
+                            adaboost_train, error_bound, prob_positive_batch,
+                            strong_score_batch, train_stump)
 from atree.errors import ValidationError
 from oracles import brute_force_stump
 
@@ -38,7 +38,7 @@ class TestTrainStump:
         w = np.full(11, 0.003)
         w[0] = 0.97
         stump, err = train_stump(X, y, w)
-        assert stump.predict(X[0]) == 1
+        assert stump.predict_batch(X[:1])[0] == 1
         assert err <= 0.03 + 1e-12
 
     def test_matches_brute_force_on_random_data(self):
@@ -60,7 +60,7 @@ class TestTrainStump:
         y = np.array([1, 1, 1])
         stump, err = train_stump(X, y, np.full(3, 1 / 3))
         assert err == 0.0
-        assert all(stump.predict(row) == 1 for row in X)
+        assert (stump.predict_batch(X) == 1).all()
 
     def test_tie_breaks_to_lowest_feature(self):
         # both features separate perfectly; feature 0 must win
@@ -86,8 +86,8 @@ class TestAdaboost:
         assert len(model.rounds) == 1
         assert model.round_errors == [0.0]
         assert not model.exited_early
-        preds = [1 if strong_score(model, row) > 0 else -1 for row in X]
-        assert preds == y.tolist()
+        preds = np.where(strong_score_batch(model, X) > 0, 1, -1)
+        assert preds.tolist() == y.tolist()
 
     def test_gamma_exit_discards_round_and_keeps_none(self):
         # alternating labels along one feature: every stump stays >= 0.49
@@ -108,7 +108,7 @@ class TestAdaboost:
         model = adaboost_train(X, y, np.array([0.5, 0.5]), BoostConfig())
         assert model.pure
         assert len(model.rounds) == 1
-        assert strong_score(model, np.array([5.0])) > 10
+        assert strong_score_batch(model, np.array([[5.0]]))[0] > 10
 
     def test_reweighting_identity_half_error_next_round(self):
         rng = np.random.default_rng(3)
@@ -154,47 +154,54 @@ class TestScoring:
         return DecisionStump(0, -10.0, 1)
 
     def test_empty_model_scores_zero(self):
-        assert strong_score(BoostedClassifier(), np.array([1.0])) == 0.0
+        h = strong_score_batch(BoostedClassifier(), np.array([[1.0], [-2.0]]))
+        assert h.tolist() == [0.0, 0.0]
 
     def test_single_round_score(self):
         model = BoostedClassifier(rounds=[(0.5, self._stump_always_positive())])
-        assert strong_score(model, np.array([0.0])) == 0.5
+        assert strong_score_batch(model, np.array([[0.0]]))[0] == 0.5
 
     def test_two_round_score_arithmetic(self):
         up = self._stump_always_positive()
         down = DecisionStump(0, 10.0, 1)   # predicts -1 below its threshold
         model = BoostedClassifier(rounds=[(0.5, up), (0.3, down)])
-        assert strong_score(model, np.array([0.0])) == pytest.approx(0.2, abs=1e-15)
+        h = strong_score_batch(model, np.array([[0.0], [20.0]]))
+        assert h[0] == pytest.approx(0.2, abs=1e-15)
+        assert h[1] == pytest.approx(0.8, abs=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         model = BoostedClassifier(rounds=[(1.0, DecisionStump(2, 0.0, 1))])
         with pytest.raises(ValidationError):
-            strong_score(model, np.array([1.0, 2.0]))
+            strong_score_batch(model, np.array([[1.0, 2.0]]))
+        with pytest.raises(ValidationError):
+            prob_positive_batch(model, np.array([[1.0, 2.0]]))
 
     def test_prob_half_at_zero_score(self):
-        assert prob_positive(BoostedClassifier(), np.array([0.0])) == 0.5
+        assert prob_positive_batch(BoostedClassifier(), np.array([[0.0]]))[0] == 0.5
 
     def test_prob_three_quarters_at_log_three(self):
         model = BoostedClassifier(rounds=[(math.log(3.0), self._stump_always_positive())])
         expected = 1.0 / (1.0 + math.exp(-math.log(3.0)))
-        p = prob_positive(model, np.array([0.0]))
+        p = prob_positive_batch(model, np.array([[0.0]]))[0]
         assert p == pytest.approx(expected, abs=1e-15)
         assert p == pytest.approx(0.75, abs=1e-12)
 
     def test_saturated_scores_stay_inside_unit_interval(self):
         for sign in (1, -1):
             model = BoostedClassifier(rounds=[(800.0, DecisionStump(0, -10.0, sign))])
-            p = prob_positive(model, np.array([0.0]))
+            p = prob_positive_batch(model, np.array([[0.0]]))[0]
             assert 0.0 < p < 1.0
 
     def test_prob_sides_sum_to_one(self):
+        # negating every vote mirrors the score, so p(+1|x) of the mirrored
+        # model is the p(-1|x) of the original
         rng = np.random.default_rng(11)
         X = rng.normal(size=(25, 2))
         y = np.where(X[:, 0] > 0, 1, -1)
         model = adaboost_train(X, y, np.full(25, 1 / 25), BoostConfig(max_rounds=5))
-        for row in X:
-            total = prob_positive(model, row) + prob_negative(model, row)
-            assert abs(total - 1.0) < 1e-12
+        mirrored = BoostedClassifier(rounds=[(-alpha, s) for alpha, s in model.rounds])
+        total = prob_positive_batch(model, X) + prob_positive_batch(mirrored, X)
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
 
 
 class TestErrorBound:

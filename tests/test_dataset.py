@@ -196,12 +196,6 @@ class TestDatasetInvariants:
             data = generate_two_cluster_2d(101, seed=seed)
             assert abs(data.weights.sum() - 1.0) < 1e-12
 
-    def test_sample_accessor(self):
-        data = generate_gaussian_blobs(2, 3, 2, 0.5, seed=1)
-        s = data.sample(0)
-        assert s.label == int(data.labels[0])
-        assert s.weight == pytest.approx(1 / 6)
-
     def test_label_bounds_validated(self):
         with pytest.raises(ValidationError):
             Dataset(np.zeros((2, 1)), np.array([0, 2]), np.array([0.5, 0.5]), 2)

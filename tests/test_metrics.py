@@ -5,11 +5,11 @@ from atree.dataset import generate_gaussian_blobs, split_train_test
 from atree.errors import ValidationError
 from atree.metrics import (EvaluationRun, complexity_report, evaluate_atree,
                            evaluate_one_vs_all, evaluate_one_vs_one,
-                           mean_per_class_accuracy, predict_one_vs_one,
-                           train_one_vs_all, train_one_vs_one)
-from atree.svm import (KernelSpec, KernelSvmModel, SvmConfig, decision_value,
-                       kernel_eval_count_hook, train_kernel_svm)
-from atree.tree import AtreeConfig, train_atree
+                           mean_per_class_accuracy, train_one_vs_all,
+                           train_one_vs_one)
+from atree.svm import (KernelSpec, KernelSvmModel, SvmConfig,
+                       decision_values_batch, kernel_computations)
+from atree.tree import AtreeConfig, InternalNode, iter_nodes, predict, train_atree
 
 
 def _linear_run(method, n_classes, n_instances, per_instance_cost):
@@ -61,10 +61,9 @@ class TestOneVsOne:
         from atree.svm import train_linear_svm
         y = np.where(data.labels == 1, 1.0, -1.0)
         binary = train_linear_svm(data.features, y, SvmConfig())
-        for i in range(len(data)):
-            vote = predict_one_vs_one(model, data.features[i])
-            direct = 1 if decision_value(binary, data.features[i]) >= 0 else 0
-            assert vote == direct
+        run = evaluate_one_vs_one(model, data)
+        direct = np.where(decision_values_batch(binary, data.features) >= 0, 1, 0)
+        np.testing.assert_array_equal(run.predictions, direct)
 
     def test_relative_complexity_is_half_n_minus_one(self):
         for n in (2, 8, 256, 397):
@@ -112,12 +111,7 @@ class TestComplexityReport:
                            np.ones(4), 0.0, KernelSpec("rbf", 1.0), np.arange(4))
         b = KernelSvmModel(np.random.default_rng(2).uniform(size=(6, 2)),
                            np.ones(6), 0.0, KernelSpec("rbf", 1.0), np.arange(10, 16))
-        counter = kernel_eval_count_hook()
-        x = np.array([0.5, 0.5])
-        session = counter.start_instance(x)
-        decision_value(a, x, session)
-        decision_value(b, x, session)
-        assert session.counts == [10, 10]
+        assert kernel_computations([a, b]) == (10, 10)
 
     def test_kernel_family_mismatch_rejected(self):
         linear = _linear_run("atree", 4, 5, 2)
@@ -161,3 +155,30 @@ class TestEndToEnd:
         run = evaluate_atree(tree, data)
         assert run.kernel_computations is not None
         assert (run.kernel_computations <= run.kernel_computations_uncached).all()
+
+    def test_atree_kernel_counts_match_brute_force_union_over_traces(self):
+        data = generate_gaussian_blobs(5, 20, 3, 1.0, seed=12)
+        train, test = split_train_test(data, 0.5, seed=1, stratified=True)
+        tree = train_atree(train, AtreeConfig(delta=0.7, max_depth=4,
+                                              kernel=KernelSpec("rbf", 0.5)))
+        sv_ids = {n.node_id: n.svm.sv_ids.tolist() for n in iter_nodes(tree.root)
+                  if isinstance(n, InternalNode) and n.svm is not None}
+        run = evaluate_atree(tree, test)
+        for i, x in enumerate(test.features):
+            label, trace = predict(tree, x)
+            ids = [sid for nid, _ in trace for sid in sv_ids[nid]]
+            assert run.predictions[i] == label
+            assert run.traces[i] == trace
+            assert run.kernel_computations[i] == len(set(ids))
+            assert run.kernel_computations_uncached[i] == len(ids)
+
+    def test_flat_kernel_counts_are_constant(self):
+        data = generate_gaussian_blobs(4, 12, 3, 1.0, seed=13)
+        spec = KernelSpec("rbf", 0.5)
+        for train, evaluate in ((train_one_vs_all, evaluate_one_vs_all),
+                                (train_one_vs_one, evaluate_one_vs_one)):
+            model = train(data, spec, SvmConfig())
+            ids = [sid for m in model.models for sid in m.sv_ids.tolist()]
+            run = evaluate(model, data)
+            assert (run.kernel_computations == len(set(ids))).all()
+            assert (run.kernel_computations_uncached == len(ids)).all()

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from atree.errors import ValidationError
 from atree.svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
-                       decision_value, decision_values_batch,
-                       kernel_eval_count_hook, kernel_matrix, kernel_vector,
-                       predict, select_c, train_kernel_svm, train_linear_svm,
-                       truncate_svs)
+                       decision_values_batch, kernel_computations,
+                       kernel_matrix, predict, select_c, train_kernel_svm,
+                       train_linear_svm, truncate_svs)
 from oracles import grid_min_linear_svm_1d, random_binary_dataset
 
 SEP_X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
@@ -22,23 +23,23 @@ class TestKernels:
     def test_rbf_formula(self):
         spec = KernelSpec("rbf", 0.5)
         x, z = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert kernel_vector(spec, x[None, :], z)[0] == pytest.approx(np.exp(-1.0), abs=1e-15)
+        assert kernel_matrix(spec, x, z)[0, 0] == pytest.approx(np.exp(-1.0), abs=1e-15)
 
     def test_chi_square_formula(self):
         spec = KernelSpec("chi_square", 1.0)
         x, z = np.array([0.5, 0.5]), np.array([0.25, 0.75])
         expected = np.exp(-(0.0625 / 0.75 + 0.0625 / 1.25))
-        assert kernel_vector(spec, x[None, :], z)[0] == pytest.approx(expected, rel=1e-9)
+        assert kernel_matrix(spec, x, z)[0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_histogram_intersection_formula(self):
         spec = KernelSpec("histogram_intersection")
-        k = kernel_vector(spec, np.array([[0.2, 0.8]]), np.array([0.5, 0.3]))[0]
+        k = kernel_matrix(spec, np.array([[0.2, 0.8]]), np.array([0.5, 0.3]))[0, 0]
         assert k == pytest.approx(0.5, abs=1e-15)
 
     def test_nonnegative_kernels_reject_negative_features(self):
         for spec in (KernelSpec("chi_square", 1.0), KernelSpec("histogram_intersection")):
             with pytest.raises(ValidationError):
-                kernel_vector(spec, np.array([[-0.1, 0.5]]), np.array([0.5, 0.5]))
+                kernel_matrix(spec, np.array([[-0.1, 0.5]]), np.array([0.5, 0.5]))
 
     def test_symmetry_and_nonnegative_self_similarity(self):
         rng = np.random.default_rng(4)
@@ -67,8 +68,8 @@ class TestLinearSolver:
         w_star, b_star, _ = grid_min_linear_svm_1d(
             SEP_X, SEP_Y, 1000.0, np.arange(0.0, 2.01, 0.01), np.arange(-1.0, 1.01, 0.01))
         assert (w_star, b_star) == pytest.approx((1.0, 0.0), abs=1e-9)
-        assert decision_value(model, np.array([1.0])) == pytest.approx(1.0, abs=1e-2)
-        assert decision_value(model, np.array([-1.0])) == pytest.approx(-1.0, abs=1e-2)
+        assert decision_values_batch(model, np.array([1.0])) == pytest.approx(1.0, abs=1e-2)
+        assert decision_values_batch(model, np.array([-1.0])) == pytest.approx(-1.0, abs=1e-2)
 
     def test_label_flip_negates_weights(self):
         rng = np.random.default_rng(1)
@@ -136,11 +137,9 @@ class TestKernelSolver:
         X, y = random_binary_dataset(rng, 60, 2)
         cfg = SvmConfig(c=1.0, tolerance=1e-3, max_passes=3000, seed=0)
         model = train_kernel_svm(X, y, KernelSpec("rbf", 0.5), cfg)
-        sv = set(model.sv_ids.tolist())
-        for i in range(len(X)):
-            if i in sv:
-                continue
-            assert y[i] * decision_value(model, X[i]) >= 1.0 - 10 * cfg.tolerance
+        others = np.setdiff1d(np.arange(len(X)), model.sv_ids)
+        margins = y[others] * decision_values_batch(model, X[others])
+        assert (margins >= 1.0 - 10 * cfg.tolerance).all()
 
     def test_mixed_labels_always_keep_at_least_two_svs(self):
         rng = np.random.default_rng(9)
@@ -178,7 +177,8 @@ class TestKernelSolver:
 class TestDecisionAndPredict:
     def test_zero_weight_linear_model_uses_bias(self):
         model = LinearSvmModel(np.zeros(3), 0.7)
-        assert decision_value(model, np.zeros(3)) == 0.7
+        assert decision_values_batch(model, np.zeros(3)) == 0.7
+        assert decision_values_batch(model, np.zeros((2, 3))).tolist() == [0.7, 0.7]
         assert predict(model, np.zeros(3)) == 1
 
     def test_single_support_vector_kernel_value(self):
@@ -187,7 +187,8 @@ class TestDecisionAndPredict:
             dual_coefficients=np.array([1.0]),
             bias=0.0, kernel=KernelSpec("histogram_intersection"),
             sv_ids=np.array([0]))
-        assert decision_value(model, np.array([1.0, 0.0])) == pytest.approx(0.4, abs=1e-15)
+        assert decision_values_batch(model, np.array([1.0, 0.0])) == pytest.approx(0.4, abs=1e-15)
+        assert decision_values_batch(model, np.array([[1.0, 0.0]])).shape == (1,)
 
     def test_zero_decision_predicts_positive(self):
         model = LinearSvmModel(np.array([1.0]), 0.0)
@@ -196,7 +197,31 @@ class TestDecisionAndPredict:
     def test_dimension_mismatch_rejected(self):
         model = LinearSvmModel(np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValidationError):
-            decision_value(model, np.array([1.0]))
+            decision_values_batch(model, np.array([1.0]))
+        with pytest.raises(ValidationError):
+            decision_values_batch(model, np.array([[1.0]]))
+
+    @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", 0.7),
+                                      KernelSpec("chi_square", 0.4),
+                                      KernelSpec("histogram_intersection")],
+                             ids=lambda spec: spec.kind)
+    def test_single_instance_matches_batch_rows(self, spec):
+        rng = np.random.default_rng(14)
+        X = rng.uniform(0.0, 2.0, size=(20, 3))
+        y = np.where(X[:, 0] > 1.0, 1.0, -1.0)
+        if spec.is_linear:
+            model = train_linear_svm(X, y, SvmConfig())
+        else:
+            model = train_kernel_svm(X, y, spec, SvmConfig())
+        probes = rng.uniform(0.0, 2.0, size=(15, 3))
+        batch = decision_values_batch(model, probes)
+        assert batch.shape == (15,)
+        for row, value in zip(probes, batch):
+            single = decision_values_batch(model, row)
+            assert np.ndim(single) == 0
+            assert abs(single - value) <= 1e-12
+        np.testing.assert_array_equal([predict(model, row) for row in probes],
+                                      predict(model, probes))
 
 
 def _toy_kernel_model(sv_ids, dim=2):
@@ -209,62 +234,26 @@ def _toy_kernel_model(sv_ids, dim=2):
 
 
 class TestKernelEvalCounter:
+    """Per-instance kernel computations of a set of models (kernel_computations)."""
+
     def test_shared_support_vectors_counted_once(self):
         first = _toy_kernel_model(np.arange(0, 10))
         second = _toy_kernel_model(np.arange(5, 15))
-        counter = kernel_eval_count_hook()
-        session = counter.start_instance(np.array([0.5, 0.5]))
-        decision_value(first, np.array([0.5, 0.5]), session)
-        decision_value(second, np.array([0.5, 0.5]), session)
-        assert counter.union_total == 15
-        assert counter.sum_total == 20
+        assert kernel_computations([first, second]) == (15, 20)
 
     def test_single_model_counts_every_sv(self):
-        model = _toy_kernel_model(np.arange(10))
-        counter = kernel_eval_count_hook()
-        session = counter.start_instance(np.array([0.2, 0.9]))
-        decision_value(model, np.array([0.2, 0.9]), session)
-        assert counter.union_total == 10
-        assert counter.sum_total == 10
+        assert kernel_computations([_toy_kernel_model(np.arange(10))]) == (10, 10)
 
-    def test_fresh_handle_resets_counts(self):
-        model = _toy_kernel_model(np.arange(7))
-        x = np.array([0.3, 0.4])
-        first = kernel_eval_count_hook()
-        decision_value(model, x, first.start_instance(x))
-        second = kernel_eval_count_hook()
-        decision_value(model, x, second.start_instance(x))
-        assert first.union_total == second.union_total == 7
+    def test_no_models_cost_nothing(self):
+        assert kernel_computations([]) == (0, 0)
 
-    def test_union_never_exceeds_sum(self):
-        models = [_toy_kernel_model(np.arange(i, i + 6)) for i in range(0, 12, 3)]
-        counter = kernel_eval_count_hook()
-        x = np.array([0.6, 0.1])
-        session = counter.start_instance(x)
-        for m in models:
-            decision_value(m, x, session)
-        assert counter.union_total <= counter.sum_total
-
-    def test_cached_values_do_not_change_decisions(self):
-        model = _toy_kernel_model(np.arange(9))
-        x = np.array([0.25, 0.75])
-        counter = kernel_eval_count_hook()
-        session = counter.start_instance(x)
-        plain = decision_value(model, x)
-        cached = decision_value(model, x, session)
-        cached_again = decision_value(model, x, session)
-        assert plain == cached == cached_again
-
-    def test_mixed_kernel_specs_rejected_in_one_session(self):
-        a = _toy_kernel_model(np.arange(3))
-        b = KernelSvmModel(a.support_vectors, a.dual_coefficients, 0.0,
-                           KernelSpec("histogram_intersection"), np.arange(3, 6))
-        counter = kernel_eval_count_hook()
-        x = np.array([0.5, 0.5])
-        session = counter.start_instance(x)
-        decision_value(a, x, session)
-        with pytest.raises(ValidationError):
-            decision_value(b, x, session)
+    @given(st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True),
+                    min_size=1, max_size=6))
+    def test_union_never_exceeds_sum(self, id_sets):
+        models = [_toy_kernel_model(ids) for ids in id_sets]
+        union, uncached = kernel_computations(models)
+        assert union == len({i for ids in id_sets for i in ids}) <= uncached
+        assert uncached == sum(len(ids) for ids in id_sets)
 
 
 class TestTruncation:

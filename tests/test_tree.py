@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -67,19 +68,6 @@ class TestEntropySplit:
         assert split.left_mass + split.right_mass == pytest.approx(1.0, abs=1e-12)
         assert split.left_histogram.sum() == pytest.approx(1.0, abs=1e-12)
         assert split.right_histogram.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_literal_label_compare_mode(self):
-        # study mode: thresholds cut the class ids, not the feature values
-        X = np.array([[0.4], [0.5], [1.4], [1.5]])
-        labels = np.array([0, 0, 1, 1])
-        split = entropy_split(X, labels, np.full(4, 0.25), 2, literal_label_compare=True)
-        assert split is not None
-        assert 0.0 < split.threshold < 1.0
-        assert split.objective == 0.0
-        # feature values far above every class id leave no usable candidate
-        far = np.array([[10.0], [20.0], [30.0], [40.0]])
-        assert entropy_split(far, labels, np.full(4, 0.25), 2,
-                             literal_label_compare=True) is None
 
 
 class TestBinarize:
@@ -460,6 +448,26 @@ class TestSerialization:
             deserialize("[1, 2, 3]")
         with pytest.raises(SchemaError):
             deserialize('{"version": 1, "nodes": "nope"}')
+
+    def test_node_kernel_must_match_config(self):
+        tree, _ = self._random_tree(1)
+        doc = json.loads(serialize(tree))
+        kernel_nodes = [n for n in doc["nodes"]
+                        if n["kind"] == "internal" and n["svm"]["type"] == "kernel"]
+        assert kernel_nodes and doc["config"]["kernel"] == {"kind": "rbf", "gamma": 0.5}
+        kernel_nodes[-1]["svm"]["kernel"]["gamma"] = 0.25
+        with pytest.raises(SchemaError, match="kernel"):
+            deserialize(json.dumps(doc))
+        # kernel nodes under a linear config, and linear nodes under an rbf one
+        doc = json.loads(serialize(tree))
+        doc["config"]["kernel"] = {"kind": "linear"}
+        with pytest.raises(SchemaError, match="kernel"):
+            deserialize(json.dumps(doc))
+        linear, _ = self._random_tree(0)
+        doc = json.loads(serialize(linear))
+        doc["config"]["kernel"] = {"kind": "rbf", "gamma": 0.5}
+        with pytest.raises(SchemaError, match="kernel"):
+            deserialize(json.dumps(doc))
 
     def test_config_survives_round_trip(self):
         tree, _ = self._random_tree(3)
