@@ -13,9 +13,10 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Candidates whose fast-scan error lands within this slack of the minimum are
-# re-scored with the direct weighted sum before the winner is picked, so the
-# reported error and tie-breaking are independent of cumulative-sum rounding.
+# Candidates whose fast-scan score (stump error here, split entropy in
+# tree.entropy_split) lands within this slack of the minimum are re-scored
+# with the direct formula before the winner is picked, so the reported score
+# and tie-breaking are independent of cumulative-sum rounding.
 _TIE_SLACK = 1e-9
 
 
@@ -100,6 +101,33 @@ def _candidate_errors(values, y, w):
     return thresholds, err_plus, err_minus
 
 
+def _argmin_rescored(scores, rescore):
+    """Exact minimum over the candidates whose fast-scan score lies within
+    _TIE_SLACK of the smallest one.
+
+    ``scores`` holds one array of fast-scan scores per feature, or None for a
+    feature without candidates. ``rescore(f, idx)`` returns (exact score,
+    result) for candidate ``idx`` of feature ``f``. Candidates are rescored
+    feature by feature in index order and a later one wins only when
+    strictly smaller, so ties break to the lowest feature, then the lowest
+    index. Returns the winning (exact score, result), or None when there is
+    no candidate.
+    """
+    present = [s for s in scores if s is not None]
+    if not present:
+        return None
+    cut = min(float(s.min()) for s in present) + _TIE_SLACK
+    best = None
+    for f, s in enumerate(scores):
+        if s is None:
+            continue
+        for idx in np.flatnonzero(s <= cut):
+            cand = rescore(f, int(idx))
+            if best is None or cand[0] < best[0]:
+                best = cand
+    return best
+
+
 def train_stump(X, y, w):
     """Exhaustive weighted-error-minimizing stump.
 
@@ -111,31 +139,20 @@ def train_stump(X, y, w):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
-    n, d = X.shape
-    per_feature = []
-    best = math.inf
-    for f in range(d):
-        thresholds, err_plus, err_minus = _candidate_errors(X[:, f], y, w)
-        per_feature.append((thresholds, err_plus, err_minus))
-        m = min(err_plus.min(), err_minus.min())
-        if m < best:
-            best = m
-    cut = best + _TIE_SLACK
-    best_err = math.inf
-    best_stump = None
-    for f in range(d):
-        thresholds, err_plus, err_minus = per_feature[f]
+    thresholds = []
+    scores = []
+    for f in range(X.shape[1]):
+        t, err_plus, err_minus = _candidate_errors(X[:, f], y, w)
+        thresholds.append(t)
         # ravel of (T, 2) walks candidates threshold-ascending, +1 before -1
-        flat = np.column_stack([err_plus, err_minus]).ravel()
-        for idx in np.flatnonzero(flat <= cut):
-            t = float(thresholds[idx // 2])
-            pol = 1 if idx % 2 == 0 else -1
-            stump = DecisionStump(f, t, pol)
-            err = float(w[stump.predict_batch(X) != y].sum())
-            if err < best_err:
-                best_err = err
-                best_stump = stump
-    return best_stump, best_err
+        scores.append(np.column_stack([err_plus, err_minus]).ravel())
+
+    def rescore(f, idx):
+        stump = DecisionStump(f, float(thresholds[f][idx // 2]), 1 if idx % 2 == 0 else -1)
+        return float(w[stump.predict_batch(X) != y].sum()), stump
+
+    err, stump = _argmin_rescored(scores, rescore)
+    return stump, err
 
 
 def adaboost_train(X, y, w, config):

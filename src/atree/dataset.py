@@ -14,7 +14,7 @@ from .errors import ParseError, ValidationError
 
 
 class Dataset:
-    """Feature matrix plus dense integer labels and nonnegative weights.
+    """Finite feature matrix plus dense integer labels and nonnegative weights.
 
     Labels are dense ids in ``[0, num_classes)``; ``label_names[k]`` maps the
     dense id ``k`` back to the label value found in the source data. Weights
@@ -27,6 +27,8 @@ class Dataset:
         weights = np.ascontiguousarray(weights, dtype=np.float64)
         if features.ndim != 2 or features.shape[0] == 0 or features.shape[1] == 0:
             raise ValidationError("features must be a non-empty (n, d) matrix")
+        if not np.isfinite(features).all():
+            raise ValidationError("features must be finite (no NaN or inf)")
         n = features.shape[0]
         if labels.shape != (n,) or weights.shape != (n,):
             raise ValidationError("labels and weights must have one entry per sample")

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .svm import (decision_values_batch, kernel_computations, train_kernel_svm,
-                  train_linear_svm)
-from .tree import InternalNode, iter_nodes
-from .tree import predict as predict_tree
+from .svm import (LinearSvmModel, kernel_computations, kernel_matrix,
+                  train_kernel_svm, train_linear_svm)
+from .tree import route as route_tree
 
 
 @dataclass
@@ -120,30 +119,52 @@ def mean_per_class_accuracy(predictions, truths, num_classes):
 
 
 def evaluate_atree(tree, data):
-    """Run every test instance through the tree, recording its trace and
-    (for kernel trees) the cached/uncached kernel computation counts of the
-    nodes on it."""
+    """Route the whole test set through the tree (tree.route), recording
+    each instance's trace and, for kernel trees, the cached/uncached kernel
+    computation counts of the nodes on it. The instances reaching one leaf
+    share one path, so the counts are computed once per leaf."""
     nonlinear = not tree.config.kernel.is_linear
-    svms = {n.node_id: n.svm for n in iter_nodes(tree.root)
-            if isinstance(n, InternalNode)}
-    preds = np.empty(len(data), dtype=np.int64)
-    traces = []
-    counts = []
-    for i in range(len(data)):
-        preds[i], trace = predict_tree(tree, data.features[i])
-        traces.append(trace)
+    n = len(data)
+    preds = np.empty(n, dtype=np.int64)
+    evals = np.empty(n, dtype=np.int64)
+    counts = np.empty((n, 2), dtype=np.int64)
+    traces = [None] * n
+    for group in route_tree(tree, data.features):
+        preds[group.rows] = group.leaf.label
+        evals[group.rows] = len(group.nodes)
         if nonlinear:
-            counts.append(kernel_computations([svms[nid] for nid, _ in trace]))
+            counts[group.rows] = kernel_computations([node.svm for node in group.nodes])
+        ids = [node.node_id for node in group.nodes]
+        for row, values in zip(group.rows.tolist(), group.values):
+            traces[row] = list(zip(ids, values))
     run = EvaluationRun(
         method="atree", kernel_family="nonlinear" if nonlinear else "linear",
         num_classes=tree.num_classes, predictions=preds, truths=data.labels.copy(),
-        classifier_evaluations=np.fromiter(map(len, traces), np.int64, len(traces)),
-        traces=traces)
+        classifier_evaluations=evals, traces=traces)
     if nonlinear:
-        counts = np.asarray(counts, dtype=np.int64)
         run.kernel_computations = counts[:, 0]
         run.kernel_computations_uncached = counts[:, 1]
     return run
+
+
+def _flat_decision_values(models, X):
+    """Decision values of every model on every row of X as a (models, rows)
+    matrix. Linear models take one product with the stacked weights. Kernel
+    models (one kernel, sv_ids from one training set) take one Gram block
+    over the union of their support vectors, times a (union, models) matrix
+    of dual coefficients: the kernel computations kernel_computations
+    charges, each done once."""
+    if isinstance(models[0], LinearSvmModel):
+        weights = np.column_stack([m.weights for m in models])
+        return (X @ weights).T + np.array([m.bias for m in models])[:, None]
+    ids = np.concatenate([m.sv_ids for m in models])
+    _, first, column = np.unique(ids, return_index=True, return_inverse=True)
+    coefficients = np.zeros((len(first), len(models)))
+    owner = np.repeat(np.arange(len(models)), [m.n_support for m in models])
+    coefficients[column, owner] = np.concatenate([m.dual_coefficients for m in models])
+    vectors = np.concatenate([m.support_vectors for m in models])[first]
+    gram = kernel_matrix(models[0].kernel, X, vectors)
+    return (gram @ coefficients).T + np.array([m.bias for m in models])[:, None]
 
 
 def _evaluate_flat(model, data, method):
@@ -151,7 +172,7 @@ def _evaluate_flat(model, data, method):
     are constant: the model count, and for kernel models the kernel
     computations of all of them together."""
     n = len(data)
-    values = np.stack([decision_values_batch(m, data.features) for m in model.models])
+    values = _flat_decision_values(model.models, data.features)
     if method == "ova":
         preds = values.argmax(axis=0).astype(np.int64)
     else:

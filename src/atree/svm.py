@@ -18,6 +18,9 @@ KERNEL_KINDS = ("linear", "rbf", "chi_square", "histogram_intersection")
 _CHI2_EPS = 1e-12
 # Dual weights at or below this are treated as zero when extracting SVs.
 _SV_EPS = 1e-10
+# Element budget of one (rows, m, d) broadcast block of the chi-square and
+# histogram-intersection kernels (8 MB of float64 per intermediate).
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,26 +67,52 @@ def _require_nonnegative(A, kind):
         raise ValidationError(f"{kind} kernel requires nonnegative features")
 
 
+def _cross(A, B):
+    """Inner products a_i . b_j, one row of A at a time: each row's values
+    are those of A[i:i+1] @ B.T alone, whatever the other rows are."""
+    return np.matmul(A[:, None, :], B.T)[:, 0, :]
+
+
+def _chunked(A, B, kernel_rows):
+    """kernel_rows(A[block], B) over blocks of rows of A that keep each
+    (rows, len(B), d) intermediate within _CHUNK_ELEMENTS."""
+    rows = max(1, _CHUNK_ELEMENTS // max(1, B.size))
+    out = np.empty((len(A), len(B)))
+    for i in range(0, len(A), rows):
+        out[i:i + rows] = kernel_rows(A[i:i + rows], B)
+    return out
+
+
 def kernel_matrix(spec, A, B):
-    """Gram block k(a_i, b_j) with shape (len(A), len(B))."""
+    """Gram block k(a_i, b_j) with shape (len(A), len(B)). Row i depends on
+    A[i] alone, so a row is bit-identical whether A holds one instance or
+    many."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValidationError("kernel operands must share a dimension")
     if spec.kind == "linear":
-        return A @ B.T
+        return _cross(A, B)
     if spec.kind == "rbf":
-        d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
-        return np.exp(-spec.gamma * np.maximum(d2, 0.0))
-    if spec.kind == "chi_square":
-        _require_nonnegative(A, spec.kind)
-        _require_nonnegative(B, spec.kind)
-        diff2 = (A[:, None, :] - B[None, :, :]) ** 2
-        denom = A[:, None, :] + B[None, :, :] + _CHI2_EPS
-        return np.exp(-spec.gamma * (diff2 / denom).sum(axis=2))
+        # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)), computed in place
+        cross = _cross(A, B)
+        cross *= 2.0
+        d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
+        d2 -= cross
+        np.maximum(d2, 0.0, out=d2)
+        d2 *= -spec.gamma
+        return np.exp(d2, out=d2)
     _require_nonnegative(A, spec.kind)
     _require_nonnegative(B, spec.kind)
-    return np.minimum(A[:, None, :], B[None, :, :]).sum(axis=2)
+    if spec.kind == "chi_square":
+        def rows(a, b):
+            diff2 = (a[:, None, :] - b[None, :, :]) ** 2
+            denom = a[:, None, :] + b[None, :, :] + _CHI2_EPS
+            return np.exp(-spec.gamma * (diff2 / denom).sum(axis=2))
+    else:
+        def rows(a, b):
+            return np.minimum(a[:, None, :], b[None, :, :]).sum(axis=2)
+    return _chunked(A, B, rows)
 
 
 @dataclass
@@ -263,15 +292,18 @@ def kernel_computations(models):
 
 def decision_values_batch(model, X):
     """f(x) for either model type over the rows of X. A single instance of
-    shape (d,) gives a scalar, an (n, d) batch gives n values."""
+    shape (d,) gives a scalar, an (n, d) batch gives n values. Each value
+    depends on its own row alone, so it is bit-identical to the value of
+    that row evaluated by itself."""
     X = np.asarray(X, dtype=np.float64)
     if isinstance(model, LinearSvmModel):
         if X.shape[-1] != model.weights.shape[0]:
             raise ValidationError("dimension mismatch")
-        return X @ model.weights + model.bias
+        return np.vecdot(X, model.weights) + model.bias
     if X.shape[-1] != model.support_vectors.shape[1]:
         raise ValidationError("dimension mismatch")
-    k = kernel_matrix(model.kernel, X, model.support_vectors) @ model.dual_coefficients
+    k = np.vecdot(kernel_matrix(model.kernel, X, model.support_vectors),
+                  model.dual_coefficients)
     return k.reshape(X.shape[:-1]) + model.bias
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boosting import (BoostConfig, BoostedClassifier, DecisionStump,
-                       adaboost_train, prob_positive_batch)
+                       _argmin_rescored, adaboost_train, prob_positive_batch)
 from .dataset import Dataset
 from .errors import SchemaError, ValidationError
 from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
@@ -31,10 +31,6 @@ from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
                   train_kernel_svm, train_linear_svm, truncate_svs)
 
 MODEL_SCHEMA_VERSION = 1
-
-# Same role as the stump search slack: candidates this close to the fast-scan
-# minimum are re-scored with the direct histogram formula before tie-breaking.
-_TIE_SLACK = 1e-9
 
 
 @dataclass
@@ -194,15 +190,16 @@ def entropy_split(X, labels, weights, num_classes):
     weights = np.asarray(weights, dtype=np.float64)
     if len(np.unique(labels)) < 2:
         return None
-    n, d = X.shape
-    scans = []
-    fast_min = math.inf
-    for f in range(d):
+    n = X.shape[0]
+    thresholds = []
+    scores = []
+    for f in range(X.shape[1]):
         order = np.argsort(X[:, f], kind="stable")
         xs = X[order, f]
         cuts = np.flatnonzero(np.diff(xs) != 0)
         if len(cuts) == 0:
-            scans.append(None)
+            thresholds.append(None)
+            scores.append(None)
             continue
         onehot = np.zeros((n, num_classes))
         onehot[np.arange(n), labels[order]] = weights[order]
@@ -211,25 +208,18 @@ def entropy_split(X, labels, weights, num_classes):
         right = cum[-1][None, :] - left
         zl = left.sum(axis=1)
         zr = right.sum(axis=1)
-        obj = (-_xlogx(left).sum(axis=1) + _xlogx(zl)
-               - _xlogx(right).sum(axis=1) + _xlogx(zr))
-        thresholds = (xs[cuts] + xs[cuts + 1]) / 2.0
-        scans.append((thresholds, obj))
-        fast_min = min(fast_min, float(obj.min()))
-    if fast_min is math.inf:
-        return None
-    best = None
-    for f in range(d):
-        if scans[f] is None:
-            continue
-        thresholds, obj = scans[f]
-        for idx in np.flatnonzero(obj <= fast_min + _TIE_SLACK):
-            v = float(thresholds[idx])
-            lm, rm = _masses_for_mask(labels, weights, X[:, f] < v, num_classes)
-            cand = _split_from_masses(f, v, lm, rm)
-            if best is None or cand.objective < best.objective:
-                best = cand
-    return best
+        scores.append(-_xlogx(left).sum(axis=1) + _xlogx(zl)
+                      - _xlogx(right).sum(axis=1) + _xlogx(zr))
+        thresholds.append((xs[cuts] + xs[cuts + 1]) / 2.0)
+
+    def rescore(f, idx):
+        v = float(thresholds[f][idx])
+        lm, rm = _masses_for_mask(labels, weights, X[:, f] < v, num_classes)
+        split = _split_from_masses(f, v, lm, rm)
+        return split.objective, split
+
+    best = _argmin_rescored(scores, rescore)
+    return None if best is None else best[1]
 
 
 def binarize_labels(X, labels, weights, split, num_classes):
@@ -473,6 +463,51 @@ def predict(tree, x):
         trace.append((node.node_id, dv))
         node = node.right if dv >= 0 else node.left
     return node.label, trace
+
+
+@dataclass
+class PathGroup:
+    """The rows of a batch that reach one leaf. Every row of the group
+    follows the same path: ``nodes`` lists the evaluated internal nodes from
+    the root down, and ``values[k, j]`` is the decision value of
+    ``nodes[j]`` on row ``rows[k]``."""
+
+    leaf: LeafNode
+    nodes: list
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def route(tree, X):
+    """Traverse every row of X at once, level by level: each node evaluates
+    its classifier once, over the rows that reach it, and routes them right
+    where the decision value is nonnegative. Labels, paths and decision
+    values are bit-identical to predict() on each row. Returns one PathGroup
+    per reached leaf."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != tree.dimension:
+        raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
+    groups = []
+    level = [(tree.root, np.arange(len(X)), [], np.empty((len(X), 0)))]
+    while level:
+        below = []
+        for node, rows, path, values in level:
+            if isinstance(node, LeafNode):
+                groups.append(PathGroup(node, path, rows, values))
+            elif node.passthrough is not None:
+                below.append((node.right if node.passthrough > 0 else node.left,
+                              rows, path, values))
+            elif node.svm is None:
+                raise ValidationError("phase two has not been attached to this tree")
+            else:
+                dv = decision_values_batch(node.svm, X[rows])
+                right = dv >= 0
+                for child, sel in ((node.left, ~right), (node.right, right)):
+                    if sel.any():
+                        below.append((child, rows[sel], path + [node],
+                                      np.column_stack((values[sel], dv[sel]))))
+        level = below
+    return groups
 
 
 # ---------------------------------------------------------------------------

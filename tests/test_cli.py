@@ -103,6 +103,14 @@ class TestTrain:
                    "--out", tmp_path / "m.json") == 2
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_training_data_exits_2(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"0,1.0,2.0\n1,{cell},3.0\n0,1.5,2.5\n1,4.0,3.5\n")
+        assert run("--quiet", "train", bad, "--out", tmp_path / "m.json") == 2
+        assert "finite" in capsys.readouterr().err
+
+
 class TestEval:
     def _trained(self, blob_csvs, tmp_path):
         train, test = blob_csvs
@@ -152,6 +160,16 @@ class TestEval:
         assert run("--quiet", "synth", "blobs", "--classes", 3, "--per-class", 5,
                    "--dim", 2, "--spread", 0.5, "--seed", 1, "--out", bad) == 0
         assert run("--quiet", "eval", model, bad, "--out-metrics", tmp_path / "m.csv") == 2
+
+
+    def test_non_finite_test_data_exits_2(self, blob_csvs, tmp_path, capsys):
+        _, test, model = self._trained(blob_csvs, tmp_path)
+        lines = test.read_text().splitlines()
+        label = lines[0].split(",")[0]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines + [f"{label},nan,0.0,0.0"]) + "\n")
+        assert run("--quiet", "eval", model, bad, "--out-metrics", tmp_path / "m.csv") == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestSweep:

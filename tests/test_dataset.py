@@ -52,6 +52,12 @@ class TestLoadCsv:
         with pytest.raises(ValidationError):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, cell):
+        path = _write(tmp_path, f"0,1.0\n1,{cell}\n")
+        with pytest.raises(ValidationError, match="finite"):
+            load_csv(path)
+
     def test_header_skipped(self, tmp_path):
         path = _write(tmp_path, "label,f1\n0,1.0\n1,2.0\n")
         data = load_csv(path, has_header=True)
@@ -203,3 +209,9 @@ class TestDatasetInvariants:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValidationError):
             Dataset(np.zeros((2, 1)), np.array([0, 1]), np.array([-0.1, 1.1]), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        features = np.array([[0.0, 1.0], [2.0, bad]])
+        with pytest.raises(ValidationError, match="finite"):
+            Dataset(features, np.array([0, 1]), np.array([0.5, 0.5]), 2)

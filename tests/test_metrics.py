@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from atree.dataset import generate_gaussian_blobs, split_train_test
+from atree.boosting import BoostConfig
+from atree.dataset import Dataset, generate_gaussian_blobs, split_train_test
 from atree.errors import ValidationError
-from atree.metrics import (EvaluationRun, complexity_report, evaluate_atree,
-                           evaluate_one_vs_all, evaluate_one_vs_one,
+from atree.metrics import (EvaluationRun, _flat_decision_values, complexity_report,
+                           evaluate_atree, evaluate_one_vs_all, evaluate_one_vs_one,
                            mean_per_class_accuracy, train_one_vs_all,
                            train_one_vs_one)
 from atree.svm import (KernelSpec, KernelSvmModel, SvmConfig,
@@ -182,3 +183,64 @@ class TestEndToEnd:
             run = evaluate(model, data)
             assert (run.kernel_computations == len(set(ids))).all()
             assert (run.kernel_computations_uncached == len(ids)).all()
+
+    @pytest.mark.parametrize("blobs, config", [
+        ((20, 100, 16, 1.0, 11), AtreeConfig(delta=0.7, boost=BoostConfig(max_rounds=30))),
+        ((16, 100, 8, 1.2, 3), AtreeConfig(delta=0.8, max_depth=8,
+                                           kernel=KernelSpec("rbf", 0.2),
+                                           boost=BoostConfig(max_rounds=20))),
+    ], ids=["linear-desk20", "rbf-blobs16"])
+    def test_batched_routing_matches_per_instance_predict(self, blobs, config):
+        data = generate_gaussian_blobs(*blobs)
+        train, test = split_train_test(data, 0.5, seed=1, stratified=True)
+        tree = train_atree(train, config)
+        svms = {n.node_id: n.svm for n in iter_nodes(tree.root)
+                if isinstance(n, InternalNode)}
+        run = evaluate_atree(tree, test)
+        singles = [predict(tree, x) for x in test.features]
+        np.testing.assert_array_equal(run.predictions, [label for label, _ in singles])
+        # node ids and decision values, bit for bit
+        assert run.traces == [trace for _, trace in singles]
+        np.testing.assert_array_equal(run.classifier_evaluations,
+                                      [len(trace) for _, trace in singles])
+        if config.kernel.is_linear:
+            assert run.kernel_computations is None
+        else:
+            counts = [kernel_computations([svms[nid] for nid, _ in trace])
+                      for _, trace in singles]
+            np.testing.assert_array_equal(run.kernel_computations, [c[0] for c in counts])
+            np.testing.assert_array_equal(run.kernel_computations_uncached,
+                                          [c[1] for c in counts])
+
+
+class TestFlatUnionBlock:
+    """One-vs-all and one-vs-one evaluate all their models through one
+    product (linear) or one Gram block over the union of support vectors."""
+
+    @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", 0.5),
+                                      KernelSpec("chi_square", 0.5)],
+                             ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("method", ["ova", "ovo"])
+    def test_matches_per_model_decision_values(self, spec, method):
+        data = generate_gaussian_blobs(4, 25, 3, 1.0, seed=14)
+        # nonnegative features, as the chi-square kernel requires
+        data = Dataset(data.features - data.features.min(), data.labels, data.weights,
+                       data.num_classes)
+        train, test = split_train_test(data, 0.5, seed=1, stratified=True)
+        if method == "ova":
+            model = train_one_vs_all(train, spec, SvmConfig())
+            run = evaluate_one_vs_all(model, test)
+        else:
+            model = train_one_vs_one(train, spec, SvmConfig())
+            run = evaluate_one_vs_one(model, test)
+        per_model = np.stack([decision_values_batch(m, test.features) for m in model.models])
+        values = _flat_decision_values(model.models, test.features)
+        np.testing.assert_allclose(values, per_model, rtol=0, atol=1e-12)
+        if method == "ova":
+            expected = per_model.argmax(axis=0)
+        else:
+            votes = np.zeros((model.num_classes, len(test)), dtype=np.int64)
+            for (a, b), dv in zip(model.pairs, per_model):
+                np.add.at(votes, (np.where(dv >= 0, b, a), np.arange(len(test))), 1)
+            expected = votes.argmax(axis=0)
+        np.testing.assert_array_equal(run.predictions, expected)

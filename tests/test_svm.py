@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atree.errors import ValidationError
-from atree.svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
-                       decision_values_batch, kernel_computations,
+from atree.svm import (KERNEL_KINDS, KernelSpec, KernelSvmModel, LinearSvmModel,
+                       SvmConfig, decision_values_batch, kernel_computations,
                        kernel_matrix, predict, select_c, train_kernel_svm,
                        train_linear_svm, truncate_svs)
 from oracles import grid_min_linear_svm_1d, random_binary_dataset
@@ -49,6 +49,18 @@ class TestKernels:
             K = kernel_matrix(spec, A, A)
             np.testing.assert_allclose(K, K.T, atol=1e-12)
             assert (np.diag(K) >= 0).all()
+
+    def test_blocks_larger_than_one_chunk_match_direct_formula(self):
+        # 600 x 500 x 8 = 2.4M broadcast elements, more than two chunks
+        rng = np.random.default_rng(5)
+        A = rng.uniform(0.0, 2.0, size=(600, 8))
+        B = rng.uniform(0.0, 2.0, size=(500, 8))
+        a, b = A[:, None, :], B[None, :, :]
+        chi2 = np.exp(-0.4 * ((a - b) ** 2 / (a + b + 1e-12)).sum(axis=2))
+        np.testing.assert_array_equal(kernel_matrix(KernelSpec("chi_square", 0.4), A, B), chi2)
+        np.testing.assert_array_equal(
+            kernel_matrix(KernelSpec("histogram_intersection"), A, B),
+            np.minimum(a, b).sum(axis=2))
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -219,9 +231,26 @@ class TestDecisionAndPredict:
         for row, value in zip(probes, batch):
             single = decision_values_batch(model, row)
             assert np.ndim(single) == 0
-            assert abs(single - value) <= 1e-12
+            assert single == value
         np.testing.assert_array_equal([predict(model, row) for row in probes],
                                       predict(model, probes))
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(KERNEL_KINDS), seed=st.integers(0, 2**32 - 1),
+           rows=st.lists(st.integers(0, 29), min_size=1, max_size=30, unique=True))
+    def test_each_value_depends_on_its_own_row_only(self, kind, seed, rows):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 2.0, size=(30, 4))
+        if kind == "linear" and seed % 2:
+            model = LinearSvmModel(rng.normal(size=4), float(rng.normal()))
+        else:
+            n_sv = int(rng.integers(1, 40))
+            gamma = 0.6 if kind in ("rbf", "chi_square") else None
+            model = KernelSvmModel(rng.uniform(0.0, 2.0, size=(n_sv, 4)), rng.normal(size=n_sv),
+                                   float(rng.normal()), KernelSpec(kind, gamma), np.arange(n_sv))
+        np.testing.assert_array_equal(decision_values_batch(model, X[rows]),
+                                      decision_values_batch(model, X)[rows])
 
 
 def _toy_kernel_model(sv_ids, dim=2):

@@ -11,8 +11,8 @@ from atree.svm import KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig
 from atree.tree import (Atree, AtreeConfig, EntropySplit, InternalNode,
                         LeafNode, attach_svms_phase2, binarize_labels,
                         build_phase1, deserialize, entropy_split, iter_nodes,
-                        node_cost, partition_samples, predict, serialize,
-                        to_dot, train_atree)
+                        node_cost, partition_samples, predict, route,
+                        serialize, to_dot, train_atree)
 from oracles import brute_force_entropy_split, random_weighted_multiclass
 
 LN2 = math.log(2.0)
@@ -375,6 +375,45 @@ class TestPredict:
         tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 2)
         with pytest.raises(ValidationError):
             predict(tree, np.array([0.0, 1.0]))
+
+
+class TestRoute:
+    def test_groups_rows_by_leaf_through_a_passthrough(self):
+        deep = _manual_internal(2, 3, _leaf(3, 4, 0), _leaf(4, 4, 1), bias=0.0)
+        deep.svm = LinearSvmModel(np.array([1.0]), -1.0)
+        mid = _manual_internal(1, 2, _leaf(5, 3, 0), deep, bias=0.0)
+        mid.svm, mid.passthrough = None, 1
+        root = _manual_internal(0, 1, _leaf(6, 2, 0), mid, bias=0.0)
+        root.svm = LinearSvmModel(np.array([1.0]), 0.0)
+        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 4)
+        X = np.array([[-1.0], [2.0], [0.5], [3.0]])
+        groups = {g.leaf.node_id: g for g in route(tree, X)}
+        assert sorted(groups) == [3, 4, 6]
+        assert groups[6].rows.tolist() == [0]
+        assert [n.node_id for n in groups[6].nodes] == [0]
+        assert groups[4].rows.tolist() == [1, 3]
+        assert [n.node_id for n in groups[4].nodes] == [0, 2]
+        np.testing.assert_array_equal(groups[4].values, [[2.0, 1.0], [3.0, 2.0]])
+        for g in groups.values():
+            for row, values in zip(g.rows, g.values):
+                label, trace = predict(tree, X[row])
+                assert label == g.leaf.label
+                assert trace == list(zip([n.node_id for n in g.nodes], values))
+
+    def test_dimension_mismatch_rejected(self):
+        root = _manual_internal(0, 1, _leaf(1, 2, 0), _leaf(2, 2, 1), bias=0.0)
+        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 2)
+        with pytest.raises(ValidationError):
+            route(tree, np.zeros((3, 2)))
+        with pytest.raises(ValidationError):
+            route(tree, np.zeros(1))
+
+    def test_phase1_only_tree_cannot_route(self):
+        root = _manual_internal(0, 1, _leaf(1, 2, 0), _leaf(2, 2, 1), bias=0.0)
+        root.svm = None
+        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 2)
+        with pytest.raises(ValidationError):
+            route(tree, np.zeros((2, 1)))
 
 
 class TestNodeCost:
