@@ -173,13 +173,8 @@ def adaboost_train(X, y, w, config):
         raise ValidationError("weights must have positive total mass")
     w = w / total
     model = BoostedClassifier()
-    if len(values) == 1:
-        stump, err = train_stump(X, y, w)
-        floor = config.min_weight_floor
-        model.rounds.append((0.5 * math.log((1.0 - floor) / floor), stump))
-        model.round_errors.append(err)
-        model.pure = True
-        return model
+    # on a single label the first stump is perfect and ends the loop
+    model.pure = len(values) == 1
     for _ in range(config.max_rounds):
         stump, eps = train_stump(X, y, w)
         if eps > config.gamma:

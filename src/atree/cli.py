@@ -43,13 +43,16 @@ class RunConfig:
     sv_budget: list | None = None
     seed: int = 0
 
+    def to_svm_config(self):
+        return SvmConfig(c=self.c, tolerance=self.tolerance,
+                         max_passes=self.max_passes, seed=self.seed)
+
     def to_atree_config(self):
         return tr.AtreeConfig(
             delta=self.delta,
             max_depth=self.max_depth,
             boost=BoostConfig(max_rounds=self.max_rounds, gamma=self.boost_gamma),
-            svm=SvmConfig(c=self.c, tolerance=self.tolerance,
-                          max_passes=self.max_passes, seed=self.seed),
+            svm=self.to_svm_config(),
             kernel=KernelSpec(self.kernel, self.kernel_gamma),
             min_node_samples=self.min_node_samples,
             sv_budget_search=self.sv_budget,
@@ -204,6 +207,7 @@ def _metrics_row(run, tree_delta, kernel_kind, reference):
 
 
 def cmd_eval(args):
+    svm_config = _resolve_run_config(args).to_svm_config()
     tree = tr.load(args.model)
     test = load_csv(args.test_csv, args.has_header)
     if test.dimension != tree.dimension:
@@ -218,10 +222,6 @@ def cmd_eval(args):
         if not args.train_csv:
             raise ValidationError("--baseline requires --train-csv to train the reference")
         train = load_csv(args.train_csv, args.has_header)
-        svm_config = SvmConfig(c=args.c if args.c is not None else 1.0,
-                               tolerance=args.tolerance if args.tolerance is not None else 1e-3,
-                               max_passes=args.max_passes if args.max_passes is not None else 200,
-                               seed=args.seed if args.seed is not None else 0)
         ova = mt.train_one_vs_all(train, tree.config.kernel, svm_config)
         reference = mt.evaluate_one_vs_all(ova, test)
         baseline_runs.append(reference)
@@ -233,9 +233,14 @@ def cmd_eval(args):
         rows.append(_metrics_row(run, None, kernel_kind, reference))
     _write_rows(args.out_metrics, METRIC_COLUMNS, rows)
     if args.out_traces:
+        node_ids = [None] * len(test)
+        for group in atree_run.paths:
+            joined = ";".join(str(node.node_id) for node in group.nodes)
+            for row in group.rows.tolist():
+                node_ids[row] = joined
         trace_rows = []
         nonlinear = atree_run.kernel_computations is not None
-        for i, trace in enumerate(atree_run.traces):
+        for i, ids in enumerate(node_ids):
             trace_rows.append({
                 "instance": i,
                 "true": test.label_names[test.labels[i]],
@@ -243,7 +248,7 @@ def cmd_eval(args):
                 "evaluations": int(atree_run.classifier_evaluations[i]),
                 "kernel_computations": (int(atree_run.kernel_computations[i])
                                         if nonlinear else None),
-                "node_ids": ";".join(str(nid) for nid, _ in trace),
+                "node_ids": ids,
             })
         _write_rows(args.out_traces,
                     ("instance", "true", "predicted", "evaluations",

@@ -24,7 +24,6 @@ from .tree import route as route_tree
 class OneVsAllModel:
     models: list
     num_classes: int
-    kernel_family: str
 
 
 @dataclass
@@ -32,34 +31,26 @@ class OneVsOneModel:
     pairs: list          # [(class_a, class_b), ...] with a < b
     models: list
     num_classes: int
-    kernel_family: str
 
 
 @dataclass
 class EvaluationRun:
-    """Predictions plus per-instance cost counters for one method."""
+    """Predictions plus per-instance cost counters for one method. Kernel
+    runs carry kernel computation counts; linear runs leave them None."""
 
     method: str
-    kernel_family: str                 # "linear" or "nonlinear"
     num_classes: int
     predictions: np.ndarray
     truths: np.ndarray
     classifier_evaluations: np.ndarray
     kernel_computations: np.ndarray | None = None       # union-cached
     kernel_computations_uncached: np.ndarray | None = None
-    traces: list | None = None         # ATree only: tree.predict trace per instance
+    paths: list | None = None          # ATree only: tree.route's PathGroups
 
 
 @dataclass
 class ComplexityReport:
-    mean_classifier_evaluations: float
-    mean_kernel_computations: float | None
-    relative_complexity: float | None
-    per_instance_trace_lengths: list
-
-
-def _kernel_family(kernel):
-    return "linear" if kernel.is_linear else "nonlinear"
+    relative_complexity: float
 
 
 def _check_all_classes_present(data):
@@ -83,7 +74,7 @@ def train_one_vs_all(data, kernel, svm_config):
         else:
             models.append(train_kernel_svm(data.features, y, kernel, svm_config,
                                            sample_ids=ids))
-    return OneVsAllModel(models, data.num_classes, _kernel_family(kernel))
+    return OneVsAllModel(models, data.num_classes)
 
 
 def train_one_vs_one(data, kernel, svm_config):
@@ -102,7 +93,7 @@ def train_one_vs_one(data, kernel, svm_config):
                 models.append(train_kernel_svm(data.features[members], y, kernel,
                                                svm_config, sample_ids=members))
             pairs.append((a, b))
-    return OneVsOneModel(pairs, models, data.num_classes, _kernel_family(kernel))
+    return OneVsOneModel(pairs, models, data.num_classes)
 
 
 def mean_per_class_accuracy(predictions, truths, num_classes):
@@ -119,28 +110,25 @@ def mean_per_class_accuracy(predictions, truths, num_classes):
 
 
 def evaluate_atree(tree, data):
-    """Route the whole test set through the tree (tree.route), recording
-    each instance's trace and, for kernel trees, the cached/uncached kernel
-    computation counts of the nodes on it. The instances reaching one leaf
-    share one path, so the counts are computed once per leaf."""
+    """Route the whole test set through the tree (tree.route) and keep its
+    path groups on ``run.paths``. Each instance's label, evaluation count
+    and, for kernel trees, cached/uncached kernel computation counts come
+    from its group: the instances reaching one leaf share one path, so the
+    counts are computed once per leaf."""
     nonlinear = not tree.config.kernel.is_linear
     n = len(data)
     preds = np.empty(n, dtype=np.int64)
     evals = np.empty(n, dtype=np.int64)
     counts = np.empty((n, 2), dtype=np.int64)
-    traces = [None] * n
-    for group in route_tree(tree, data.features):
+    paths = route_tree(tree, data.features)
+    for group in paths:
         preds[group.rows] = group.leaf.label
         evals[group.rows] = len(group.nodes)
         if nonlinear:
             counts[group.rows] = kernel_computations([node.svm for node in group.nodes])
-        ids = [node.node_id for node in group.nodes]
-        for row, values in zip(group.rows.tolist(), group.values):
-            traces[row] = list(zip(ids, values))
     run = EvaluationRun(
-        method="atree", kernel_family="nonlinear" if nonlinear else "linear",
-        num_classes=tree.num_classes, predictions=preds, truths=data.labels.copy(),
-        classifier_evaluations=evals, traces=traces)
+        method="atree", num_classes=tree.num_classes, predictions=preds,
+        truths=data.labels.copy(), classifier_evaluations=evals, paths=paths)
     if nonlinear:
         run.kernel_computations = counts[:, 0]
         run.kernel_computations_uncached = counts[:, 1]
@@ -183,11 +171,10 @@ def _evaluate_flat(model, data, method):
                 votes[cls] += winner == cls
         preds = votes.argmax(axis=0).astype(np.int64)
     run = EvaluationRun(
-        method=method, kernel_family=model.kernel_family,
-        num_classes=model.num_classes, predictions=preds,
+        method=method, num_classes=model.num_classes, predictions=preds,
         truths=data.labels.copy(),
         classifier_evaluations=np.full(n, len(model.models), dtype=np.int64))
-    if model.kernel_family == "nonlinear":
+    if not isinstance(model.models[0], LinearSvmModel):
         union, uncached = kernel_computations(model.models)
         run.kernel_computations = np.full(n, union, dtype=np.int64)
         run.kernel_computations_uncached = np.full(n, uncached, dtype=np.int64)
@@ -203,24 +190,18 @@ def evaluate_one_vs_one(model, data):
 
 
 def run_cost(run):
-    """Per-family mean test cost of a recorded run."""
-    if run.kernel_family == "linear":
+    """Mean test cost of a recorded run: kernel computations for kernel
+    runs, classifier evaluations for linear ones."""
+    if run.kernel_computations is None:
         return float(run.classifier_evaluations.mean())
     return float(run.kernel_computations.mean())
 
 
 def complexity_report(run, reference):
-    """Cost summary of ``run`` normalized by a reference run (one-vs-all on
-    the same test set and kernel family). Pure function of recorded traces."""
-    if run.kernel_family != reference.kernel_family:
+    """Cost of ``run`` normalized by a reference run (one-vs-all on the same
+    test set and kernel family). Pure function of the recorded counts."""
+    if (run.kernel_computations is None) != (reference.kernel_computations is None):
         raise ValidationError("complexity comparison requires matching kernel families")
     if len(run.predictions) != len(reference.predictions):
         raise ValidationError("runs must cover the same test set")
-    mean_kernel = (float(run.kernel_computations.mean())
-                   if run.kernel_computations is not None else None)
-    return ComplexityReport(
-        mean_classifier_evaluations=float(run.classifier_evaluations.mean()),
-        mean_kernel_computations=mean_kernel,
-        relative_complexity=run_cost(run) / run_cost(reference),
-        per_instance_trace_lengths=run.classifier_evaluations.tolist(),
-    )
+    return ComplexityReport(relative_complexity=run_cost(run) / run_cost(reference))

@@ -335,36 +335,3 @@ def truncate_svs(model, n_keep):
         kernel=model.kernel,
         sv_ids=model.sv_ids[keep].copy(),
     )
-
-
-def select_c(X, y, kernel, config, grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds=3):
-    """Pick C from ``grid`` by k-fold cross-validated accuracy (ties to the
-    smaller C). Folds are label-stratified round-robin from the config seed."""
-    X = np.asarray(X, dtype=np.float64)
-    y = _split_labels(y)
-    n = len(y)
-    folds = min(folds, int((y > 0).sum()), int((y < 0).sum()))
-    if folds < 2:
-        raise ValidationError("cross-validation needs at least 2 samples per label")
-    rng = np.random.default_rng(config.seed)
-    fold_of = np.empty(n, dtype=np.int64)
-    for sign in (1, -1):
-        members = np.flatnonzero(y == sign)
-        members = members[rng.permutation(len(members))]
-        fold_of[members] = np.arange(len(members)) % folds
-    best_c, best_acc = None, -1.0
-    for c in grid:
-        trial = SvmConfig(c=c, tolerance=config.tolerance,
-                          max_passes=config.max_passes, seed=config.seed)
-        correct = 0
-        for f in range(folds):
-            test = fold_of == f
-            if kernel.is_linear:
-                model = train_linear_svm(X[~test], y[~test], trial)
-            else:
-                model = train_kernel_svm(X[~test], y[~test], kernel, trial)
-            correct += int((predict(model, X[test]) == y[test]).sum())
-        acc = correct / n
-        if acc > best_acc:
-            best_acc, best_c = acc, c
-    return best_c

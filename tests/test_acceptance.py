@@ -179,7 +179,7 @@ def test_criterion_04_node_cost_arithmetic():
 
 def _synthetic_linear_run(method, n, cost):
     return EvaluationRun(
-        method=method, kernel_family="linear", num_classes=n,
+        method=method, num_classes=n,
         predictions=np.zeros(10, dtype=np.int64), truths=np.zeros(10, dtype=np.int64),
         classifier_evaluations=np.full(10, cost, dtype=np.int64))
 

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from atree.cli import main
-from atree.tree import iter_nodes, load
+from atree.dataset import load_csv
+from atree.tree import iter_nodes, load, predict
 
 
 def run(*argv):
@@ -148,6 +149,39 @@ class TestEval:
         lines = traces.read_text().strip().splitlines()
         assert len(lines) == 1 + 120
         assert lines[0].split(",")[0] == "instance"
+        tree = load(model)
+        data = load_csv(test)
+        for i, line in enumerate(lines[1:]):
+            instance, _, predicted, evaluations, _, node_ids = line.split(",")
+            label, trace = predict(tree, data.features[i])
+            assert int(instance) == i
+            assert predicted == str(tree.label_names[label])
+            assert int(evaluations) == len(trace)
+            assert node_ids == ";".join(str(nid) for nid, _ in trace)
+
+    def test_config_file_sets_baseline_svm(self, blob_csvs, tmp_path):
+        train, test = blob_csvs
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--delta", 0.6,
+                   "--max-depth", 3, "--kernel", "rbf", "--kernel-gamma", 0.5) == 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"c": 0.01}))
+        outputs = {}
+        for name, before, after in (("config", ("--config", cfg), ()),
+                                    ("flag", (), ("--c", 0.01)), ("default", (), ())):
+            out = tmp_path / f"{name}.csv"
+            assert run("--quiet", *before, "eval", model, test, "--baseline", "ova",
+                       "--train-csv", train, "--out-metrics", out, *after) == 0
+            outputs[name] = out.read_bytes()
+        assert outputs["config"] == outputs["flag"]
+        assert outputs["config"] != outputs["default"]
+
+    def test_unknown_config_key_rejected(self, blob_csvs, tmp_path):
+        _, test, model = self._trained(blob_csvs, tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"deltas": [0.5]}))
+        assert run("--quiet", "--config", cfg, "eval", model, test,
+                   "--out-metrics", tmp_path / "m.csv") == 2
 
     def test_baseline_requires_training_data(self, blob_csvs, tmp_path):
         _, test, model = self._trained(blob_csvs, tmp_path)

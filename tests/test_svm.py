@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from atree.errors import ValidationError
 from atree.svm import (KERNEL_KINDS, KernelSpec, KernelSvmModel, LinearSvmModel,
                        SvmConfig, decision_values_batch, kernel_computations,
-                       kernel_matrix, predict, select_c, train_kernel_svm,
+                       kernel_matrix, predict, train_kernel_svm,
                        train_linear_svm, truncate_svs)
 from oracles import grid_min_linear_svm_1d, random_binary_dataset
 
@@ -303,14 +303,3 @@ class TestTruncation:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValidationError):
             truncate_svs(_toy_kernel_model(np.arange(3)), 0)
-
-
-class TestSelectC:
-    def test_returns_grid_member_deterministically(self):
-        rng = np.random.default_rng(13)
-        X, y = random_binary_dataset(rng, 40, 2)
-        cfg = SvmConfig(seed=3)
-        c1 = select_c(X, y, KernelSpec("linear"), cfg)
-        c2 = select_c(X, y, KernelSpec("linear"), cfg)
-        assert c1 == c2
-        assert c1 in (0.01, 0.1, 1.0, 10.0, 100.0)
