@@ -77,81 +77,70 @@ def _validate_binary_labels(y):
     return values
 
 
-def _candidate_errors(values, y, w):
-    """Errors of every (threshold, polarity) candidate for one feature.
-
-    Returns (thresholds, err_plus, err_minus) where index 0 is the
-    below-minimum threshold and the rest are midpoints between consecutive
-    distinct sorted values, in ascending order.
-    """
-    order = np.argsort(values, kind="stable")
-    xs = values[order]
-    ws = w[order]
-    wpos = np.where(y[order] > 0, ws, 0.0)
-    wneg = np.where(y[order] > 0, 0.0, ws)
-    cum_pos = np.cumsum(wpos)
-    cum_neg = np.cumsum(wneg)
-    total_pos = cum_pos[-1]
-    total_neg = cum_neg[-1]
-    cuts = np.flatnonzero(np.diff(xs) != 0)
-    thresholds = np.concatenate(([xs[0] - 1.0], (xs[cuts] + xs[cuts + 1]) / 2.0))
-    # polarity +1 predicts -1 left of the threshold, +1 right of it
-    err_plus = np.concatenate(([total_neg], cum_pos[cuts] + (total_neg - cum_neg[cuts])))
-    err_minus = np.concatenate(([total_pos], cum_neg[cuts] + (total_pos - cum_pos[cuts])))
-    return thresholds, err_plus, err_minus
-
-
 def _argmin_rescored(scores, rescore):
     """Exact minimum over the candidates whose fast-scan score lies within
     _TIE_SLACK of the smallest one.
 
-    ``scores`` holds one array of fast-scan scores per feature, or None for a
-    feature without candidates. ``rescore(f, idx)`` returns (exact score,
-    result) for candidate ``idx`` of feature ``f``. Candidates are rescored
-    feature by feature in index order and a later one wins only when
-    strictly smaller, so ties break to the lowest feature, then the lowest
-    index. Returns the winning (exact score, result), or None when there is
-    no candidate.
+    ``scores`` is a (features, candidates) array of fast-scan scores with
+    +inf where a feature has no such candidate. ``rescore(f, idx)`` returns
+    (exact score, result) for candidate ``idx`` of feature ``f``. Candidates
+    are rescored in row-major order and a later one wins only when strictly
+    smaller, so ties break to the lowest feature, then the lowest index.
+    Returns the winning (exact score, result), or None when there is no
+    candidate.
     """
-    present = [s for s in scores if s is not None]
-    if not present:
+    cut = scores.min(initial=np.inf) + _TIE_SLACK
+    if cut == np.inf:
         return None
-    cut = min(float(s.min()) for s in present) + _TIE_SLACK
     best = None
-    for f, s in enumerate(scores):
-        if s is None:
-            continue
-        for idx in np.flatnonzero(s <= cut):
-            cand = rescore(f, int(idx))
-            if best is None or cand[0] < best[0]:
-                best = cand
+    for f, idx in np.argwhere(scores <= cut).tolist():
+        cand = rescore(f, idx)
+        if best is None or cand[0] < best[0]:
+            best = cand
     return best
 
 
-def train_stump(X, y, w):
+def train_stump(X, y, w, order=None):
     """Exhaustive weighted-error-minimizing stump.
 
     Searches every feature, every midpoint between consecutive distinct
     values plus one threshold below the minimum, and both polarities.
     Ties break to the lowest feature index, then the lowest threshold, then
-    polarity +1. Returns (stump, weighted_error).
+    polarity +1. ``order`` is ``np.argsort(X, axis=0, kind="stable")``; it
+    does not depend on ``w``, so boosting passes one for every round.
+    Returns (stump, weighted_error).
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
-    thresholds = []
-    scores = []
-    for f in range(X.shape[1]):
-        t, err_plus, err_minus = _candidate_errors(X[:, f], y, w)
-        thresholds.append(t)
-        # ravel of (T, 2) walks candidates threshold-ascending, +1 before -1
-        scores.append(np.column_stack([err_plus, err_minus]).ravel())
+    if order is None:
+        order = np.argsort(X, axis=0, kind="stable")
+    # one row per feature, in ascending order of that feature
+    sorted_rows = order.T
+    xs = np.take_along_axis(X.T, sorted_rows, axis=1)
+    ws = w[sorted_rows]
+    pos = y[sorted_rows] > 0
+    cum_pos = np.cumsum(np.where(pos, ws, 0.0), axis=1)
+    cum_neg = np.cumsum(np.where(pos, 0.0, ws), axis=1)
+    total_pos = cum_pos[:, -1:]
+    total_neg = cum_neg[:, -1:]
+    # scores[f, k] for k >= 1 is the cut between sorted positions k-1 and k
+    # (+inf between equal values); k = 0 is the below-minimum threshold.
+    # Polarity +1 predicts -1 left of the threshold, +1 right of it.
+    scores = np.empty(xs.shape + (2,))
+    scores[:, 0] = np.hstack([total_neg, total_pos])
+    scores[:, 1:, 0] = cum_pos[:, :-1] + (total_neg - cum_neg[:, :-1])
+    scores[:, 1:, 1] = cum_neg[:, :-1] + (total_pos - cum_pos[:, :-1])
+    scores[:, 1:][xs[:, 1:] == xs[:, :-1]] = np.inf
 
     def rescore(f, idx):
-        stump = DecisionStump(f, float(thresholds[f][idx // 2]), 1 if idx % 2 == 0 else -1)
+        k = idx // 2
+        t = xs[f, 0] - 1.0 if k == 0 else (xs[f, k - 1] + xs[f, k]) / 2.0
+        stump = DecisionStump(f, float(t), 1 if idx % 2 == 0 else -1)
         return float(w[stump.predict_batch(X) != y].sum()), stump
 
-    err, stump = _argmin_rescored(scores, rescore)
+    # (features, 2n) walks candidates threshold-ascending, +1 before -1
+    err, stump = _argmin_rescored(scores.reshape(len(xs), -1), rescore)
     return stump, err
 
 
@@ -175,8 +164,9 @@ def adaboost_train(X, y, w, config):
     model = BoostedClassifier()
     # on a single label the first stump is perfect and ends the loop
     model.pure = len(values) == 1
+    order = np.argsort(X, axis=0, kind="stable")
     for _ in range(config.max_rounds):
-        stump, eps = train_stump(X, y, w)
+        stump, eps = train_stump(X, y, w, order)
         if eps > config.gamma:
             model.exited_early = True
             break

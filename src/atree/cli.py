@@ -367,7 +367,7 @@ def _add_global_flags(p, suppress):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="atree")
+    parser = argparse.ArgumentParser(prog="atree", allow_abbrev=False)
     _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -188,27 +188,38 @@ def train_linear_svm(X, y, config):
     y = _split_labels(y)
     n, d = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])
-    qd = (Xa * Xa).sum(axis=1)
-    alpha = np.zeros(n)
+    # Python floats and row views keep each step out of numpy scalar
+    # arithmetic; the dot stays `row @ w`, whose summation order is fixed.
+    rows = list(Xa)
+    qd = (Xa * Xa).sum(axis=1).tolist()
+    y = y.tolist()
+    alpha = [0.0] * n
     w = np.zeros(d + 1)
     C = config.c
     rng = np.random.default_rng(config.seed)
     for _ in range(config.max_passes):
         worst = 0.0
-        for i in rng.permutation(n):
-            g = y[i] * float(Xa[i] @ w) - 1.0
-            if alpha[i] <= 0.0:
-                pg = min(g, 0.0)
-            elif alpha[i] >= C:
-                pg = max(g, 0.0)
+        for i in rng.permutation(n).tolist():
+            yi = y[i]
+            a = alpha[i]
+            g = yi * float(rows[i] @ w) - 1.0
+            if a <= 0.0:
+                pg = 0.0 if g > 0.0 else g
+            elif a >= C:
+                pg = 0.0 if g < 0.0 else g
             else:
                 pg = g
             if pg == 0.0:
                 continue
-            worst = max(worst, abs(pg))
-            new = min(max(alpha[i] - g / qd[i], 0.0), C)
-            if new != alpha[i]:
-                w += (new - alpha[i]) * y[i] * Xa[i]
+            if abs(pg) > worst:
+                worst = abs(pg)
+            new = a - g / qd[i]
+            if new < 0.0:
+                new = 0.0
+            elif new > C:
+                new = C
+            if new != a:
+                w += (new - a) * yi * rows[i]
                 alpha[i] = new
         if worst < config.tolerance:
             break

@@ -190,17 +190,15 @@ def entropy_split(X, labels, weights, num_classes):
     weights = np.asarray(weights, dtype=np.float64)
     if len(np.unique(labels)) < 2:
         return None
-    n = X.shape[0]
-    thresholds = []
-    scores = []
-    for f in range(X.shape[1]):
+    n, d = X.shape
+    # candidate i of a feature is the cut between sorted positions i and
+    # i+1; +inf marks a cut between equal values
+    thresholds = np.full((d, n - 1), np.inf)
+    scores = np.full((d, n - 1), np.inf)
+    for f in range(d):
         order = np.argsort(X[:, f], kind="stable")
         xs = X[order, f]
         cuts = np.flatnonzero(np.diff(xs) != 0)
-        if len(cuts) == 0:
-            thresholds.append(None)
-            scores.append(None)
-            continue
         onehot = np.zeros((n, num_classes))
         onehot[np.arange(n), labels[order]] = weights[order]
         cum = np.cumsum(onehot, axis=0)
@@ -208,12 +206,12 @@ def entropy_split(X, labels, weights, num_classes):
         right = cum[-1][None, :] - left
         zl = left.sum(axis=1)
         zr = right.sum(axis=1)
-        scores.append(-_xlogx(left).sum(axis=1) + _xlogx(zl)
-                      - _xlogx(right).sum(axis=1) + _xlogx(zr))
-        thresholds.append((xs[cuts] + xs[cuts + 1]) / 2.0)
+        scores[f, cuts] = (-_xlogx(left).sum(axis=1) + _xlogx(zl)
+                           - _xlogx(right).sum(axis=1) + _xlogx(zr))
+        thresholds[f, cuts] = (xs[cuts] + xs[cuts + 1]) / 2.0
 
     def rescore(f, idx):
-        v = float(thresholds[f][idx])
+        v = float(thresholds[f, idx])
         lm, rm = _masses_for_mask(labels, weights, X[:, f] < v, num_classes)
         split = _split_from_masses(f, v, lm, rm)
         return split.objective, split

@@ -79,6 +79,46 @@ def grid_min_linear_svm_1d(X, y, c, w_grid, b_grid):
     return best
 
 
+def reference_linear_svm(X, y, config):
+    """The dual coordinate descent of svm.train_linear_svm written with numpy
+    arrays and scalars; the library's loop must give the same iterates bit
+    for bit.
+
+    Returns (weights, bias, passes), where passes counts the sweeps run.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])
+    qd = (Xa * Xa).sum(axis=1)
+    alpha = np.zeros(n)
+    w = np.zeros(d + 1)
+    C = config.c
+    rng = np.random.default_rng(config.seed)
+    passes = 0
+    for _ in range(config.max_passes):
+        passes += 1
+        worst = 0.0
+        for i in rng.permutation(n):
+            g = y[i] * float(Xa[i] @ w) - 1.0
+            if alpha[i] <= 0.0:
+                pg = min(g, 0.0)
+            elif alpha[i] >= C:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg == 0.0:
+                continue
+            worst = max(worst, abs(pg))
+            new = min(max(alpha[i] - g / qd[i], 0.0), C)
+            if new != alpha[i]:
+                w += (new - alpha[i]) * y[i] * Xa[i]
+                alpha[i] = new
+        if worst < config.tolerance:
+            break
+    return w[:d].copy(), float(w[d]), passes
+
+
 def random_binary_dataset(rng, n, d):
     """Random features with labels from a random linear rule plus noise flips."""
     X = rng.normal(size=(n, d))

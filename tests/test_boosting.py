@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from atree import boosting
 from atree.boosting import (BoostConfig, BoostedClassifier, DecisionStump,
                             adaboost_train, error_bound, prob_positive_batch,
                             strong_score_batch, train_stump)
@@ -14,6 +18,20 @@ from oracles import brute_force_stump
 XOR_X = np.array([[0.0, 0.0]] * 4 + [[1.0, 1.0]] * 2 + [[0.0, 1.0], [1.0, 0.0]])
 XOR_Y = np.array([1, 1, 1, 1, 1, 1, -1, -1])
 XOR_W = np.full(8, 1 / 8)
+
+
+@st.composite
+def tied_stump_inputs(draw):
+    """Features on a small integer grid, so values repeat often, with some
+    columns held constant; labels +-1 and positive weights summing to 1."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=st.integers(-2, 2).map(float)))
+    constant = draw(hnp.arrays(np.bool_, d))
+    X[:, constant] = draw(st.integers(-2, 2))
+    y = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    w = draw(hnp.arrays(np.float64, n, elements=st.integers(1, 4).map(float)))
+    return X, y, w / w.sum()
 
 
 class TestTrainStump:
@@ -71,7 +89,46 @@ class TestTrainStump:
         assert stump.feature_index == 0
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(tied_stump_inputs())
+    def test_matches_brute_force_on_tied_values(self, inputs):
+        X, y, w = inputs
+        stump, err = train_stump(X, y, w)
+        o_err, o_f, o_t, o_p = brute_force_stump(X, y, w)
+        assert (stump.feature_index, stump.threshold, stump.polarity) == (o_f, o_t, o_p)
+        assert err == o_err
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_stump_inputs())
+    def test_presorted_order_gives_the_same_stump(self, inputs):
+        X, y, w = inputs
+        order = np.argsort(X, axis=0, kind="stable")
+        assert train_stump(X, y, w, order) == train_stump(X, y, w)
+
+
 class TestAdaboost:
+    @pytest.mark.parametrize("seed,config,separable,searches", [
+        (0, BoostConfig(max_rounds=7), False, 7),              # runs to the cap
+        (6, BoostConfig(max_rounds=50, gamma=0.3), False, 4),  # 3 kept, 1 discarded
+        (0, BoostConfig(max_rounds=50), True, 1),              # one perfect round
+    ], ids=["cap", "gamma", "perfect"])
+    def test_one_stump_search_per_round_on_one_presort(self, monkeypatch, seed, config,
+                                                       separable, searches):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(30, 3))
+        y = np.where((X[:, 0] if separable else rng.normal(size=30)) > 0, 1, -1)
+        orders = []
+
+        def counted(X, y, w, order=None):
+            orders.append(order)
+            return train_stump(X, y, w, order)
+
+        monkeypatch.setattr(boosting, "train_stump", counted)
+        model = adaboost_train(X, y, np.full(30, 1 / 30), config)
+        assert len(orders) == searches == len(model.round_errors) + model.exited_early
+        assert all(o is orders[0] for o in orders)
+        np.testing.assert_array_equal(orders[0], np.argsort(X, axis=0, kind="stable"))
+
     def test_alpha_matches_formula_at_quarter_error(self):
         model = adaboost_train(XOR_X, XOR_Y, XOR_W, BoostConfig(max_rounds=1))
         assert model.round_errors[0] == pytest.approx(0.25, abs=1e-15)

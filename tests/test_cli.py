@@ -183,6 +183,25 @@ class TestEval:
         assert run("--quiet", "--config", cfg, "eval", model, test,
                    "--out-metrics", tmp_path / "m.csv") == 2
 
+    def test_flag_before_command_is_not_an_abbreviated_config(self, blob_csvs, tmp_path,
+                                                             monkeypatch, capsys):
+        _, test, model = self._trained(blob_csvs, tmp_path)
+        # a readable config file named like the flag's value must stay unread
+        (tmp_path / "0.01").write_text(json.dumps({"c": 0.01}))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run("--c", "0.01", "eval", model, test, "--out-metrics", tmp_path / "m.csv")
+        assert exc.value.code == 2
+        assert not (tmp_path / "m.csv").exists()
+        assert "cannot read config file" not in capsys.readouterr().err
+
+    def test_svm_flag_after_command(self, blob_csvs, tmp_path):
+        train, test, model = self._trained(blob_csvs, tmp_path)
+        out = tmp_path / "m.csv"
+        assert run("--quiet", "eval", model, test, "--baseline", "ova", "--train-csv", train,
+                   "--out-metrics", out, "--c", "0.01") == 0
+        assert out.read_text().count("\n") == 3
+
     def test_baseline_requires_training_data(self, blob_csvs, tmp_path):
         _, test, model = self._trained(blob_csvs, tmp_path)
         assert run("--quiet", "eval", model, test, "--baseline", "ova",

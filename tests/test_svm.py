@@ -8,7 +8,8 @@ from atree.svm import (KERNEL_KINDS, KernelSpec, KernelSvmModel, LinearSvmModel,
                        SvmConfig, decision_values_batch, kernel_computations,
                        kernel_matrix, predict, train_kernel_svm,
                        train_linear_svm, truncate_svs)
-from oracles import grid_min_linear_svm_1d, random_binary_dataset
+from oracles import (grid_min_linear_svm_1d, random_binary_dataset,
+                     reference_linear_svm)
 
 SEP_X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
 SEP_Y = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -115,6 +116,27 @@ class TestLinearSolver:
         a = train_linear_svm(X, y, cfg)
         b = train_linear_svm(X, y, cfg)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+
+    @pytest.mark.parametrize("c,tolerance,max_passes,stops_early", [
+        (1.0, 1e-3, 200, True),
+        (0.01, 1e-3, 50, True),
+        (0.5, 1e-2, 500, True),
+        (100.0, 1e-3, 3, False),
+        (100.0, 1e-3, 200, False),
+        (1000.0, 1e-4, 100, False),
+        (3, 1e-3, 40, False),
+    ])
+    def test_iterates_equal_the_numpy_scalar_reference(self, c, tolerance, max_passes,
+                                                       stops_early):
+        rng = np.random.default_rng(11)
+        X, y = random_binary_dataset(rng, 80, 4)
+        cfg = SvmConfig(c=c, tolerance=tolerance, max_passes=max_passes, seed=2)
+        model = train_linear_svm(X, y, cfg)
+        weights, bias, passes = reference_linear_svm(X, y, cfg)
+        assert (passes < max_passes) == stops_early
+        np.testing.assert_array_equal(model.weights, weights)
+        assert model.bias == bias
 
 
 class TestKernelSolver:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from atree.boosting import BoostConfig, BoostedClassifier, DecisionStump, adaboost_train
 from atree.dataset import generate_gaussian_blobs, generate_two_cluster_2d
@@ -60,6 +63,26 @@ class TestEntropySplit:
             oracle = brute_force_entropy_split(X, labels, w, 4)
             assert split.objective == pytest.approx(oracle[0], abs=1e-12)
             assert (split.feature_index, split.threshold) == (oracle[1], oracle[2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), d=st.integers(1, 4))
+    def test_matches_brute_force_on_tied_values(self, data, n, d):
+        # integer-grid features repeat values; some columns are constant
+        X = data.draw(hnp.arrays(np.float64, (n, d), elements=st.integers(-2, 2).map(float)))
+        X[:, data.draw(hnp.arrays(np.bool_, d))] = 1.0
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))
+        w = data.draw(hnp.arrays(np.float64, n, elements=st.integers(1, 4).map(float)))
+        w /= w.sum()
+        split = entropy_split(X, labels, w, 4)
+        if len(np.unique(labels)) < 2:
+            assert split is None
+            return
+        oracle = brute_force_entropy_split(X, labels, w, 4)
+        if oracle is None:
+            assert split is None
+            return
+        assert split.objective == pytest.approx(oracle[0], abs=1e-12)
+        assert (split.feature_index, split.threshold) == (oracle[1], oracle[2])
 
     def test_masses_and_histograms_consistent(self):
         rng = np.random.default_rng(23)
