@@ -152,9 +152,7 @@ def _training_log_lines(tree, include_timestamp):
         boost = node.boost
         eps = "[" + ",".join(f"{e:.6f}" for e in boost.round_errors) + "]"
         bound = (f"{error_bound(boost):.6f}" if boost.round_errors else "n/a")
-        if node.passthrough is not None:
-            svm_desc = f"passthrough={'right' if node.passthrough > 0 else 'left'}"
-        elif cfg.kernel.is_linear:
+        if cfg.kernel.is_linear:
             svm_desc = f"svm=linear cost={tr.node_cost(node):.6f}"
         else:
             svm_desc = (f"svm=kernel svs={node.svm.n_support} "

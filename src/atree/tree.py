@@ -7,7 +7,10 @@ routes samples to the children by the boosted classifier's confidence.
 Samples whose confidence falls inside the undecided band are starred and
 duplicated to both children. Phase two trains one binary SVM per internal
 node on the confidently routed samples only; traversal at test time follows
-the sign of the node SVM's decision value.
+the sign of the node SVM's decision value. A node that routes no sample
+confidently to one side would send every input the other way and evaluate
+nothing: phase one splices it out and builds the taken child in its place,
+so every internal node of a trained tree holds a classifier.
 
 A built tree is immutable; predict is safe under concurrent callers, each
 holding a private trace.
@@ -30,7 +33,7 @@ from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
                   decision_values_batch, predict as svm_predict,
                   train_kernel_svm, train_linear_svm, truncate_svs)
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -43,7 +46,9 @@ class AtreeConfig:
         branches and are rejected.
     max_depth: maximum number of tree levels, root counting as level 1
         (so internal nodes occupy levels < max_depth). None picks
-        2*ceil(log2(num_classes)) at build time.
+        2*ceil(log2(num_classes)) at build time. Spliced pass-through levels
+        still count toward this budget, so a node's depth can exceed the
+        length of its path from the root.
     min_node_samples: nodes smaller than this become leaves.
     sv_budget_search: optional candidate support-vector budgets tried per
         kernel node; the cheapest budget whose node accuracy drop stays
@@ -128,8 +133,9 @@ class InternalNode:
     left: object
     right: object
     svm: object = None
-    passthrough: int | None = None     # +1 always right, -1 always left
     partition: PartitionResult | None = None
+
+    passthrough = None  # not a field; benchmarks/workloads.tree_counters still reads it
 
 
 @dataclass
@@ -300,7 +306,10 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
 
     A node becomes a leaf when it is single-class, too small, at the depth
     limit, unsplittable, reduced to one sign by binarization, abandoned by
-    boosting (no retained rounds), or when routing empties one side.
+    boosting (no retained rounds), or when routing empties one side. A node
+    with no confident samples on one side is spliced out: the child it would
+    always route to is built one level down in its place. Node ids are drawn
+    in preorder as nodes are made, so they stay contiguous.
     """
     if ids is None:
         ids = np.arange(len(data), dtype=np.int64)
@@ -309,13 +318,12 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
         raise ValidationError("cannot build a tree node from zero samples")
     if _counter is None:
         _counter = itertools.count()
-    node_id = next(_counter)
     labels = data.labels[ids]
     X = data.features[ids]
     max_depth = config.effective_max_depth(data.num_classes)
 
     def leaf():
-        return _make_leaf(node_id, depth, labels, weights, data.num_classes)
+        return _make_leaf(next(_counter), depth, labels, weights, data.num_classes)
 
     if len(np.unique(labels)) < 2:
         return leaf()
@@ -335,8 +343,17 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
     part = partition_samples(X, boost, config.delta, ids=ids)
     if len(part.left_ids) == 0 or len(part.right_ids) == 0:
         return leaf()
+    lo, ro = part.left_only_ids, part.right_only_ids
+    if len(lo) == 0 or len(ro) == 0:
+        # a pass-through: build only the side every input would take
+        if len(ro) == 0 and (len(lo) > 0 or len(part.left_ids) > len(part.right_ids)):
+            return build_phase1(data, config, depth + 1, part.left_ids,
+                                part.left_weights, _counter)
+        return build_phase1(data, config, depth + 1, part.right_ids,
+                            part.right_weights, _counter)
+    node_id = next(_counter)
     neg_mass = float(weights[signs < 0].sum())
-    node = InternalNode(
+    return InternalNode(
         node_id=node_id, depth=depth, split=split, boost=boost,
         pos_classes=sorted(np.unique(data.labels[part.right_ids]).tolist()),
         neg_classes=sorted(np.unique(data.labels[part.left_ids]).tolist()),
@@ -349,7 +366,6 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
                            part.right_weights, _counter),
         partition=part,
     )
-    return node
 
 
 def _node_svm_cost(svm, n_pos, n_neg):
@@ -377,17 +393,10 @@ def node_cost(node):
 
 
 def _train_node_svm(node, data, config):
-    part = node.partition
-    lo, ro = part.left_only_ids, part.right_only_ids
-    if len(lo) == 0 and len(ro) == 0:
-        node.passthrough = 1 if len(part.right_ids) >= len(part.left_ids) else -1
-        return
-    if len(lo) == 0:
-        node.passthrough = 1
-        return
-    if len(ro) == 0:
-        node.passthrough = -1
-        return
+    lo, ro = node.partition.left_only_ids, node.partition.right_only_ids
+    if len(lo) == 0 or len(ro) == 0:
+        raise ValidationError(f"node {node.node_id} routes no sample confidently "
+                              "to one side; phase one splices such nodes out")
     train_ids = np.concatenate([lo, ro])
     Xn = data.features[train_ids]
     yn = np.concatenate([-np.ones(len(lo)), np.ones(len(ro))])
@@ -422,8 +431,8 @@ def _apply_sv_budget(model, Xn, yn, n_pos, n_neg, budgets):
 
 def attach_svms_phase2(root, data, config):
     """Train one binary SVM per internal node on its confidently routed
-    samples (starred samples excluded); a node whose non-star samples all sit
-    on one side is demoted to a pass-through that always routes there."""
+    samples (starred samples excluded). Raises ValidationError for a node
+    whose partition has no confident samples on one side."""
     for node in iter_nodes(root):
         if isinstance(node, InternalNode):
             if node.partition is None:
@@ -444,17 +453,13 @@ def train_atree(data, config):
 def predict(tree, x):
     """Traverse from the root, routing right when the node decision value is
     nonnegative. Returns (class id, trace); the trace lists every evaluated
-    node as (node_id, decision value). Pass-through nodes evaluate nothing
-    and do not appear in the trace."""
+    node as (node_id, decision value)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
     trace = []
     node = tree.root
     while isinstance(node, InternalNode):
-        if node.passthrough is not None:
-            node = node.right if node.passthrough > 0 else node.left
-            continue
         if node.svm is None:
             raise ValidationError("phase two has not been attached to this tree")
         dv = decision_values_batch(node.svm, x)
@@ -492,9 +497,6 @@ def route(tree, X):
         for node, rows, path, values in level:
             if isinstance(node, LeafNode):
                 groups.append(PathGroup(node, path, rows, values))
-            elif node.passthrough is not None:
-                below.append((node.right if node.passthrough > 0 else node.left,
-                              rows, path, values))
             elif node.svm is None:
                 raise ValidationError("phase two has not been attached to this tree")
             else:
@@ -512,9 +514,7 @@ def route(tree, X):
 # Serialization
 
 
-def _svm_to_doc(svm, passthrough):
-    if passthrough is not None:
-        return {"type": "passthrough", "side": passthrough}
+def _svm_to_doc(svm):
     if svm is None:
         return None
     if isinstance(svm, LinearSvmModel):
@@ -548,7 +548,7 @@ def _node_to_doc(node):
         "binary_distribution": list(node.binary_distribution),
         "class_to_sign": {str(k): v for k, v in node.class_to_sign.items()},
         "n_training": node.n_training,
-        "svm": _svm_to_doc(node.svm, node.passthrough),
+        "svm": _svm_to_doc(node.svm),
         "left": node.left.node_id, "right": node.right.node_id,
     }
 
@@ -582,21 +582,18 @@ def serialize(tree):
 
 
 def _svm_from_doc(doc):
-    """Returns (svm, passthrough)."""
     if doc is None:
-        return None, None
-    if doc["type"] == "passthrough":
-        return None, int(doc["side"])
+        return None
     if doc["type"] == "linear":
         return LinearSvmModel(np.asarray(doc["weights"], dtype=np.float64),
-                              float(doc["bias"])), None
+                              float(doc["bias"]))
     return KernelSvmModel(
         support_vectors=np.asarray(doc["support_vectors"], dtype=np.float64),
         dual_coefficients=np.asarray(doc["dual_coefficients"], dtype=np.float64),
         bias=float(doc["bias"]),
         kernel=KernelSpec.from_dict(doc["kernel"]),
         sv_ids=np.asarray(doc["sv_ids"], dtype=np.int64),
-    ), None
+    )
 
 
 def _node_from_doc(node_id, doc, built):
@@ -615,7 +612,6 @@ def _node_from_doc(node_id, doc, built):
                 for alpha, f, t, pol in b["rounds"]],
         round_errors=[float(e) for e in b["round_errors"]],
         exited_early=bool(b["exited_early"]), pure=bool(b["pure"]))
-    svm, passthrough = _svm_from_doc(doc["svm"])
     return InternalNode(
         node_id=node_id, depth=doc["depth"], split=split, boost=boost,
         pos_classes=[int(c) for c in doc["pos_classes"]],
@@ -624,7 +620,7 @@ def _node_from_doc(node_id, doc, built):
         class_to_sign={int(k): int(v) for k, v in doc["class_to_sign"].items()},
         n_training=int(doc["n_training"]),
         left=built[doc["left"]], right=built[doc["right"]],
-        svm=svm, passthrough=passthrough)
+        svm=_svm_from_doc(doc["svm"]))
 
 
 def _check_node_kernel(node, kernel):
@@ -695,9 +691,6 @@ def load(path):
 def _dot_label(node, label_names):
     if isinstance(node, LeafNode):
         return f"class {label_names[node.label]}\\npurity {node.purity:.3f}"
-    if node.passthrough is not None:
-        side = "right" if node.passthrough > 0 else "left"
-        return f"pass-through -> {side}"
     return (f"f{node.split.feature_index} < {node.split.threshold:.6g}"
             f"\\n|Z+|={len(node.pos_classes)} |Z-|={len(node.neg_classes)}")
 

@@ -11,8 +11,9 @@ from atree.boosting import BoostConfig, BoostedClassifier, DecisionStump, adaboo
 from atree.dataset import generate_gaussian_blobs, generate_two_cluster_2d
 from atree.errors import SchemaError, ValidationError
 from atree.svm import KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig
-from atree.tree import (Atree, AtreeConfig, EntropySplit, InternalNode,
-                        LeafNode, attach_svms_phase2, binarize_labels,
+from atree import tree as tree_module
+from atree.tree import (MODEL_SCHEMA_VERSION, Atree, AtreeConfig, EntropySplit,
+                        InternalNode, LeafNode, attach_svms_phase2, binarize_labels,
                         build_phase1, deserialize, entropy_split, iter_nodes,
                         node_cost, partition_samples, predict, route,
                         serialize, to_dot, train_atree)
@@ -272,14 +273,53 @@ class TestBuildPhase1:
                 assert classes_below(node.right) <= set(node.pos_classes)
 
     def test_raising_delta_never_shrinks_training_copies(self):
+        # a starred sample is the one extra copy a node sends down both sides;
+        # node counts are no measure, since a higher delta splices out more
+        # pass-through nodes
         for seed in (1, 2, 3):
             data = generate_gaussian_blobs(6, 30, 4, 1.0, seed=seed)
             copies = []
             for delta in (0.5, 0.6, 0.75, 0.9):
                 cfg = AtreeConfig(delta=delta, max_depth=5, boost=BoostConfig(max_rounds=10))
                 root = build_phase1(data, cfg)
-                copies.append(sum(n.n_training for n in iter_nodes(root)))
+                copies.append(sum(len(n.partition.star_ids) for n in iter_nodes(root)
+                                  if isinstance(n, InternalNode)))
             assert copies == sorted(copies)
+
+    @pytest.mark.parametrize("emptied, taken", [
+        ("left_only_ids", "right"), ("right_only_ids", "left"),
+        ("both", "right")])
+    def test_one_sided_node_is_spliced_out(self, monkeypatch, emptied, taken):
+        data = generate_gaussian_blobs(4, 30, 3, 0.8, seed=12)
+        cfg = AtreeConfig(delta=0.7, max_depth=4, boost=BoostConfig(max_rounds=5))
+        real = tree_module.partition_samples
+        forged = []
+
+        def one_sided_at_root(X, boost, delta, ids=None):
+            part = real(X, boost, delta, ids=ids)
+            if not forged:
+                for side in ("left_only_ids", "right_only_ids"):
+                    if emptied in (side, "both"):
+                        setattr(part, side, np.array([], dtype=np.int64))
+                forged.append(part)
+            return part
+
+        monkeypatch.setattr(tree_module, "partition_samples", one_sided_at_root)
+        root = build_phase1(data, cfg)
+        monkeypatch.undo()
+        part = forged[0]
+        if emptied == "both":
+            assert len(part.right_ids) >= len(part.left_ids)
+        ids, weights = getattr(part, f"{taken}_ids"), getattr(part, f"{taken}_weights")
+        # the root is the taken child, built from the same samples one level down
+        expected = build_phase1(data, cfg, depth=2, ids=ids, weights=weights)
+        assert isinstance(root, InternalNode) and root.depth == 2
+        assert root.n_training == len(ids)
+
+        def text(r):
+            return serialize(Atree(r, cfg, data.label_names, 4, 3, 4))
+
+        assert text(root) == text(expected)
 
     def test_empty_dataset_rejected(self):
         data = generate_gaussian_blobs(2, 5, 2, 0.5, seed=1)
@@ -315,21 +355,18 @@ class TestPhase2:
         data = generate_gaussian_blobs(4, 30, 3, 0.8, seed=8)
         tree = train_atree(data, AtreeConfig(delta=0.6, max_depth=4))
         for node in iter_nodes(tree.root):
-            if isinstance(node, InternalNode) and node.passthrough is None:
+            if isinstance(node, InternalNode):
                 assert isinstance(node.svm, LinearSvmModel)
 
-    def test_single_sided_node_demoted_to_passthrough(self):
+    def test_one_sided_partition_rejected(self):
         data = generate_gaussian_blobs(2, 20, 2, 0.6, seed=9)
         cfg = AtreeConfig(delta=0.6, max_depth=3)
         root = build_phase1(data, cfg)
+        assert isinstance(root, InternalNode)
         # forge a partition with no confident left samples
-        part = root.partition
-        part.left_only_ids = np.array([], dtype=np.int64)
-        tree = attach_svms_phase2(root, data, cfg)
-        assert tree.root.passthrough == 1
-        # prediction routes through without evaluating the node
-        label, trace = predict(tree, data.features[0])
-        assert all(nid != tree.root.node_id for nid, _ in trace)
+        root.partition.left_only_ids = np.array([], dtype=np.int64)
+        with pytest.raises(ValidationError, match="confidently"):
+            attach_svms_phase2(root, data, cfg)
 
     def test_sv_budget_search_respects_accuracy_guard(self):
         data = generate_gaussian_blobs(4, 50, 3, 1.0, seed=10)
@@ -401,22 +438,22 @@ class TestPredict:
 
 
 class TestRoute:
-    def test_groups_rows_by_leaf_through_a_passthrough(self):
-        deep = _manual_internal(2, 3, _leaf(3, 4, 0), _leaf(4, 4, 1), bias=0.0)
+    def test_groups_rows_by_leaf_across_levels(self):
+        deep = _manual_internal(1, 2, _leaf(2, 3, 0), _leaf(3, 3, 1), bias=0.0)
         deep.svm = LinearSvmModel(np.array([1.0]), -1.0)
-        mid = _manual_internal(1, 2, _leaf(5, 3, 0), deep, bias=0.0)
-        mid.svm, mid.passthrough = None, 1
-        root = _manual_internal(0, 1, _leaf(6, 2, 0), mid, bias=0.0)
+        root = _manual_internal(0, 1, _leaf(4, 2, 0), deep, bias=0.0)
         root.svm = LinearSvmModel(np.array([1.0]), 0.0)
-        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 4)
+        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 3)
         X = np.array([[-1.0], [2.0], [0.5], [3.0]])
         groups = {g.leaf.node_id: g for g in route(tree, X)}
-        assert sorted(groups) == [3, 4, 6]
-        assert groups[6].rows.tolist() == [0]
-        assert [n.node_id for n in groups[6].nodes] == [0]
-        assert groups[4].rows.tolist() == [1, 3]
-        assert [n.node_id for n in groups[4].nodes] == [0, 2]
-        np.testing.assert_array_equal(groups[4].values, [[2.0, 1.0], [3.0, 2.0]])
+        assert sorted(groups) == [2, 3, 4]
+        assert groups[4].rows.tolist() == [0]
+        assert [n.node_id for n in groups[4].nodes] == [0]
+        assert groups[3].rows.tolist() == [1, 3]
+        assert [n.node_id for n in groups[3].nodes] == [0, 1]
+        np.testing.assert_array_equal(groups[3].values, [[2.0, 1.0], [3.0, 2.0]])
+        assert groups[2].rows.tolist() == [2]
+        np.testing.assert_array_equal(groups[2].values, [[0.5, -0.5]])
         for g in groups.values():
             for row, values in zip(g.rows, g.values):
                 label, trace = predict(tree, X[row])
@@ -501,15 +538,27 @@ class TestSerialization:
 
     def test_unsupported_version_rejected(self):
         tree, _ = self._random_tree(2)
-        text = serialize(tree).replace('"version": 1', '"version": 0', 1)
+        current = f'"version": {MODEL_SCHEMA_VERSION}'
+        text = serialize(tree)
+        assert current in text
+        text = text.replace(current, f'"version": {MODEL_SCHEMA_VERSION - 1}', 1)
         with pytest.raises(SchemaError, match="version"):
             deserialize(text)
+
+    def test_version1_passthrough_model_rejected(self):
+        tree, _ = self._random_tree(1)
+        doc = json.loads(serialize(tree))
+        doc["version"] = 1
+        internal = next(n for n in doc["nodes"] if n["kind"] == "internal")
+        internal["svm"] = {"type": "passthrough", "side": 1}
+        with pytest.raises(SchemaError, match="version"):
+            deserialize(json.dumps(doc))
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(SchemaError):
             deserialize("[1, 2, 3]")
-        with pytest.raises(SchemaError):
-            deserialize('{"version": 1, "nodes": "nope"}')
+        with pytest.raises(SchemaError, match="malformed"):
+            deserialize(f'{{"version": {MODEL_SCHEMA_VERSION}, "nodes": "nope"}}')
 
     def test_node_kernel_must_match_config(self):
         tree, _ = self._random_tree(1)
@@ -538,6 +587,38 @@ class TestSerialization:
         assert clone.config.kernel == tree.config.kernel
         assert clone.label_names == tree.label_names
         assert clone.depth == tree.depth
+
+
+class TestTrainedTreeProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(2, 5), per_class=st.integers(3, 15), d=st.integers(1, 4),
+           spread=st.floats(0.1, 2.0), seed=st.integers(0, 2 ** 16),
+           delta=st.floats(0.5, 0.99), max_depth=st.integers(1, 6), rbf=st.booleans())
+    def test_spliced_tree_routes_predicts_and_round_trips_exactly(
+            self, k, per_class, d, spread, seed, delta, max_depth, rbf):
+        data = generate_gaussian_blobs(k, per_class, d, spread, seed=seed)
+        kernel = KernelSpec("rbf", 0.5) if rbf else KernelSpec("linear")
+        tree = train_atree(data, AtreeConfig(delta=delta, max_depth=max_depth, kernel=kernel,
+                                             boost=BoostConfig(max_rounds=5)))
+        nodes = list(iter_nodes(tree.root))
+        assert [n.node_id for n in nodes] == list(range(len(nodes)))
+        for node in nodes:
+            if isinstance(node, InternalNode):
+                assert len(node.partition.left_only_ids) and len(node.partition.right_only_ids)
+                assert node.svm is not None
+        X = np.vstack([data.features, data.features[::-1]
+                       + np.random.default_rng(seed).normal(size=data.features.shape)])
+        clone = deserialize(serialize(tree))
+        groups = route(tree, X)
+        assert np.array_equal(np.sort(np.concatenate([g.rows for g in groups])),
+                              np.arange(len(X)))
+        for g in groups:
+            ids = [n.node_id for n in g.nodes]
+            for row, values in zip(g.rows, g.values):
+                label, trace = predict(tree, X[row])
+                assert label == g.leaf.label
+                assert trace == list(zip(ids, values))
+                assert predict(clone, X[row]) == (label, trace)
 
 
 class TestDotExport:
