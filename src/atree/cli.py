@@ -36,7 +36,7 @@ class RunConfig:
     kernel_gamma: float | None = None
     c: float = 1.0
     tolerance: float = 1e-3
-    max_passes: int = 200
+    max_passes: int = SvmConfig.max_passes
     max_rounds: int = 50
     boost_gamma: float = 0.48
     min_node_samples: int = 5
@@ -168,6 +168,9 @@ def _training_log_lines(tree, include_timestamp):
             f"eps={eps} bound={bound} exited_early={boost.exited_early} {svm_desc}")
     n_nodes = sum(1 for _ in tr.iter_nodes(tree.root))
     lines.append(f"tree: nodes={n_nodes} depth={tree.depth}")
+    solves = [n.svm.convergence for n in tr.iter_nodes(tree.root)
+              if isinstance(n, tr.InternalNode)]
+    lines.append(f"svm: converged={sum(r.converged for r in solves)}/{len(solves)}")
     return lines
 
 

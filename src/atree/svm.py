@@ -6,7 +6,8 @@ Trained models are immutable; prediction is safe under concurrent readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +19,9 @@ KERNEL_KINDS = ("linear", "rbf", "chi_square", "histogram_intersection")
 _CHI2_EPS = 1e-12
 # Dual weights at or below this are treated as zero when extracting SVs.
 _SV_EPS = 1e-10
+# The linear solver leaves a coordinate alone when its projected gradient is
+# within this of zero (LIBLINEAR's threshold).
+_PG_EPS = 1e-12
 # Element budget of one (rows, m, d) broadcast block of the chi-square and
 # histogram-intersection kernels (8 MB of float64 per intermediate).
 _CHUNK_ELEMENTS = 1 << 20
@@ -119,14 +123,18 @@ def kernel_matrix(spec, A, B):
 class SvmConfig:
     """Solver knobs shared by both trainers.
 
-    max_passes bounds work: full sweeps for the linear solver, n*max_passes
-    pairwise updates for the kernel solver. A solver that exhausts the budget
-    returns its best iterate rather than raising.
+    tolerance is the spread of the KKT violation at which a solver stops:
+    PGmax - PGmin over the projected gradients for the linear solver, the
+    maximal-violating-pair gap for the kernel solver. max_passes bounds work:
+    passes over the active set for the linear solver (LIBLINEAR's max_iter),
+    n*max_passes pairwise updates for the kernel solver. A solver that
+    exhausts the budget returns its last iterate rather than raising; the
+    model's convergence record says whether that iterate meets the tolerance.
     """
 
     c: float = 1.0
     tolerance: float = 1e-3
-    max_passes: int = 200
+    max_passes: int = 400
     seed: int = 0
 
     def __post_init__(self):
@@ -139,11 +147,30 @@ class SvmConfig:
 
 
 @dataclass(frozen=True)
+class SolverRecord:
+    """How a solve ended.
+
+    iterations counts passes over the active set (linear solver) or pairwise
+    updates (kernel solver). gap is the spread of the KKT violation at the
+    returned iterate, as SvmConfig.tolerance measures it, and converged is
+    whether it is within the tolerance.
+    """
+
+    iterations: int
+    gap: float
+    converged: bool
+
+
+@dataclass(frozen=True)
 class LinearSvmModel:
-    """Hyperplane classifier; one evaluation costs O(d) regardless of data size."""
+    """Hyperplane classifier; one evaluation costs O(d) regardless of data size.
+
+    convergence is the solver's record; a model read back from JSON has none.
+    """
 
     weights: np.ndarray
     bias: float
+    convergence: SolverRecord | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -153,7 +180,8 @@ class KernelSvmModel:
     dual_coefficients are label-signed dual weights; sv_ids are stable ids of
     the training samples retained as support vectors, unique across every
     model trained from the same dataset so union-based accounting can share a
-    cache.
+    cache. convergence is the solver's record; a model read back from JSON
+    has none.
     """
 
     support_vectors: np.ndarray
@@ -161,6 +189,7 @@ class KernelSvmModel:
     bias: float
     kernel: KernelSpec
     sv_ids: np.ndarray
+    convergence: SolverRecord | None = field(default=None, compare=False)
 
     @property
     def n_support(self):
@@ -178,11 +207,21 @@ def _split_labels(y):
 
 
 def train_linear_svm(X, y, config):
-    """Hinge-loss linear SVM via dual coordinate descent.
+    """Hinge-loss linear SVM via dual coordinate descent with shrinking
+    (Hsieh et al., ICML 2008, section 3.2; LIBLINEAR's L1-loss solver).
 
     The bias is handled by feature augmentation (a constant 1 column), so it
-    is weakly regularized along with the weights. Coordinate order is
-    shuffled each pass from the configured seed; runs are deterministic.
+    is weakly regularized along with the weights. Each pass visits the active
+    coordinates in an order shuffled from the configured seed; runs are
+    deterministic. A coordinate at a bound whose gradient lies outside the
+    previous pass's range of projected gradients leaves the active set.
+    ``config.max_passes`` caps the passes over the active set and
+    ``config.tolerance`` bounds the spread PGmax - PGmin of the projected
+    gradients. When a pass meets that bound, the spread over all n
+    coordinates at the current weights decides: within the bound the solve
+    has converged, otherwise every coordinate is re-activated. The model's
+    ``convergence`` records the passes, that spread at the returned weights
+    and whether it is within the tolerance.
     """
     X = np.asarray(X, dtype=np.float64)
     y = _split_labels(y)
@@ -197,42 +236,75 @@ def train_linear_svm(X, y, config):
     w = np.zeros(d + 1)
     C = config.c
     rng = np.random.default_rng(config.seed)
-    for _ in range(config.max_passes):
-        worst = 0.0
-        for i in rng.permutation(n).tolist():
-            yi = y[i]
+    everyone = np.arange(n)
+    active = everyone
+    # bounds of the previous pass's projected gradients that shrinking uses
+    old_max, old_min = math.inf, -math.inf
+    passes = 0
+    while passes < config.max_passes:
+        passes += 1
+        pg_max, pg_min = -math.inf, math.inf
+        kept = []
+        for i in rng.permutation(active).tolist():
             a = alpha[i]
-            g = yi * float(rows[i] @ w) - 1.0
+            g = y[i] * float(rows[i] @ w) - 1.0
             if a <= 0.0:
-                pg = 0.0 if g > 0.0 else g
+                if g > old_max:
+                    continue
+                pg = g if g < 0.0 else 0.0
             elif a >= C:
-                pg = 0.0 if g < 0.0 else g
+                if g < old_min:
+                    continue
+                pg = g if g > 0.0 else 0.0
             else:
                 pg = g
-            if pg == 0.0:
-                continue
-            if abs(pg) > worst:
-                worst = abs(pg)
-            new = a - g / qd[i]
-            if new < 0.0:
-                new = 0.0
-            elif new > C:
-                new = C
-            if new != a:
-                w += (new - a) * yi * rows[i]
+            kept.append(i)
+            if pg > pg_max:
+                pg_max = pg
+            if pg < pg_min:
+                pg_min = pg
+            if pg > _PG_EPS or pg < -_PG_EPS:
+                new = a - g / qd[i]
+                if new < 0.0:
+                    new = 0.0
+                elif new > C:
+                    new = C
+                w += (new - a) * y[i] * rows[i]
                 alpha[i] = new
-        if worst < config.tolerance:
-            break
-    return LinearSvmModel(w[:d].copy(), float(w[d]))
+        if pg_max - pg_min <= config.tolerance:
+            # the pass saw moving iterates and only the active set: measure
+            # every coordinate at the current weights before stopping
+            if _pg_spread(Xa, y, alpha, w, C) <= config.tolerance:
+                break
+            active, old_max, old_min = everyone, math.inf, -math.inf
+            continue
+        active = np.array(kept, dtype=np.int64)
+        old_max = pg_max if pg_max > 0.0 else math.inf
+        old_min = pg_min if pg_min < 0.0 else -math.inf
+    gap = _pg_spread(Xa, y, alpha, w, C)
+    record = SolverRecord(passes, gap, gap <= config.tolerance)
+    return LinearSvmModel(w[:d].copy(), float(w[d]), record)
+
+
+def _pg_spread(Xa, y, alpha, w, C):
+    """PGmax - PGmin of the dual's projected gradients over all coordinates
+    at the weights w, the linear solver's stopping measure."""
+    g = np.asarray(y) * (Xa @ w) - 1.0
+    alpha = np.asarray(alpha)
+    pg = np.where(alpha <= 0.0, np.minimum(g, 0.0),
+                  np.where(alpha >= C, np.maximum(g, 0.0), g))
+    return float(pg.max() - pg.min())
 
 
 def train_kernel_svm(X, y, kernel, config, sample_ids=None):
     """Kernel SVM via maximal-violating-pair dual updates.
 
-    Runs until the worst KKT violation falls below the configured tolerance
-    or the update budget is exhausted. The full Gram matrix is materialized,
-    which is intended for desk-scale node problems. Only samples with a
-    nonzero dual weight are retained as support vectors.
+    Runs until the maximal-violating-pair gap falls to the configured
+    tolerance or the budget of n*max_passes updates is exhausted; the model's
+    convergence records the updates made, the gap at exit and whether it
+    converged. The full Gram matrix is materialized, which is intended for
+    desk-scale node problems. Only samples with a nonzero dual weight are
+    retained as support vectors.
     """
     X = np.asarray(X, dtype=np.float64)
     y = _split_labels(y)
@@ -248,7 +320,9 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None):
     alpha = np.zeros(n)
     grad = -np.ones(n)           # gradient of the dual objective at alpha
     pos = y > 0
-    for _ in range(config.max_passes * n):
+    budget = config.max_passes * n
+    updates = 0
+    while True:
         vals = -y * grad
         up = (pos & (alpha < C)) | (~pos & (alpha > 0))
         low = (~pos & (alpha < C)) | (pos & (alpha > 0))
@@ -256,8 +330,8 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None):
         vals_low = np.where(low, vals, np.inf)
         i = int(np.argmax(vals_up))
         j = int(np.argmin(vals_low))
-        gap = vals_up[i] - vals_low[j]
-        if gap <= config.tolerance:
+        gap = float(vals_up[i] - vals_low[j])
+        if gap <= config.tolerance or updates == budget:
             break
         eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
         if eta <= 1e-12:
@@ -270,6 +344,7 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None):
         alpha[i] += y[i] * t
         alpha[j] -= y[j] * t
         grad += t * y * (K[:, i] - K[:, j])
+        updates += 1
     free = (alpha > _SV_EPS) & (alpha < C - _SV_EPS)
     if free.any():
         bias = float(np.mean(-y[free] * grad[free]))
@@ -287,6 +362,7 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None):
         bias=bias,
         kernel=kernel,
         sv_ids=sample_ids[keep].copy(),
+        convergence=SolverRecord(updates, gap, gap <= config.tolerance),
     )
 
 
@@ -345,4 +421,5 @@ def truncate_svs(model, n_keep):
         bias=model.bias + float(dropped_part.mean()),
         kernel=model.kernel,
         sv_ids=model.sv_ids[keep].copy(),
+        convergence=model.convergence,
     )

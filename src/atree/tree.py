@@ -47,8 +47,9 @@ class AtreeConfig:
     max_depth: maximum number of tree levels, root counting as level 1
         (so internal nodes occupy levels < max_depth). None picks
         2*ceil(log2(num_classes)) at build time. Spliced pass-through levels
-        still count toward this budget, so a node's depth can exceed the
-        length of its path from the root.
+        still count toward this budget, so a node's depth can exceed its
+        level on the path from the root (tree.path_levels); Atree.depth
+        and to_dot count path levels.
     min_node_samples: nodes smaller than this become leaves.
     sv_budget_search: optional candidate support-vector budgets tried per
         kernel node; the cheapest budget whose node accuracy drop stays
@@ -156,6 +157,16 @@ def iter_nodes(root):
         if isinstance(node, InternalNode):
             stack.append(node.right)
             stack.append(node.left)
+
+
+def path_levels(root):
+    """Level of every node on its path from the root (the root is level 1),
+    keyed by node id. Unlike node.depth, spliced levels do not count."""
+    levels = {root.node_id: 1}
+    for node in iter_nodes(root):
+        if isinstance(node, InternalNode):
+            levels[node.left.node_id] = levels[node.right.node_id] = levels[node.node_id] + 1
+    return levels
 
 
 def _xlogx(v):
@@ -438,10 +449,9 @@ def attach_svms_phase2(root, data, config):
             if node.partition is None:
                 raise ValidationError("phase-one partition data is missing")
             _train_node_svm(node, data, config)
-    depth = max(n.depth for n in iter_nodes(root))
     return Atree(root=root, config=config, label_names=list(data.label_names),
                  num_classes=data.num_classes, dimension=data.dimension,
-                 depth=depth)
+                 depth=max(path_levels(root).values()))
 
 
 def train_atree(data, config):
@@ -696,10 +706,12 @@ def _dot_label(node, label_names):
 
 
 def to_dot(tree, max_depth=None):
-    """Graphviz DOT text; max_depth limits rendering to the top levels."""
+    """Graphviz DOT text; max_depth limits rendering to the top levels of
+    the root paths."""
     lines = ["digraph atree {"]
     nodes = sorted(iter_nodes(tree.root), key=lambda n: n.node_id)
-    kept = {n.node_id for n in nodes if max_depth is None or n.depth <= max_depth}
+    levels = path_levels(tree.root)
+    kept = {n.node_id for n in nodes if max_depth is None or levels[n.node_id] <= max_depth}
     for node in nodes:
         if node.node_id not in kept:
             continue

@@ -80,11 +80,14 @@ def grid_min_linear_svm_1d(X, y, c, w_grid, b_grid):
 
 
 def reference_linear_svm(X, y, config):
-    """The dual coordinate descent of svm.train_linear_svm written with numpy
-    arrays and scalars; the library's loop must give the same iterates bit
-    for bit.
+    """The shrinking dual coordinate descent of svm.train_linear_svm written
+    with numpy arrays and scalars; the library's loop must give the same
+    iterates bit for bit.
 
-    Returns (weights, bias, passes), where passes counts the sweeps run.
+    Returns (weights, bias, alpha, passes, converged): the dual weights,
+    the passes run over the active set, and whether the projected gradients
+    of all coordinates at the returned weights spread by at most the
+    tolerance.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -95,28 +98,49 @@ def reference_linear_svm(X, y, config):
     w = np.zeros(d + 1)
     C = config.c
     rng = np.random.default_rng(config.seed)
+
+    def spread():
+        g = y * (Xa @ w) - 1.0
+        pg = np.where(alpha <= 0.0, np.minimum(g, 0.0),
+                      np.where(alpha >= C, np.maximum(g, 0.0), g))
+        return pg.max() - pg.min()
+
+    active = np.arange(n)
+    old_max, old_min = np.inf, -np.inf
     passes = 0
-    for _ in range(config.max_passes):
+    while passes < config.max_passes:
         passes += 1
-        worst = 0.0
-        for i in rng.permutation(n):
+        pgs, kept = [], []
+        for i in rng.permutation(active):
             g = y[i] * float(Xa[i] @ w) - 1.0
             if alpha[i] <= 0.0:
+                if g > old_max:
+                    continue
                 pg = min(g, 0.0)
             elif alpha[i] >= C:
+                if g < old_min:
+                    continue
                 pg = max(g, 0.0)
             else:
                 pg = g
-            if pg == 0.0:
-                continue
-            worst = max(worst, abs(pg))
-            new = min(max(alpha[i] - g / qd[i], 0.0), C)
-            if new != alpha[i]:
+            kept.append(i)
+            pgs.append(pg)
+            if abs(pg) > 1e-12:
+                new = min(max(alpha[i] - g / qd[i], 0.0), C)
                 w += (new - alpha[i]) * y[i] * Xa[i]
                 alpha[i] = new
-        if worst < config.tolerance:
-            break
-    return w[:d].copy(), float(w[d]), passes
+        pg_max = max(pgs, default=-np.inf)
+        pg_min = min(pgs, default=np.inf)
+        if pg_max - pg_min <= config.tolerance:
+            if spread() <= config.tolerance:
+                break
+            active, old_max, old_min = np.arange(n), np.inf, -np.inf
+            continue
+        active = np.array(kept, dtype=np.int64)
+        old_max = pg_max if pg_max > 0.0 else np.inf
+        old_min = pg_min if pg_min < 0.0 else -np.inf
+    return (w[:d].copy(), float(w[d]), alpha, passes,
+            bool(spread() <= config.tolerance))
 
 
 def random_binary_dataset(rng, n, d):

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from atree.cli import main
+from atree.cli import RunConfig, main
 from atree.dataset import load_csv
-from atree.tree import iter_nodes, load, predict
+from atree.tree import InternalNode, iter_nodes, load, predict, train_atree
 
 
 def run(*argv):
@@ -80,6 +80,28 @@ class TestTrain:
             logs.append(log.read_bytes())
         assert logs[0] == logs[1]
         assert b"# generated" not in logs[0]
+
+    @pytest.mark.parametrize("max_passes", [1, None])
+    def test_log_counts_converged_node_solves(self, blob_csvs, tmp_path, max_passes):
+        train, _ = blob_csvs
+        log, model = tmp_path / "log.txt", tmp_path / "m.json"
+        flags = [] if max_passes is None else ["--max-passes", max_passes]
+        assert run("--quiet", "--no-timestamp", "train", train, "--out", model,
+                   "--log", log, "--delta", 0.6, "--max-depth", 4, *flags) == 0
+        config = RunConfig(delta=0.6, max_depth=4)
+        if max_passes is not None:
+            config.max_passes = max_passes
+        tree = train_atree(load_csv(train), config.to_atree_config())
+        records = [n.svm.convergence for n in iter_nodes(tree.root)
+                   if isinstance(n, InternalNode)]
+        converged = sum(r.converged for r in records)
+        if max_passes == 1:
+            assert converged == 0
+        assert log.read_text().splitlines()[-1] == (
+            f"svm: converged={converged}/{len(records)}")
+        # records stay out of the model file
+        assert all(n.svm.convergence is None for n in iter_nodes(load(model).root)
+                   if isinstance(n, InternalNode))
 
     def test_timestamp_line_present_by_default(self, blob_csvs, tmp_path):
         train, _ = blob_csvs

@@ -118,7 +118,7 @@ class TestLinearSolver:
         np.testing.assert_array_equal(a.weights, b.weights)
 
 
-    @pytest.mark.parametrize("c,tolerance,max_passes,stops_early", [
+    @pytest.mark.parametrize("c,tolerance,max_passes,converges", [
         (1.0, 1e-3, 200, True),
         (0.01, 1e-3, 50, True),
         (0.5, 1e-2, 500, True),
@@ -128,15 +128,56 @@ class TestLinearSolver:
         (3, 1e-3, 40, False),
     ])
     def test_iterates_equal_the_numpy_scalar_reference(self, c, tolerance, max_passes,
-                                                       stops_early):
+                                                       converges):
         rng = np.random.default_rng(11)
         X, y = random_binary_dataset(rng, 80, 4)
         cfg = SvmConfig(c=c, tolerance=tolerance, max_passes=max_passes, seed=2)
         model = train_linear_svm(X, y, cfg)
-        weights, bias, passes = reference_linear_svm(X, y, cfg)
-        assert (passes < max_passes) == stops_early
+        weights, bias, _, passes, converged = reference_linear_svm(X, y, cfg)
         np.testing.assert_array_equal(model.weights, weights)
         assert model.bias == bias
+        record = model.convergence
+        assert (record.iterations, record.converged) == (passes, converged)
+        assert converged == converges
+        assert (passes < max_passes) == converges
+        assert (record.gap <= tolerance) == converges
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 40), d=st.integers(1, 4),
+           scale=st.sampled_from([0.1, 1.0, 10.0]),
+           c=st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]),
+           tolerance=st.sampled_from([1e-4, 1e-3, 1e-2]),
+           max_passes=st.integers(1, 300), solver_seed=st.integers(0, 3))
+    def test_dual_feasible_and_converged_spread_within_tolerance(
+            self, seed, n, d, scale, c, tolerance, max_passes, solver_seed):
+        X, y = random_binary_dataset(np.random.default_rng(seed), n, d)
+        X = X * scale
+        cfg = SvmConfig(c=c, tolerance=tolerance, max_passes=max_passes, seed=solver_seed)
+        model = train_linear_svm(X, y, cfg)
+        weights, bias, alpha, passes, converged = reference_linear_svm(X, y, cfg)
+        np.testing.assert_array_equal(model.weights, weights)
+        assert model.bias == bias
+        assert model.convergence.iterations == passes <= max_passes
+        assert model.convergence.converged == converged
+        assert ((alpha >= 0.0) & (alpha <= c)).all()
+        # w is the dual combination of the augmented rows
+        combined = (alpha * y) @ np.hstack([X, np.ones((n, 1))])
+        np.testing.assert_allclose(np.append(model.weights, model.bias), combined,
+                                   rtol=1e-9, atol=1e-9 * max(1.0, np.abs(combined).max()))
+        if converged:
+            # projected gradients from scratch over all n coordinates
+            g = y * decision_values_batch(model, X) - 1.0
+            pg = np.where(alpha <= 0.0, np.minimum(g, 0.0),
+                          np.where(alpha >= c, np.maximum(g, 0.0), g))
+            assert pg.max() - pg.min() <= tolerance
+            assert model.convergence.gap <= tolerance
+
+    def test_budget_exhausted_records_no_convergence(self):
+        rng = np.random.default_rng(11)
+        X, y = random_binary_dataset(rng, 80, 4)
+        record = train_linear_svm(X, y, SvmConfig(c=100.0, max_passes=1)).convergence
+        assert record.iterations == 1
+        assert not record.converged and record.gap > 1e-3
 
 
 class TestKernelSolver:
@@ -174,6 +215,19 @@ class TestKernelSolver:
         others = np.setdiff1d(np.arange(len(X)), model.sv_ids)
         margins = y[others] * decision_values_batch(model, X[others])
         assert (margins >= 1.0 - 10 * cfg.tolerance).all()
+
+    def test_convergence_record(self):
+        rng = np.random.default_rng(8)
+        X, y = random_binary_dataset(rng, 60, 2)
+        cfg = SvmConfig(c=10.0, tolerance=1e-3, max_passes=2000, seed=0)
+        record = train_kernel_svm(X, y, KernelSpec("rbf", 0.5), cfg).convergence
+        assert record.converged and record.gap <= cfg.tolerance
+        assert 0 < record.iterations < cfg.max_passes * len(y)
+        # one pass of n updates is not enough here: the budget ends the solve
+        capped = train_kernel_svm(X, y, KernelSpec("rbf", 0.5),
+                                  SvmConfig(c=10.0, max_passes=1)).convergence
+        assert capped.iterations == len(y)
+        assert not capped.converged and capped.gap > cfg.tolerance
 
     def test_mixed_labels_always_keep_at_least_two_svs(self):
         rng = np.random.default_rng(9)

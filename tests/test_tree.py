@@ -11,11 +11,12 @@ from atree.boosting import BoostConfig, BoostedClassifier, DecisionStump, adaboo
 from atree.dataset import generate_gaussian_blobs, generate_two_cluster_2d
 from atree.errors import SchemaError, ValidationError
 from atree.svm import KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig
+from atree import cli
 from atree import tree as tree_module
 from atree.tree import (MODEL_SCHEMA_VERSION, Atree, AtreeConfig, EntropySplit,
                         InternalNode, LeafNode, attach_svms_phase2, binarize_labels,
                         build_phase1, deserialize, entropy_split, iter_nodes,
-                        node_cost, partition_samples, predict, route,
+                        node_cost, partition_samples, path_levels, predict, route,
                         serialize, to_dot, train_atree)
 from oracles import brute_force_entropy_split, random_weighted_multiclass
 
@@ -205,6 +206,30 @@ class TestPartition:
             partition_samples(X, boost, 0.49)
 
 
+SPLICE_DATA = generate_gaussian_blobs(4, 30, 3, 0.8, seed=12)
+SPLICE_CONFIG = AtreeConfig(delta=0.7, max_depth=4, boost=BoostConfig(max_rounds=5))
+
+
+def _forge_one_sided_root(monkeypatch, emptied):
+    """Make the first partition phase one computes, the root's, route no
+    sample confidently to the emptied side(s); returns the list that
+    receives the forged partition."""
+    real = tree_module.partition_samples
+    forged = []
+
+    def one_sided_at_root(X, boost, delta, ids=None):
+        part = real(X, boost, delta, ids=ids)
+        if not forged:
+            for side in ("left_only_ids", "right_only_ids"):
+                if emptied in (side, "both"):
+                    setattr(part, side, np.array([], dtype=np.int64))
+            forged.append(part)
+        return part
+
+    monkeypatch.setattr(tree_module, "partition_samples", one_sided_at_root)
+    return forged
+
+
 class TestBuildPhase1:
     def test_single_class_makes_root_leaf(self):
         data = generate_gaussian_blobs(2, 10, 2, 0.1, seed=1)
@@ -290,21 +315,8 @@ class TestBuildPhase1:
         ("left_only_ids", "right"), ("right_only_ids", "left"),
         ("both", "right")])
     def test_one_sided_node_is_spliced_out(self, monkeypatch, emptied, taken):
-        data = generate_gaussian_blobs(4, 30, 3, 0.8, seed=12)
-        cfg = AtreeConfig(delta=0.7, max_depth=4, boost=BoostConfig(max_rounds=5))
-        real = tree_module.partition_samples
-        forged = []
-
-        def one_sided_at_root(X, boost, delta, ids=None):
-            part = real(X, boost, delta, ids=ids)
-            if not forged:
-                for side in ("left_only_ids", "right_only_ids"):
-                    if emptied in (side, "both"):
-                        setattr(part, side, np.array([], dtype=np.int64))
-                forged.append(part)
-            return part
-
-        monkeypatch.setattr(tree_module, "partition_samples", one_sided_at_root)
+        data, cfg = SPLICE_DATA, SPLICE_CONFIG
+        forged = _forge_one_sided_root(monkeypatch, emptied)
         root = build_phase1(data, cfg)
         monkeypatch.undo()
         part = forged[0]
@@ -636,11 +648,35 @@ class TestDotExport:
         tree = train_atree(data, AtreeConfig(delta=0.7, max_depth=6))
         full = to_dot(tree)
         top = to_dot(tree, max_depth=3)
-        deep_nodes = [n.node_id for n in iter_nodes(tree.root) if n.depth > 3]
+        deep_nodes = [nid for nid, level in path_levels(tree.root).items() if level > 3]
         assert deep_nodes
         for nid in deep_nodes:
             assert f"n{nid} [" not in top
             assert f"n{nid} [" in full
+
+    def test_spliced_tree_counts_levels_on_root_paths(self, monkeypatch):
+        _forge_one_sided_root(monkeypatch, "left_only_ids")
+        tree = train_atree(SPLICE_DATA, SPLICE_CONFIG)
+        monkeypatch.undo()
+        assert tree.root.depth == 2
+
+        def levels(node, level=1):
+            yield node.node_id, level
+            if isinstance(node, InternalNode):
+                yield from levels(node.left, level + 1)
+                yield from levels(node.right, level + 1)
+
+        level_of = dict(levels(tree.root))
+        # the spliced root level still counts toward the budget in node.depth
+        assert max(n.depth for n in iter_nodes(tree.root)) == 4
+        assert tree.depth == max(level_of.values()) == 3
+        assert deserialize(serialize(tree)).depth == 3
+        for k in (1, 2, 3):
+            dot = to_dot(tree, max_depth=k)
+            assert {nid for nid in level_of if f"n{nid} [" in dot} == {
+                nid for nid, level in level_of.items() if level <= k}
+        log = cli._training_log_lines(tree, include_timestamp=False)
+        assert f"tree: nodes={len(level_of)} depth=3" in log
 
     def test_leaf_only_tree_renders_single_node(self):
         data = generate_gaussian_blobs(2, 10, 2, 0.1, seed=7)
