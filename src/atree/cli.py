@@ -20,7 +20,7 @@ from .boosting import BoostConfig, error_bound
 from .dataset import (generate_gaussian_blobs, generate_two_cluster_2d,
                       load_csv, split_train_test, write_csv)
 from .errors import AtreeError, ValidationError
-from .svm import KernelSpec, SvmConfig
+from .svm import KERNEL_KINDS, KernelSpec, SvmConfig
 
 METRIC_COLUMNS = ("method", "delta", "num_classes", "kernel", "accuracy",
                   "mean_evals", "mean_kernel_computations", "relative_complexity")
@@ -143,9 +143,11 @@ def _training_log_lines(tree, include_timestamp):
     cfg = tree.config
     lines.append(f"config: delta={_fmt(cfg.delta)} max_depth={cfg.max_depth} "
                  f"kernel={cfg.kernel.kind} min_node_samples={cfg.min_node_samples}")
+    # depth= counts levels on the root path, as the closing tree: line does
+    levels = tr.path_levels(tree.root)
     for node in sorted(tr.iter_nodes(tree.root), key=lambda n: n.node_id):
         if isinstance(node, tr.LeafNode):
-            lines.append(f"node {node.node_id} depth={node.depth} leaf "
+            lines.append(f"node {node.node_id} depth={levels[node.node_id]} leaf "
                          f"label={tree.label_names[node.label]} "
                          f"purity={node.purity:.6f} samples={node.n_training}")
             continue
@@ -158,7 +160,7 @@ def _training_log_lines(tree, include_timestamp):
             svm_desc = (f"svm=kernel svs={node.svm.n_support} "
                         f"cost={tr.node_cost(node):.6f}")
         lines.append(
-            f"node {node.node_id} depth={node.depth} internal "
+            f"node {node.node_id} depth={levels[node.node_id]} internal "
             f"samples={node.n_training} "
             f"split=f{node.split.feature_index}<{node.split.threshold:.6g} "
             f"objective={node.split.objective:.6f} "
@@ -166,8 +168,7 @@ def _training_log_lines(tree, include_timestamp):
             f"binary_dist=({node.binary_distribution[0]:.6f},"
             f"{node.binary_distribution[1]:.6f}) "
             f"eps={eps} bound={bound} exited_early={boost.exited_early} {svm_desc}")
-    n_nodes = sum(1 for _ in tr.iter_nodes(tree.root))
-    lines.append(f"tree: nodes={n_nodes} depth={tree.depth}")
+    lines.append(f"tree: nodes={len(levels)} depth={tree.depth}")
     solves = [n.svm.convergence for n in tr.iter_nodes(tree.root)
               if isinstance(n, tr.InternalNode)]
     lines.append(f"svm: converged={sum(r.converged for r in solves)}/{len(solves)}")
@@ -341,8 +342,7 @@ def cmd_export_tree(args):
 def _add_run_config_flags(p):
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    p.add_argument("--kernel", choices=("linear", "rbf", "chi_square",
-                                        "histogram_intersection"), default=None)
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default=None)
     p.add_argument("--kernel-gamma", dest="kernel_gamma", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--tolerance", type=float, default=None)

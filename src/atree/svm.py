@@ -55,16 +55,6 @@ class KernelSpec:
     def is_linear(self):
         return self.kind == "linear"
 
-    def to_dict(self):
-        d = {"kind": self.kind}
-        if self.gamma is not None:
-            d["gamma"] = self.gamma
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["kind"], d.get("gamma"))
-
 
 def _require_nonnegative(A, kind):
     if A.size and A.min() < 0:
@@ -349,9 +339,7 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None):
     if free.any():
         bias = float(np.mean(-y[free] * grad[free]))
     else:
-        vals = -y * grad
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-        low = (~pos & (alpha < C)) | (pos & (alpha > 0))
+        # every exit leaves vals, up and low as computed at the final alpha
         hi = vals[up].max() if up.any() else 0.0
         lo = vals[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)

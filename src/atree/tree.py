@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
                   decision_values_batch, predict as svm_predict,
                   train_kernel_svm, train_linear_svm, truncate_svs)
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -381,10 +381,6 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
 
 def _node_svm_cost(svm, n_pos, n_neg):
     n_sv = svm.n_support if isinstance(svm, KernelSvmModel) else 1
-    return _cost(n_sv, n_pos, n_neg)
-
-
-def _cost(n_sv, n_pos, n_neg):
     f_neg = n_neg / (n_pos + n_neg)
     f_pos = n_pos / (n_pos + n_neg)
     return f_neg * n_sv / n_pos + f_pos * n_sv / n_neg
@@ -449,8 +445,13 @@ def attach_svms_phase2(root, data, config):
             if node.partition is None:
                 raise ValidationError("phase-one partition data is missing")
             _train_node_svm(node, data, config)
-    return Atree(root=root, config=config, label_names=list(data.label_names),
-                 num_classes=data.num_classes, dimension=data.dimension,
+    return _make_atree(root, config, data.label_names, data.dimension)
+
+
+def _make_atree(root, config, label_names, dimension):
+    """The class count and the depth follow from the labels and the nodes."""
+    return Atree(root=root, config=config, label_names=list(label_names),
+                 num_classes=len(label_names), dimension=dimension,
                  depth=max(path_levels(root).values()))
 
 
@@ -460,6 +461,14 @@ def train_atree(data, config):
     return attach_svms_phase2(root, data, config)
 
 
+def _require_finite(v):
+    """Reject NaN and inf in the 1-d array v. v.v is finite only when every
+    entry is; the dearer elementwise test runs only when it is not, as when
+    v.v overflows."""
+    if not (math.isfinite(v.dot(v)) or np.isfinite(v).all()):
+        raise ValidationError("features must be finite (no NaN or inf)")
+
+
 def predict(tree, x):
     """Traverse from the root, routing right when the node decision value is
     nonnegative. Returns (class id, trace); the trace lists every evaluated
@@ -467,6 +476,7 @@ def predict(tree, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
+    _require_finite(x)
     trace = []
     node = tree.root
     while isinstance(node, InternalNode):
@@ -500,6 +510,7 @@ def route(tree, X):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.dimension:
         raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
+    _require_finite(X.reshape(-1))
     groups = []
     level = [(tree.root, np.arange(len(X)), [], np.empty((len(X), 0)))]
     while level:
@@ -525,126 +536,108 @@ def route(tree, X):
 
 
 def _svm_to_doc(svm):
+    """A node classifier without its kernel, which the config holds; a
+    kernel model names its support vectors by id in the tree's table."""
     if svm is None:
         return None
     if isinstance(svm, LinearSvmModel):
-        return {"type": "linear", "weights": svm.weights.tolist(), "bias": svm.bias}
-    return {"type": "kernel", "kernel": svm.kernel.to_dict(),
-            "support_vectors": svm.support_vectors.tolist(),
-            "dual_coefficients": svm.dual_coefficients.tolist(),
-            "bias": svm.bias, "sv_ids": svm.sv_ids.tolist()}
+        return {"weights": svm.weights, "bias": svm.bias}
+    return {"sv_ids": svm.sv_ids, "dual_coefficients": svm.dual_coefficients,
+            "bias": svm.bias}
 
 
 def _node_to_doc(node):
-    if isinstance(node, LeafNode):
-        return {"kind": "leaf", "depth": node.depth, "label": node.label,
-                "purity": node.purity, "n_training": node.n_training}
-    return {
-        "kind": "internal", "depth": node.depth,
-        "split": {"feature_index": node.split.feature_index,
-                  "threshold": node.split.threshold,
-                  "left_mass": node.split.left_mass,
-                  "right_mass": node.split.right_mass,
-                  "left_histogram": node.split.left_histogram.tolist(),
-                  "right_histogram": node.split.right_histogram.tolist(),
-                  "objective": node.split.objective},
-        "boost": {"rounds": [[alpha, s.feature_index, s.threshold, s.polarity]
-                             for alpha, s in node.boost.rounds],
-                  "round_errors": list(node.boost.round_errors),
-                  "exited_early": node.boost.exited_early,
-                  "pure": node.boost.pure},
-        "pos_classes": list(node.pos_classes),
-        "neg_classes": list(node.neg_classes),
-        "binary_distribution": list(node.binary_distribution),
-        "class_to_sign": {str(k): v for k, v in node.class_to_sign.items()},
-        "n_training": node.n_training,
-        "svm": _svm_to_doc(node.svm),
-        "left": node.left.node_id, "right": node.right.node_id,
-    }
+    """A node's fields, less its id (its place in the node list) and its
+    phase-one partition; an internal node names its children by id."""
+    doc = {k: v for k, v in vars(node).items() if k not in ("node_id", "partition")}
+    if isinstance(node, InternalNode):
+        doc.update(split=vars(node.split), svm=_svm_to_doc(node.svm),
+                   boost={**vars(node.boost), "rounds": [
+                       [alpha, s.feature_index, s.threshold, s.polarity]
+                       for alpha, s in node.boost.rounds]},
+                   left=node.left.node_id, right=node.right.node_id)
+    return doc
 
 
 def serialize(tree):
-    """Lossless JSON text for a tree; floats keep full precision."""
+    """Lossless JSON text for a tree; floats keep full precision. Every
+    support vector is stored once, as an [sv_id, row] pair of a table sorted
+    by id, however many node classifiers keep it."""
     nodes = sorted(iter_nodes(tree.root), key=lambda n: n.node_id)
+    table = {sv_id: row for n in nodes if isinstance(getattr(n, "svm", None), KernelSvmModel)
+             for sv_id, row in zip(n.svm.sv_ids.tolist(), n.svm.support_vectors)}
     doc = {
         "version": MODEL_SCHEMA_VERSION,
-        "config": {
-            "delta": tree.config.delta,
-            "max_depth": tree.config.max_depth,
-            "min_node_samples": tree.config.min_node_samples,
-            "sv_budget_search": tree.config.sv_budget_search,
-            "kernel": tree.config.kernel.to_dict(),
-            "boost": {"max_rounds": tree.config.boost.max_rounds,
-                      "gamma": tree.config.boost.gamma,
-                      "min_weight_floor": tree.config.boost.min_weight_floor},
-            "svm": {"c": tree.config.svm.c,
-                    "tolerance": tree.config.svm.tolerance,
-                    "max_passes": tree.config.svm.max_passes,
-                    "seed": tree.config.svm.seed},
-        },
+        "config": asdict(tree.config),
         "label_names": tree.label_names,
-        "num_classes": tree.num_classes,
         "dimension": tree.dimension,
-        "depth": tree.depth,
+        "support_vectors": [[sv_id, table[sv_id]] for sv_id in sorted(table)],
         "nodes": [_node_to_doc(n) for n in nodes],
     }
-    return json.dumps(doc)
+    return json.dumps(doc, default=np.ndarray.tolist)
 
 
-def _svm_from_doc(doc):
+def _config_from_doc(cls, doc, **parts):
+    """Rebuild a config dataclass from its asdict() form, ``parts`` naming
+    the nested ones. Every field must be present: none falls back to its
+    default."""
+    names = {f.name for f in fields(cls)}
+    if set(doc) != names:
+        raise SchemaError(f"{cls.__name__} in the model must have exactly the fields "
+                          f"{sorted(names)}, got {sorted(doc)}")
+    nested = {name: _config_from_doc(part, doc[name]) for name, part in parts.items()}
+    return cls(**{**doc, **nested})
+
+
+def _table_from_doc(entries, dimension):
+    """The support-vector table as (ids, rows): ids strictly increasing, one
+    row of ``dimension`` values each."""
+    ids = np.array([sv_id for sv_id, _ in entries], dtype=np.int64)
+    if (np.diff(ids) <= 0).any():
+        raise SchemaError("support-vector table must list each id once, in increasing order")
+    rows = [row for _, row in entries]
+    if any(len(row) != dimension for row in rows):
+        raise SchemaError(f"support-vector table rows must be {dimension} wide")
+    return ids, np.array(rows, dtype=np.float64).reshape(len(rows), dimension)
+
+
+def _svm_from_doc(doc, kernel, table):
+    """The node classifier of the configured kernel's family."""
     if doc is None:
         return None
-    if doc["type"] == "linear":
+    if ("weights" in doc) != kernel.is_linear or ("sv_ids" in doc) == kernel.is_linear:
+        raise SchemaError(f"node classifier with fields {sorted(doc)} does not fit "
+                          f"the configured {kernel.kind} kernel")
+    if kernel.is_linear:
         return LinearSvmModel(np.asarray(doc["weights"], dtype=np.float64),
                               float(doc["bias"]))
+    ids, rows = table
+    sv_ids = np.asarray(doc["sv_ids"], dtype=np.int64)
+    at = np.searchsorted(ids, sv_ids)
+    if (at >= len(ids)).any() or not np.array_equal(ids[at], sv_ids):
+        raise SchemaError("node classifier refers to an sv_id the support-vector "
+                          "table does not hold")
     return KernelSvmModel(
-        support_vectors=np.asarray(doc["support_vectors"], dtype=np.float64),
+        support_vectors=rows[at],
         dual_coefficients=np.asarray(doc["dual_coefficients"], dtype=np.float64),
-        bias=float(doc["bias"]),
-        kernel=KernelSpec.from_dict(doc["kernel"]),
-        sv_ids=np.asarray(doc["sv_ids"], dtype=np.int64),
-    )
+        bias=float(doc["bias"]), kernel=kernel, sv_ids=sv_ids)
 
 
-def _node_from_doc(node_id, doc, built):
-    if doc["kind"] == "leaf":
-        return LeafNode(node_id, doc["depth"], int(doc["label"]),
-                        float(doc["purity"]), int(doc["n_training"]))
-    s = doc["split"]
-    split = EntropySplit(int(s["feature_index"]), float(s["threshold"]),
-                         float(s["left_mass"]), float(s["right_mass"]),
-                         np.asarray(s["left_histogram"], dtype=np.float64),
-                         np.asarray(s["right_histogram"], dtype=np.float64),
-                         float(s["objective"]))
-    b = doc["boost"]
-    boost = BoostedClassifier(
-        rounds=[(float(alpha), DecisionStump(int(f), float(t), int(pol)))
-                for alpha, f, t, pol in b["rounds"]],
-        round_errors=[float(e) for e in b["round_errors"]],
-        exited_early=bool(b["exited_early"]), pure=bool(b["pure"]))
-    return InternalNode(
-        node_id=node_id, depth=doc["depth"], split=split, boost=boost,
-        pos_classes=[int(c) for c in doc["pos_classes"]],
-        neg_classes=[int(c) for c in doc["neg_classes"]],
-        binary_distribution=tuple(doc["binary_distribution"]),
-        class_to_sign={int(k): int(v) for k, v in doc["class_to_sign"].items()},
-        n_training=int(doc["n_training"]),
-        left=built[doc["left"]], right=built[doc["right"]],
-        svm=_svm_from_doc(doc["svm"]))
-
-
-def _check_node_kernel(node, kernel):
-    """Every node classifier must follow the configured kernel: kernel
-    counts take the union of sv_ids across nodes, which is only a count of
-    shared computations when all nodes evaluate the same kernel."""
-    svm = getattr(node, "svm", None)
-    if svm is None:
-        return
-    found = "linear" if isinstance(svm, LinearSvmModel) else svm.kernel
-    expected = "linear" if kernel.is_linear else kernel
-    if found != expected:
-        raise SchemaError(f"node {node.node_id} classifier uses kernel {found!r}, "
-                          f"the model config says {kernel!r}")
+def _node_from_doc(node_id, doc, built, kernel, table):
+    if "split" not in doc:
+        return LeafNode(node_id, **doc)
+    split, boost = dict(doc["split"]), doc["boost"]
+    for side in ("left_histogram", "right_histogram"):
+        split[side] = np.asarray(split[side], dtype=np.float64)
+    return InternalNode(node_id, **{
+        **doc,
+        "split": EntropySplit(**split),
+        "boost": BoostedClassifier(**{**boost, "rounds": [
+            (alpha, DecisionStump(*stump)) for alpha, *stump in boost["rounds"]]}),
+        "binary_distribution": tuple(doc["binary_distribution"]),
+        "class_to_sign": {int(k): v for k, v in doc["class_to_sign"].items()},
+        "left": built[doc["left"]], "right": built[doc["right"]],
+        "svm": _svm_from_doc(doc["svm"], kernel, table)})
 
 
 def deserialize(text):
@@ -662,24 +655,18 @@ def deserialize(text):
         raise SchemaError(
             f"unsupported model version {version!r}, expected {MODEL_SCHEMA_VERSION}")
     try:
-        cfg = doc["config"]
-        config = AtreeConfig(
-            delta=cfg["delta"], max_depth=cfg["max_depth"],
-            boost=BoostConfig(**cfg["boost"]), svm=SvmConfig(**cfg["svm"]),
-            kernel=KernelSpec.from_dict(cfg["kernel"]),
-            min_node_samples=cfg["min_node_samples"],
-            sv_budget_search=cfg["sv_budget_search"])
+        config = _config_from_doc(AtreeConfig, doc["config"], boost=BoostConfig,
+                                  svm=SvmConfig, kernel=KernelSpec)
+        dimension = int(doc["dimension"])
+        table = _table_from_doc(doc["support_vectors"], dimension)
         node_docs = doc["nodes"]
         built = {}
         # children always carry larger ids than their parent, so build in
         # reverse id order
         for node_id in range(len(node_docs) - 1, -1, -1):
-            built[node_id] = _node_from_doc(node_id, node_docs[node_id], built)
-            _check_node_kernel(built[node_id], config.kernel)
-        return Atree(root=built[0], config=config,
-                     label_names=list(doc["label_names"]),
-                     num_classes=int(doc["num_classes"]),
-                     dimension=int(doc["dimension"]), depth=int(doc["depth"]))
+            built[node_id] = _node_from_doc(node_id, node_docs[node_id], built,
+                                            config.kernel, table)
+        return _make_atree(built[0], config, doc["label_names"], dimension)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model document: {exc!r}") from None
 

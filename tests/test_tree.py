@@ -416,6 +416,10 @@ def _manual_internal(node_id, depth, left, right, bias):
                         svm=LinearSvmModel(np.array([0.0]), bias))
 
 
+FINITE_CHECK_TREE = train_atree(generate_gaussian_blobs(3, 15, 3, 0.5, seed=4),
+                                AtreeConfig(max_depth=3, boost=BoostConfig(max_rounds=5)))
+
+
 class TestPredict:
     def test_positive_decision_takes_right_leaf(self):
         root = _manual_internal(0, 1, _leaf(1, 2, 0), _leaf(2, 2, 1), bias=0.3)
@@ -448,6 +452,20 @@ class TestPredict:
         with pytest.raises(ValidationError):
             predict(tree, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, value):
+        tree = FINITE_CHECK_TREE
+        x = np.zeros(tree.dimension)
+        x[1] = value
+        with pytest.raises(ValidationError, match="finite"):
+            predict(tree, x)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_finite_input_whose_square_overflows_accepted(self):
+        tree = FINITE_CHECK_TREE
+        x = np.array([1e200, -1e200, 0.0])
+        assert predict(tree, x) == predict(tree, x.copy())
+
 
 class TestRoute:
     def test_groups_rows_by_leaf_across_levels(self):
@@ -479,6 +497,16 @@ class TestRoute:
             route(tree, np.zeros((3, 2)))
         with pytest.raises(ValidationError):
             route(tree, np.zeros(1))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, value):
+        tree = FINITE_CHECK_TREE
+        X = np.zeros((4, tree.dimension))
+        X[2, 1] = value
+        with pytest.raises(ValidationError, match="finite"):
+            route(tree, X)
+        assert route(tree, np.full((2, tree.dimension), 1e200))
 
     def test_phase1_only_tree_cannot_route(self):
         root = _manual_internal(0, 1, _leaf(1, 2, 0), _leaf(2, 2, 1), bias=0.0)
@@ -561,7 +589,7 @@ class TestSerialization:
         tree, _ = self._random_tree(1)
         doc = json.loads(serialize(tree))
         doc["version"] = 1
-        internal = next(n for n in doc["nodes"] if n["kind"] == "internal")
+        internal = next(n for n in doc["nodes"] if "split" in n)
         internal["svm"] = {"type": "passthrough", "side": 1}
         with pytest.raises(SchemaError, match="version"):
             deserialize(json.dumps(doc))
@@ -572,33 +600,78 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="malformed"):
             deserialize(f'{{"version": {MODEL_SCHEMA_VERSION}, "nodes": "nope"}}')
 
-    def test_node_kernel_must_match_config(self):
+    def _doc(self, seed):
+        return json.loads(serialize(self._random_tree(seed)[0]))
+
+    @pytest.mark.parametrize("case", ["sv_ids_under_linear_config",
+                                      "weights_under_kernel_config",
+                                      "weights_node_in_kernel_tree"])
+    def test_node_classifier_must_fit_config_family(self, case):
+        # seed 1 trains an rbf tree, seed 0 a linear one
+        doc = self._doc(0 if case == "weights_under_kernel_config" else 1)
+        if case == "sv_ids_under_linear_config":
+            doc["config"]["kernel"] = {"kind": "linear", "gamma": None}
+        elif case == "weights_under_kernel_config":
+            doc["config"]["kernel"] = {"kind": "rbf", "gamma": 0.5}
+        else:
+            node = next(n for n in doc["nodes"] if "split" in n)
+            node["svm"] = {"weights": [0.0] * doc["dimension"], "bias": 0.0}
+        with pytest.raises(SchemaError, match="kernel"):
+            deserialize(json.dumps(doc))
+
+    def test_node_sv_id_missing_from_table_rejected(self):
+        doc = self._doc(1)
+        doc["support_vectors"].pop(len(doc["support_vectors"]) // 2)
+        with pytest.raises(SchemaError, match="sv_id"):
+            deserialize(json.dumps(doc))
+
+    def test_table_id_listed_twice_rejected(self):
+        doc = self._doc(1)
+        table = doc["support_vectors"]
+        table.insert(1, [table[0][0], table[0][1]])
+        with pytest.raises(SchemaError, match="once"):
+            deserialize(json.dumps(doc))
+
+    def test_table_row_must_be_dimension_wide(self):
+        doc = self._doc(1)
+        doc["support_vectors"][-1][1].append(0.0)
+        with pytest.raises(SchemaError, match="wide"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("path", [("delta",), ("sv_budget_search",), ("boost",),
+                                      ("svm", "tolerance"), ("kernel", "gamma")])
+    def test_config_field_missing_rejected(self, path):
+        doc = self._doc(1)
+        owner = doc["config"]
+        for key in path[:-1]:
+            owner = owner[key]
+        del owner[path[-1]]
+        with pytest.raises(SchemaError, match="fields"):
+            deserialize(json.dumps(doc))
+
+    def test_table_holds_each_support_vector_once(self):
         tree, _ = self._random_tree(1)
         doc = json.loads(serialize(tree))
-        kernel_nodes = [n for n in doc["nodes"]
-                        if n["kind"] == "internal" and n["svm"]["type"] == "kernel"]
-        assert kernel_nodes and doc["config"]["kernel"] == {"kind": "rbf", "gamma": 0.5}
-        kernel_nodes[-1]["svm"]["kernel"]["gamma"] = 0.25
-        with pytest.raises(SchemaError, match="kernel"):
-            deserialize(json.dumps(doc))
-        # kernel nodes under a linear config, and linear nodes under an rbf one
-        doc = json.loads(serialize(tree))
-        doc["config"]["kernel"] = {"kind": "linear"}
-        with pytest.raises(SchemaError, match="kernel"):
-            deserialize(json.dumps(doc))
-        linear, _ = self._random_tree(0)
-        doc = json.loads(serialize(linear))
-        doc["config"]["kernel"] = {"kind": "rbf", "gamma": 0.5}
-        with pytest.raises(SchemaError, match="kernel"):
-            deserialize(json.dumps(doc))
+        kernel_svms = [n.svm for n in iter_nodes(tree.root) if isinstance(n, InternalNode)]
+        assert kernel_svms and all(isinstance(m, KernelSvmModel) for m in kernel_svms)
+        ids = np.concatenate([m.sv_ids for m in kernel_svms])
+        assert len(ids) > len(np.unique(ids))  # some vector serves several nodes
+        assert [sv_id for sv_id, _ in doc["support_vectors"]] == np.unique(ids).tolist()
+        rows = dict(doc["support_vectors"])
+        for m in kernel_svms:
+            assert m.support_vectors.tolist() == [rows[i] for i in m.sv_ids.tolist()]
+        assert not {"depth", "num_classes"} & set(doc)
+        for node in doc["nodes"]:
+            if "split" in node:
+                assert set(node["svm"]) == {"sv_ids", "dual_coefficients", "bias"}
 
     def test_config_survives_round_trip(self):
         tree, _ = self._random_tree(3)
         clone = deserialize(serialize(tree))
-        assert clone.config.delta == tree.config.delta
-        assert clone.config.kernel == tree.config.kernel
+        assert clone.config == tree.config
         assert clone.label_names == tree.label_names
         assert clone.depth == tree.depth
+        assert clone.num_classes == tree.num_classes
 
 
 class TestTrainedTreeProperties:
@@ -620,7 +693,9 @@ class TestTrainedTreeProperties:
                 assert node.svm is not None
         X = np.vstack([data.features, data.features[::-1]
                        + np.random.default_rng(seed).normal(size=data.features.shape)])
-        clone = deserialize(serialize(tree))
+        text = serialize(tree)
+        clone = deserialize(text)
+        assert serialize(clone) == text
         groups = route(tree, X)
         assert np.array_equal(np.sort(np.concatenate([g.rows for g in groups])),
                               np.arange(len(X)))
@@ -677,6 +752,10 @@ class TestDotExport:
                 nid for nid, level in level_of.items() if level <= k}
         log = cli._training_log_lines(tree, include_timestamp=False)
         assert f"tree: nodes={len(level_of)} depth=3" in log
+        # each node's line counts its root-path level too, not its budget depth
+        assert f"node {tree.root.node_id} depth=1 internal " in "\n".join(log)
+        for nid, level in level_of.items():
+            assert sum(l.startswith(f"node {nid} depth={level} ") for l in log) == 1
 
     def test_leaf_only_tree_renders_single_node(self):
         data = generate_gaussian_blobs(2, 10, 2, 0.1, seed=7)
