@@ -18,6 +18,9 @@ from .errors import ValidationError
 # with the direct formula before the winner is picked, so the reported score
 # and tie-breaking are independent of cumulative-sum rounding.
 _TIE_SLACK = 1e-9
+# A round error below this counts as perfect; its vote is capped at
+# 0.5*ln((1-floor)/floor) to keep scores finite.
+_MIN_WEIGHT_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,21 +43,16 @@ class BoostConfig:
     max_rounds: cap on retained rounds.
     gamma: a round whose weighted error exceeds gamma is discarded and
         training stops (early exit).
-    min_weight_floor: a round error below this counts as perfect; its vote is
-        capped at 0.5*ln((1-floor)/floor) to keep scores finite.
     """
 
     max_rounds: int = 50
     gamma: float = 0.48
-    min_weight_floor: float = 1e-10
 
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ValidationError("max_rounds must be positive")
         if not 0.0 < self.gamma <= 0.5:
             raise ValidationError("gamma must lie in (0, 0.5]")
-        if self.min_weight_floor <= 0:
-            raise ValidationError("min_weight_floor must be positive")
 
 
 @dataclass
@@ -64,7 +62,6 @@ class BoostedClassifier:
     rounds: list = field(default_factory=list)      # [(alpha, DecisionStump)]
     round_errors: list = field(default_factory=list)
     exited_early: bool = False
-    pure: bool = False
 
     def max_feature_index(self):
         return max((s.feature_index for _, s in self.rounds), default=-1)
@@ -74,7 +71,6 @@ def _validate_binary_labels(y):
     values = set(np.unique(y).tolist())
     if not values <= {-1, 1}:
         raise ValidationError(f"labels must be in {{+1, -1}}, found {sorted(values)}")
-    return values
 
 
 def _argmin_rescored(scores, rescore):
@@ -156,14 +152,12 @@ def adaboost_train(X, y, w, config):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
-    values = _validate_binary_labels(y)
+    _validate_binary_labels(y)
     total = w.sum()
     if total <= 0:
         raise ValidationError("weights must have positive total mass")
     w = w / total
     model = BoostedClassifier()
-    # on a single label the first stump is perfect and ends the loop
-    model.pure = len(values) == 1
     order = np.argsort(X, axis=0, kind="stable")
     for _ in range(config.max_rounds):
         stump, eps = train_stump(X, y, w, order)
@@ -171,8 +165,8 @@ def adaboost_train(X, y, w, config):
             model.exited_early = True
             break
         model.round_errors.append(eps)
-        if eps < config.min_weight_floor:
-            floor = config.min_weight_floor
+        if eps < _MIN_WEIGHT_FLOOR:
+            floor = _MIN_WEIGHT_FLOOR
             model.rounds.append((0.5 * math.log((1.0 - floor) / floor), stump))
             break
         alpha = 0.5 * math.log((1.0 - eps) / eps)

@@ -143,7 +143,6 @@ def _training_log_lines(tree, include_timestamp):
     cfg = tree.config
     lines.append(f"config: delta={_fmt(cfg.delta)} max_depth={cfg.max_depth} "
                  f"kernel={cfg.kernel.kind} min_node_samples={cfg.min_node_samples}")
-    # depth= counts levels on the root path, as the closing tree: line does
     levels = tr.path_levels(tree.root)
     for node in sorted(tr.iter_nodes(tree.root), key=lambda n: n.node_id):
         if isinstance(node, tr.LeafNode):

@@ -14,7 +14,7 @@ from .errors import ParseError, ValidationError
 
 
 class Dataset:
-    """Finite feature matrix plus dense integer labels and nonnegative weights.
+    """Finite feature matrix plus dense integer labels and positive weights.
 
     Labels are dense ids in ``[0, num_classes)``; ``label_names[k]`` maps the
     dense id ``k`` back to the label value found in the source data. Weights
@@ -36,8 +36,8 @@ class Dataset:
             raise ValidationError("a dataset needs at least 2 classes")
         if labels.min() < 0 or labels.max() >= num_classes:
             raise ValidationError("labels must lie in [0, num_classes)")
-        if (weights < 0).any():
-            raise ValidationError("weights must be nonnegative")
+        if (weights <= 0).any():
+            raise ValidationError("weights must be positive")
         if label_names is None:
             label_names = list(range(num_classes))
         if len(label_names) != num_classes:
@@ -57,16 +57,12 @@ class Dataset:
     def dimension(self):
         return self.features.shape[1]
 
-    def subset(self, indices, renormalize=True):
-        """New Dataset restricted to ``indices`` (class ids and names kept)."""
+    def subset(self, indices):
+        """New Dataset restricted to ``indices`` (class ids and names kept),
+        its weights renormalized to sum 1."""
         indices = np.asarray(indices, dtype=np.int64)
-        w = self.weights[indices].copy()
-        if renormalize:
-            total = w.sum()
-            if total <= 0:
-                raise ValidationError("subset has zero total weight")
-            w /= total
-        return Dataset(self.features[indices], self.labels[indices], w,
+        w = self.weights[indices]
+        return Dataset(self.features[indices], self.labels[indices], w / w.sum(),
                        self.num_classes, self.label_names)
 
 

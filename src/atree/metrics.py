@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .svm import (LinearSvmModel, kernel_computations, kernel_matrix,
-                  train_kernel_svm, train_linear_svm)
+from .svm import LinearSvmModel, kernel_computations, kernel_matrix, train_svm
 from .tree import route as route_tree
 
 
@@ -65,15 +64,8 @@ def train_one_vs_all(data, kernel, svm_config):
     """One class-vs-rest model per class; prediction is argmax decision value
     with ties to the lowest class id."""
     _check_all_classes_present(data)
-    ids = np.arange(len(data), dtype=np.int64)
-    models = []
-    for cls in range(data.num_classes):
-        y = np.where(data.labels == cls, 1.0, -1.0)
-        if kernel.is_linear:
-            models.append(train_linear_svm(data.features, y, svm_config))
-        else:
-            models.append(train_kernel_svm(data.features, y, kernel, svm_config,
-                                           sample_ids=ids))
+    models = [train_svm(data.features, np.where(data.labels == cls, 1.0, -1.0),
+                        kernel, svm_config) for cls in range(data.num_classes)]
     return OneVsAllModel(models, data.num_classes)
 
 
@@ -87,11 +79,8 @@ def train_one_vs_one(data, kernel, svm_config):
         for b in range(a + 1, data.num_classes):
             members = np.flatnonzero((data.labels == a) | (data.labels == b))
             y = np.where(data.labels[members] == b, 1.0, -1.0)
-            if kernel.is_linear:
-                models.append(train_linear_svm(data.features[members], y, svm_config))
-            else:
-                models.append(train_kernel_svm(data.features[members], y, kernel,
-                                               svm_config, sample_ids=members))
+            models.append(train_svm(data.features[members], y, kernel, svm_config,
+                                    sample_ids=members))
             pairs.append((a, b))
     return OneVsOneModel(pairs, models, data.num_classes)
 

@@ -354,6 +354,14 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None):
     )
 
 
+def train_svm(X, y, kernel, config, sample_ids=None):
+    """The linear solver for a linear kernel, else the kernel solver, whose
+    support vectors take their ids from sample_ids."""
+    if kernel.is_linear:
+        return train_linear_svm(X, y, config)
+    return train_kernel_svm(X, y, kernel, config, sample_ids)
+
+
 def kernel_computations(models):
     """Kernel computations needed to evaluate ``models`` on one instance, as
     (union, uncached). Under a per-instance cache a support vector shared by

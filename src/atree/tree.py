@@ -30,10 +30,10 @@ from .boosting import (BoostConfig, BoostedClassifier, DecisionStump,
 from .dataset import Dataset
 from .errors import SchemaError, ValidationError
 from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
-                  decision_values_batch, predict as svm_predict,
-                  train_kernel_svm, train_linear_svm, truncate_svs)
+                  decision_values_batch, predict as svm_predict, train_svm,
+                  truncate_svs)
 
-MODEL_SCHEMA_VERSION = 3
+MODEL_SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -44,12 +44,9 @@ class AtreeConfig:
         partition probability exceeds delta, otherwise it is starred and
         duplicated. Values below 0.5 would push easy samples down both
         branches and are rejected.
-    max_depth: maximum number of tree levels, root counting as level 1
-        (so internal nodes occupy levels < max_depth). None picks
-        2*ceil(log2(num_classes)) at build time. Spliced pass-through levels
-        still count toward this budget, so a node's depth can exceed its
-        level on the path from the root (tree.path_levels); Atree.depth
-        and to_dot count path levels.
+    max_depth: maximum number of tree levels, root counting as level 1.
+        None picks 2*ceil(log2(num_classes)) at build time. Spliced
+        pass-through levels count toward it too.
     min_node_samples: nodes smaller than this become leaves.
     sv_budget_search: optional candidate support-vector budgets tried per
         kernel node; the cheapest budget whose node accuracy drop stays
@@ -82,15 +79,19 @@ class AtreeConfig:
 
 @dataclass
 class EntropySplit:
-    """Minimum-entropy feature split with per-side class histograms."""
+    """Minimum-entropy feature split x[f] < threshold with each side's
+    per-class sample mass."""
 
     feature_index: int
     threshold: float
-    left_mass: float
-    right_mass: float
-    left_histogram: np.ndarray
-    right_histogram: np.ndarray
-    objective: float
+    left_masses: np.ndarray
+    right_masses: np.ndarray
+
+    @property
+    def objective(self):
+        """Mass-weighted entropy of the two sides' class distributions."""
+        zl, zr = float(self.left_masses.sum()), float(self.right_masses.sum())
+        return zl * _entropy(self.left_masses / zl) + zr * _entropy(self.right_masses / zr)
 
 
 @dataclass
@@ -114,7 +115,6 @@ class PartitionResult:
 @dataclass
 class LeafNode:
     node_id: int
-    depth: int
     label: int
     purity: float
     n_training: int
@@ -123,13 +123,11 @@ class LeafNode:
 @dataclass
 class InternalNode:
     node_id: int
-    depth: int
     split: EntropySplit
     boost: BoostedClassifier
     pos_classes: list
     neg_classes: list
     binary_distribution: tuple
-    class_to_sign: dict
     n_training: int
     left: object
     right: object
@@ -144,9 +142,16 @@ class Atree:
     root: object
     config: AtreeConfig
     label_names: list
-    num_classes: int
     dimension: int
-    depth: int
+
+    @property
+    def num_classes(self):
+        return len(self.label_names)
+
+    @property
+    def depth(self):
+        """Levels on the longest root path."""
+        return max(path_levels(self.root).values())
 
 
 def iter_nodes(root):
@@ -161,7 +166,7 @@ def iter_nodes(root):
 
 def path_levels(root):
     """Level of every node on its path from the root (the root is level 1),
-    keyed by node id. Unlike node.depth, spliced levels do not count."""
+    keyed by node id."""
     levels = {root.node_id: 1}
     for node in iter_nodes(root):
         if isinstance(node, InternalNode):
@@ -178,21 +183,6 @@ def _xlogx(v):
 
 def _entropy(his):
     return float(-_xlogx(np.asarray(his, dtype=np.float64)).sum())
-
-
-def _masses_for_mask(labels, weights, mask, num_classes):
-    lm = np.bincount(labels[mask], weights=weights[mask], minlength=num_classes)
-    rm = np.bincount(labels[~mask], weights=weights[~mask], minlength=num_classes)
-    return lm, rm
-
-
-def _split_from_masses(feature, threshold, lm, rm):
-    zl = float(lm.sum())
-    zr = float(rm.sum())
-    his_l = lm / zl
-    his_r = rm / zr
-    objective = zl * _entropy(his_l) + zr * _entropy(his_r)
-    return EntropySplit(feature, threshold, zl, zr, his_l, his_r, objective)
 
 
 def entropy_split(X, labels, weights, num_classes):
@@ -229,15 +219,16 @@ def entropy_split(X, labels, weights, num_classes):
 
     def rescore(f, idx):
         v = float(thresholds[f, idx])
-        lm, rm = _masses_for_mask(labels, weights, X[:, f] < v, num_classes)
-        split = _split_from_masses(f, v, lm, rm)
+        left = X[:, f] < v
+        split = EntropySplit(f, v, np.bincount(labels[left], weights[left], num_classes),
+                             np.bincount(labels[~left], weights[~left], num_classes))
         return split.objective, split
 
     best = _argmin_rescored(scores, rescore)
     return None if best is None else best[1]
 
 
-def binarize_labels(X, labels, weights, split, num_classes):
+def binarize_labels(labels, split):
     """Map every class to one sign by comparing its mass on each split side.
 
     A class whose left mass is at least its right mass goes to -1, else +1.
@@ -246,10 +237,7 @@ def binarize_labels(X, labels, weights, split, num_classes):
     other +1, so a two-class node always stays a relabeling.
     Returns (per-sample signs, class-to-sign map).
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    mask = np.asarray(X, dtype=np.float64)[:, split.feature_index] < split.threshold
-    lm, rm = _masses_for_mask(labels, np.asarray(weights, dtype=np.float64),
-                              mask, num_classes)
+    lm, rm = split.left_masses, split.right_masses
     present = np.flatnonzero(lm + rm > 0)
     sign_of = {int(k): (-1 if lm[k] >= rm[k] else 1) for k in present}
     if len(present) == 2 and len(set(sign_of.values())) == 1:
@@ -305,17 +293,17 @@ def partition_samples(X, boost, delta, ids=None):
     )
 
 
-def _make_leaf(node_id, depth, labels, weights, num_classes):
+def _make_leaf(node_id, labels, weights, num_classes):
     masses = np.bincount(labels, weights=weights, minlength=num_classes)
     label = int(np.argmax(masses))
-    return LeafNode(node_id, depth, label, float(masses[label] / masses.sum()),
-                    len(labels))
+    return LeafNode(node_id, label, float(masses[label] / masses.sum()), len(labels))
 
 
 def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
     """Recursive hierarchy construction (no SVMs yet).
 
-    A node becomes a leaf when it is single-class, too small, at the depth
+    ``depth`` is the level budget used so far, spliced levels included. A
+    node becomes a leaf when it is single-class, too small, at the depth
     limit, unsplittable, reduced to one sign by binarization, abandoned by
     boosting (no retained rounds), or when routing empties one side. A node
     with no confident samples on one side is spliced out: the child it would
@@ -334,7 +322,7 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
     max_depth = config.effective_max_depth(data.num_classes)
 
     def leaf():
-        return _make_leaf(next(_counter), depth, labels, weights, data.num_classes)
+        return _make_leaf(next(_counter), labels, weights, data.num_classes)
 
     if len(np.unique(labels)) < 2:
         return leaf()
@@ -345,7 +333,7 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
     split = entropy_split(X, labels, weights, data.num_classes)
     if split is None:
         return leaf()
-    signs, sign_of = binarize_labels(X, labels, weights, split, data.num_classes)
+    signs, sign_of = binarize_labels(labels, split)
     if len(set(sign_of.values())) < 2:
         return leaf()
     boost = adaboost_train(X, signs, weights, config.boost)
@@ -365,11 +353,10 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
     node_id = next(_counter)
     neg_mass = float(weights[signs < 0].sum())
     return InternalNode(
-        node_id=node_id, depth=depth, split=split, boost=boost,
+        node_id=node_id, split=split, boost=boost,
         pos_classes=sorted(np.unique(data.labels[part.right_ids]).tolist()),
         neg_classes=sorted(np.unique(data.labels[part.left_ids]).tolist()),
         binary_distribution=(neg_mass, float(weights[signs > 0].sum())),
-        class_to_sign=sign_of,
         n_training=len(ids),
         left=build_phase1(data, config, depth + 1, part.left_ids,
                           part.left_weights, _counter),
@@ -407,11 +394,8 @@ def _train_node_svm(node, data, config):
     train_ids = np.concatenate([lo, ro])
     Xn = data.features[train_ids]
     yn = np.concatenate([-np.ones(len(lo)), np.ones(len(ro))])
-    if config.kernel.is_linear:
-        node.svm = train_linear_svm(Xn, yn, config.svm)
-        return
-    model = train_kernel_svm(Xn, yn, config.kernel, config.svm, sample_ids=train_ids)
-    if config.sv_budget_search:
+    model = train_svm(Xn, yn, config.kernel, config.svm, sample_ids=train_ids)
+    if config.sv_budget_search and not config.kernel.is_linear:
         model = _apply_sv_budget(model, Xn, yn,
                                  len(node.pos_classes), len(node.neg_classes),
                                  config.sv_budget_search)
@@ -445,14 +429,7 @@ def attach_svms_phase2(root, data, config):
             if node.partition is None:
                 raise ValidationError("phase-one partition data is missing")
             _train_node_svm(node, data, config)
-    return _make_atree(root, config, data.label_names, data.dimension)
-
-
-def _make_atree(root, config, label_names, dimension):
-    """The class count and the depth follow from the labels and the nodes."""
-    return Atree(root=root, config=config, label_names=list(label_names),
-                 num_classes=len(label_names), dimension=dimension,
-                 depth=max(path_levels(root).values()))
+    return Atree(root, config, list(data.label_names), data.dimension)
 
 
 def train_atree(data, config):
@@ -608,26 +585,30 @@ def _svm_from_doc(doc, kernel, table):
     if ("weights" in doc) != kernel.is_linear or ("sv_ids" in doc) == kernel.is_linear:
         raise SchemaError(f"node classifier with fields {sorted(doc)} does not fit "
                           f"the configured {kernel.kind} kernel")
-    if kernel.is_linear:
-        return LinearSvmModel(np.asarray(doc["weights"], dtype=np.float64),
-                              float(doc["bias"]))
     ids, rows = table
+    if kernel.is_linear:
+        weights = np.asarray(doc["weights"], dtype=np.float64)
+        # the table's rows are dimension wide even when it holds none
+        if weights.shape != rows.shape[1:]:
+            raise SchemaError(f"linear node weights must be {rows.shape[1]} wide")
+        return LinearSvmModel(weights, float(doc["bias"]))
     sv_ids = np.asarray(doc["sv_ids"], dtype=np.int64)
     at = np.searchsorted(ids, sv_ids)
     if (at >= len(ids)).any() or not np.array_equal(ids[at], sv_ids):
         raise SchemaError("node classifier refers to an sv_id the support-vector "
                           "table does not hold")
-    return KernelSvmModel(
-        support_vectors=rows[at],
-        dual_coefficients=np.asarray(doc["dual_coefficients"], dtype=np.float64),
-        bias=float(doc["bias"]), kernel=kernel, sv_ids=sv_ids)
+    coefficients = np.asarray(doc["dual_coefficients"], dtype=np.float64)
+    if coefficients.shape != sv_ids.shape:
+        raise SchemaError("a kernel node needs one dual coefficient per sv_id")
+    return KernelSvmModel(support_vectors=rows[at], dual_coefficients=coefficients,
+                          bias=float(doc["bias"]), kernel=kernel, sv_ids=sv_ids)
 
 
 def _node_from_doc(node_id, doc, built, kernel, table):
     if "split" not in doc:
         return LeafNode(node_id, **doc)
     split, boost = dict(doc["split"]), doc["boost"]
-    for side in ("left_histogram", "right_histogram"):
+    for side in ("left_masses", "right_masses"):
         split[side] = np.asarray(split[side], dtype=np.float64)
     return InternalNode(node_id, **{
         **doc,
@@ -635,7 +616,6 @@ def _node_from_doc(node_id, doc, built, kernel, table):
         "boost": BoostedClassifier(**{**boost, "rounds": [
             (alpha, DecisionStump(*stump)) for alpha, *stump in boost["rounds"]]}),
         "binary_distribution": tuple(doc["binary_distribution"]),
-        "class_to_sign": {int(k): v for k, v in doc["class_to_sign"].items()},
         "left": built[doc["left"]], "right": built[doc["right"]],
         "svm": _svm_from_doc(doc["svm"], kernel, table)})
 
@@ -666,7 +646,7 @@ def deserialize(text):
         for node_id in range(len(node_docs) - 1, -1, -1):
             built[node_id] = _node_from_doc(node_id, node_docs[node_id], built,
                                             config.kernel, table)
-        return _make_atree(built[0], config, doc["label_names"], dimension)
+        return Atree(built[0], config, doc["label_names"], dimension)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model document: {exc!r}") from None
 

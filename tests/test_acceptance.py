@@ -154,9 +154,9 @@ def test_criterion_03_entropy_split_oracle():
 
 def _cost_node(n_sv, n_pos, n_neg):
     node = InternalNode(
-        node_id=0, depth=1, split=None, boost=None,
+        node_id=0, split=None, boost=None,
         pos_classes=list(range(n_pos)), neg_classes=list(range(n_neg)),
-        binary_distribution=(0.5, 0.5), class_to_sign={}, n_training=1,
+        binary_distribution=(0.5, 0.5), n_training=1,
         left=None, right=None,
         svm=KernelSvmModel(np.zeros((n_sv, 1)), np.ones(n_sv), 0.0,
                            KernelSpec("rbf", 1.0), np.arange(n_sv)))

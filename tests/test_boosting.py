@@ -159,11 +159,11 @@ class TestAdaboost:
         assert model.rounds == []
         assert model.round_errors == []
 
-    def test_single_label_input_flagged_pure(self):
+    def test_single_label_input_ends_on_one_perfect_round(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([1, 1])
         model = adaboost_train(X, y, np.array([0.5, 0.5]), BoostConfig())
-        assert model.pure
+        assert model.round_errors == [0.0]
         assert len(model.rounds) == 1
         assert strong_score_batch(model, np.array([[5.0]]))[0] > 10
 

@@ -237,6 +237,21 @@ class TestEval:
         assert run("--quiet", "eval", model, bad, "--out-metrics", tmp_path / "m.csv") == 2
 
 
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_model_with_a_truncated_node_classifier_exits_2(self, blob_csvs, tmp_path,
+                                                           capsys, kernel):
+        train, test = blob_csvs
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 3,
+                   "--kernel", kernel, *(["--kernel-gamma", 0.5] if kernel == "rbf" else [])) == 0
+        doc = json.loads(model.read_text())
+        svm = next(n["svm"] for n in doc["nodes"] if "split" in n)
+        svm["weights" if kernel == "linear" else "dual_coefficients"].pop()
+        model.write_text(json.dumps(doc))
+        assert run("--quiet", "eval", model, test, "--out-metrics", tmp_path / "m.csv") == 2
+        err = capsys.readouterr().err
+        assert "node" in err and "dimension mismatch" not in err
+
     def test_non_finite_test_data_exits_2(self, blob_csvs, tmp_path, capsys):
         _, test, model = self._trained(blob_csvs, tmp_path)
         lines = test.read_text().splitlines()
@@ -303,3 +318,13 @@ class TestExportTree:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run("--quiet", "export-tree", bad, "--out", tmp_path / "o.dot") == 2
+
+    def test_schema3_model_exits_2(self, blob_csvs, tmp_path, capsys):
+        train, _ = blob_csvs
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 3) == 0
+        doc = json.loads(model.read_text())
+        doc["version"] = 3
+        model.write_text(json.dumps(doc))
+        assert run("--quiet", "export-tree", model, "--out", tmp_path / "o.dot") == 2
+        assert "version 3" in capsys.readouterr().err

@@ -210,6 +210,19 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError):
             Dataset(np.zeros((2, 1)), np.array([0, 1]), np.array([-0.1, 1.1]), 2)
 
+    def test_zero_weights_rejected(self):
+        # a class of zero mass would have no side to take at a tree node
+        with pytest.raises(ValidationError, match="positive"):
+            Dataset(np.zeros((3, 1)), np.array([0, 1, 1]), np.array([0.0, 0.5, 0.5]), 2)
+
+    def test_subset_renormalizes_and_rejects_empty(self):
+        data = generate_gaussian_blobs(3, 10, 2, 1.0, seed=2)
+        sub = data.subset(np.flatnonzero(data.labels != 0))
+        assert abs(sub.weights.sum() - 1.0) < 1e-12
+        assert sub.num_classes == 3 and sub.label_names == data.label_names
+        with pytest.raises(ValidationError):
+            data.subset(np.array([], dtype=np.int64))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         features = np.array([[0.0, 1.0], [2.0, bad]])

@@ -55,7 +55,7 @@ class TestOneVsAll:
 
     def test_missing_class_rejected(self):
         data = generate_gaussian_blobs(3, 10, 2, 0.5, seed=4)
-        sub = data.subset(np.flatnonzero(data.labels != 1), renormalize=True)
+        sub = data.subset(np.flatnonzero(data.labels != 1))
         with pytest.raises(ValidationError):
             train_one_vs_all(sub, KernelSpec("linear"), SvmConfig())
 

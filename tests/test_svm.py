@@ -7,7 +7,7 @@ from atree.errors import ValidationError
 from atree.svm import (KERNEL_KINDS, KernelSpec, KernelSvmModel, LinearSvmModel,
                        SvmConfig, decision_values_batch, kernel_computations,
                        kernel_matrix, predict, train_kernel_svm,
-                       train_linear_svm, truncate_svs)
+                       train_linear_svm, train_svm, truncate_svs)
 from oracles import (grid_min_linear_svm_1d, random_binary_dataset,
                      reference_linear_svm)
 
@@ -260,6 +260,31 @@ class TestKernelSolver:
         assert set(model.sv_ids.tolist()) <= set(ids.tolist())
         for sid, sv in zip(model.sv_ids, model.support_vectors):
             np.testing.assert_array_equal(sv, X[sid - 100])
+
+
+class TestTrainSvm:
+    def test_linear_kernel_takes_the_linear_solver(self):
+        rng = np.random.default_rng(13)
+        X, y = random_binary_dataset(rng, 30, 3)
+        model = train_svm(X, y, KernelSpec("linear"), SvmConfig(), np.arange(100, 130))
+        expected = train_linear_svm(X, y, SvmConfig())
+        assert isinstance(model, LinearSvmModel)
+        np.testing.assert_array_equal(model.weights, expected.weights)
+        assert model.bias == expected.bias
+
+    def test_other_kernels_take_the_kernel_solver_with_sample_ids(self):
+        rng = np.random.default_rng(14)
+        X, y = random_binary_dataset(rng, 30, 3)
+        spec = KernelSpec("rbf", 0.5)
+        ids = np.arange(100, 130)
+        model = train_svm(X, y, spec, SvmConfig(), ids)
+        expected = train_kernel_svm(X, y, spec, SvmConfig(), sample_ids=ids)
+        assert isinstance(model, KernelSvmModel)
+        for part in ("support_vectors", "dual_coefficients", "sv_ids"):
+            np.testing.assert_array_equal(getattr(model, part), getattr(expected, part))
+        assert model.bias == expected.bias
+        np.testing.assert_array_equal(train_svm(X, y, spec, SvmConfig()).sv_ids,
+                                      expected.sv_ids - 100)
 
 
 class TestDecisionAndPredict:

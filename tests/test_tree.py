@@ -42,7 +42,8 @@ class TestEntropySplit:
         split = entropy_split(X, labels, w, 4)
         assert split.feature_index == 2
         assert split.objective == pytest.approx(LN2, abs=1e-12)
-        np.testing.assert_allclose(np.sort(split.left_histogram)[-2:], [0.5, 0.5], atol=1e-12)
+        left_share = split.left_masses / split.left_masses.sum()
+        np.testing.assert_allclose(np.sort(left_share)[-2:], [0.5, 0.5], atol=1e-12)
         oracle = brute_force_entropy_split(X, labels, w, 4)
         assert split.objective == pytest.approx(oracle[0], abs=1e-12)
         assert (split.feature_index, split.threshold) == (oracle[1], oracle[2])
@@ -86,13 +87,15 @@ class TestEntropySplit:
         assert split.objective == pytest.approx(oracle[0], abs=1e-12)
         assert (split.feature_index, split.threshold) == (oracle[1], oracle[2])
 
-    def test_masses_and_histograms_consistent(self):
+    def test_side_masses_match_the_split(self):
         rng = np.random.default_rng(23)
         X, labels, w = random_weighted_multiclass(rng, 40, 3, 3)
         split = entropy_split(X, labels, w, 3)
-        assert split.left_mass + split.right_mass == pytest.approx(1.0, abs=1e-12)
-        assert split.left_histogram.sum() == pytest.approx(1.0, abs=1e-12)
-        assert split.right_histogram.sum() == pytest.approx(1.0, abs=1e-12)
+        left = X[:, split.feature_index] < split.threshold
+        np.testing.assert_array_equal(split.left_masses, np.bincount(labels[left], w[left], 3))
+        np.testing.assert_array_equal(split.right_masses,
+                                      np.bincount(labels[~left], w[~left], 3))
+        assert split.left_masses.sum() + split.right_masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBinarize:
@@ -100,21 +103,17 @@ class TestBinarize:
         return entropy_split(X, labels, w, k)
 
     def test_mass_comparison_rule(self):
-        # class 0: 0.3 left / 0.1 right -> -1; class 1 opposite -> +1
-        X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]])
+        # class 0: 0.3 left / 0.1 right -> -1; class 1: 0.1 left / 0.5 right -> +1
         labels = np.array([0, 0, 1, 0, 1, 1])
-        w = np.array([0.15, 0.15, 0.1, 0.1, 0.2, 0.3])
-        split = EntropySplit(0, 0.5, 0.4, 0.6, None, None, 0.0)
-        signs, mapping = binarize_labels(X, labels, w, split, 2)
+        split = EntropySplit(0, 0.5, np.array([0.3, 0.1]), np.array([0.1, 0.5]))
+        signs, mapping = binarize_labels(labels, split)
         assert mapping == {0: -1, 1: 1}
         np.testing.assert_array_equal(signs, [-1, -1, 1, -1, 1, 1])
 
     def test_equal_masses_tie_goes_negative(self):
-        X = np.array([[0.0], [1.0], [0.0], [1.0]])
         labels = np.array([0, 0, 1, 1])
-        w = np.full(4, 0.25)
-        split = EntropySplit(0, 0.5, 0.5, 0.5, None, None, 0.0)
-        signs, mapping = binarize_labels(X, labels, w, split, 2)
+        split = EntropySplit(0, 0.5, np.array([0.25, 0.25]), np.array([0.25, 0.25]))
+        signs, mapping = binarize_labels(labels, split)
         # class 0 ties 0.25/0.25 -> -1; class 1 ties too, but a two-class
         # node must stay a relabeling, so the other class takes +1
         assert sorted(mapping.values()) == [-1, 1]
@@ -126,7 +125,7 @@ class TestBinarize:
             split = entropy_split(X, labels, w, 2)
             if split is None:
                 continue
-            _, mapping = binarize_labels(X, labels, w, split, 2)
+            _, mapping = binarize_labels(labels, split)
             assert sorted(mapping.values()) == [-1, 1]
 
 
@@ -230,6 +229,22 @@ def _forge_one_sided_root(monkeypatch, emptied):
     return forged
 
 
+def _record_budget_depths(monkeypatch):
+    """Record the depth budget build_phase1 had spent when it made each node,
+    spliced levels included; returns the dict it fills, keyed by node id."""
+    real = tree_module.build_phase1
+    depths = {}
+
+    def recording(data, config, depth=1, *rest):
+        node = real(data, config, depth, *rest)
+        # a splice returns its child's node: the innermost call records first
+        depths.setdefault(node.node_id, depth)
+        return node
+
+    monkeypatch.setattr(tree_module, "build_phase1", recording)
+    return depths
+
+
 class TestBuildPhase1:
     def test_single_class_makes_root_leaf(self):
         data = generate_gaussian_blobs(2, 10, 2, 0.1, seed=1)
@@ -262,12 +277,13 @@ class TestBuildPhase1:
             d2 = ((means - data.features[i]) ** 2).sum(axis=1)
             assert predict(tree, data.features[i])[0] == int(np.argmin(d2))
 
-    def test_depth_limit_bounds_levels_and_node_count(self):
+    def test_depth_limit_bounds_levels_and_node_count(self, monkeypatch):
         data = generate_gaussian_blobs(8, 40, 4, 1.5, seed=2)
         cfg = AtreeConfig(delta=0.7, max_depth=4, boost=BoostConfig(max_rounds=10))
+        depths = _record_budget_depths(monkeypatch)
         tree = train_atree(data, cfg)
         nodes = list(iter_nodes(tree.root))
-        assert max(n.depth for n in nodes) <= 4
+        assert max(depths[n.node_id] for n in nodes) <= 4
         assert len(nodes) <= 2 ** 4 - 1
 
     def test_every_internal_node_has_two_children_and_leaves_reachable(self):
@@ -317,6 +333,7 @@ class TestBuildPhase1:
     def test_one_sided_node_is_spliced_out(self, monkeypatch, emptied, taken):
         data, cfg = SPLICE_DATA, SPLICE_CONFIG
         forged = _forge_one_sided_root(monkeypatch, emptied)
+        depths = _record_budget_depths(monkeypatch)
         root = build_phase1(data, cfg)
         monkeypatch.undo()
         part = forged[0]
@@ -325,11 +342,11 @@ class TestBuildPhase1:
         ids, weights = getattr(part, f"{taken}_ids"), getattr(part, f"{taken}_weights")
         # the root is the taken child, built from the same samples one level down
         expected = build_phase1(data, cfg, depth=2, ids=ids, weights=weights)
-        assert isinstance(root, InternalNode) and root.depth == 2
+        assert isinstance(root, InternalNode) and depths[root.node_id] == 2
         assert root.n_training == len(ids)
 
         def text(r):
-            return serialize(Atree(r, cfg, data.label_names, 4, 3, 4))
+            return serialize(Atree(r, cfg, data.label_names, 3))
 
         assert text(root) == text(expected)
 
@@ -396,22 +413,22 @@ class TestPhase2:
         data = generate_gaussian_blobs(3, 20, 2, 0.5, seed=11)
         cfg = AtreeConfig(delta=0.6, max_depth=3)
         root = build_phase1(data, cfg)
-        tree = Atree(root, cfg, data.label_names, 3, 2, 3)
+        tree = Atree(root, cfg, data.label_names, 2)
         if isinstance(root, InternalNode):
             with pytest.raises(ValidationError):
                 predict(tree, data.features[0])
 
 
-def _leaf(node_id, depth, label):
-    return LeafNode(node_id, depth, label, 1.0, 1)
+def _leaf(node_id, label):
+    return LeafNode(node_id, label, 1.0, 1)
 
 
-def _manual_internal(node_id, depth, left, right, bias):
-    split = EntropySplit(0, 0.0, 0.5, 0.5, np.array([0.5, 0.5]), np.array([0.5, 0.5]), LN2)
+def _manual_internal(node_id, left, right, bias):
+    split = EntropySplit(0, 0.0, np.array([0.25, 0.25]), np.array([0.25, 0.25]))
     boost = BoostedClassifier(rounds=[(1.0, DecisionStump(0, 0.0, 1))], round_errors=[0.2])
-    return InternalNode(node_id=node_id, depth=depth, split=split, boost=boost,
+    return InternalNode(node_id=node_id, split=split, boost=boost,
                         pos_classes=[1], neg_classes=[0],
-                        binary_distribution=(0.5, 0.5), class_to_sign={0: -1, 1: 1},
+                        binary_distribution=(0.5, 0.5),
                         n_training=2, left=left, right=right,
                         svm=LinearSvmModel(np.array([0.0]), bias))
 
@@ -422,22 +439,22 @@ FINITE_CHECK_TREE = train_atree(generate_gaussian_blobs(3, 15, 3, 0.5, seed=4),
 
 class TestPredict:
     def test_positive_decision_takes_right_leaf(self):
-        root = _manual_internal(0, 1, _leaf(1, 2, 0), _leaf(2, 2, 1), bias=0.3)
-        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 2)
+        root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.3)
+        tree = Atree(root, AtreeConfig(), [0, 1], 1)
         label, trace = predict(tree, np.array([0.0]))
         assert label == 1
         assert trace == [(0, 0.3)]
 
     def test_zero_decision_routes_right(self):
-        root = _manual_internal(0, 1, _leaf(1, 2, 0), _leaf(2, 2, 1), bias=0.0)
-        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 2)
+        root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
+        tree = Atree(root, AtreeConfig(), [0, 1], 1)
         assert predict(tree, np.array([0.0]))[0] == 1
 
     def test_imbalanced_tree_trace_lengths(self):
-        deep = _manual_internal(2, 3, _leaf(3, 4, 0), _leaf(4, 4, 1), bias=1.0)
-        mid = _manual_internal(1, 2, deep, _leaf(5, 3, 1), bias=-1.0)
-        root = _manual_internal(0, 1, mid, _leaf(6, 2, 1), bias=0.0)
-        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 4)
+        deep = _manual_internal(2, _leaf(3, 0), _leaf(4, 1), bias=1.0)
+        mid = _manual_internal(1, deep, _leaf(5, 1), bias=-1.0)
+        root = _manual_internal(0, mid, _leaf(6, 1), bias=0.0)
+        tree = Atree(root, AtreeConfig(), [0, 1], 1)
         # bias 0 -> right: one evaluation to a depth-2 leaf
         label, short_trace = predict(tree, np.array([0.0]))
         assert len(short_trace) == 1
@@ -447,8 +464,8 @@ class TestPredict:
         assert len(long_trace) == 3
 
     def test_dimension_mismatch_rejected(self):
-        root = _manual_internal(0, 1, _leaf(1, 2, 0), _leaf(2, 2, 1), bias=0.0)
-        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 2)
+        root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
+        tree = Atree(root, AtreeConfig(), [0, 1], 1)
         with pytest.raises(ValidationError):
             predict(tree, np.array([0.0, 1.0]))
 
@@ -469,11 +486,11 @@ class TestPredict:
 
 class TestRoute:
     def test_groups_rows_by_leaf_across_levels(self):
-        deep = _manual_internal(1, 2, _leaf(2, 3, 0), _leaf(3, 3, 1), bias=0.0)
+        deep = _manual_internal(1, _leaf(2, 0), _leaf(3, 1), bias=0.0)
         deep.svm = LinearSvmModel(np.array([1.0]), -1.0)
-        root = _manual_internal(0, 1, _leaf(4, 2, 0), deep, bias=0.0)
+        root = _manual_internal(0, _leaf(4, 0), deep, bias=0.0)
         root.svm = LinearSvmModel(np.array([1.0]), 0.0)
-        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 3)
+        tree = Atree(root, AtreeConfig(), [0, 1], 1)
         X = np.array([[-1.0], [2.0], [0.5], [3.0]])
         groups = {g.leaf.node_id: g for g in route(tree, X)}
         assert sorted(groups) == [2, 3, 4]
@@ -491,8 +508,8 @@ class TestRoute:
                 assert trace == list(zip([n.node_id for n in g.nodes], values))
 
     def test_dimension_mismatch_rejected(self):
-        root = _manual_internal(0, 1, _leaf(1, 2, 0), _leaf(2, 2, 1), bias=0.0)
-        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 2)
+        root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
+        tree = Atree(root, AtreeConfig(), [0, 1], 1)
         with pytest.raises(ValidationError):
             route(tree, np.zeros((3, 2)))
         with pytest.raises(ValidationError):
@@ -509,9 +526,9 @@ class TestRoute:
         assert route(tree, np.full((2, tree.dimension), 1e200))
 
     def test_phase1_only_tree_cannot_route(self):
-        root = _manual_internal(0, 1, _leaf(1, 2, 0), _leaf(2, 2, 1), bias=0.0)
+        root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
         root.svm = None
-        tree = Atree(root, AtreeConfig(), [0, 1], 2, 1, 2)
+        tree = Atree(root, AtreeConfig(), [0, 1], 1)
         with pytest.raises(ValidationError):
             route(tree, np.zeros((2, 1)))
 
@@ -520,7 +537,7 @@ class TestNodeCost:
     def _node_with(self, n_sv, n_pos, n_neg):
         model = KernelSvmModel(np.zeros((n_sv, 1)), np.ones(n_sv), 0.0,
                                KernelSpec("rbf", 1.0), np.arange(n_sv))
-        node = _manual_internal(0, 1, _leaf(1, 2, 0), _leaf(2, 2, 1), bias=0.0)
+        node = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
         node.svm = model
         node.pos_classes = list(range(n_pos))
         node.neg_classes = list(range(n_neg))
@@ -632,6 +649,22 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="once"):
             deserialize(json.dumps(doc))
 
+    def test_kernel_node_needs_one_coefficient_per_sv_id(self):
+        doc = self._doc(1)
+        node = next(n for n in doc["nodes"] if "split" in n)
+        node["svm"]["dual_coefficients"].pop()
+        with pytest.raises(SchemaError, match="coefficient per sv_id"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_linear_node_weights_must_be_dimension_wide(self, change):
+        doc = self._doc(0)
+        node = next(n for n in doc["nodes"] if "split" in n)
+        weights = node["svm"]["weights"]
+        node["svm"]["weights"] = weights[:-1] if change < 0 else weights + [0.0]
+        with pytest.raises(SchemaError, match="wide"):
+            deserialize(json.dumps(doc))
+
     def test_table_row_must_be_dimension_wide(self):
         doc = self._doc(1)
         doc["support_vectors"][-1][1].append(0.0)
@@ -664,6 +697,10 @@ class TestSerialization:
         for node in doc["nodes"]:
             if "split" in node:
                 assert set(node["svm"]) == {"sv_ids", "dual_coefficients", "bias"}
+                assert set(node["split"]) == {"feature_index", "threshold",
+                                              "left_masses", "right_masses"}
+            assert not {"depth", "class_to_sign"} & set(node)
+            assert "pure" not in node.get("boost", {})
 
     def test_config_survives_round_trip(self):
         tree, _ = self._random_tree(3)
@@ -731,9 +768,10 @@ class TestDotExport:
 
     def test_spliced_tree_counts_levels_on_root_paths(self, monkeypatch):
         _forge_one_sided_root(monkeypatch, "left_only_ids")
+        depths = _record_budget_depths(monkeypatch)
         tree = train_atree(SPLICE_DATA, SPLICE_CONFIG)
         monkeypatch.undo()
-        assert tree.root.depth == 2
+        assert depths[tree.root.node_id] == 2
 
         def levels(node, level=1):
             yield node.node_id, level
@@ -742,8 +780,8 @@ class TestDotExport:
                 yield from levels(node.right, level + 1)
 
         level_of = dict(levels(tree.root))
-        # the spliced root level still counts toward the budget in node.depth
-        assert max(n.depth for n in iter_nodes(tree.root)) == 4
+        # the spliced root level still counts toward the depth budget
+        assert max(depths.values()) == 4
         assert tree.depth == max(level_of.values()) == 3
         assert deserialize(serialize(tree)).depth == 3
         for k in (1, 2, 3):
