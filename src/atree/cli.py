@@ -168,9 +168,14 @@ def _training_log_lines(tree, include_timestamp):
             f"{node.binary_distribution[1]:.6f}) "
             f"eps={eps} bound={bound} exited_early={boost.exited_early} {svm_desc}")
     lines.append(f"tree: nodes={len(levels)} depth={tree.depth}")
+    # a model read back from a file carries no solver record
     solves = [n.svm.convergence for n in tr.iter_nodes(tree.root)
               if isinstance(n, tr.InternalNode)]
-    lines.append(f"svm: converged={sum(r.converged for r in solves)}/{len(solves)}")
+    records = [r for r in solves if r is not None]
+    line = f"svm: converged={sum(r.converged for r in records)}/{len(records)}"
+    if len(records) < len(solves):
+        line += f" ({len(solves) - len(records)} without record)"
+    lines.append(line)
     return lines
 
 

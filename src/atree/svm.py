@@ -77,10 +77,33 @@ def _chunked(A, B, kernel_rows):
     return out
 
 
-def kernel_matrix(spec, A, B):
-    """Gram block k(a_i, b_j) with shape (len(A), len(B)). Row i depends on
-    A[i] alone, so a row is bit-identical whether A holds one instance or
-    many."""
+def squared_norms(A):
+    """|a_i|^2 for every row of the 2-d array A, in the expression the rbf
+    kernel uses. A row's value depends on that row alone."""
+    return (A * A).sum(axis=1)
+
+
+def _norms_of(A, norms):
+    """squared_norms(A), or the given norms once their shape fits A."""
+    if norms is None:
+        return squared_norms(A)
+    if np.shape(norms) != (len(A),):
+        raise ValidationError("precomputed norms must have one entry per row")
+    return norms
+
+
+def kernel_matrix(spec, A, B, a_norms=None, b_norms=None):
+    """Gram block k(a_i, b_j) with shape (len(A), len(B)).
+
+    Rows are independent: row i depends on A[i] alone, so a row is
+    bit-identical whether A holds one instance or many. Columns are not: the
+    cross products come from one BLAS product over all of B, so an entry's
+    bits can depend on its column's position among B's rows.
+
+    a_norms and b_norms optionally give squared_norms(A) and squared_norms(B)
+    for the rbf kernel, computed beforehand; entries are bit-identical with
+    and without them. Other kernels ignore them.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
@@ -91,7 +114,7 @@ def kernel_matrix(spec, A, B):
         # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)), computed in place
         cross = _cross(A, B)
         cross *= 2.0
-        d2 = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :]
+        d2 = _norms_of(A, a_norms)[:, None] + _norms_of(B, b_norms)[None, :]
         d2 -= cross
         np.maximum(d2, 0.0, out=d2)
         d2 *= -spec.gamma
@@ -171,7 +194,8 @@ class KernelSvmModel:
     the training samples retained as support vectors, unique across every
     model trained from the same dataset so union-based accounting can share a
     cache. convergence is the solver's record; a model read back from JSON
-    has none.
+    has none. sv_norms holds squared_norms of the support vectors, derived
+    once when the model is built; it is never serialized.
     """
 
     support_vectors: np.ndarray
@@ -180,6 +204,11 @@ class KernelSvmModel:
     kernel: KernelSpec
     sv_ids: np.ndarray
     convergence: SolverRecord | None = field(default=None, compare=False)
+    sv_norms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        S = np.atleast_2d(np.asarray(self.support_vectors, dtype=np.float64))
+        object.__setattr__(self, "sv_norms", squared_norms(S))
 
     @property
     def n_support(self):
@@ -373,11 +402,14 @@ def kernel_computations(models):
     return len(np.unique(ids)), len(ids)
 
 
-def decision_values_batch(model, X):
+def decision_values_batch(model, X, x_norms=None):
     """f(x) for either model type over the rows of X. A single instance of
     shape (d,) gives a scalar, an (n, d) batch gives n values. Each value
     depends on its own row alone, so it is bit-identical to the value of
-    that row evaluated by itself."""
+    that row evaluated by itself. x_norms optionally gives the rows'
+    squared_norms (shape (1,) for a single instance), which a kernel model
+    passes on to kernel_matrix with its own sv_norms; the values do not
+    change."""
     X = np.asarray(X, dtype=np.float64)
     if isinstance(model, LinearSvmModel):
         if X.shape[-1] != model.weights.shape[0]:
@@ -385,7 +417,8 @@ def decision_values_batch(model, X):
         return np.vecdot(X, model.weights) + model.bias
     if X.shape[-1] != model.support_vectors.shape[1]:
         raise ValidationError("dimension mismatch")
-    k = np.vecdot(kernel_matrix(model.kernel, X, model.support_vectors),
+    k = np.vecdot(kernel_matrix(model.kernel, X, model.support_vectors,
+                                x_norms, model.sv_norms),
                   model.dual_coefficients)
     return k.reshape(X.shape[:-1]) + model.bias
 

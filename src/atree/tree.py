@@ -30,8 +30,8 @@ from .boosting import (BoostConfig, BoostedClassifier, DecisionStump,
 from .dataset import Dataset
 from .errors import SchemaError, ValidationError
 from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
-                  decision_values_batch, predict as svm_predict, train_svm,
-                  truncate_svs)
+                  decision_values_batch, predict as svm_predict, squared_norms,
+                  train_svm, truncate_svs)
 
 MODEL_SCHEMA_VERSION = 4
 
@@ -449,17 +449,19 @@ def _require_finite(v):
 def predict(tree, x):
     """Traverse from the root, routing right when the node decision value is
     nonnegative. Returns (class id, trace); the trace lists every evaluated
-    node as (node_id, decision value)."""
+    node as (node_id, decision value). An rbf tree computes the instance's
+    squared norm once for the whole path."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
     _require_finite(x)
+    x_norm = squared_norms(x[None, :]) if tree.config.kernel.kind == "rbf" else None
     trace = []
     node = tree.root
     while isinstance(node, InternalNode):
         if node.svm is None:
             raise ValidationError("phase two has not been attached to this tree")
-        dv = decision_values_batch(node.svm, x)
+        dv = decision_values_batch(node.svm, x, x_norm)
         trace.append((node.node_id, dv))
         node = node.right if dv >= 0 else node.left
     return node.label, trace
@@ -482,12 +484,15 @@ def route(tree, X):
     """Traverse every row of X at once, level by level: each node evaluates
     its classifier once, over the rows that reach it, and routes them right
     where the decision value is nonnegative. Labels, paths and decision
-    values are bit-identical to predict() on each row. Returns one PathGroup
-    per reached leaf."""
+    values are bit-identical to predict() on each row. An rbf tree computes
+    the rows' squared norms once, from a row-major copy whose rows are laid
+    out as X[rows] lays them out. Returns one PathGroup per reached leaf."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.dimension:
         raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
     _require_finite(X.reshape(-1))
+    norms = (squared_norms(np.ascontiguousarray(X))
+             if tree.config.kernel.kind == "rbf" else None)
     groups = []
     level = [(tree.root, np.arange(len(X)), [], np.empty((len(X), 0)))]
     while level:
@@ -498,7 +503,8 @@ def route(tree, X):
             elif node.svm is None:
                 raise ValidationError("phase two has not been attached to this tree")
             else:
-                dv = decision_values_batch(node.svm, X[rows])
+                dv = decision_values_batch(node.svm, X[rows],
+                                           None if norms is None else norms[rows])
                 right = dv >= 0
                 for child, sel in ((node.left, ~right), (node.right, right)):
                     if sel.any():

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
-from atree.cli import RunConfig, main
-from atree.dataset import load_csv
-from atree.tree import InternalNode, iter_nodes, load, predict, train_atree
+from atree.boosting import BoostConfig
+from atree.cli import RunConfig, _training_log_lines, main
+from atree.dataset import generate_gaussian_blobs, load_csv
+from atree.svm import KernelSpec
+from atree.tree import (AtreeConfig, InternalNode, deserialize, iter_nodes, load, predict,
+                        serialize, train_atree)
 
 
 def run(*argv):
@@ -102,6 +105,20 @@ class TestTrain:
         # records stay out of the model file
         assert all(n.svm.convergence is None for n in iter_nodes(load(model).root)
                    if isinstance(n, InternalNode))
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda k: k.kind)
+    def test_log_of_a_reloaded_tree_counts_solves_without_record(self, kernel):
+        data = generate_gaussian_blobs(4, 20, 3, 0.8, seed=5)
+        tree = train_atree(data, AtreeConfig(max_depth=4, kernel=kernel,
+                                             boost=BoostConfig(max_rounds=5)))
+        fresh = _training_log_lines(tree, include_timestamp=False)
+        solves = sum(isinstance(n, InternalNode) for n in iter_nodes(tree.root))
+        assert solves > 0
+        assert "without record" not in fresh[-1]
+        loaded = _training_log_lines(deserialize(serialize(tree)), include_timestamp=False)
+        assert loaded[:-1] == fresh[:-1]
+        assert loaded[-1] == f"svm: converged=0/0 ({solves} without record)"
 
     def test_timestamp_line_present_by_default(self, blob_csvs, tmp_path):
         train, _ = blob_csvs

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from atree.errors import ValidationError
 from atree.svm import (KERNEL_KINDS, KernelSpec, KernelSvmModel, LinearSvmModel,
                        SvmConfig, decision_values_batch, kernel_computations,
-                       kernel_matrix, predict, train_kernel_svm,
+                       kernel_matrix, predict, squared_norms, train_kernel_svm,
                        train_linear_svm, train_svm, truncate_svs)
 from oracles import (grid_min_linear_svm_1d, random_binary_dataset,
                      reference_linear_svm)
@@ -352,6 +352,47 @@ class TestDecisionAndPredict:
                                    float(rng.normal()), KernelSpec(kind, gamma), np.arange(n_sv))
         np.testing.assert_array_equal(decision_values_batch(model, X[rows]),
                                       decision_values_batch(model, X)[rows])
+
+
+class TestCachedNorms:
+    """Squared norms computed once give every value computed without them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(KERNEL_KINDS), seed=st.integers(0, 2**32 - 1),
+           n_sv=st.integers(1, 40), n_rows=st.integers(1, 30), d=st.integers(1, 40),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_values_bit_identical_to_uncached_kernel_matrix(self, kind, seed, n_sv,
+                                                            n_rows, d, scale):
+        rng = np.random.default_rng(seed)
+        S = rng.uniform(0.0, 2.0, size=(n_sv, d)) * scale
+        X = rng.uniform(0.0, 2.0, size=(n_rows, d)) * scale
+        # rows equal to a support vector put d2 at the max(., 0) clamp
+        X[::3] = S[rng.integers(0, n_sv, size=len(X[::3]))]
+        spec = KernelSpec(kind, 0.6 / scale ** 2 if kind in ("rbf", "chi_square") else None)
+        model = KernelSvmModel(S, rng.normal(size=n_sv), float(rng.normal()), spec,
+                               np.arange(n_sv))
+        assert model.sv_norms.tobytes() == squared_norms(S.copy()).tobytes()
+        expected = np.vecdot(kernel_matrix(spec, X, S), model.dual_coefficients) + model.bias
+        assert decision_values_batch(model, X).tobytes() == expected.tobytes()
+        norms = squared_norms(X)
+        assert decision_values_batch(model, X, norms).tobytes() == expected.tobytes()
+        rows = rng.permutation(n_rows)[:max(1, n_rows // 2)]
+        assert (decision_values_batch(model, X[rows], norms[rows]).tobytes()
+                == expected[rows].tobytes())
+        for x, value in zip(X, expected):
+            single = decision_values_batch(model, x, squared_norms(x[None, :]))
+            assert np.float64(single).tobytes() == value.tobytes()
+        cut = truncate_svs(model, max(1, n_sv // 2))
+        assert cut.sv_norms.tobytes() == squared_norms(cut.support_vectors).tobytes()
+
+    def test_norms_of_the_wrong_shape_rejected(self):
+        model = _toy_kernel_model(np.arange(5))
+        X = np.random.default_rng(3).uniform(size=(4, 2))
+        for norms in (squared_norms(X)[:1], squared_norms(X)[:, None]):
+            with pytest.raises(ValidationError, match="one entry per row"):
+                decision_values_batch(model, X, norms)
+        with pytest.raises(ValidationError, match="one entry per row"):
+            kernel_matrix(model.kernel, X, model.support_vectors, b_norms=model.sv_norms[1:])
 
 
 def _toy_kernel_model(sv_ids, dim=2):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from atree.boosting import BoostConfig, BoostedClassifier, DecisionStump, adaboost_train
-from atree.dataset import generate_gaussian_blobs, generate_two_cluster_2d
+from atree.dataset import Dataset, generate_gaussian_blobs, generate_two_cluster_2d
 from atree.errors import SchemaError, ValidationError
-from atree.svm import KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig
+from atree.svm import KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig, squared_norms
 from atree import cli
+from atree import svm as svm_module
 from atree import tree as tree_module
 from atree.tree import (MODEL_SCHEMA_VERSION, Atree, AtreeConfig, EntropySplit,
                         InternalNode, LeafNode, attach_svms_phase2, binarize_labels,
@@ -463,6 +464,29 @@ class TestPredict:
         label, long_trace = predict(tree, np.array([0.0]))
         assert len(long_trace) == 3
 
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda k: k.kind)
+    def test_traversal_computes_squared_norms_once_per_call(self, monkeypatch, kernel):
+        data = generate_gaussian_blobs(3, 15, 3, 0.5, seed=4)
+        tree = train_atree(data, AtreeConfig(max_depth=3, kernel=kernel,
+                                             boost=BoostConfig(max_rounds=5)))
+        assert any(isinstance(n, InternalNode) for n in iter_nodes(tree.root))
+        calls = []
+
+        def counted(A):
+            calls.append(len(A))
+            return squared_norms(A)
+
+        # kernel_matrix reaches the norms through its module, traversal through tree's
+        monkeypatch.setattr(svm_module, "squared_norms", counted)
+        monkeypatch.setattr(tree_module, "squared_norms", counted)
+        rbf = kernel.kind == "rbf"
+        predict(tree, data.features[0])
+        assert calls == ([1] if rbf else [])
+        calls.clear()
+        route(tree, data.features)
+        assert calls == ([len(data)] if rbf else [])
+
     def test_dimension_mismatch_rejected(self):
         root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
         tree = Atree(root, AtreeConfig(), [0, 1], 1)
@@ -506,6 +530,15 @@ class TestRoute:
                 label, trace = predict(tree, X[row])
                 assert label == g.leaf.label
                 assert trace == list(zip([n.node_id for n in g.nodes], values))
+
+    def test_column_major_input_routes_like_row_major(self):
+        # wide rows: a row's squared norm summed along a column-major layout
+        # would differ in the last bits from the same row summed on its own
+        data = generate_gaussian_blobs(3, 15, 40, 1.0, seed=8)
+        tree = train_atree(data, AtreeConfig(max_depth=3, kernel=KernelSpec("rbf", 0.05),
+                                             boost=BoostConfig(max_rounds=5)))
+        X = data.features + np.random.default_rng(8).normal(size=data.features.shape)
+        _check_routes_predicts_and_round_trips(tree, np.asfortranarray(X))
 
     def test_dimension_mismatch_rejected(self):
         root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
@@ -711,6 +744,30 @@ class TestSerialization:
         assert clone.num_classes == tree.num_classes
 
 
+def _check_routes_predicts_and_round_trips(tree, X):
+    """route equals predict on every row of X bit for bit, for the trained
+    tree and its serialize round trip, whose kernel models hold freshly
+    derived squared norms."""
+    text = serialize(tree)
+    clone = deserialize(text)
+    assert serialize(clone) == text
+    for node in iter_nodes(clone.root):
+        if isinstance(node, InternalNode) and isinstance(node.svm, KernelSvmModel):
+            assert node.svm.sv_norms.tobytes() == squared_norms(
+                node.svm.support_vectors).tobytes()
+    groups = route(tree, X)
+    assert np.array_equal(np.sort(np.concatenate([g.rows for g in groups])),
+                          np.arange(len(X)))
+    for g in groups:
+        ids = [n.node_id for n in g.nodes]
+        for row, values in zip(g.rows, g.values):
+            label, trace = predict(tree, X[row])
+            assert label == g.leaf.label
+            assert [(i, np.float64(v).tobytes()) for i, v in trace] == [
+                (i, v.tobytes()) for i, v in zip(ids, values)]
+            assert predict(clone, X[row]) == (label, trace)
+
+
 class TestTrainedTreeProperties:
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(2, 5), per_class=st.integers(3, 15), d=st.integers(1, 4),
@@ -730,19 +787,23 @@ class TestTrainedTreeProperties:
                 assert node.svm is not None
         X = np.vstack([data.features, data.features[::-1]
                        + np.random.default_rng(seed).normal(size=data.features.shape)])
-        text = serialize(tree)
-        clone = deserialize(text)
-        assert serialize(clone) == text
-        groups = route(tree, X)
-        assert np.array_equal(np.sort(np.concatenate([g.rows for g in groups])),
-                              np.arange(len(X)))
-        for g in groups:
-            ids = [n.node_id for n in g.nodes]
-            for row, values in zip(g.rows, g.values):
-                label, trace = predict(tree, X[row])
-                assert label == g.leaf.label
-                assert trace == list(zip(ids, values))
-                assert predict(clone, X[row]) == (label, trace)
+        _check_routes_predicts_and_round_trips(tree, X)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(2, 5), per_class=st.integers(3, 15), d=st.integers(1, 4),
+           spread=st.floats(0.1, 2.0), seed=st.integers(0, 2 ** 16),
+           delta=st.floats(0.5, 0.99), max_depth=st.integers(1, 6),
+           kernel=st.sampled_from([KernelSpec("chi_square", 0.5),
+                                   KernelSpec("histogram_intersection")]))
+    def test_nonnegative_kernel_tree_routes_predicts_and_round_trips_exactly(
+            self, k, per_class, d, spread, seed, delta, max_depth, kernel):
+        blobs = generate_gaussian_blobs(k, per_class, d, spread, seed=seed)
+        data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
+        tree = train_atree(data, AtreeConfig(delta=delta, max_depth=max_depth, kernel=kernel,
+                                             boost=BoostConfig(max_rounds=5)))
+        X = np.vstack([data.features, np.abs(
+            data.features[::-1] + np.random.default_rng(seed).normal(size=data.features.shape))])
+        _check_routes_predicts_and_round_trips(tree, X)
 
 
 class TestDotExport:
