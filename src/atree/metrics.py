@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .svm import LinearSvmModel, kernel_computations, kernel_matrix, train_svm
+from .svm import (LinearSvmModel, kernel_computations, kernel_matrix,
+                  support_vector_table, train_svm)
 from .tree import route as route_tree
 
 
@@ -128,20 +129,14 @@ def _flat_decision_values(models, X):
     """Decision values of every model on every row of X as a (models, rows)
     matrix. Linear models take one product with the stacked weights. Kernel
     models (one kernel, sv_ids from one training set) take one Gram block
-    over the union of their support vectors, times a (union, models) matrix
-    of dual coefficients: the kernel computations kernel_computations
-    charges, each done once."""
+    over their support_vector_table, times its (union, models) coefficients:
+    the kernel computations kernel_computations charges, each done once."""
     if isinstance(models[0], LinearSvmModel):
         weights = np.column_stack([m.weights for m in models])
         return (X @ weights).T + np.array([m.bias for m in models])[:, None]
-    ids = np.concatenate([m.sv_ids for m in models])
-    _, first, column = np.unique(ids, return_index=True, return_inverse=True)
-    coefficients = np.zeros((len(first), len(models)))
-    owner = np.repeat(np.arange(len(models)), [m.n_support for m in models])
-    coefficients[column, owner] = np.concatenate([m.dual_coefficients for m in models])
-    vectors = np.concatenate([m.support_vectors for m in models])[first]
-    gram = kernel_matrix(models[0].kernel, X, vectors)
-    return (gram @ coefficients).T + np.array([m.bias for m in models])[:, None]
+    table = support_vector_table(models)
+    gram = kernel_matrix(models[0].kernel, X, table.rows, b_norms=table.norms)
+    return (gram @ table.coefficients).T + np.array([m.bias for m in models])[:, None]
 
 
 def _evaluate_flat(model, data, method):

@@ -83,16 +83,7 @@ def squared_norms(A):
     return (A * A).sum(axis=1)
 
 
-def _norms_of(A, norms):
-    """squared_norms(A), or the given norms once their shape fits A."""
-    if norms is None:
-        return squared_norms(A)
-    if np.shape(norms) != (len(A),):
-        raise ValidationError("precomputed norms must have one entry per row")
-    return norms
-
-
-def kernel_matrix(spec, A, B, a_norms=None, b_norms=None):
+def kernel_matrix(spec, A, B, b_norms=None):
     """Gram block k(a_i, b_j) with shape (len(A), len(B)).
 
     Rows are independent: row i depends on A[i] alone, so a row is
@@ -100,9 +91,9 @@ def kernel_matrix(spec, A, B, a_norms=None, b_norms=None):
     cross products come from one BLAS product over all of B, so an entry's
     bits can depend on its column's position among B's rows.
 
-    a_norms and b_norms optionally give squared_norms(A) and squared_norms(B)
-    for the rbf kernel, computed beforehand; entries are bit-identical with
-    and without them. Other kernels ignore them.
+    b_norms optionally gives squared_norms(B) for the rbf kernel, computed
+    beforehand; entries are bit-identical with and without it. Other kernels
+    ignore it. A's norms are computed here, once per call.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
@@ -114,7 +105,11 @@ def kernel_matrix(spec, A, B, a_norms=None, b_norms=None):
         # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)), computed in place
         cross = _cross(A, B)
         cross *= 2.0
-        d2 = _norms_of(A, a_norms)[:, None] + _norms_of(B, b_norms)[None, :]
+        if b_norms is None:
+            b_norms = squared_norms(B)
+        elif np.shape(b_norms) != (len(B),):
+            raise ValidationError("precomputed norms must have one entry per row")
+        d2 = squared_norms(A)[:, None] + b_norms[None, :]
         d2 -= cross
         np.maximum(d2, 0.0, out=d2)
         d2 *= -spec.gamma
@@ -174,19 +169,20 @@ class SolverRecord:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSvmModel:
     """Hyperplane classifier; one evaluation costs O(d) regardless of data size.
 
     convergence is the solver's record; a model read back from JSON has none.
+    Models compare by identity: equal-valued arrays do not make equal models.
     """
 
     weights: np.ndarray
     bias: float
-    convergence: SolverRecord | None = field(default=None, compare=False)
+    convergence: SolverRecord | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSvmModel:
     """Dual model: f(x) = sum_i coeff_i * k(sv_i, x) + bias.
 
@@ -195,7 +191,8 @@ class KernelSvmModel:
     model trained from the same dataset so union-based accounting can share a
     cache. convergence is the solver's record; a model read back from JSON
     has none. sv_norms holds squared_norms of the support vectors, derived
-    once when the model is built; it is never serialized.
+    once when the model is built; it is never serialized. Models compare by
+    identity, as linear ones do.
     """
 
     support_vectors: np.ndarray
@@ -203,8 +200,8 @@ class KernelSvmModel:
     bias: float
     kernel: KernelSpec
     sv_ids: np.ndarray
-    convergence: SolverRecord | None = field(default=None, compare=False)
-    sv_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    convergence: SolverRecord | None = None
+    sv_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         S = np.atleast_2d(np.asarray(self.support_vectors, dtype=np.float64))
@@ -402,14 +399,41 @@ def kernel_computations(models):
     return len(np.unique(ids)), len(ids)
 
 
-def decision_values_batch(model, X, x_norms=None):
+@dataclass(frozen=True, eq=False)
+class SupportVectorTable:
+    """The distinct support vectors of kernel models that share one kernel
+    and one sv_id space, one row each, sorted by sv_id.
+
+    norms holds the rows' squared_norms. coefficients has one column per
+    model: column j holds model j's dual coefficient in the row of each of
+    its support vectors and 0 in every other row. A Gram block over the rows
+    times coefficients therefore gives every model's kernel sum from one
+    computation of each kernel value.
+    """
+
+    sv_ids: np.ndarray
+    rows: np.ndarray
+    norms: np.ndarray
+    coefficients: np.ndarray
+
+
+def support_vector_table(models):
+    """The SupportVectorTable of one or more kernel models."""
+    ids = np.concatenate([m.sv_ids for m in models])
+    sv_ids, first, row = np.unique(ids, return_index=True, return_inverse=True)
+    coefficients = np.zeros((len(sv_ids), len(models)))
+    owner = np.repeat(np.arange(len(models)), [m.n_support for m in models])
+    coefficients[row, owner] = np.concatenate([m.dual_coefficients for m in models])
+    rows = np.concatenate([m.support_vectors for m in models])[first]
+    return SupportVectorTable(sv_ids, rows, squared_norms(rows), coefficients)
+
+
+def decision_values_batch(model, X):
     """f(x) for either model type over the rows of X. A single instance of
     shape (d,) gives a scalar, an (n, d) batch gives n values. Each value
     depends on its own row alone, so it is bit-identical to the value of
-    that row evaluated by itself. x_norms optionally gives the rows'
-    squared_norms (shape (1,) for a single instance), which a kernel model
-    passes on to kernel_matrix with its own sv_norms; the values do not
-    change."""
+    that row evaluated by itself. A kernel model hands kernel_matrix its
+    own sv_norms."""
     X = np.asarray(X, dtype=np.float64)
     if isinstance(model, LinearSvmModel):
         if X.shape[-1] != model.weights.shape[0]:
@@ -418,7 +442,7 @@ def decision_values_batch(model, X, x_norms=None):
     if X.shape[-1] != model.support_vectors.shape[1]:
         raise ValidationError("dimension mismatch")
     k = np.vecdot(kernel_matrix(model.kernel, X, model.support_vectors,
-                                x_norms, model.sv_norms),
+                                b_norms=model.sv_norms),
                   model.dual_coefficients)
     return k.reshape(X.shape[:-1]) + model.bias
 

@@ -29,8 +29,8 @@ from .boosting import (BoostConfig, BoostedClassifier, DecisionStump,
                        _argmin_rescored, adaboost_train, prob_positive_batch)
 from .dataset import Dataset
 from .errors import SchemaError, ValidationError
-from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
-                  decision_values_batch, predict as svm_predict, squared_norms,
+from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SupportVectorTable,
+                  SvmConfig, kernel_matrix, predict as svm_predict, support_vector_table,
                   train_svm, truncate_svs)
 
 MODEL_SCHEMA_VERSION = 4
@@ -139,10 +139,30 @@ class InternalNode:
 
 @dataclass
 class Atree:
+    """A tree and what traversal derives from it once.
+
+    A tree with kernel classifiers holds one support_vector_table of their
+    models, sorted by sv_id as the model file stores it, and gives each
+    kernel node a dense row of its dual coefficients over the table's rows
+    (0 outside its own support vectors). A linear tree holds neither.
+    """
+
     root: object
     config: AtreeConfig
     label_names: list
     dimension: int
+    sv_table: SupportVectorTable | None = field(init=False, default=None, repr=False,
+                                                compare=False)
+    coefficient_rows: dict = field(init=False, default_factory=dict, repr=False,
+                                   compare=False)
+
+    def __post_init__(self):
+        nodes = [n for n in iter_nodes(self.root)
+                 if isinstance(getattr(n, "svm", None), KernelSvmModel)]
+        if nodes:
+            self.sv_table = support_vector_table([n.svm for n in nodes])
+            rows = np.ascontiguousarray(self.sv_table.coefficients.T)
+            self.coefficient_rows = {n.node_id: row for n, row in zip(nodes, rows)}
 
     @property
     def num_classes(self):
@@ -446,22 +466,41 @@ def _require_finite(v):
         raise ValidationError("features must be finite (no NaN or inf)")
 
 
+def _node_inputs(tree, X):
+    """What node classifiers read from the rows of X: the rows themselves
+    in a linear tree, their kernel values against the tree's sv_table in a
+    kernel tree, one block for the whole traversal."""
+    table = tree.sv_table
+    if table is None:
+        return X
+    return kernel_matrix(tree.config.kernel, X, table.rows, b_norms=table.norms)
+
+
+def _node_values(tree, node, rows):
+    """The node's decision values on rows of _node_inputs() (one row or a
+    batch). Each value depends on its own row alone."""
+    if node.svm is None:
+        raise ValidationError("phase two has not been attached to this tree")
+    weights = (node.svm.weights if tree.sv_table is None
+               else tree.coefficient_rows[node.node_id])
+    return np.vecdot(rows, weights) + node.svm.bias
+
+
 def predict(tree, x):
     """Traverse from the root, routing right when the node decision value is
     nonnegative. Returns (class id, trace); the trace lists every evaluated
-    node as (node_id, decision value). An rbf tree computes the instance's
-    squared norm once for the whole path."""
+    node as (node_id, decision value). A kernel tree computes the instance's
+    kernel values against its whole sv_table once, and every node on the
+    path reads its value from them."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
     _require_finite(x)
-    x_norm = squared_norms(x[None, :]) if tree.config.kernel.kind == "rbf" else None
+    row = _node_inputs(tree, x[None, :])[0]
     trace = []
     node = tree.root
     while isinstance(node, InternalNode):
-        if node.svm is None:
-            raise ValidationError("phase two has not been attached to this tree")
-        dv = decision_values_batch(node.svm, x, x_norm)
+        dv = _node_values(tree, node, row)
         trace.append((node.node_id, dv))
         node = node.right if dv >= 0 else node.left
     return node.label, trace
@@ -484,15 +523,15 @@ def route(tree, X):
     """Traverse every row of X at once, level by level: each node evaluates
     its classifier once, over the rows that reach it, and routes them right
     where the decision value is nonnegative. Labels, paths and decision
-    values are bit-identical to predict() on each row. An rbf tree computes
-    the rows' squared norms once, from a row-major copy whose rows are laid
-    out as X[rows] lays them out. Returns one PathGroup per reached leaf."""
+    values are bit-identical to predict() on each row. A kernel tree
+    computes one block of kernel values, every row against its whole
+    sv_table, from a row-major copy of X laid out as predict() lays out one
+    instance. Returns one PathGroup per reached leaf."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.dimension:
         raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
     _require_finite(X.reshape(-1))
-    norms = (squared_norms(np.ascontiguousarray(X))
-             if tree.config.kernel.kind == "rbf" else None)
+    inputs = _node_inputs(tree, np.ascontiguousarray(X))
     groups = []
     level = [(tree.root, np.arange(len(X)), [], np.empty((len(X), 0)))]
     while level:
@@ -500,11 +539,8 @@ def route(tree, X):
         for node, rows, path, values in level:
             if isinstance(node, LeafNode):
                 groups.append(PathGroup(node, path, rows, values))
-            elif node.svm is None:
-                raise ValidationError("phase two has not been attached to this tree")
             else:
-                dv = decision_values_batch(node.svm, X[rows],
-                                           None if norms is None else norms[rows])
+                dv = _node_values(tree, node, inputs[rows])
                 right = dv >= 0
                 for child, sel in ((node.left, ~right), (node.right, right)):
                     if sel.any():
@@ -543,18 +579,18 @@ def _node_to_doc(node):
 
 
 def serialize(tree):
-    """Lossless JSON text for a tree; floats keep full precision. Every
-    support vector is stored once, as an [sv_id, row] pair of a table sorted
-    by id, however many node classifiers keep it."""
+    """Lossless JSON text for a tree; floats keep full precision. The tree's
+    sv_table is stored as [sv_id, row] pairs sorted by id, so every support
+    vector appears once however many node classifiers keep it."""
     nodes = sorted(iter_nodes(tree.root), key=lambda n: n.node_id)
-    table = {sv_id: row for n in nodes if isinstance(getattr(n, "svm", None), KernelSvmModel)
-             for sv_id, row in zip(n.svm.sv_ids.tolist(), n.svm.support_vectors)}
+    table = tree.sv_table
     doc = {
         "version": MODEL_SCHEMA_VERSION,
         "config": asdict(tree.config),
         "label_names": tree.label_names,
         "dimension": tree.dimension,
-        "support_vectors": [[sv_id, table[sv_id]] for sv_id in sorted(table)],
+        "support_vectors": [] if table is None else [
+            [sv_id, row] for sv_id, row in zip(table.sv_ids.tolist(), table.rows)],
         "nodes": [_node_to_doc(n) for n in nodes],
     }
     return json.dumps(doc, default=np.ndarray.tolist)

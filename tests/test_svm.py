@@ -374,13 +374,10 @@ class TestCachedNorms:
         assert model.sv_norms.tobytes() == squared_norms(S.copy()).tobytes()
         expected = np.vecdot(kernel_matrix(spec, X, S), model.dual_coefficients) + model.bias
         assert decision_values_batch(model, X).tobytes() == expected.tobytes()
-        norms = squared_norms(X)
-        assert decision_values_batch(model, X, norms).tobytes() == expected.tobytes()
         rows = rng.permutation(n_rows)[:max(1, n_rows // 2)]
-        assert (decision_values_batch(model, X[rows], norms[rows]).tobytes()
-                == expected[rows].tobytes())
+        assert decision_values_batch(model, X[rows]).tobytes() == expected[rows].tobytes()
         for x, value in zip(X, expected):
-            single = decision_values_batch(model, x, squared_norms(x[None, :]))
+            single = decision_values_batch(model, x)
             assert np.float64(single).tobytes() == value.tobytes()
         cut = truncate_svs(model, max(1, n_sv // 2))
         assert cut.sv_norms.tobytes() == squared_norms(cut.support_vectors).tobytes()
@@ -388,11 +385,9 @@ class TestCachedNorms:
     def test_norms_of_the_wrong_shape_rejected(self):
         model = _toy_kernel_model(np.arange(5))
         X = np.random.default_rng(3).uniform(size=(4, 2))
-        for norms in (squared_norms(X)[:1], squared_norms(X)[:, None]):
+        for norms in (model.sv_norms[1:], model.sv_norms[:, None]):
             with pytest.raises(ValidationError, match="one entry per row"):
-                decision_values_batch(model, X, norms)
-        with pytest.raises(ValidationError, match="one entry per row"):
-            kernel_matrix(model.kernel, X, model.support_vectors, b_norms=model.sv_norms[1:])
+                kernel_matrix(model.kernel, X, model.support_vectors, b_norms=norms)
 
 
 def _toy_kernel_model(sv_ids, dim=2):
@@ -402,6 +397,20 @@ def _toy_kernel_model(sv_ids, dim=2):
         support_vectors=rng.uniform(0.1, 1.0, size=(len(sv_ids), dim)),
         dual_coefficients=rng.uniform(0.5, 1.0, size=len(sv_ids)),
         bias=0.0, kernel=KernelSpec("rbf", 1.0), sv_ids=sv_ids)
+
+
+class TestModelEquality:
+    def test_equal_models_compare_with_a_bool(self):
+        kernel = _toy_kernel_model(np.arange(5))
+        kernel_twin = KernelSvmModel(kernel.support_vectors.copy(),
+                                     kernel.dual_coefficients.copy(), kernel.bias,
+                                     kernel.kernel, kernel.sv_ids.copy())
+        linear = LinearSvmModel(np.arange(3.0), 0.5)
+        linear_twin = LinearSvmModel(np.arange(3.0), 0.5)
+        for model, twin in ((kernel, kernel_twin), (linear, linear_twin)):
+            assert (model == twin) is False
+            assert (model != twin) is True
+            assert (model == model) is True
 
 
 class TestKernelEvalCounter:

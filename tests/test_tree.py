@@ -477,15 +477,39 @@ class TestPredict:
             calls.append(len(A))
             return squared_norms(A)
 
-        # kernel_matrix reaches the norms through its module, traversal through tree's
         monkeypatch.setattr(svm_module, "squared_norms", counted)
-        monkeypatch.setattr(tree_module, "squared_norms", counted)
         rbf = kernel.kind == "rbf"
         predict(tree, data.features[0])
         assert calls == ([1] if rbf else [])
         calls.clear()
         route(tree, data.features)
         assert calls == ([len(data)] if rbf else [])
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5),
+                                        KernelSpec("chi_square", 0.5)],
+                             ids=lambda k: k.kind)
+    def test_traversal_computes_one_kernel_block_per_call(self, monkeypatch, kernel):
+        blobs = generate_gaussian_blobs(3, 15, 3, 0.5, seed=4)
+        # nonnegative features, as the chi-square kernel requires
+        data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
+        tree = train_atree(data, AtreeConfig(max_depth=3, kernel=kernel,
+                                             boost=BoostConfig(max_rounds=5)))
+        assert any(isinstance(n, InternalNode) for n in iter_nodes(tree.root))
+        blocks = []
+
+        def counted(spec, A, B, b_norms=None):
+            blocks.append((len(A), len(B)))
+            return svm_module.kernel_matrix(spec, A, B, b_norms)
+
+        monkeypatch.setattr(tree_module, "kernel_matrix", counted)
+        table = [] if kernel.is_linear else [len(tree.sv_table.sv_ids)]
+        for x in data.features[:5]:
+            blocks.clear()
+            predict(tree, x)
+            assert blocks == [(1, n) for n in table]
+        blocks.clear()
+        route(tree, data.features)
+        assert blocks == [(len(data), n) for n in table]
 
     def test_dimension_mismatch_rejected(self):
         root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
@@ -744,13 +768,41 @@ class TestSerialization:
         assert clone.num_classes == tree.num_classes
 
 
+def _check_sv_table(tree):
+    """A kernel tree's sv_table lists each distinct sv_id of its node models
+    once, in increasing order, with the models' own rows and fresh norms.
+    Each kernel node's coefficient row holds its dual coefficients at its
+    own support vectors' columns and is 0 everywhere else. A linear tree
+    has no table."""
+    models = {n.node_id: n.svm for n in iter_nodes(tree.root)
+              if isinstance(n, InternalNode) and isinstance(n.svm, KernelSvmModel)}
+    table = tree.sv_table
+    if not models:
+        assert table is None and tree.coefficient_rows == {}
+        return
+    ids = table.sv_ids
+    assert ids.tolist() == sorted({i for m in models.values() for i in m.sv_ids.tolist()})
+    assert table.norms.tobytes() == squared_norms(table.rows).tobytes()
+    assert sorted(tree.coefficient_rows) == sorted(models)
+    for node_id, model in models.items():
+        columns = np.searchsorted(ids, model.sv_ids)
+        assert np.array_equal(ids[columns], model.sv_ids)
+        assert table.rows[columns].tobytes() == model.support_vectors.tobytes()
+        row = tree.coefficient_rows[node_id]
+        assert row.shape == ids.shape
+        assert row[columns].tobytes() == model.dual_coefficients.tobytes()
+        assert set(np.flatnonzero(row).tolist()) == set(columns.tolist())
+
+
 def _check_routes_predicts_and_round_trips(tree, X):
     """route equals predict on every row of X bit for bit, for the trained
     tree and its serialize round trip, whose kernel models hold freshly
-    derived squared norms."""
+    derived squared norms. Both trees hold a well-formed sv_table."""
     text = serialize(tree)
     clone = deserialize(text)
     assert serialize(clone) == text
+    _check_sv_table(tree)
+    _check_sv_table(clone)
     for node in iter_nodes(clone.root):
         if isinstance(node, InternalNode) and isinstance(node.svm, KernelSvmModel):
             assert node.svm.sv_norms.tobytes() == squared_norms(
