@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .svm import (LinearSvmModel, kernel_computations, kernel_matrix,
-                  support_vector_table, train_svm)
+                  support_vector_table, train_svm, training_gram)
 from .tree import route as route_tree
 
 
@@ -63,10 +63,13 @@ def _check_all_classes_present(data):
 
 def train_one_vs_all(data, kernel, svm_config):
     """One class-vs-rest model per class; prediction is argmax decision value
-    with ties to the lowest class id."""
+    with ties to the lowest class id. Every class trains on the same samples,
+    so a kernel set computes its Gram once, column-major, for all of them."""
     _check_all_classes_present(data)
-    models = [train_svm(data.features, np.where(data.labels == cls, 1.0, -1.0),
-                        kernel, svm_config) for cls in range(data.num_classes)]
+    X = data.features
+    gram = None if kernel.is_linear else training_gram(kernel, X)
+    models = [train_svm(X, np.where(data.labels == cls, 1.0, -1.0), kernel,
+                        svm_config, gram=gram) for cls in range(data.num_classes)]
     return OneVsAllModel(models, data.num_classes)
 
 

@@ -25,6 +25,8 @@ _PG_EPS = 1e-12
 # Element budget of one (rows, m, d) broadcast block of the chi-square and
 # histogram-intersection kernels (8 MB of float64 per intermediate).
 _CHUNK_ELEMENTS = 1 << 20
+# Side of the square tiles that training_gram swaps (32 KB of float64 each).
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -312,15 +314,45 @@ def _pg_spread(Xa, y, alpha, w, C):
     return float(pg.max() - pg.min())
 
 
-def train_kernel_svm(X, y, kernel, config, sample_ids=None):
-    """Kernel SVM via maximal-violating-pair dual updates.
+def training_gram(kernel, X):
+    """kernel_matrix(kernel, X, X), bit for bit, laid out column-major so
+    that the kernel solver reads each column contiguously. The Gram is
+    transposed in place tile by tile and returned as the transpose's view,
+    so no second n x n array is allocated. Its entries need not be
+    symmetric bit for bit, so the layout cannot come from a plain
+    transpose."""
+    K = kernel_matrix(kernel, X, X)
+    for a in range(0, len(K), _TILE):
+        rows = slice(a, a + _TILE)
+        K[rows, rows] = K[rows, rows].T.copy()
+        for b in range(a + _TILE, len(K), _TILE):
+            cols = slice(b, b + _TILE)
+            upper = K[rows, cols].copy()
+            K[rows, cols] = K[cols, rows].T
+            K[cols, rows] = upper.T
+    return K.T
+
+
+def train_kernel_svm(X, y, kernel, config, sample_ids=None, gram=None):
+    """Kernel SVM via maximal-violating-pair dual updates (Keerthi et al.,
+    Neural Computation 2001).
 
     Runs until the maximal-violating-pair gap falls to the configured
     tolerance or the budget of n*max_passes updates is exhausted; the model's
     convergence records the updates made, the gap at exit and whether it
     converged. The full Gram matrix is materialized, which is intended for
-    desk-scale node problems. Only samples with a nonzero dual weight are
+    desk-scale node problems. ``gram`` optionally gives it, as
+    kernel_matrix(kernel, X, X) or training_gram(kernel, X) computed
+    beforehand with shape (n, n): one-vs-all shares one Gram across its
+    classes, while the tree's nodes and one-vs-one compute their own. The tree and both baselines reach this
+    solver through train_svm. Only samples with a nonzero dual weight are
     retained as support vectors.
+
+    The solver holds the Gram column-major, so each update reads two
+    contiguous columns. It keeps vals = -y * gradient rather than the
+    gradient: y is +-1, so every update rounds exactly as it would on the
+    gradient. The masks of coordinates that may move up or down change only
+    at the two updated coordinates and are updated there.
     """
     X = np.asarray(X, dtype=np.float64)
     y = _split_labels(y)
@@ -331,21 +363,27 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None):
         sample_ids = np.asarray(sample_ids, dtype=np.int64)
         if sample_ids.shape != (n,):
             raise ValidationError("sample_ids must have one entry per sample")
-    K = kernel_matrix(kernel, X, X)
+    if gram is not None and np.shape(gram) != (n, n):
+        raise ValidationError("gram must have one row and one column per sample")
+    K = training_gram(kernel, X) if gram is None else np.asfortranarray(gram)
     C = config.c
     alpha = np.zeros(n)
-    grad = -np.ones(n)           # gradient of the dual objective at alpha
+    vals = y.copy()              # -y * gradient of the dual objective at alpha
     pos = y > 0
+    up = pos.copy()              # coordinates that may move along +y
+    low = ~pos                   # coordinates that may move along -y
+    vals_up = np.empty(n)
+    vals_low = np.empty(n)
+    delta = np.empty(n)
     budget = config.max_passes * n
     updates = 0
     while True:
-        vals = -y * grad
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-        low = (~pos & (alpha < C)) | (pos & (alpha > 0))
-        vals_up = np.where(up, vals, -np.inf)
-        vals_low = np.where(low, vals, np.inf)
-        i = int(np.argmax(vals_up))
-        j = int(np.argmin(vals_low))
+        vals_up.fill(-np.inf)
+        np.copyto(vals_up, vals, where=up)
+        vals_low.fill(np.inf)
+        np.copyto(vals_low, vals, where=low)
+        i = int(vals_up.argmax())
+        j = int(vals_low.argmin())
         gap = float(vals_up[i] - vals_low[j])
         if gap <= config.tolerance or updates == budget:
             break
@@ -359,11 +397,17 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None):
             break
         alpha[i] += y[i] * t
         alpha[j] -= y[j] * t
-        grad += t * y * (K[:, i] - K[:, j])
+        np.subtract(K[:, i], K[:, j], out=delta)
+        delta *= t
+        vals -= delta
+        for k in (i, j):
+            a = alpha[k]
+            up[k] = (a < C) if pos[k] else (a > 0)
+            low[k] = (a > 0) if pos[k] else (a < C)
         updates += 1
     free = (alpha > _SV_EPS) & (alpha < C - _SV_EPS)
     if free.any():
-        bias = float(np.mean(-y[free] * grad[free]))
+        bias = float(np.mean(vals[free]))
     else:
         # every exit leaves vals, up and low as computed at the final alpha
         hi = vals[up].max() if up.any() else 0.0
@@ -380,12 +424,13 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None):
     )
 
 
-def train_svm(X, y, kernel, config, sample_ids=None):
+def train_svm(X, y, kernel, config, sample_ids=None, gram=None):
     """The linear solver for a linear kernel, else the kernel solver, whose
-    support vectors take their ids from sample_ids."""
+    support vectors take their ids from sample_ids and which takes a
+    precomputed Gram from gram. The linear solver uses neither."""
     if kernel.is_linear:
         return train_linear_svm(X, y, config)
-    return train_kernel_svm(X, y, kernel, config, sample_ids)
+    return train_kernel_svm(X, y, kernel, config, sample_ids, gram)
 
 
 def kernel_computations(models):

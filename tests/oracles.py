@@ -8,6 +8,10 @@ first, polarity +1 before -1), with strict-improvement selection.
 
 import numpy as np
 
+from atree.errors import ValidationError
+from atree.svm import (_SV_EPS, KernelSvmModel, SolverRecord, _split_labels,
+                       kernel_matrix)
+
 
 def stump_candidates(values):
     """Thresholds in search order for one feature's values."""
@@ -141,6 +145,70 @@ def reference_linear_svm(X, y, config):
         old_min = pg_min if pg_min < 0.0 else -np.inf
     return (w[:d].copy(), float(w[d]), alpha, passes,
             bool(spread() <= config.tolerance))
+
+
+def reference_kernel_svm(X, y, kernel, config, sample_ids=None):
+    """The maximal-violating-pair solver of svm.train_kernel_svm as first
+    written: the gradient itself, both masks and both masked copies rebuilt
+    from alpha on every update, over a row-major Gram. The library's
+    incremental loop must give the same model bit for bit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = _split_labels(y)
+    n = len(y)
+    if sample_ids is None:
+        sample_ids = np.arange(n, dtype=np.int64)
+    else:
+        sample_ids = np.asarray(sample_ids, dtype=np.int64)
+        if sample_ids.shape != (n,):
+            raise ValidationError("sample_ids must have one entry per sample")
+    K = kernel_matrix(kernel, X, X)
+    C = config.c
+    alpha = np.zeros(n)
+    grad = -np.ones(n)           # gradient of the dual objective at alpha
+    pos = y > 0
+    budget = config.max_passes * n
+    updates = 0
+    while True:
+        vals = -y * grad
+        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
+        low = (~pos & (alpha < C)) | (pos & (alpha > 0))
+        vals_up = np.where(up, vals, -np.inf)
+        vals_low = np.where(low, vals, np.inf)
+        i = int(np.argmax(vals_up))
+        j = int(np.argmin(vals_low))
+        gap = float(vals_up[i] - vals_low[j])
+        if gap <= config.tolerance or updates == budget:
+            break
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if eta <= 1e-12:
+            eta = 1e-12
+        step_i = C - alpha[i] if y[i] > 0 else alpha[i]
+        step_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        t = min(gap / eta, step_i, step_j)
+        if t <= 0.0:
+            break
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        grad += t * y * (K[:, i] - K[:, j])
+        updates += 1
+    free = (alpha > _SV_EPS) & (alpha < C - _SV_EPS)
+    if free.any():
+        bias = float(np.mean(-y[free] * grad[free]))
+    else:
+        # every exit leaves vals, up and low as computed at the final alpha
+        hi = vals[up].max() if up.any() else 0.0
+        lo = vals[low].min() if low.any() else 0.0
+        bias = float((hi + lo) / 2.0)
+    keep = alpha > _SV_EPS
+    return KernelSvmModel(
+        support_vectors=X[keep].copy(),
+        dual_coefficients=(alpha[keep] * y[keep]),
+        bias=bias,
+        kernel=kernel,
+        sv_ids=sample_ids[keep].copy(),
+        convergence=SolverRecord(updates, gap, gap <= config.tolerance),
+    )
 
 
 def random_binary_dataset(rng, n, d):

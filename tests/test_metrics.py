@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from atree import metrics as metrics_module
+from atree import svm as svm_module
 from atree.boosting import BoostConfig
 from atree.dataset import Dataset, generate_gaussian_blobs, split_train_test
 from atree.errors import ValidationError
@@ -8,8 +10,8 @@ from atree.metrics import (EvaluationRun, _flat_decision_values, complexity_repo
                            evaluate_atree, evaluate_one_vs_all, evaluate_one_vs_one,
                            mean_per_class_accuracy, train_one_vs_all,
                            train_one_vs_one)
-from atree.svm import (KernelSpec, KernelSvmModel, SvmConfig,
-                       decision_values_batch, kernel_computations)
+from atree.svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
+                       decision_values_batch, kernel_computations, train_svm)
 from atree.tree import AtreeConfig, InternalNode, iter_nodes, predict, train_atree
 
 
@@ -58,6 +60,37 @@ class TestOneVsAll:
         sub = data.subset(np.flatnonzero(data.labels != 1))
         with pytest.raises(ValidationError):
             train_one_vs_all(sub, KernelSpec("linear"), SvmConfig())
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5),
+                                        KernelSpec("histogram_intersection")],
+                             ids=lambda spec: spec.kind)
+    def test_one_gram_for_every_class(self, monkeypatch, kernel):
+        data = generate_gaussian_blobs(4, 12, 3, 0.8, seed=5)
+        # nonnegative features, as histogram intersection requires
+        data = Dataset(np.abs(data.features), data.labels, data.weights, data.num_classes)
+        blocks = []
+        original = svm_module.kernel_matrix
+
+        def counted(spec, A, B, b_norms=None):
+            blocks.append((len(A), len(B)))
+            return original(spec, A, B, b_norms)
+
+        for module in (svm_module, metrics_module):
+            monkeypatch.setattr(module, "kernel_matrix", counted)
+        model = train_one_vs_all(data, kernel, SvmConfig())
+        assert blocks == ([] if kernel.is_linear else [(len(data), len(data))])
+        monkeypatch.undo()
+        for cls, got in enumerate(model.models):
+            y = np.where(data.labels == cls, 1.0, -1.0)
+            expected = train_svm(data.features, y, kernel, SvmConfig())
+            if isinstance(expected, LinearSvmModel):
+                parts = ("weights",)
+            else:
+                parts = ("support_vectors", "dual_coefficients", "sv_ids")
+            for part in parts:
+                assert getattr(got, part).tobytes() == getattr(expected, part).tobytes()
+            assert np.float64(got.bias).tobytes() == np.float64(expected.bias).tobytes()
+            assert got.convergence == expected.convergence
 
 
 class TestOneVsOne:

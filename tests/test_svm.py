@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atree import svm as svm_module
 from atree.errors import ValidationError
 from atree.svm import (KERNEL_KINDS, KernelSpec, KernelSvmModel, LinearSvmModel,
                        SvmConfig, decision_values_batch, kernel_computations,
                        kernel_matrix, predict, squared_norms, train_kernel_svm,
-                       train_linear_svm, train_svm, truncate_svs)
+                       train_linear_svm, train_svm, training_gram, truncate_svs)
 from oracles import (grid_min_linear_svm_1d, random_binary_dataset,
-                     reference_linear_svm)
+                     reference_kernel_svm, reference_linear_svm)
 
 SEP_X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
 SEP_Y = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -62,6 +63,27 @@ class TestKernels:
         np.testing.assert_array_equal(
             kernel_matrix(KernelSpec("histogram_intersection"), A, B),
             np.minimum(a, b).sum(axis=2))
+
+    @pytest.mark.parametrize("n", [1, 5, 64, 65, 130, 200])
+    def test_training_gram_is_the_gram_column_major_in_place(self, monkeypatch, n):
+        # an asymmetric stand-in for the Gram: a transposition shows
+        rng = np.random.default_rng(n)
+        made = []
+
+        def gram_of(spec, A, B, b_norms=None):
+            made.append(rng.normal(size=(len(A), len(B))))
+            made.append(made[0].copy())
+            return made[1]
+
+        monkeypatch.setattr(svm_module, "kernel_matrix", gram_of)
+        X = rng.normal(size=(n, 3))
+        gram = training_gram(KernelSpec("rbf", 0.5), X)
+        monkeypatch.undo()
+        assert gram.flags.f_contiguous and gram.shape == (n, n)
+        assert np.shares_memory(gram, made[1])
+        np.testing.assert_array_equal(gram, made[0])
+        rbf = KernelSpec("rbf", 0.5)
+        assert training_gram(rbf, X).tobytes("F") == kernel_matrix(rbf, X, X).tobytes("F")
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -260,6 +282,54 @@ class TestKernelSolver:
         assert set(model.sv_ids.tolist()) <= set(ids.tolist())
         for sid, sv in zip(model.sv_ids, model.support_vectors):
             np.testing.assert_array_equal(sv, X[sid - 100])
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(KERNEL_KINDS), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(2, 40), d=st.integers(1, 4),
+           c=st.sampled_from([0.01, 1.0, 100.0]), max_passes=st.sampled_from([1, 400]),
+           duplicates=st.integers(0, 10))
+    def test_iterates_equal_the_full_rebuild_reference(self, kind, seed, n, d, c,
+                                                       max_passes, duplicates):
+        rng = np.random.default_rng(seed)
+        X, y = random_binary_dataset(rng, n, d)
+        # nonnegative features, as chi-square and histogram intersection require
+        X = np.abs(X)
+        # a duplicated row with either label; with the opposite one it can
+        # pair with its original at a zero eta, which the floor replaces
+        picks = rng.integers(0, n, size=duplicates)
+        flips = rng.choice([-1, 1], size=duplicates)
+        X, y = np.vstack([X, X[picks]]), np.concatenate([y, y[picks] * flips])
+        spec = KernelSpec(kind, 0.5 if kind in ("rbf", "chi_square") else None)
+        cfg = SvmConfig(c=c, max_passes=max_passes)
+        ids = rng.permutation(len(y)) + 7
+        model = train_kernel_svm(X, y, spec, cfg, sample_ids=ids)
+        expected = reference_kernel_svm(X, y, spec, cfg, sample_ids=ids)
+        for part in ("support_vectors", "dual_coefficients", "sv_ids"):
+            assert getattr(model, part).tobytes() == getattr(expected, part).tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(expected.bias).tobytes()
+        got, want = model.convergence, expected.convergence
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert np.float64(got.gap).tobytes() == np.float64(want.gap).tobytes()
+
+    def test_precomputed_gram_gives_the_same_model(self):
+        rng = np.random.default_rng(15)
+        X, y = random_binary_dataset(rng, 30, 3)
+        spec = KernelSpec("rbf", 0.5)
+        expected = train_kernel_svm(X, y, spec, SvmConfig())
+        gram = kernel_matrix(spec, X, X)
+        for given_gram in (gram, np.asfortranarray(gram)):
+            model = train_kernel_svm(X, y, spec, SvmConfig(), gram=given_gram)
+            for part in ("support_vectors", "dual_coefficients", "sv_ids"):
+                assert getattr(model, part).tobytes() == getattr(expected, part).tobytes()
+            assert model.bias == expected.bias
+            assert model.convergence == expected.convergence
+
+    @pytest.mark.parametrize("shape", [(30, 29), (29, 29), (30,), (30, 30, 1)])
+    def test_gram_of_the_wrong_shape_rejected(self, shape):
+        rng = np.random.default_rng(16)
+        X, y = random_binary_dataset(rng, 30, 3)
+        with pytest.raises(ValidationError, match="gram"):
+            train_kernel_svm(X, y, KernelSpec("rbf", 0.5), SvmConfig(), gram=np.ones(shape))
 
 
 class TestTrainSvm:
