@@ -11,8 +11,7 @@ import argparse
 import datetime
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import metrics as mt
 from . import tree as tr
@@ -137,6 +136,8 @@ def cmd_synth(args):
 
 
 def _training_log_lines(tree, include_timestamp):
+    """The log of a freshly trained tree, which still holds its phase-one
+    learners and solver records; a loaded tree holds neither."""
     lines = []
     if include_timestamp:
         lines.append(f"# generated {datetime.datetime.now().isoformat()}")
@@ -168,14 +169,9 @@ def _training_log_lines(tree, include_timestamp):
             f"{node.binary_distribution[1]:.6f}) "
             f"eps={eps} bound={bound} exited_early={boost.exited_early} {svm_desc}")
     lines.append(f"tree: nodes={len(levels)} depth={tree.depth}")
-    # a model read back from a file carries no solver record
-    solves = [n.svm.convergence for n in tr.iter_nodes(tree.root)
-              if isinstance(n, tr.InternalNode)]
-    records = [r for r in solves if r is not None]
-    line = f"svm: converged={sum(r.converged for r in records)}/{len(records)}"
-    if len(records) < len(solves):
-        line += f" ({len(solves) - len(records)} without record)"
-    lines.append(line)
+    records = [n.svm.convergence for n in tr.iter_nodes(tree.root)
+               if isinstance(n, tr.InternalNode)]
+    lines.append(f"svm: converged={sum(r.converged for r in records)}/{len(records)}")
     return lines
 
 
@@ -267,18 +263,8 @@ def cmd_eval(args):
 # sweep
 
 
-def _tradeoff_entry(payload):
+def _tradeoff_row(run_config, train, test):
     """One sweep entry: train a tree and a one-vs-all reference, return a row."""
-    run_config = RunConfig(**payload["run_config"])
-    if payload["mode"] == "delta":
-        train = load_csv(payload["train_csv"], payload["has_header"])
-        test = load_csv(payload["test_csv"], payload["has_header"])
-    else:
-        data = generate_gaussian_blobs(payload["num_classes"], payload["per_class"],
-                                       payload["dim"], payload["spread"],
-                                       run_config.seed)
-        train, test = split_train_test(data, payload["train_fraction"],
-                                       run_config.seed, stratified=True)
     config = run_config.to_atree_config()
     tree = tr.train_atree(train, config)
     atree_run = mt.evaluate_atree(tree, test)
@@ -291,32 +277,24 @@ def _tradeoff_entry(payload):
 
 def cmd_sweep(args):
     run_config = _resolve_run_config(args)
-    base = asdict(run_config)
-    payloads = []
-    if args.deltas:
-        if not (args.train_csv and args.test_csv):
-            raise ValidationError("a delta sweep needs --train-csv and --test-csv")
-        for delta in _parse_float_list(args.deltas, "--deltas"):
-            entry = dict(base)
-            entry["delta"] = delta
-            payloads.append({"mode": "delta", "run_config": entry,
-                             "train_csv": args.train_csv, "test_csv": args.test_csv,
-                             "has_header": args.has_header})
-    elif args.classes:
-        for n in _parse_int_list(args.classes, "--classes"):
-            payloads.append({"mode": "classes", "run_config": dict(base),
-                             "num_classes": n, "per_class": args.per_class,
-                             "dim": args.dim, "spread": args.spread,
-                             "train_fraction": args.train_fraction})
-    else:
-        raise ValidationError("sweep needs --deltas or --classes")
-    jobs = args.jobs or 1
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_tradeoff_entry, payloads))
+        if args.deltas:
+            if not (args.train_csv and args.test_csv):
+                raise ValidationError("a delta sweep needs --train-csv and --test-csv")
+            deltas = _parse_float_list(args.deltas, "--deltas")
+            train = load_csv(args.train_csv, args.has_header)
+            test = load_csv(args.test_csv, args.has_header)
+            rows = [_tradeoff_row(replace(run_config, delta=delta), train, test)
+                    for delta in deltas]
+        elif args.classes:
+            rows = []
+            for n in _parse_int_list(args.classes, "--classes"):
+                data = generate_gaussian_blobs(n, args.per_class, args.dim, args.spread,
+                                               run_config.seed)
+                rows.append(_tradeoff_row(run_config, *split_train_test(
+                    data, args.train_fraction, run_config.seed, stratified=True)))
         else:
-            rows = [_tradeoff_entry(p) for p in payloads]
+            raise ValidationError("sweep needs --deltas or --classes")
     except AtreeError:
         raise
     except Exception as exc:
@@ -365,7 +343,6 @@ def _add_global_flags(p, suppress):
     d = argparse.SUPPRESS if suppress else None
     b = argparse.SUPPRESS if suppress else False
     p.add_argument("--seed", type=int, default=d)
-    p.add_argument("--jobs", type=int, default=d)
     p.add_argument("--config", default=d)
     p.add_argument("--quiet", action="store_true", default=b)
     p.add_argument("--no-timestamp", dest="no_timestamp", action="store_true", default=b)

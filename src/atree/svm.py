@@ -7,7 +7,7 @@ Trained models are immutable; prediction is safe under concurrent readers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,9 +192,7 @@ class KernelSvmModel:
     the training samples retained as support vectors, unique across every
     model trained from the same dataset so union-based accounting can share a
     cache. convergence is the solver's record; a model read back from JSON
-    has none. sv_norms holds squared_norms of the support vectors, derived
-    once when the model is built; it is never serialized. Models compare by
-    identity, as linear ones do.
+    has none. Models compare by identity, as linear ones do.
     """
 
     support_vectors: np.ndarray
@@ -203,11 +201,6 @@ class KernelSvmModel:
     kernel: KernelSpec
     sv_ids: np.ndarray
     convergence: SolverRecord | None = None
-    sv_norms: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        S = np.atleast_2d(np.asarray(self.support_vectors, dtype=np.float64))
-        object.__setattr__(self, "sv_norms", squared_norms(S))
 
     @property
     def n_support(self):
@@ -477,8 +470,7 @@ def decision_values_batch(model, X):
     """f(x) for either model type over the rows of X. A single instance of
     shape (d,) gives a scalar, an (n, d) batch gives n values. Each value
     depends on its own row alone, so it is bit-identical to the value of
-    that row evaluated by itself. A kernel model hands kernel_matrix its
-    own sv_norms."""
+    that row evaluated by itself."""
     X = np.asarray(X, dtype=np.float64)
     if isinstance(model, LinearSvmModel):
         if X.shape[-1] != model.weights.shape[0]:
@@ -486,8 +478,7 @@ def decision_values_batch(model, X):
         return np.vecdot(X, model.weights) + model.bias
     if X.shape[-1] != model.support_vectors.shape[1]:
         raise ValidationError("dimension mismatch")
-    k = np.vecdot(kernel_matrix(model.kernel, X, model.support_vectors,
-                                b_norms=model.sv_norms),
+    k = np.vecdot(kernel_matrix(model.kernel, X, model.support_vectors),
                   model.dual_coefficients)
     return k.reshape(X.shape[:-1]) + model.bias
 

@@ -25,15 +25,14 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .boosting import (BoostConfig, BoostedClassifier, DecisionStump,
-                       _argmin_rescored, adaboost_train, prob_positive_batch)
-from .dataset import Dataset
+from .boosting import (BoostConfig, BoostedClassifier, _argmin_rescored, adaboost_train,
+                       prob_positive_batch)
 from .errors import SchemaError, ValidationError
 from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SupportVectorTable,
                   SvmConfig, kernel_matrix, predict as svm_predict, support_vector_table,
                   train_svm, truncate_svs)
 
-MODEL_SCHEMA_VERSION = 4
+MODEL_SCHEMA_VERSION = 5
 
 
 @dataclass
@@ -122,9 +121,9 @@ class LeafNode:
 
 @dataclass
 class InternalNode:
+    """split, boost and partition belong to phase one; a loaded tree has none of them."""
+
     node_id: int
-    split: EntropySplit
-    boost: BoostedClassifier
     pos_classes: list
     neg_classes: list
     binary_distribution: tuple
@@ -132,6 +131,8 @@ class InternalNode:
     left: object
     right: object
     svm: object = None
+    split: EntropySplit | None = None
+    boost: BoostedClassifier | None = None
     partition: PartitionResult | None = None
 
     passthrough = None  # not a field; benchmarks/workloads.tree_counters still reads it
@@ -567,14 +568,13 @@ def _svm_to_doc(svm):
 
 def _node_to_doc(node):
     """A node's fields, less its id (its place in the node list) and its
-    phase-one partition; an internal node names its children by id."""
-    doc = {k: v for k, v in vars(node).items() if k not in ("node_id", "partition")}
+    phase-one split, boost and partition; an internal node names its
+    children by id."""
+    doc = {k: v for k, v in vars(node).items()
+           if k not in ("node_id", "split", "boost", "partition")}
     if isinstance(node, InternalNode):
-        doc.update(split=vars(node.split), svm=_svm_to_doc(node.svm),
-                   boost={**vars(node.boost), "rounds": [
-                       [alpha, s.feature_index, s.threshold, s.polarity]
-                       for alpha, s in node.boost.rounds]},
-                   left=node.left.node_id, right=node.right.node_id)
+        doc.update(svm=_svm_to_doc(node.svm), left=node.left.node_id,
+                   right=node.right.node_id)
     return doc
 
 
@@ -647,16 +647,10 @@ def _svm_from_doc(doc, kernel, table):
 
 
 def _node_from_doc(node_id, doc, built, kernel, table):
-    if "split" not in doc:
+    if "svm" not in doc:
         return LeafNode(node_id, **doc)
-    split, boost = dict(doc["split"]), doc["boost"]
-    for side in ("left_masses", "right_masses"):
-        split[side] = np.asarray(split[side], dtype=np.float64)
     return InternalNode(node_id, **{
         **doc,
-        "split": EntropySplit(**split),
-        "boost": BoostedClassifier(**{**boost, "rounds": [
-            (alpha, DecisionStump(*stump)) for alpha, *stump in boost["rounds"]]}),
         "binary_distribution": tuple(doc["binary_distribution"]),
         "left": built[doc["left"]], "right": built[doc["right"]],
         "svm": _svm_from_doc(doc["svm"], kernel, table)})
@@ -710,8 +704,8 @@ def load(path):
 def _dot_label(node, label_names):
     if isinstance(node, LeafNode):
         return f"class {label_names[node.label]}\\npurity {node.purity:.3f}"
-    return (f"f{node.split.feature_index} < {node.split.threshold:.6g}"
-            f"\\n|Z+|={len(node.pos_classes)} |Z-|={len(node.neg_classes)}")
+    return (f"|Z+|={len(node.pos_classes)} |Z-|={len(node.neg_classes)}"
+            f"\\ncost {node_cost(node):.6g}")
 
 
 def to_dot(tree, max_depth=None):

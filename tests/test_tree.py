@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -663,7 +664,7 @@ class TestSerialization:
         tree, _ = self._random_tree(1)
         doc = json.loads(serialize(tree))
         doc["version"] = 1
-        internal = next(n for n in doc["nodes"] if "split" in n)
+        internal = next(n for n in doc["nodes"] if "svm" in n)
         internal["svm"] = {"type": "passthrough", "side": 1}
         with pytest.raises(SchemaError, match="version"):
             deserialize(json.dumps(doc))
@@ -688,7 +689,7 @@ class TestSerialization:
         elif case == "weights_under_kernel_config":
             doc["config"]["kernel"] = {"kind": "rbf", "gamma": 0.5}
         else:
-            node = next(n for n in doc["nodes"] if "split" in n)
+            node = next(n for n in doc["nodes"] if "svm" in n)
             node["svm"] = {"weights": [0.0] * doc["dimension"], "bias": 0.0}
         with pytest.raises(SchemaError, match="kernel"):
             deserialize(json.dumps(doc))
@@ -708,7 +709,7 @@ class TestSerialization:
 
     def test_kernel_node_needs_one_coefficient_per_sv_id(self):
         doc = self._doc(1)
-        node = next(n for n in doc["nodes"] if "split" in n)
+        node = next(n for n in doc["nodes"] if "svm" in n)
         node["svm"]["dual_coefficients"].pop()
         with pytest.raises(SchemaError, match="coefficient per sv_id"):
             deserialize(json.dumps(doc))
@@ -716,7 +717,7 @@ class TestSerialization:
     @pytest.mark.parametrize("change", [-1, 1])
     def test_linear_node_weights_must_be_dimension_wide(self, change):
         doc = self._doc(0)
-        node = next(n for n in doc["nodes"] if "split" in n)
+        node = next(n for n in doc["nodes"] if "svm" in n)
         weights = node["svm"]["weights"]
         node["svm"]["weights"] = weights[:-1] if change < 0 else weights + [0.0]
         with pytest.raises(SchemaError, match="wide"):
@@ -752,12 +753,12 @@ class TestSerialization:
             assert m.support_vectors.tolist() == [rows[i] for i in m.sv_ids.tolist()]
         assert not {"depth", "num_classes"} & set(doc)
         for node in doc["nodes"]:
-            if "split" in node:
+            if "svm" in node:
+                assert set(node) == {"pos_classes", "neg_classes", "binary_distribution",
+                                     "n_training", "svm", "left", "right"}
                 assert set(node["svm"]) == {"sv_ids", "dual_coefficients", "bias"}
-                assert set(node["split"]) == {"feature_index", "threshold",
-                                              "left_masses", "right_masses"}
-            assert not {"depth", "class_to_sign"} & set(node)
-            assert "pure" not in node.get("boost", {})
+            else:
+                assert set(node) == {"label", "purity", "n_training"}
 
     def test_config_survives_round_trip(self):
         tree, _ = self._random_tree(3)
@@ -796,17 +797,16 @@ def _check_sv_table(tree):
 
 def _check_routes_predicts_and_round_trips(tree, X):
     """route equals predict on every row of X bit for bit, for the trained
-    tree and its serialize round trip, whose kernel models hold freshly
-    derived squared norms. Both trees hold a well-formed sv_table."""
+    tree and its serialize round trip, which holds no phase-one learners.
+    Both trees hold a well-formed sv_table."""
     text = serialize(tree)
     clone = deserialize(text)
     assert serialize(clone) == text
     _check_sv_table(tree)
     _check_sv_table(clone)
     for node in iter_nodes(clone.root):
-        if isinstance(node, InternalNode) and isinstance(node.svm, KernelSvmModel):
-            assert node.svm.sv_norms.tobytes() == squared_norms(
-                node.svm.support_vectors).tobytes()
+        if isinstance(node, InternalNode):
+            assert node.split is node.boost is node.partition is None
     groups = route(tree, X)
     assert np.array_equal(np.sort(np.concatenate([g.rows for g in groups])),
                           np.arange(len(X)))
@@ -878,6 +878,23 @@ class TestDotExport:
         for nid in deep_nodes:
             assert f"n{nid} [" not in top
             assert f"n{nid} [" in full
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda k: k.kind)
+    def test_internal_labels_show_class_sets_and_cost(self, kernel):
+        data = generate_gaussian_blobs(6, 20, 3, 0.5, seed=8)
+        tree = train_atree(data, AtreeConfig(max_depth=4, kernel=kernel,
+                                             boost=BoostConfig(max_rounds=5)))
+        dot = to_dot(tree)
+        internal = [n for n in iter_nodes(tree.root) if isinstance(n, InternalNode)]
+        assert internal
+        for node in internal:
+            line = next(l for l in dot.splitlines() if l.startswith(f"  n{node.node_id} ["))
+            assert (f"|Z+|={len(node.pos_classes)} |Z-|={len(node.neg_classes)}"
+                    f"\\ncost {node_cost(node):.6g}\"") in line
+        # routing follows the node SVMs, so no label shows the phase-one split
+        assert not re.search(r"f\d+ <", dot)
+        assert to_dot(deserialize(serialize(tree))) == dot
 
     def test_spliced_tree_counts_levels_on_root_paths(self, monkeypatch):
         _forge_one_sided_root(monkeypatch, "left_only_ids")
