@@ -14,8 +14,7 @@ from .metrics import (ComplexityReport, EvaluationRun, complexity_report,
                       train_one_vs_one)
 from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
                   decision_values_batch, kernel_computations, kernel_matrix,
-                  predict, train_kernel_svm, train_linear_svm, train_svm,
-                  truncate_svs)
+                  train_kernel_svm, train_linear_svm, train_svm)
 from .tree import (Atree, AtreeConfig, EntropySplit, InternalNode, LeafNode,
                    PartitionResult, attach_svms_phase2, binarize_labels,
                    build_phase1, deserialize, entropy_split, node_cost,

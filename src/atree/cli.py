@@ -39,7 +39,6 @@ class RunConfig:
     max_rounds: int = 50
     boost_gamma: float = 0.48
     min_node_samples: int = 5
-    sv_budget: list | None = None
     seed: int = 0
 
     def to_svm_config(self):
@@ -54,8 +53,20 @@ class RunConfig:
             svm=self.to_svm_config(),
             kernel=KernelSpec(self.kernel, self.kernel_gamma),
             min_node_samples=self.min_node_samples,
-            sv_budget_search=self.sv_budget,
         )
+
+
+_CONFIG_TYPES = {"float": (int, float), "int": (int,), "str": (str,)}
+
+
+def _check_config_value(f, value):
+    """A --config value must fit its RunConfig field: a number for a float,
+    an integer for an int (a bool is neither), None only where allowed."""
+    kind, _, optional = f.type.partition(" | ")
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
+        raise ValidationError(f"config key {f.name!r} must be {f.type}, got {value!r}")
 
 
 def _resolve_run_config(args):
@@ -69,10 +80,12 @@ def _resolve_run_config(args):
             raise ValidationError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(loaded) - known
+        known = {f.name: f for f in fields(RunConfig)}
+        unknown = set(loaded) - set(known)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in loaded.items():
+            _check_config_value(known[name], value)
         values.update(loaded)
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
@@ -81,18 +94,16 @@ def _resolve_run_config(args):
     return RunConfig(**values)
 
 
-def _parse_float_list(text, flag):
+def _parse_list(text, flag, kind):
+    """A comma-separated list of kind (int or float) values."""
     try:
-        items = [float(v) for v in text.split(",") if v.strip() != ""]
+        items = [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise ValidationError(f"{flag} expects a comma-separated list of numbers") from None
+        raise ValidationError(f"{flag} expects a comma-separated list of "
+                              f"{kind.__name__} values") from None
     if not items:
         raise ValidationError(f"{flag} must not be empty")
     return items
-
-
-def _parse_int_list(text, flag):
-    return [int(v) for v in _parse_float_list(text, flag)]
 
 
 def _fmt(value):
@@ -281,14 +292,14 @@ def cmd_sweep(args):
         if args.deltas:
             if not (args.train_csv and args.test_csv):
                 raise ValidationError("a delta sweep needs --train-csv and --test-csv")
-            deltas = _parse_float_list(args.deltas, "--deltas")
+            deltas = _parse_list(args.deltas, "--deltas", float)
             train = load_csv(args.train_csv, args.has_header)
             test = load_csv(args.test_csv, args.has_header)
             rows = [_tradeoff_row(replace(run_config, delta=delta), train, test)
                     for delta in deltas]
         elif args.classes:
             rows = []
-            for n in _parse_int_list(args.classes, "--classes"):
+            for n in _parse_list(args.classes, "--classes", int):
                 data = generate_gaussian_blobs(n, args.per_class, args.dim, args.spread,
                                                run_config.seed)
                 rows.append(_tradeoff_row(run_config, *split_train_test(
@@ -332,8 +343,6 @@ def _add_run_config_flags(p):
     p.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
     p.add_argument("--boost-gamma", dest="boost_gamma", type=float, default=None)
     p.add_argument("--min-node-samples", dest="min_node_samples", type=int, default=None)
-    p.add_argument("--sv-budget", dest="sv_budget", type=lambda s: _parse_int_list(s, "--sv-budget"),
-                   default=None)
 
 
 def _add_global_flags(p, suppress):

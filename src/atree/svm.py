@@ -482,33 +482,3 @@ def decision_values_batch(model, X):
                   model.dual_coefficients)
     return k.reshape(X.shape[:-1]) + model.bias
 
-
-def predict(model, X):
-    """Sign of the decision values, with 0 mapped to +1; a scalar for a
-    single instance."""
-    return np.where(decision_values_batch(model, X) >= 0, 1, -1)[()]
-
-
-def truncate_svs(model, n_keep):
-    """Keep the n_keep largest-|coefficient| support vectors and refit bias.
-
-    The bias is shifted by the mean of the dropped component evaluated over
-    the original support-vector set, keeping decision levels centered.
-    """
-    if n_keep < 1:
-        raise ValidationError("n_keep must be positive")
-    if n_keep >= model.n_support:
-        return model
-    order = np.argsort(-np.abs(model.dual_coefficients), kind="stable")
-    keep = np.sort(order[:n_keep])
-    drop = np.sort(order[n_keep:])
-    dropped_part = kernel_matrix(model.kernel, model.support_vectors,
-                                 model.support_vectors[drop]) @ model.dual_coefficients[drop]
-    return KernelSvmModel(
-        support_vectors=model.support_vectors[keep].copy(),
-        dual_coefficients=model.dual_coefficients[keep].copy(),
-        bias=model.bias + float(dropped_part.mean()),
-        kernel=model.kernel,
-        sv_ids=model.sv_ids[keep].copy(),
-        convergence=model.convergence,
-    )

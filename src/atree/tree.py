@@ -29,10 +29,9 @@ from .boosting import (BoostConfig, BoostedClassifier, _argmin_rescored, adaboos
                        prob_positive_batch)
 from .errors import SchemaError, ValidationError
 from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SupportVectorTable,
-                  SvmConfig, kernel_matrix, predict as svm_predict, support_vector_table,
-                  train_svm, truncate_svs)
+                  SvmConfig, kernel_matrix, support_vector_table, train_svm)
 
-MODEL_SCHEMA_VERSION = 5
+MODEL_SCHEMA_VERSION = 6
 
 
 @dataclass
@@ -47,9 +46,6 @@ class AtreeConfig:
         None picks 2*ceil(log2(num_classes)) at build time. Spliced
         pass-through levels count toward it too.
     min_node_samples: nodes smaller than this become leaves.
-    sv_budget_search: optional candidate support-vector budgets tried per
-        kernel node; the cheapest budget whose node accuracy drop stays
-        within one point is kept.
     """
 
     delta: float = 0.7
@@ -58,7 +54,6 @@ class AtreeConfig:
     svm: SvmConfig = field(default_factory=SvmConfig)
     kernel: KernelSpec = field(default_factory=lambda: KernelSpec("linear"))
     min_node_samples: int = 5
-    sv_budget_search: list | None = None
 
     def __post_init__(self):
         if not 0.5 <= self.delta <= 1.0:
@@ -387,13 +382,6 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
     )
 
 
-def _node_svm_cost(svm, n_pos, n_neg):
-    n_sv = svm.n_support if isinstance(svm, KernelSvmModel) else 1
-    f_neg = n_neg / (n_pos + n_neg)
-    f_pos = n_pos / (n_pos + n_neg)
-    return f_neg * n_sv / n_pos + f_pos * n_sv / n_neg
-
-
 def node_cost(node):
     """Average kernel-evaluation cost per class eliminated at the node:
     f_neg*N/|Z+| + f_pos*N/|Z-|, with N = 1 for linear nodes."""
@@ -404,7 +392,10 @@ def node_cost(node):
     n_pos, n_neg = len(node.pos_classes), len(node.neg_classes)
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("node_cost needs nonempty class sets on both sides")
-    return _node_svm_cost(node.svm, n_pos, n_neg)
+    n_sv = node.svm.n_support if isinstance(node.svm, KernelSvmModel) else 1
+    f_neg = n_neg / (n_pos + n_neg)
+    f_pos = n_pos / (n_pos + n_neg)
+    return f_neg * n_sv / n_pos + f_pos * n_sv / n_neg
 
 
 def _train_node_svm(node, data, config):
@@ -413,32 +404,9 @@ def _train_node_svm(node, data, config):
         raise ValidationError(f"node {node.node_id} routes no sample confidently "
                               "to one side; phase one splices such nodes out")
     train_ids = np.concatenate([lo, ro])
-    Xn = data.features[train_ids]
     yn = np.concatenate([-np.ones(len(lo)), np.ones(len(ro))])
-    model = train_svm(Xn, yn, config.kernel, config.svm, sample_ids=train_ids)
-    if config.sv_budget_search and not config.kernel.is_linear:
-        model = _apply_sv_budget(model, Xn, yn,
-                                 len(node.pos_classes), len(node.neg_classes),
-                                 config.sv_budget_search)
-    node.svm = model
-
-
-def _apply_sv_budget(model, Xn, yn, n_pos, n_neg, budgets):
-    def accuracy(m):
-        return float((svm_predict(m, Xn) == yn).mean())
-
-    full_acc = accuracy(model)
-    best, best_cost = model, _node_svm_cost(model, n_pos, n_neg)
-    for budget in sorted(set(int(b) for b in budgets)):
-        if budget < 1 or budget >= model.n_support:
-            continue
-        cand = truncate_svs(model, budget)
-        if accuracy(cand) < full_acc - 0.01:
-            continue
-        cost = _node_svm_cost(cand, n_pos, n_neg)
-        if cost < best_cost:
-            best, best_cost = cand, cost
-    return best
+    node.svm = train_svm(data.features[train_ids], yn, config.kernel, config.svm,
+                         sample_ids=train_ids)
 
 
 def attach_svms_phase2(root, data, config):
@@ -646,9 +614,16 @@ def _svm_from_doc(doc, kernel, table):
                           bias=float(doc["bias"]), kernel=kernel, sv_ids=sv_ids)
 
 
+_INTERNAL_KEYS = {"pos_classes", "neg_classes", "binary_distribution", "n_training", "svm",
+                  "left", "right"}
+
+
 def _node_from_doc(node_id, doc, built, kernel, table):
     if "svm" not in doc:
         return LeafNode(node_id, **doc)
+    if set(doc) != _INTERNAL_KEYS:
+        raise SchemaError(f"internal node {node_id} must have exactly the fields "
+                          f"{sorted(_INTERNAL_KEYS)}, got {sorted(doc)}")
     return InternalNode(node_id, **{
         **doc,
         "binary_distribution": tuple(doc["binary_distribution"]),

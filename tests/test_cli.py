@@ -113,10 +113,13 @@ class TestTrain:
     def test_config_file_supplies_defaults(self, blob_csvs, tmp_path):
         train, _ = blob_csvs
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"delta": 0.75, "max_depth": 3, "max_rounds": 10}))
+        # an integer where a float is due, null where the field allows None
+        cfg.write_text(json.dumps({"delta": 0.75, "max_depth": 3, "max_rounds": 10,
+                                   "c": 2, "kernel_gamma": None, "kernel": "linear"}))
         model = tmp_path / "m.json"
         assert run("--quiet", "--config", cfg, "train", train, "--out", model) == 0
         assert load(model).config.delta == 0.75
+        assert load(model).config.svm.c == 2
 
     def test_unknown_config_key_rejected(self, blob_csvs, tmp_path):
         train, _ = blob_csvs
@@ -124,6 +127,22 @@ class TestTrain:
         cfg.write_text(json.dumps({"deltas": [0.5]}))
         assert run("--quiet", "--config", cfg, "train", train,
                    "--out", tmp_path / "m.json") == 2
+
+    @pytest.mark.parametrize("key,value", [("delta", "0.7"), ("delta", True), ("c", None),
+                                           ("max_rounds", 2.5), ("max_rounds", True),
+                                           ("max_depth", "3"), ("seed", 1.0),
+                                           ("kernel", 1), ("kernel", None),
+                                           ("kernel_gamma", [0.5]),
+                                           # the removed support-vector budget search
+                                           ("sv_budget", [2, 5])])
+    def test_config_value_that_fits_no_field_exits_2(self, blob_csvs, tmp_path, capsys,
+                                                  key, value):
+        train, _ = blob_csvs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run("--quiet", "--config", cfg, "train", train,
+                   "--out", tmp_path / "m.json") == 2
+        assert repr(key) in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -288,6 +307,10 @@ class TestSweep:
         assert run("--quiet", "sweep", "--train-csv", train, "--test-csv", test,
                    "--deltas", "", "--out", tmp_path / "s.csv") == 2
 
+    def test_fractional_class_count_rejected(self, tmp_path):
+        assert run("--quiet", "sweep", "--classes", "2.5", "--per-class", 10,
+                   "--out", tmp_path / "s.csv") == 2
+
     def test_sweep_without_mode_rejected(self, tmp_path):
         assert run("--quiet", "sweep", "--out", tmp_path / "s.csv") == 2
 
@@ -309,7 +332,7 @@ class TestExportTree:
         bad.write_text("{not json")
         assert run("--quiet", "export-tree", bad, "--out", tmp_path / "o.dot") == 2
 
-    @pytest.mark.parametrize("version", [3, 4])
+    @pytest.mark.parametrize("version", [3, 4, 5])
     def test_schema3_model_exits_2(self, blob_csvs, tmp_path, capsys, version):
         train, _ = blob_csvs
         model = tmp_path / "model.json"

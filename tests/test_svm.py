@@ -7,8 +7,8 @@ from atree import svm as svm_module
 from atree.errors import ValidationError
 from atree.svm import (KERNEL_KINDS, KernelSpec, KernelSvmModel, LinearSvmModel,
                        SvmConfig, decision_values_batch, kernel_computations,
-                       kernel_matrix, predict, squared_norms, train_kernel_svm,
-                       train_linear_svm, train_svm, training_gram, truncate_svs)
+                       kernel_matrix, squared_norms, train_kernel_svm,
+                       train_linear_svm, train_svm, training_gram)
 from oracles import (grid_min_linear_svm_1d, random_binary_dataset,
                      reference_kernel_svm, reference_linear_svm)
 
@@ -97,8 +97,7 @@ class TestKernels:
 class TestLinearSolver:
     def test_separable_margins_match_analytic_optimum(self):
         model = train_linear_svm(SEP_X, SEP_Y, HARD_C)
-        for x, y in zip(SEP_X, SEP_Y):
-            assert predict(model, x) == y
+        assert (np.sign(decision_values_batch(model, SEP_X)) == SEP_Y).all()
         # hard-margin optimum is w=1, b=0, confirmed by a grid oracle
         w_star, b_star, _ = grid_min_linear_svm_1d(
             SEP_X, SEP_Y, 1000.0, np.arange(0.0, 2.01, 0.01), np.arange(-1.0, 1.01, 0.01))
@@ -218,7 +217,7 @@ class TestKernelSolver:
         y = np.array([1.0, 1.0, -1.0, -1.0])
         model = train_kernel_svm(X, y, KernelSpec("rbf", 1.0),
                                  SvmConfig(c=10.0, tolerance=1e-4, max_passes=2000, seed=0))
-        assert [predict(model, row) for row in X] == y.tolist()
+        assert (np.sign(decision_values_batch(model, X)) == y).all()
 
     def test_dual_feasibility_and_balance(self):
         rng = np.random.default_rng(6)
@@ -362,7 +361,6 @@ class TestDecisionAndPredict:
         model = LinearSvmModel(np.zeros(3), 0.7)
         assert decision_values_batch(model, np.zeros(3)) == 0.7
         assert decision_values_batch(model, np.zeros((2, 3))).tolist() == [0.7, 0.7]
-        assert predict(model, np.zeros(3)) == 1
 
     def test_single_support_vector_kernel_value(self):
         model = KernelSvmModel(
@@ -372,10 +370,6 @@ class TestDecisionAndPredict:
             sv_ids=np.array([0]))
         assert decision_values_batch(model, np.array([1.0, 0.0])) == pytest.approx(0.4, abs=1e-15)
         assert decision_values_batch(model, np.array([[1.0, 0.0]])).shape == (1,)
-
-    def test_zero_decision_predicts_positive(self):
-        model = LinearSvmModel(np.array([1.0]), 0.0)
-        assert predict(model, np.array([0.0])) == 1
 
     def test_dimension_mismatch_rejected(self):
         model = LinearSvmModel(np.array([1.0, 2.0]), 0.0)
@@ -403,8 +397,6 @@ class TestDecisionAndPredict:
             single = decision_values_batch(model, row)
             assert np.ndim(single) == 0
             assert single == value
-        np.testing.assert_array_equal([predict(model, row) for row in probes],
-                                      predict(model, probes))
 
 
     @settings(max_examples=40, deadline=None)
@@ -503,22 +495,3 @@ class TestKernelEvalCounter:
         assert union == len({i for ids in id_sets for i in ids}) <= uncached
         assert uncached == sum(len(ids) for ids in id_sets)
 
-
-class TestTruncation:
-    def test_keeps_largest_coefficients(self):
-        model = KernelSvmModel(
-            support_vectors=np.array([[0.0], [1.0], [2.0], [3.0]]),
-            dual_coefficients=np.array([0.1, -2.0, 0.5, 1.5]),
-            bias=0.2, kernel=KernelSpec("rbf", 1.0), sv_ids=np.arange(4))
-        cut = truncate_svs(model, 2)
-        assert cut.n_support == 2
-        assert set(cut.sv_ids.tolist()) == {1, 3}
-
-    def test_noop_when_budget_covers_model(self):
-        model = _toy_kernel_model(np.arange(5))
-        assert truncate_svs(model, 5) is model
-        assert truncate_svs(model, 99) is model
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValidationError):
-            truncate_svs(_toy_kernel_model(np.arange(3)), 0)

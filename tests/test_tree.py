@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from atree.boosting import BoostConfig, BoostedClassifier, DecisionStump, adaboost_train
 from atree.dataset import Dataset, generate_gaussian_blobs, generate_two_cluster_2d
 from atree.errors import SchemaError, ValidationError
-from atree.svm import KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig, squared_norms
+from atree.svm import KernelSpec, KernelSvmModel, LinearSvmModel, squared_norms
 from atree import cli
 from atree import svm as svm_module
 from atree import tree as tree_module
@@ -399,18 +399,6 @@ class TestPhase2:
         with pytest.raises(ValidationError, match="confidently"):
             attach_svms_phase2(root, data, cfg)
 
-    def test_sv_budget_search_respects_accuracy_guard(self):
-        data = generate_gaussian_blobs(4, 50, 3, 1.0, seed=10)
-        base = AtreeConfig(delta=0.6, max_depth=3, kernel=KernelSpec("rbf", 0.5),
-                           svm=SvmConfig(c=5.0))
-        budget = AtreeConfig(delta=0.6, max_depth=3, kernel=KernelSpec("rbf", 0.5),
-                             svm=SvmConfig(c=5.0), sv_budget_search=[2, 5, 10, 20])
-        full = train_atree(data, base)
-        trimmed = train_atree(data, budget)
-        for a, b in zip(iter_nodes(full.root), iter_nodes(trimmed.root)):
-            if isinstance(a, InternalNode) and isinstance(a.svm, KernelSvmModel):
-                assert b.svm.n_support <= a.svm.n_support
-
     def test_phase1_only_tree_cannot_predict(self):
         data = generate_gaussian_blobs(3, 20, 2, 0.5, seed=11)
         cfg = AtreeConfig(delta=0.6, max_depth=3)
@@ -729,7 +717,7 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="wide"):
             deserialize(json.dumps(doc))
 
-    @pytest.mark.parametrize("path", [("delta",), ("sv_budget_search",), ("boost",),
+    @pytest.mark.parametrize("path", [("delta",), ("min_node_samples",), ("boost",),
                                       ("svm", "tolerance"), ("kernel", "gamma")])
     def test_config_field_missing_rejected(self, path):
         doc = self._doc(1)
@@ -759,6 +747,13 @@ class TestSerialization:
                 assert set(node["svm"]) == {"sv_ids", "dual_coefficients", "bias"}
             else:
                 assert set(node) == {"label", "purity", "n_training"}
+
+    @pytest.mark.parametrize("key", ["split", "boost", "partition", "depth"])
+    def test_internal_node_stray_key_rejected(self, key):
+        doc = self._doc(1)
+        next(n for n in doc["nodes"] if "svm" in n)[key] = {"x": 1}
+        with pytest.raises(SchemaError, match="internal node"):
+            deserialize(json.dumps(doc))
 
     def test_config_survives_round_trip(self):
         tree, _ = self._random_tree(3)
