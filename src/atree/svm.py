@@ -29,6 +29,11 @@ _CHUNK_ELEMENTS = 1 << 20
 _TILE = 64
 
 
+def _finite_positive(v):
+    """Whether v is a finite number above zero; NaN fails both tests."""
+    return math.isfinite(v) and v > 0
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel family plus its parameter.
@@ -48,8 +53,9 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
         if self.kind in ("rbf", "chi_square"):
-            if self.gamma is None or self.gamma <= 0:
-                raise ValidationError(f"{self.kind} kernel needs gamma > 0")
+            if self.gamma is None or not _finite_positive(self.gamma):
+                raise ValidationError(f"{self.kind} kernel needs a finite gamma > 0, "
+                                      f"got {self.gamma}")
         elif self.gamma is not None:
             raise ValidationError(f"{self.kind} kernel takes no gamma")
 
@@ -148,8 +154,9 @@ class SvmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValidationError("regularization c must be positive")
+        if not _finite_positive(self.c):
+            raise ValidationError(f"regularization c must be finite and positive, "
+                                  f"got {self.c}")
         if not 0.0 < self.tolerance <= 1e-2:
             raise ValidationError("tolerance must lie in (0, 1e-2]")
         if self.max_passes < 1:
@@ -233,16 +240,21 @@ def train_linear_svm(X, y, config):
     has converged, otherwise every coordinate is re-activated. The model's
     ``convergence`` records the passes, that spread at the returned weights
     and whether it is within the tolerance.
+
+    The solver keeps each augmented row multiplied by its label. y is +-1,
+    so y*x is exact, and the gradient y*(x.w) and the update (delta*y)*x
+    round exactly as they would on the unsigned rows. The dual weights and
+    the rows' squared norms are Python floats and each row is a view, so a
+    step costs one dot, one scaled row and one in-place add in numpy.
     """
     X = np.asarray(X, dtype=np.float64)
     y = _split_labels(y)
     n, d = X.shape
-    Xa = np.hstack([X, np.ones((n, 1))])
-    # Python floats and row views keep each step out of numpy scalar
-    # arithmetic; the dot stays `row @ w`, whose summation order is fixed.
-    rows = list(Xa)
-    qd = (Xa * Xa).sum(axis=1).tolist()
-    y = y.tolist()
+    # label-signed augmented rows y_i * [x_i, 1]
+    Ya = np.hstack([X, np.ones((n, 1))])
+    Ya *= y[:, None]
+    rows = list(Ya)
+    qd = (Ya * Ya).sum(axis=1).tolist()
     alpha = [0.0] * n
     w = np.zeros(d + 1)
     C = config.c
@@ -258,7 +270,9 @@ def train_linear_svm(X, y, config):
         kept = []
         for i in rng.permutation(active).tolist():
             a = alpha[i]
-            g = y[i] * float(rows[i] @ w) - 1.0
+            # `dot` dispatches in about half the time of `@` on short rows;
+            # both reach the same BLAS dot, whose summation order is fixed
+            g = float(rows[i].dot(w)) - 1.0
             if a <= 0.0:
                 if g > old_max:
                     continue
@@ -280,27 +294,28 @@ def train_linear_svm(X, y, config):
                     new = 0.0
                 elif new > C:
                     new = C
-                w += (new - a) * y[i] * rows[i]
+                w += (new - a) * rows[i]
                 alpha[i] = new
         if pg_max - pg_min <= config.tolerance:
             # the pass saw moving iterates and only the active set: measure
             # every coordinate at the current weights before stopping
-            if _pg_spread(Xa, y, alpha, w, C) <= config.tolerance:
+            if _pg_spread(Ya, alpha, w, C) <= config.tolerance:
                 break
             active, old_max, old_min = everyone, math.inf, -math.inf
             continue
         active = np.array(kept, dtype=np.int64)
         old_max = pg_max if pg_max > 0.0 else math.inf
         old_min = pg_min if pg_min < 0.0 else -math.inf
-    gap = _pg_spread(Xa, y, alpha, w, C)
+    gap = _pg_spread(Ya, alpha, w, C)
     record = SolverRecord(passes, gap, gap <= config.tolerance)
     return LinearSvmModel(w[:d].copy(), float(w[d]), record)
 
 
-def _pg_spread(Xa, y, alpha, w, C):
+def _pg_spread(Ya, alpha, w, C):
     """PGmax - PGmin of the dual's projected gradients over all coordinates
-    at the weights w, the linear solver's stopping measure."""
-    g = np.asarray(y) * (Xa @ w) - 1.0
+    at the weights w, the linear solver's stopping measure. Ya holds the
+    label-signed augmented rows."""
+    g = Ya @ w - 1.0
     alpha = np.asarray(alpha)
     pg = np.where(alpha <= 0.0, np.minimum(g, 0.0),
                   np.where(alpha >= C, np.maximum(g, 0.0), g))
@@ -342,10 +357,17 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None, gram=None):
     retained as support vectors.
 
     The solver holds the Gram column-major, so each update reads two
-    contiguous columns. It keeps vals = -y * gradient rather than the
-    gradient: y is +-1, so every update rounds exactly as it would on the
-    gradient. The masks of coordinates that may move up or down change only
-    at the two updated coordinates and are updated there.
+    contiguous columns. Its state is vals = -y * gradient, kept as two
+    masked copies: vals_up holds it where a coordinate may move along +y and
+    -inf elsewhere, vals_low where it may move along -y and +inf elsewhere.
+    y is +-1, so vals rounds exactly as the gradient would; each update
+    subtracts the same delta from both copies, which leaves an infinite
+    entry infinite and rounds a finite one exactly as vals would. Every
+    coordinate may move one way or the other, so one of the copies holds
+    its value. The masks change only at the two updated coordinates, whose
+    entries are rewritten there. The dual weights, labels, Gram diagonal and
+    masks are Python floats and bools, so an update costs two arg-extrema,
+    four array operations on columns and a few scalar reads and writes.
     """
     X = np.asarray(X, dtype=np.float64)
     y = _split_labels(y)
@@ -360,52 +382,58 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None, gram=None):
         raise ValidationError("gram must have one row and one column per sample")
     K = training_gram(kernel, X) if gram is None else np.asfortranarray(gram)
     C = config.c
-    alpha = np.zeros(n)
-    vals = y.copy()              # -y * gradient of the dual objective at alpha
-    pos = y > 0
-    up = pos.copy()              # coordinates that may move along +y
-    low = ~pos                   # coordinates that may move along -y
-    vals_up = np.empty(n)
-    vals_low = np.empty(n)
+    labels = y.tolist()
+    diag = K.diagonal().tolist()
+    alpha = [0.0] * n
+    pos = [label > 0 for label in labels]
+    up = pos[:]                  # coordinates that may move along +y
+    low = [not p for p in pos]   # coordinates that may move along -y
+    # vals = -y * gradient of the dual objective, -y * -1 = y at alpha = 0
+    vals_up = np.where(y > 0, y, -np.inf)
+    vals_low = np.where(y > 0, np.inf, y)
     delta = np.empty(n)
     budget = config.max_passes * n
     updates = 0
     while True:
-        vals_up.fill(-np.inf)
-        np.copyto(vals_up, vals, where=up)
-        vals_low.fill(np.inf)
-        np.copyto(vals_low, vals, where=low)
         i = int(vals_up.argmax())
         j = int(vals_low.argmin())
-        gap = float(vals_up[i] - vals_low[j])
+        hi = vals_up.item(i)
+        lo = vals_low.item(j)
+        gap = hi - lo
         if gap <= config.tolerance or updates == budget:
             break
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
         if eta <= 1e-12:
             eta = 1e-12
-        step_i = C - alpha[i] if y[i] > 0 else alpha[i]
-        step_j = alpha[j] if y[j] > 0 else C - alpha[j]
+        # the gap exceeds the tolerance and each bound is positive, as the
+        # masks admit i and j, so the step t is positive
+        step_i = C - alpha[i] if pos[i] else alpha[i]
+        step_j = alpha[j] if pos[j] else C - alpha[j]
         t = min(gap / eta, step_i, step_j)
-        if t <= 0.0:
-            break
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
+        alpha[i] += labels[i] * t
+        alpha[j] -= labels[j] * t
         np.subtract(K[:, i], K[:, j], out=delta)
         delta *= t
-        vals -= delta
+        vals_up -= delta
+        vals_low -= delta
         for k in (i, j):
+            v = vals_up.item(k) if up[k] else vals_low.item(k)
             a = alpha[k]
             up[k] = (a < C) if pos[k] else (a > 0)
             low[k] = (a > 0) if pos[k] else (a < C)
+            vals_up[k] = v if up[k] else -math.inf
+            vals_low[k] = v if low[k] else math.inf
         updates += 1
+    alpha = np.array(alpha)
     free = (alpha > _SV_EPS) & (alpha < C - _SV_EPS)
     if free.any():
-        bias = float(np.mean(vals[free]))
+        # a free coordinate may move either way: vals_up holds its value
+        bias = float(np.mean(vals_up[free]))
     else:
-        # every exit leaves vals, up and low as computed at the final alpha
-        hi = vals[up].max() if up.any() else 0.0
-        lo = vals[low].min() if low.any() else 0.0
-        bias = float((hi + lo) / 2.0)
+        # the exit's extrema, over the final masks. Neither mask is empty:
+        # updates keep sum y*alpha at 0, so the positives cannot all sit at
+        # C (or all at 0) while the negatives all sit at 0 (or at C)
+        bias = (hi + lo) / 2.0
     keep = alpha > _SV_EPS
     return KernelSvmModel(
         support_vectors=X[keep].copy(),

@@ -145,6 +145,34 @@ class TestTrain:
         assert repr(key) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags", [("--kernel", "rbf", "--kernel-gamma", "nan"),
+                                       ("--kernel", "rbf", "--kernel-gamma", "inf"),
+                                       ("--c", "nan"), ("--c", "inf")],
+                             ids=["gamma-nan", "gamma-inf", "c-nan", "c-inf"])
+    def test_non_finite_solver_parameter_exits_2(self, blob_csvs, tmp_path, capsys, flags):
+        train, _ = blob_csvs
+        model = tmp_path / "m.json"
+        assert run("--quiet", "train", train, "--out", model, *flags) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("path,value", [(("svm", "c"), "NaN"), (("svm", "c"), "Infinity"),
+                                            (("kernel", "gamma"), "NaN")],
+                             ids=["c-nan", "c-inf", "gamma-nan"])
+    def test_model_with_a_non_finite_solver_parameter_exits_2(self, blob_csvs, tmp_path,
+                                                             capsys, path, value):
+        train, _ = blob_csvs
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 3,
+                   "--kernel", "rbf", "--kernel-gamma", 0.5) == 0
+        doc = json.loads(model.read_text())
+        # json writes and reads NaN and Infinity as bare tokens
+        doc["config"][path[0]][path[1]] = float(value.replace("Infinity", "inf"))
+        model.write_text(json.dumps(doc))
+        assert value in model.read_text()
+        assert run("--quiet", "export-tree", model, "--out", tmp_path / "o.dot") == 2
+        assert "finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_training_data_exits_2(self, tmp_path, capsys, cell):
         bad = tmp_path / "bad.csv"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atree import dataset, metrics
 from atree import svm as svm_module
 from atree.errors import ValidationError
 from atree.svm import (KERNEL_KINDS, KernelSpec, KernelSvmModel, LinearSvmModel,
@@ -93,6 +94,29 @@ class TestKernels:
         with pytest.raises(ValidationError):
             KernelSpec("sigmoid")
 
+    @pytest.mark.parametrize("kind", ["rbf", "chi_square"])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gamma_must_be_finite_and_positive(self, kind, gamma):
+        # NaN passes a plain `gamma <= 0` test
+        with pytest.raises(ValidationError, match="gamma"):
+            KernelSpec(kind, gamma)
+
+
+class TestSvmConfig:
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_c_must_be_finite_and_positive(self, c):
+        with pytest.raises(ValidationError, match="regularization c"):
+            SvmConfig(c=c)
+
+
+def _projected_gradient_spread(X, y, weights, bias, alpha, c):
+    """PGmax - PGmin at a linear solution, computed as the reference solver
+    computes it: from the unsigned rows, times the labels."""
+    g = y * (np.hstack([X, np.ones((len(X), 1))]) @ np.append(weights, bias)) - 1.0
+    pg = np.where(alpha <= 0.0, np.minimum(g, 0.0),
+                  np.where(alpha >= c, np.maximum(g, 0.0), g))
+    return pg.max() - pg.min()
+
 
 class TestLinearSolver:
     def test_separable_margins_match_analytic_optimum(self):
@@ -154,11 +178,13 @@ class TestLinearSolver:
         X, y = random_binary_dataset(rng, 80, 4)
         cfg = SvmConfig(c=c, tolerance=tolerance, max_passes=max_passes, seed=2)
         model = train_linear_svm(X, y, cfg)
-        weights, bias, _, passes, converged = reference_linear_svm(X, y, cfg)
+        weights, bias, alpha, passes, converged = reference_linear_svm(X, y, cfg)
         np.testing.assert_array_equal(model.weights, weights)
         assert model.bias == bias
         record = model.convergence
         assert (record.iterations, record.converged) == (passes, converged)
+        gap = _projected_gradient_spread(X, y, weights, bias, alpha, c)
+        assert np.float64(record.gap).tobytes() == gap.tobytes()
         assert converged == converges
         assert (passes < max_passes) == converges
         assert (record.gap <= tolerance) == converges
@@ -199,6 +225,47 @@ class TestLinearSolver:
         record = train_linear_svm(X, y, SvmConfig(c=100.0, max_passes=1)).convergence
         assert record.iterations == 1
         assert not record.converged and record.gap > 1e-3
+
+    def test_desk_scale_solve_equals_the_reference(self, monkeypatch):
+        # a one-vs-rest problem shaped like the linear desk workload (20
+        # blobs in 16-d, default solver settings) that shrinks its active
+        # set, re-activates every coordinate once and ends on the pass budget
+        data = dataset.generate_gaussian_blobs(20, 15, 16, 1.0, 15)
+        X, y = data.features, np.where(data.labels == 0, 1.0, -1.0)
+        cfg = SvmConfig()
+        visited, spreads = [], []
+        default_rng, pg_spread = np.random.default_rng, svm_module._pg_spread
+
+        class Recorder:
+            """Records how many coordinates each pass visits."""
+
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def permutation(self, active):
+                visited.append(len(active))
+                return self.rng.permutation(active)
+
+        def recorded_spread(*args):
+            spreads.append(pg_spread(*args))
+            return spreads[-1]
+
+        monkeypatch.setattr(svm_module.np.random, "default_rng", Recorder)
+        monkeypatch.setattr(svm_module, "_pg_spread", recorded_spread)
+        model = train_linear_svm(X, y, cfg)
+        monkeypatch.undo()
+        weights, bias, alpha, passes, converged = reference_linear_svm(X, y, cfg)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+        assert (model.convergence.iterations, model.convergence.converged) == (passes, converged)
+        gap = _projected_gradient_spread(X, y, weights, bias, alpha, cfg.c)
+        assert np.float64(model.convergence.gap).tobytes() == gap.tobytes()
+        assert passes == cfg.max_passes and not converged
+        assert len(y) == 300 and min(visited) < len(y) // 10
+        # every spread but the last was measured at a pass that met the
+        # tolerance on the active set, and re-activated everyone
+        assert len(spreads) >= 2 and min(spreads) > cfg.tolerance
+        assert visited.count(len(y)) >= 2
 
 
 class TestKernelSolver:
@@ -309,6 +376,22 @@ class TestKernelSolver:
         got, want = model.convergence, expected.convergence
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
         assert np.float64(got.gap).tobytes() == np.float64(want.gap).tobytes()
+
+    def test_one_vs_all_on_blobs_equals_the_reference(self):
+        # 300 samples share one column-major Gram of several tiles
+        data = dataset.generate_gaussian_blobs(6, 50, 8, 1.2, 3)
+        spec, cfg = KernelSpec("rbf", 0.2), SvmConfig()
+        ova = metrics.train_one_vs_all(data, spec, cfg)
+        for cls, model in enumerate(ova.models):
+            y = np.where(data.labels == cls, 1.0, -1.0)
+            expected = reference_kernel_svm(data.features, y, spec, cfg)
+            for part in ("support_vectors", "dual_coefficients", "sv_ids"):
+                assert getattr(model, part).tobytes() == getattr(expected, part).tobytes()
+            assert np.float64(model.bias).tobytes() == np.float64(expected.bias).tobytes()
+            got, want = model.convergence, expected.convergence
+            assert (got.iterations, got.converged) == (want.iterations, want.converged)
+            assert np.float64(got.gap).tobytes() == np.float64(want.gap).tobytes()
+            assert got.iterations > len(y)
 
     def test_precomputed_gram_gives_the_same_model(self):
         rng = np.random.default_rng(15)
