@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_field_types
 
 # Candidates whose fast-scan score (stump error here, split entropy in
 # tree.entropy_split) lands within this slack of the minimum are re-scored
@@ -49,6 +49,7 @@ class BoostConfig:
     gamma: float = 0.48
 
     def __post_init__(self):
+        check_field_types(self)
         if self.max_rounds < 1:
             raise ValidationError("max_rounds must be positive")
         if not 0.0 < self.gamma <= 0.5:

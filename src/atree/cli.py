@@ -18,7 +18,7 @@ from . import tree as tr
 from .boosting import BoostConfig, error_bound
 from .dataset import (generate_gaussian_blobs, generate_two_cluster_2d,
                       load_csv, split_train_test, write_csv)
-from .errors import AtreeError, ValidationError
+from .errors import AtreeError, ValidationError, check_field_types
 from .svm import KERNEL_KINDS, KernelSpec, SvmConfig
 
 METRIC_COLUMNS = ("method", "delta", "num_classes", "kernel", "accuracy",
@@ -27,19 +27,23 @@ METRIC_COLUMNS = ("method", "delta", "num_classes", "kernel", "accuracy",
 
 @dataclass
 class RunConfig:
-    """Flat view of every training knob; round-trips through a JSON file."""
+    """Flat view of every training knob; round-trips through a JSON file.
+    Defaults are those of the config classes it builds."""
 
-    delta: float = 0.7
-    max_depth: int | None = None
+    delta: float = tr.AtreeConfig.delta
+    max_depth: int | None = tr.AtreeConfig.max_depth
     kernel: str = "linear"
-    kernel_gamma: float | None = None
-    c: float = 1.0
-    tolerance: float = 1e-3
+    kernel_gamma: float | None = KernelSpec.gamma
+    c: float = SvmConfig.c
+    tolerance: float = SvmConfig.tolerance
     max_passes: int = SvmConfig.max_passes
-    max_rounds: int = 50
-    boost_gamma: float = 0.48
-    min_node_samples: int = 5
-    seed: int = 0
+    max_rounds: int = BoostConfig.max_rounds
+    boost_gamma: float = BoostConfig.gamma
+    min_node_samples: int = tr.AtreeConfig.min_node_samples
+    seed: int = SvmConfig.seed
+
+    def __post_init__(self):
+        check_field_types(self)
 
     def to_svm_config(self):
         return SvmConfig(c=self.c, tolerance=self.tolerance,
@@ -56,19 +60,6 @@ class RunConfig:
         )
 
 
-_CONFIG_TYPES = {"float": (int, float), "int": (int,), "str": (str,)}
-
-
-def _check_config_value(f, value):
-    """A --config value must fit its RunConfig field: a number for a float,
-    an integer for an int (a bool is neither), None only where allowed."""
-    kind, _, optional = f.type.partition(" | ")
-    if value is None and optional:
-        return
-    if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
-        raise ValidationError(f"config key {f.name!r} must be {f.type}, got {value!r}")
-
-
 def _resolve_run_config(args):
     """Layered merge: explicit flags > --config file > defaults."""
     values = {}
@@ -80,12 +71,9 @@ def _resolve_run_config(args):
             raise ValidationError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
-        known = {f.name: f for f in fields(RunConfig)}
-        unknown = set(loaded) - set(known)
+        unknown = set(loaded) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in loaded.items():
-            _check_config_value(known[name], value)
         values.update(loaded)
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
@@ -131,11 +119,12 @@ def _say(args, message):
 
 
 def cmd_synth(args):
+    seed = _resolve_run_config(args).seed
     if args.kind == "two-cluster-2d":
-        data = generate_two_cluster_2d(args.count, args.seed)
+        data = generate_two_cluster_2d(args.count, seed)
     else:
         data = generate_gaussian_blobs(args.classes, args.per_class, args.dim,
-                                       args.spread, args.seed)
+                                       args.spread, seed)
     write_csv(data, args.out)
     _say(args, f"wrote {args.out}: samples={len(data)} classes={data.num_classes} "
                f"dimension={data.dimension}")

@@ -66,6 +66,13 @@ class Dataset:
                        self.num_classes, self.label_names)
 
 
+def _rng(seed):
+    """numpy's default generator for seed, a nonnegative int."""
+    if type(seed) is not int or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def _uniform_weights(n):
     return np.full(n, 1.0 / n)
 
@@ -158,7 +165,7 @@ def generate_two_cluster_2d(count, seed):
     if count < 4:
         raise ValidationError("count must be at least 4")
     counts = _largest_remainder_counts([p[0] for p in _TWO_CLUSTER_PARTS], count)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     feats = []
     labels = []
     for (_, cls, center, std), k in zip(_TWO_CLUSTER_PARTS, counts):
@@ -195,7 +202,7 @@ def generate_gaussian_blobs(num_classes, per_class, dimension, spread, seed):
         raise ValidationError("dimension must be at least 1")
     if spread < 0:
         raise ValidationError("spread must be nonnegative")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n_groups = max(2, int(np.ceil(np.sqrt(num_classes))))
     centers = rng.standard_normal((n_groups, dimension)) * _BLOB_GROUP_SCALE
     offsets = rng.standard_normal((num_classes, dimension)) * _BLOB_CLASS_SCALE
@@ -216,7 +223,7 @@ def split_train_test(data, train_fraction, seed, stratified=True):
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError("train_fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     n = len(data)
     if stratified:
         train_idx = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_field_types
 
 KERNEL_KINDS = ("linear", "rbf", "chi_square", "histogram_intersection")
 
@@ -50,6 +50,7 @@ class KernelSpec:
     gamma: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in KERNEL_KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
         if self.kind in ("rbf", "chi_square"):
@@ -154,6 +155,7 @@ class SvmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if not _finite_positive(self.c):
             raise ValidationError(f"regularization c must be finite and positive, "
                                   f"got {self.c}")
@@ -161,6 +163,8 @@ class SvmConfig:
             raise ValidationError("tolerance must lie in (0, 1e-2]")
         if self.max_passes < 1:
             raise ValidationError("max_passes must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

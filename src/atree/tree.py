@@ -27,7 +27,7 @@ import numpy as np
 
 from .boosting import (BoostConfig, BoostedClassifier, _argmin_rescored, adaboost_train,
                        prob_positive_batch)
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, check_field_types
 from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SupportVectorTable,
                   SvmConfig, kernel_matrix, support_vector_table, train_svm)
 
@@ -56,6 +56,7 @@ class AtreeConfig:
     min_node_samples: int = 5
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.5 <= self.delta <= 1.0:
             raise ValidationError(
                 f"delta must lie in [0.5, 1], got {self.delta}: values below 0.5 "
@@ -137,10 +138,11 @@ class InternalNode:
 class Atree:
     """A tree and what traversal derives from it once.
 
-    A tree with kernel classifiers holds one support_vector_table of their
-    models, sorted by sv_id as the model file stores it, and gives each
-    kernel node a dense row of its dual coefficients over the table's rows
-    (0 outside its own support vectors). A linear tree holds neither.
+    Every internal node must hold a classifier. A tree with kernel
+    classifiers holds one support_vector_table of their models, sorted by
+    sv_id as the model file stores it, and gives each kernel node a dense
+    row of its dual coefficients over the table's rows (0 outside its own
+    support vectors). A linear tree holds neither.
     """
 
     root: object
@@ -153,8 +155,12 @@ class Atree:
                                    compare=False)
 
     def __post_init__(self):
-        nodes = [n for n in iter_nodes(self.root)
-                 if isinstance(getattr(n, "svm", None), KernelSvmModel)]
+        internal = [n for n in iter_nodes(self.root) if isinstance(n, InternalNode)]
+        for node in internal:
+            if node.svm is None:
+                raise ValidationError(f"internal node {node.node_id} has no classifier: "
+                                      "phase two has not been attached")
+        nodes = [n for n in internal if isinstance(n.svm, KernelSvmModel)]
         if nodes:
             self.sv_table = support_vector_table([n.svm for n in nodes])
             rows = np.ascontiguousarray(self.sv_table.coefficients.T)
@@ -448,8 +454,6 @@ def _node_inputs(tree, X):
 def _node_values(tree, node, rows):
     """The node's decision values on rows of _node_inputs() (one row or a
     batch). Each value depends on its own row alone."""
-    if node.svm is None:
-        raise ValidationError("phase two has not been attached to this tree")
     weights = (node.svm.weights if tree.sv_table is None
                else tree.coefficient_rows[node.node_id])
     return np.vecdot(rows, weights) + node.svm.bias
@@ -526,8 +530,6 @@ def route(tree, X):
 def _svm_to_doc(svm):
     """A node classifier without its kernel, which the config holds; a
     kernel model names its support vectors by id in the tree's table."""
-    if svm is None:
-        return None
     if isinstance(svm, LinearSvmModel):
         return {"weights": svm.weights, "bias": svm.bias}
     return {"sv_ids": svm.sv_ids, "dual_coefficients": svm.dual_coefficients,
@@ -590,8 +592,6 @@ def _table_from_doc(entries, dimension):
 
 def _svm_from_doc(doc, kernel, table):
     """The node classifier of the configured kernel's family."""
-    if doc is None:
-        return None
     if ("weights" in doc) != kernel.is_linear or ("sv_ids" in doc) == kernel.is_linear:
         raise SchemaError(f"node classifier with fields {sorted(doc)} does not fit "
                           f"the configured {kernel.kind} kernel")
@@ -618,8 +618,12 @@ _INTERNAL_KEYS = {"pos_classes", "neg_classes", "binary_distribution", "n_traini
                   "left", "right"}
 
 
-def _node_from_doc(node_id, doc, built, kernel, table):
+def _node_from_doc(node_id, doc, built, kernel, table, num_classes):
     if "svm" not in doc:
+        label = doc["label"]
+        if type(label) is not int or not 0 <= label < num_classes:
+            raise SchemaError(f"leaf node {node_id} has label {label!r}, not a class id "
+                              f"in range({num_classes})")
         return LeafNode(node_id, **doc)
     if set(doc) != _INTERNAL_KEYS:
         raise SchemaError(f"internal node {node_id} must have exactly the fields "
@@ -651,13 +655,18 @@ def deserialize(text):
         dimension = int(doc["dimension"])
         table = _table_from_doc(doc["support_vectors"], dimension)
         node_docs = doc["nodes"]
+        label_names = doc["label_names"]
         built = {}
         # children always carry larger ids than their parent, so build in
         # reverse id order
         for node_id in range(len(node_docs) - 1, -1, -1):
-            built[node_id] = _node_from_doc(node_id, node_docs[node_id], built,
-                                            config.kernel, table)
-        return Atree(built[0], config, doc["label_names"], dimension)
+            try:
+                built[node_id] = _node_from_doc(node_id, node_docs[node_id], built,
+                                                config.kernel, table, len(label_names))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"malformed model document: node {node_id}: "
+                                  f"{exc!r}") from None
+        return Atree(built[0], config, label_names, dimension)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model document: {exc!r}") from None
 

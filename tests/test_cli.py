@@ -44,6 +44,20 @@ class TestSynth:
         assert run("--quiet", "synth", "two-cluster-2d", "--count", 2,
                    "--out", tmp_path / "x.csv") == 2
 
+    @pytest.mark.parametrize("kind", ["two-cluster-2d", "blobs"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "x.csv"
+        assert run("--quiet", "synth", kind, "--seed", -1, "--out", out) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_defaults_to_the_training_seed(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        small = ("--classes", 2, "--per-class", 3, "--dim", 1)
+        assert run("--quiet", "synth", "blobs", *small, "--out", a) == 0
+        assert run("--quiet", "synth", "blobs", *small, "--seed", 0, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestTrain:
     def test_small_tree_node_budget(self, blob_csvs, tmp_path):
@@ -53,6 +67,14 @@ class TestTrain:
                    "--delta", 0.6, "--max-depth", 4) == 0
         tree = load(model)
         assert sum(1 for _ in iter_nodes(tree.root)) <= 15
+
+    @pytest.mark.parametrize("before,after", [(("--seed", -1), ()), ((), ("--seed", -1))])
+    def test_negative_seed_exits_2(self, blob_csvs, tmp_path, capsys, before, after):
+        train, _ = blob_csvs
+        model = tmp_path / "m.json"
+        assert run("--quiet", *before, "train", train, "--out", model, *after) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_delta_below_half_rejected_with_message(self, blob_csvs, tmp_path, capsys):
         train, _ = blob_csvs
@@ -172,6 +194,31 @@ class TestTrain:
         assert value in model.read_text()
         assert run("--quiet", "export-tree", model, "--out", tmp_path / "o.dot") == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutation,named", [
+        (lambda doc: doc["config"]["svm"].update(max_passes=2.5), "'max_passes'"),
+        (lambda doc: doc["config"]["svm"].update(max_passes=float("inf")), "'max_passes'"),
+        (lambda doc: doc["config"]["svm"].update(seed="x"), "'seed'"),
+        (lambda doc: doc["config"].update(delta=True), "'delta'"),
+        (lambda doc: doc["config"]["boost"].update(max_rounds=2.5), "'max_rounds'"),
+        (lambda doc: doc["nodes"][0].update(svm=None), "node 0"),
+        (lambda doc: [n.update(label=99) for n in doc["nodes"] if "label" in n], "leaf node"),
+    ], ids=["max-passes-fraction", "max-passes-inf", "seed-string", "delta-bool",
+            "max-rounds-fraction", "null-classifier", "leaf-label-99"])
+    def test_model_the_program_could_not_have_written_exits_2(self, blob_csvs, tmp_path,
+                                                             capsys, mutation, named):
+        train, test = blob_csvs
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 3) == 0
+        doc = json.loads(model.read_text())
+        assert "svm" in doc["nodes"][0]
+        mutation(doc)
+        model.write_text(json.dumps(doc))
+        assert run("--quiet", "eval", model, test, "--out-metrics", tmp_path / "m.csv",
+                   "--out-traces", tmp_path / "t.csv") == 2
+        assert named in capsys.readouterr().err
+        assert run("--quiet", "export-tree", model, "--out", tmp_path / "o.dot") == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_training_data_exits_2(self, tmp_path, capsys, cell):

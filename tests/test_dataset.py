@@ -228,3 +228,14 @@ class TestDatasetInvariants:
         features = np.array([[0.0, 1.0], [2.0, bad]])
         with pytest.raises(ValidationError, match="finite"):
             Dataset(features, np.array([0, 1]), np.array([0.5, 0.5]), 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, True, None, "0", np.int64(1)])
+@pytest.mark.parametrize("make", [
+    lambda seed: generate_two_cluster_2d(10, seed),
+    lambda seed: generate_gaussian_blobs(2, 4, 2, 1.0, seed),
+    lambda seed: split_train_test(generate_gaussian_blobs(2, 4, 2, 1.0, 0), 0.5, seed),
+], ids=["two-cluster", "blobs", "split"])
+def test_seed_must_be_a_nonnegative_int(make, seed):
+    with pytest.raises(ValidationError, match="seed"):
+        make(seed)
