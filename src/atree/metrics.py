@@ -10,13 +10,12 @@ shared by several classifiers is computed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .svm import (LinearSvmModel, kernel_computations, kernel_matrix,
-                  support_vector_table, train_svm, training_gram)
+from .svm import ClassifierBank, kernel_computations, train_svm, training_gram
 from .tree import route as route_tree
 
 
@@ -24,6 +23,7 @@ from .tree import route as route_tree
 class OneVsAllModel:
     models: list
     num_classes: int
+    bank: ClassifierBank = field(repr=False)   # the models', built when trained
 
 
 @dataclass
@@ -31,6 +31,7 @@ class OneVsOneModel:
     pairs: list          # [(class_a, class_b), ...] with a < b
     models: list
     num_classes: int
+    bank: ClassifierBank = field(repr=False)
 
 
 @dataclass
@@ -70,7 +71,8 @@ def train_one_vs_all(data, kernel, svm_config):
     gram = None if kernel.is_linear else training_gram(kernel, X)
     models = [train_svm(X, np.where(data.labels == cls, 1.0, -1.0), kernel,
                         svm_config, gram=gram) for cls in range(data.num_classes)]
-    return OneVsAllModel(models, data.num_classes)
+    return OneVsAllModel(models, data.num_classes,
+                         ClassifierBank.of(models, kernel, data.dimension))
 
 
 def train_one_vs_one(data, kernel, svm_config):
@@ -86,7 +88,8 @@ def train_one_vs_one(data, kernel, svm_config):
             models.append(train_svm(data.features[members], y, kernel, svm_config,
                                     sample_ids=members))
             pairs.append((a, b))
-    return OneVsOneModel(pairs, models, data.num_classes)
+    return OneVsOneModel(pairs, models, data.num_classes,
+                         ClassifierBank.of(models, kernel, data.dimension))
 
 
 def mean_per_class_accuracy(predictions, truths, num_classes):
@@ -128,26 +131,17 @@ def evaluate_atree(tree, data):
     return run
 
 
-def _flat_decision_values(models, X):
-    """Decision values of every model on every row of X as a (models, rows)
-    matrix. Linear models take one product with the stacked weights. Kernel
-    models (one kernel, sv_ids from one training set) take one Gram block
-    over their support_vector_table, times its (union, models) coefficients:
-    the kernel computations kernel_computations charges, each done once."""
-    if isinstance(models[0], LinearSvmModel):
-        weights = np.column_stack([m.weights for m in models])
-        return (X @ weights).T + np.array([m.bias for m in models])[:, None]
-    table = support_vector_table(models)
-    gram = kernel_matrix(models[0].kernel, X, table.rows, b_norms=table.norms)
-    return (gram @ table.coefficients).T + np.array([m.bias for m in models])[:, None]
+def _flat_decision_values(bank, X):
+    """Decision values of every model of the bank on every row of X, as a
+    (models, rows) matrix: one product of its inputs and coefficients."""
+    return (bank.inputs(X) @ bank.coefficients).T + bank.biases[:, None]
 
 
 def _evaluate_flat(model, data, method):
     """Every model is evaluated on every instance, so the per-instance costs
-    are constant: the model count, and for kernel models the kernel
-    computations of all of them together."""
+    are constant: the model count and the bank's kernel computations."""
     n = len(data)
-    values = _flat_decision_values(model.models, data.features)
+    values = _flat_decision_values(model.bank, data.features)
     if method == "ova":
         preds = values.argmax(axis=0).astype(np.int64)
     else:
@@ -157,15 +151,12 @@ def _evaluate_flat(model, data, method):
             for cls in (a, b):
                 votes[cls] += winner == cls
         preds = votes.argmax(axis=0).astype(np.int64)
-    run = EvaluationRun(
+    union, uncached = model.bank.kernel_computations(n)
+    return EvaluationRun(
         method=method, num_classes=model.num_classes, predictions=preds,
         truths=data.labels.copy(),
-        classifier_evaluations=np.full(n, len(model.models), dtype=np.int64))
-    if not isinstance(model.models[0], LinearSvmModel):
-        union, uncached = kernel_computations(model.models)
-        run.kernel_computations = np.full(n, union, dtype=np.int64)
-        run.kernel_computations_uncached = np.full(n, uncached, dtype=np.int64)
-    return run
+        classifier_evaluations=np.full(n, len(model.models), dtype=np.int64),
+        kernel_computations=union, kernel_computations_uncached=uncached)
 
 
 def evaluate_one_vs_all(model, data):

@@ -463,39 +463,64 @@ def kernel_computations(models):
     (union, uncached). Under a per-instance cache a support vector shared by
     several models is computed once, so union counts the distinct sv_ids;
     uncached sums every model's support-vector count."""
-    if not models:
-        return 0, 0
-    ids = np.concatenate([m.sv_ids for m in models])
+    ids = np.concatenate([np.empty(0, dtype=np.int64)] + [m.sv_ids for m in models])
     return len(np.unique(ids)), len(ids)
 
 
 @dataclass(frozen=True, eq=False)
-class SupportVectorTable:
-    """The distinct support vectors of kernel models that share one kernel
-    and one sv_id space, one row each, sorted by sv_id.
+class ClassifierBank:
+    """Models of one kernel evaluated together: on the rows of X, model j
+    gives inputs(X) @ coefficients[:, j] + biases[j]. Linear models read the
+    rows, and their weights are the columns. Kernel models read kernel
+    values against their distinct support vectors sorted by sv_id (sv_ids,
+    rows, norms = squared_norms(rows)); column j holds model j's dual
+    coefficients in its support vectors' rows and 0 elsewhere, so a shared
+    support vector costs one kernel computation. uncached counts every
+    model's support vectors, repeats included."""
 
-    norms holds the rows' squared_norms. coefficients has one column per
-    model: column j holds model j's dual coefficient in the row of each of
-    its support vectors and 0 in every other row. A Gram block over the rows
-    times coefficients therefore gives every model's kernel sum from one
-    computation of each kernel value.
-    """
-
+    kernel: KernelSpec
+    coefficients: np.ndarray
+    biases: np.ndarray
     sv_ids: np.ndarray
     rows: np.ndarray
     norms: np.ndarray
-    coefficients: np.ndarray
+    uncached: int
 
+    @classmethod
+    def of(cls, models, kernel, dimension):
+        """The bank of ``models``, of the family of ``kernel``, over rows of
+        ``dimension`` features. Rejects values that are not finite."""
+        sv_ids, rows = np.empty(0, dtype=np.int64), np.empty((0, dimension))
+        if kernel.is_linear:
+            width, uncached, index = dimension, 0, np.tile(np.arange(dimension), len(models))
+            values = [m.weights for m in models]
+        else:
+            ids = np.concatenate([sv_ids] + [m.sv_ids for m in models])
+            sv_ids, first, index = np.unique(ids, return_index=True, return_inverse=True)
+            rows = np.concatenate([rows] + [m.support_vectors for m in models])[first]
+            width, uncached = len(sv_ids), len(ids)
+            values = [m.dual_coefficients for m in models]
+        coefficients = np.zeros((width, len(models)))
+        owner = np.repeat(np.arange(len(models)), [len(v) for v in values])
+        coefficients[index, owner] = np.concatenate([np.empty(0)] + values)
+        biases = np.array([m.bias for m in models], dtype=np.float64)
+        if not all(np.isfinite(a).all() for a in (coefficients, biases, rows)):
+            raise ValidationError("classifier weights, biases, dual coefficients and "
+                                  "support vectors must be finite")
+        return cls(kernel, coefficients, biases, sv_ids, rows, squared_norms(rows), uncached)
 
-def support_vector_table(models):
-    """The SupportVectorTable of one or more kernel models."""
-    ids = np.concatenate([m.sv_ids for m in models])
-    sv_ids, first, row = np.unique(ids, return_index=True, return_inverse=True)
-    coefficients = np.zeros((len(sv_ids), len(models)))
-    owner = np.repeat(np.arange(len(models)), [m.n_support for m in models])
-    coefficients[row, owner] = np.concatenate([m.dual_coefficients for m in models])
-    rows = np.concatenate([m.support_vectors for m in models])[first]
-    return SupportVectorTable(sv_ids, rows, squared_norms(rows), coefficients)
+    def inputs(self, X):
+        """What the models read: the rows of X or their kernel values."""
+        if self.kernel.is_linear:
+            return X
+        return kernel_matrix(self.kernel, X, self.rows, b_norms=self.norms)
+
+    def kernel_computations(self, n):
+        """(union, uncached) counts of n instances that each evaluate every
+        model; (None, None) for linear models, which compute none."""
+        if self.kernel.is_linear:
+            return None, None
+        return np.full(n, len(self.sv_ids)), np.full(n, self.uncached)
 
 
 def decision_values_batch(model, X):

@@ -28,8 +28,8 @@ import numpy as np
 from .boosting import (BoostConfig, BoostedClassifier, _argmin_rescored, adaboost_train,
                        prob_positive_batch)
 from .errors import SchemaError, ValidationError, check_field_types
-from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SupportVectorTable,
-                  SvmConfig, kernel_matrix, support_vector_table, train_svm)
+from .svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
+                  train_svm)
 
 MODEL_SCHEMA_VERSION = 6
 
@@ -136,23 +136,16 @@ class InternalNode:
 
 @dataclass
 class Atree:
-    """A tree and what traversal derives from it once.
-
-    Every internal node must hold a classifier. A tree with kernel
-    classifiers holds one support_vector_table of their models, sorted by
-    sv_id as the model file stores it, and gives each kernel node a dense
-    row of its dual coefficients over the table's rows (0 outside its own
-    support vectors). A linear tree holds neither.
-    """
+    """A tree and what traversal derives from it once: the ClassifierBank
+    of its node classifiers, which every internal node must hold, and each
+    internal node's bank column as a contiguous coefficient row."""
 
     root: object
     config: AtreeConfig
     label_names: list
     dimension: int
-    sv_table: SupportVectorTable | None = field(init=False, default=None, repr=False,
-                                                compare=False)
-    coefficient_rows: dict = field(init=False, default_factory=dict, repr=False,
-                                   compare=False)
+    bank: ClassifierBank = field(init=False, repr=False, compare=False)
+    coefficient_rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         internal = [n for n in iter_nodes(self.root) if isinstance(n, InternalNode)]
@@ -160,11 +153,10 @@ class Atree:
             if node.svm is None:
                 raise ValidationError(f"internal node {node.node_id} has no classifier: "
                                       "phase two has not been attached")
-        nodes = [n for n in internal if isinstance(n.svm, KernelSvmModel)]
-        if nodes:
-            self.sv_table = support_vector_table([n.svm for n in nodes])
-            rows = np.ascontiguousarray(self.sv_table.coefficients.T)
-            self.coefficient_rows = {n.node_id: row for n, row in zip(nodes, rows)}
+        self.bank = ClassifierBank.of([n.svm for n in internal], self.config.kernel,
+                                      self.dimension)
+        rows = np.ascontiguousarray(self.bank.coefficients.T)
+        self.coefficient_rows = {n.node_id: row for n, row in zip(internal, rows)}
 
     @property
     def num_classes(self):
@@ -441,35 +433,22 @@ def _require_finite(v):
         raise ValidationError("features must be finite (no NaN or inf)")
 
 
-def _node_inputs(tree, X):
-    """What node classifiers read from the rows of X: the rows themselves
-    in a linear tree, their kernel values against the tree's sv_table in a
-    kernel tree, one block for the whole traversal."""
-    table = tree.sv_table
-    if table is None:
-        return X
-    return kernel_matrix(tree.config.kernel, X, table.rows, b_norms=table.norms)
-
-
 def _node_values(tree, node, rows):
-    """The node's decision values on rows of _node_inputs() (one row or a
-    batch). Each value depends on its own row alone."""
-    weights = (node.svm.weights if tree.sv_table is None
-               else tree.coefficient_rows[node.node_id])
-    return np.vecdot(rows, weights) + node.svm.bias
+    """The node's decision values on rows of tree.bank.inputs() (one row or
+    a batch). Each value depends on its own row alone."""
+    return np.vecdot(rows, tree.coefficient_rows[node.node_id]) + node.svm.bias
 
 
 def predict(tree, x):
     """Traverse from the root, routing right when the node decision value is
     nonnegative. Returns (class id, trace); the trace lists every evaluated
-    node as (node_id, decision value). A kernel tree computes the instance's
-    kernel values against its whole sv_table once, and every node on the
-    path reads its value from them."""
+    node as (node_id, decision value). Every node on the path reads its
+    value from the instance's one row of tree.bank.inputs()."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
     _require_finite(x)
-    row = _node_inputs(tree, x[None, :])[0]
+    row = tree.bank.inputs(x[None, :])[0]
     trace = []
     node = tree.root
     while isinstance(node, InternalNode):
@@ -496,15 +475,15 @@ def route(tree, X):
     """Traverse every row of X at once, level by level: each node evaluates
     its classifier once, over the rows that reach it, and routes them right
     where the decision value is nonnegative. Labels, paths and decision
-    values are bit-identical to predict() on each row. A kernel tree
-    computes one block of kernel values, every row against its whole
-    sv_table, from a row-major copy of X laid out as predict() lays out one
-    instance. Returns one PathGroup per reached leaf."""
+    values are bit-identical to predict() on each row. Every node reads one
+    tree.bank.inputs() block of a row-major copy of X, laid out as predict()
+    lays out one instance, whole when every row reaches the node. Returns
+    one PathGroup per reached leaf."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.dimension:
         raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
     _require_finite(X.reshape(-1))
-    inputs = _node_inputs(tree, np.ascontiguousarray(X))
+    inputs = tree.bank.inputs(np.ascontiguousarray(X))
     groups = []
     level = [(tree.root, np.arange(len(X)), [], np.empty((len(X), 0)))]
     while level:
@@ -513,7 +492,8 @@ def route(tree, X):
             if isinstance(node, LeafNode):
                 groups.append(PathGroup(node, path, rows, values))
             else:
-                dv = _node_values(tree, node, inputs[rows])
+                block = inputs if len(rows) == len(inputs) else inputs[rows]
+                dv = _node_values(tree, node, block)
                 right = dv >= 0
                 for child, sel in ((node.left, ~right), (node.right, right)):
                     if sel.any():
@@ -549,18 +529,17 @@ def _node_to_doc(node):
 
 
 def serialize(tree):
-    """Lossless JSON text for a tree; floats keep full precision. The tree's
-    sv_table is stored as [sv_id, row] pairs sorted by id, so every support
+    """Lossless JSON text for a tree; floats keep full precision. The bank's
+    table is stored as [sv_id, row] pairs sorted by id, so every support
     vector appears once however many node classifiers keep it."""
     nodes = sorted(iter_nodes(tree.root), key=lambda n: n.node_id)
-    table = tree.sv_table
+    bank = tree.bank
     doc = {
         "version": MODEL_SCHEMA_VERSION,
         "config": asdict(tree.config),
         "label_names": tree.label_names,
         "dimension": tree.dimension,
-        "support_vectors": [] if table is None else [
-            [sv_id, row] for sv_id, row in zip(table.sv_ids.tolist(), table.rows)],
+        "support_vectors": [[i, row] for i, row in zip(bank.sv_ids.tolist(), bank.rows)],
         "nodes": [_node_to_doc(n) for n in nodes],
     }
     return json.dumps(doc, default=np.ndarray.tolist)
@@ -636,9 +615,9 @@ def _node_from_doc(node_id, doc, built, kernel, table, num_classes):
 
 
 def deserialize(text):
-    """Rebuild a tree from serialize() output; predictions and traces match
-    the original exactly. Raises SchemaError on malformed documents or a
-    version mismatch."""
+    """Rebuild a tree from serialize() output, matching its predictions and
+    traces exactly. Raises SchemaError on a malformed document or version,
+    and ValidationError on classifier values that are not finite."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, TypeError) as exc:
@@ -666,6 +645,9 @@ def deserialize(text):
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"malformed model document: node {node_id}: "
                                   f"{exc!r}") from None
+        named = sorted(d[side] for d in node_docs if "svm" in d for side in ("left", "right"))
+        if named != [*range(1, len(node_docs))] or any(type(c) is not int for c in named):
+            raise SchemaError("every node but the root must be the child of exactly one node")
         return Atree(built[0], config, label_names, dimension)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model document: {exc!r}") from None

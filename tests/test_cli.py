@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,12 @@ from atree.tree import InternalNode, iter_nodes, load, predict, train_atree
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _digest(path):
+    """sha256 of a file's bytes: two files match exactly when their digests
+    do, and a failed comparison reports two short strings."""
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture
@@ -32,7 +39,7 @@ class TestSynth:
             assert run("--quiet", "synth", "blobs", "--classes", 20, "--per-class", 100,
                        "--dim", 16, "--spread", 0.5, "--seed", 7, "--out", out) == 0
         assert a.read_text().count("\n") == 2000
-        assert a.read_bytes() == b.read_bytes()
+        assert _digest(a) == _digest(b)
 
     def test_two_cluster_row_count(self, tmp_path):
         out = tmp_path / "tc.csv"
@@ -56,7 +63,7 @@ class TestSynth:
         small = ("--classes", 2, "--per-class", 3, "--dim", 1)
         assert run("--quiet", "synth", "blobs", *small, "--out", a) == 0
         assert run("--quiet", "synth", "blobs", *small, "--seed", 0, "--out", b) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert _digest(a) == _digest(b)
 
 
 class TestTrain:
@@ -89,7 +96,7 @@ class TestTrain:
         for out in (a, b):
             assert run("--quiet", "--seed", 3, "train", train, "--out", out,
                        "--delta", 0.7, "--max-depth", 4) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert _digest(a) == _digest(b)
 
     def test_log_without_timestamp_is_deterministic(self, blob_csvs, tmp_path):
         train, _ = blob_csvs
@@ -195,21 +202,38 @@ class TestTrain:
         assert run("--quiet", "export-tree", model, "--out", tmp_path / "o.dot") == 2
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mutation,named", [
-        (lambda doc: doc["config"]["svm"].update(max_passes=2.5), "'max_passes'"),
-        (lambda doc: doc["config"]["svm"].update(max_passes=float("inf")), "'max_passes'"),
-        (lambda doc: doc["config"]["svm"].update(seed="x"), "'seed'"),
-        (lambda doc: doc["config"].update(delta=True), "'delta'"),
-        (lambda doc: doc["config"]["boost"].update(max_rounds=2.5), "'max_rounds'"),
-        (lambda doc: doc["nodes"][0].update(svm=None), "node 0"),
-        (lambda doc: [n.update(label=99) for n in doc["nodes"] if "label" in n], "leaf node"),
+    @pytest.mark.parametrize("mutation,named,kernel", [
+        (lambda doc: doc["config"]["svm"].update(max_passes=2.5), "'max_passes'", "linear"),
+        (lambda doc: doc["config"]["svm"].update(max_passes=float("inf")), "'max_passes'",
+         "linear"),
+        (lambda doc: doc["config"]["svm"].update(seed="x"), "'seed'", "linear"),
+        (lambda doc: doc["config"].update(delta=True), "'delta'", "linear"),
+        (lambda doc: doc["config"]["boost"].update(max_rounds=2.5), "'max_rounds'", "linear"),
+        (lambda doc: doc["nodes"][0].update(svm=None), "node 0", "linear"),
+        (lambda doc: [n.update(label=99) for n in doc["nodes"] if "label" in n], "leaf node",
+         "linear"),
+        (lambda doc: doc["nodes"][0]["svm"].update(bias=float("nan")), "finite", "linear"),
+        (lambda doc: doc["nodes"][0]["svm"]["weights"].__setitem__(0, float("inf")), "finite",
+         "linear"),
+        (lambda doc: doc["nodes"][0]["svm"].update(bias=float("nan")), "finite", "rbf"),
+        (lambda doc: doc["support_vectors"][0][1].__setitem__(0, float("nan")), "finite",
+         "rbf"),
+        (lambda doc: doc["nodes"][0]["svm"]["dual_coefficients"].__setitem__(
+            0, float("nan")), "finite", "rbf"),
+        (lambda doc: doc["nodes"][0].update(right=doc["nodes"][0]["left"]),
+         "child of exactly one node", "linear"),
+        (lambda doc: doc["nodes"].append({"label": 0, "purity": 1.0, "n_training": 1}),
+         "child of exactly one node", "linear"),
     ], ids=["max-passes-fraction", "max-passes-inf", "seed-string", "delta-bool",
-            "max-rounds-fraction", "null-classifier", "leaf-label-99"])
+            "max-rounds-fraction", "null-classifier", "leaf-label-99", "bias-nan",
+            "weight-inf", "rbf-bias-nan", "table-row-nan", "dual-coefficient-nan",
+            "same-child", "orphan-node"])
     def test_model_the_program_could_not_have_written_exits_2(self, blob_csvs, tmp_path,
-                                                             capsys, mutation, named):
+                                                             capsys, mutation, named, kernel):
         train, test = blob_csvs
         model = tmp_path / "model.json"
-        assert run("--quiet", "train", train, "--out", model, "--max-depth", 3) == 0
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 3,
+                   "--kernel", kernel, *(("--kernel-gamma", 0.5) if kernel == "rbf" else ())) == 0
         doc = json.loads(model.read_text())
         assert "svm" in doc["nodes"][0]
         mutation(doc)

@@ -75,8 +75,7 @@ class TestOneVsAll:
             blocks.append((len(A), len(B)))
             return original(spec, A, B, b_norms)
 
-        for module in (svm_module, metrics_module):
-            monkeypatch.setattr(module, "kernel_matrix", counted)
+        monkeypatch.setattr(svm_module, "kernel_matrix", counted)
         model = train_one_vs_all(data, kernel, SvmConfig())
         assert blocks == ([] if kernel.is_linear else [(len(data), len(data))])
         monkeypatch.undo()
@@ -279,7 +278,7 @@ class TestFlatUnionBlock:
             model = train_one_vs_one(train, spec, SvmConfig())
             run = evaluate_one_vs_one(model, test)
         per_model = np.stack([decision_values_batch(m, test.features) for m in model.models])
-        values = _flat_decision_values(model.models, test.features)
+        values = _flat_decision_values(model.bank, test.features)
         np.testing.assert_allclose(values, per_model, rtol=0, atol=1e-12)
         if method == "ova":
             expected = per_model.argmax(axis=0)
@@ -289,3 +288,38 @@ class TestFlatUnionBlock:
                 np.add.at(votes, (np.where(dv >= 0, b, a), np.arange(len(test))), 1)
             expected = votes.argmax(axis=0)
         np.testing.assert_array_equal(run.predictions, expected)
+
+    @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("train, evaluate", [(train_one_vs_all, evaluate_one_vs_all),
+                                                 (train_one_vs_one, evaluate_one_vs_one)],
+                             ids=["ova", "ovo"])
+    def test_evaluation_builds_no_bank_and_counts_no_support_vectors(
+            self, monkeypatch, spec, train, evaluate):
+        data = generate_gaussian_blobs(4, 12, 3, 1.0, seed=13)
+        model = train(data, spec, SvmConfig())
+        expected = evaluate(model, data)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(svm_module.ClassifierBank, "of",
+                            counted("bank", svm_module.ClassifierBank.of))
+        monkeypatch.setattr(metrics_module, "kernel_computations",
+                            counted("kernel_computations", kernel_computations))
+        monkeypatch.setattr(np, "unique", counted("unique", np.unique))
+        for _ in range(2):
+            run = evaluate(model, data)
+        assert calls == []
+        monkeypatch.undo()
+        assert run.predictions.tobytes() == expected.predictions.tobytes()
+        if spec.is_linear:
+            assert run.kernel_computations is run.kernel_computations_uncached is None
+        else:
+            union, uncached = kernel_computations(model.models)
+            assert run.kernel_computations.tolist() == [union] * len(data)
+            assert run.kernel_computations_uncached.tolist() == [uncached] * len(data)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -578,3 +580,58 @@ class TestKernelEvalCounter:
         assert union == len({i for ids in id_sets for i in ids}) <= uncached
         assert uncached == sum(len(ids) for ids in id_sets)
 
+
+
+class TestClassifierBank:
+    """One bank per set of models: their coefficients, biases and, for
+    kernel models, the table of their distinct support vectors."""
+
+    def test_linear_columns_are_the_weights(self):
+        models = [LinearSvmModel(np.array([1.0, -2.0, 0.5]), 0.25),
+                  LinearSvmModel(np.array([0.0, 3.0, -1.0]), -1.5)]
+        bank = svm_module.ClassifierBank.of(models, KernelSpec("linear"), 3)
+        assert bank.coefficients.tobytes() == np.column_stack(
+            [m.weights for m in models]).tobytes()
+        assert bank.biases.tolist() == [0.25, -1.5]
+        assert bank.sv_ids.shape == (0,) and bank.rows.shape == (0, 3)
+        X = np.arange(6.0).reshape(2, 3)
+        assert bank.inputs(X) is X
+        assert bank.kernel_computations(2) == (None, None)
+
+    def test_kernel_columns_scatter_dual_coefficients_over_the_table(self):
+        first, second = _toy_kernel_model([4, 9, 2]), _toy_kernel_model([9, 7])
+        bank = svm_module.ClassifierBank.of([first, second], KernelSpec("rbf", 1.0), 2)
+        assert bank.sv_ids.tolist() == [2, 4, 7, 9]
+        expected = np.zeros((4, 2))
+        expected[[1, 3, 0], 0] = first.dual_coefficients
+        expected[[3, 2], 1] = second.dual_coefficients
+        assert bank.coefficients.tobytes() == expected.tobytes()
+        assert bank.rows[[1, 3, 0]].tobytes() == first.support_vectors.tobytes()
+        assert bank.rows[2].tobytes() == second.support_vectors[1].tobytes()
+        assert bank.norms.tobytes() == squared_norms(bank.rows).tobytes()
+        union, uncached = bank.kernel_computations(3)
+        assert union.tolist() == [4] * 3 and uncached.tolist() == [5] * 3
+        assert (union[0], uncached[0]) == kernel_computations([first, second])
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 1.0)],
+                             ids=lambda k: k.kind)
+    def test_no_models_give_no_values(self, kernel):
+        bank = svm_module.ClassifierBank.of([], kernel, 3)
+        X = np.ones((4, 3))
+        assert (bank.inputs(X) @ bank.coefficients).shape == (4, 0)
+        assert bank.biases.shape == (0,)
+
+    @pytest.mark.parametrize("part", ["weights", "linear-bias", "dual_coefficients",
+                                      "support_vectors", "kernel-bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, part, value):
+        if part.startswith("linear") or part == "weights":
+            model, kernel = LinearSvmModel(np.array([1.0, 2.0]), 0.5), KernelSpec("linear")
+        else:
+            model, kernel = _toy_kernel_model([3, 1]), KernelSpec("rbf", 1.0)
+        if part.endswith("bias"):
+            model = replace(model, bias=value)
+        else:
+            getattr(model, part).flat[1] = value
+        with pytest.raises(ValidationError, match="finite"):
+            svm_module.ClassifierBank.of([model], kernel, 2)

@@ -485,13 +485,14 @@ class TestPredict:
                                              boost=BoostConfig(max_rounds=5)))
         assert any(isinstance(n, InternalNode) for n in iter_nodes(tree.root))
         blocks = []
+        original = svm_module.kernel_matrix
 
         def counted(spec, A, B, b_norms=None):
             blocks.append((len(A), len(B)))
-            return svm_module.kernel_matrix(spec, A, B, b_norms)
+            return original(spec, A, B, b_norms)
 
-        monkeypatch.setattr(tree_module, "kernel_matrix", counted)
-        table = [] if kernel.is_linear else [len(tree.sv_table.sv_ids)]
+        monkeypatch.setattr(svm_module, "kernel_matrix", counted)
+        table = [] if kernel.is_linear else [len(tree.bank.sv_ids)]
         for x in data.features[:5]:
             blocks.clear()
             predict(tree, x)
@@ -543,6 +544,43 @@ class TestRoute:
                 label, trace = predict(tree, X[row])
                 assert label == g.leaf.label
                 assert trace == list(zip([n.node_id for n in g.nodes], values))
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda k: k.kind)
+    def test_root_reads_the_input_block_as_is(self, monkeypatch, kernel):
+        data = generate_gaussian_blobs(3, 15, 3, 0.5, seed=4)
+        tree = train_atree(data, AtreeConfig(max_depth=3, kernel=kernel,
+                                             boost=BoostConfig(max_rounds=5)))
+        assert isinstance(tree.root, InternalNode)
+        blocks, seen = [], []
+        inputs, node_values = svm_module.ClassifierBank.inputs, tree_module._node_values
+
+        def recorded_inputs(bank, X):
+            blocks.append(inputs(bank, X))
+            return blocks[-1]
+
+        def recorded_values(tree, node, rows):
+            seen.append((node.node_id, rows))
+            return node_values(tree, node, rows)
+
+        monkeypatch.setattr(svm_module.ClassifierBank, "inputs", recorded_inputs)
+        monkeypatch.setattr(tree_module, "_node_values", recorded_values)
+        route(tree, data.features)
+        assert len(blocks) == 1
+        assert seen[0][0] == tree.root.node_id and seen[0][1] is blocks[0]
+        assert all(len(rows) < len(data) for _, rows in seen[1:])
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5),
+                                        KernelSpec("chi_square", 0.5)],
+                             ids=lambda k: k.kind)
+    def test_leaf_root_tree_routes_predicts_and_round_trips(self, kernel):
+        blobs = generate_gaussian_blobs(3, 10, 2, 0.5, seed=2)
+        # nonnegative features, as the chi-square kernel requires
+        data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
+        tree = train_atree(data, AtreeConfig(max_depth=1, kernel=kernel))
+        assert isinstance(tree.root, LeafNode)
+        assert tree.bank.coefficients.shape[1] == 0 and tree.coefficient_rows == {}
+        _check_routes_predicts_and_round_trips(tree, data.features)
 
     def test_column_major_input_routes_like_row_major(self):
         # wide rows: a row's squared norm summed along a column-major layout
@@ -717,6 +755,20 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="wide"):
             deserialize(json.dumps(doc))
 
+    # a child named by its parent twice and an unnamed node are cases of
+    # test_cli's test_model_the_program_could_not_have_written_exits_2
+    @pytest.mark.parametrize("case", ["two-parents", "bool-child"])
+    def test_nodes_that_are_not_one_tree_rejected(self, case):
+        doc = self._doc(4)
+        root, inner = [n for n in doc["nodes"] if "svm" in n][:2]
+        assert root is doc["nodes"][0] and root["left"] == 1
+        if case == "two-parents":
+            root["right"] = inner["left"]
+        else:
+            root["left"] = True
+        with pytest.raises(SchemaError, match="child of exactly one node"):
+            deserialize(json.dumps(doc))
+
     @pytest.mark.parametrize("path", [("delta",), ("min_node_samples",), ("boost",),
                                       ("svm", "tolerance"), ("kernel", "gamma")])
     def test_config_field_missing_rejected(self, path):
@@ -764,26 +816,34 @@ class TestSerialization:
         assert clone.num_classes == tree.num_classes
 
 
-def _check_sv_table(tree):
-    """A kernel tree's sv_table lists each distinct sv_id of its node models
-    once, in increasing order, with the models' own rows and fresh norms.
-    Each kernel node's coefficient row holds its dual coefficients at its
-    own support vectors' columns and is 0 everywhere else. A linear tree
-    has no table."""
-    models = {n.node_id: n.svm for n in iter_nodes(tree.root)
-              if isinstance(n, InternalNode) and isinstance(n.svm, KernelSvmModel)}
-    table = tree.sv_table
-    if not models:
-        assert table is None and tree.coefficient_rows == {}
+def _check_bank(tree):
+    """Every internal node has a contiguous coefficient row, the bank column
+    of its classifier, whose bias the bank holds in the same column. A
+    linear node's row is its weights, and a linear tree's table is empty. A
+    kernel tree's table lists each distinct sv_id of its node models once,
+    in increasing order, with the models' own rows and fresh norms; a
+    kernel node's row holds its dual coefficients at its own support
+    vectors' columns and is 0 everywhere else."""
+    models = {n.node_id: n.svm for n in iter_nodes(tree.root) if isinstance(n, InternalNode)}
+    bank = tree.bank
+    assert list(tree.coefficient_rows) == list(models)
+    assert bank.biases.tolist() == [m.bias for m in models.values()]
+    for j, row in enumerate(tree.coefficient_rows.values()):
+        assert row.flags.c_contiguous
+        assert row.tobytes() == bank.coefficients[:, j].tobytes()
+    ids = bank.sv_ids
+    assert bank.norms.tobytes() == squared_norms(bank.rows).tobytes()
+    if tree.config.kernel.is_linear:
+        assert len(ids) == len(bank.rows) == bank.uncached == 0
+        for node_id, model in models.items():
+            assert tree.coefficient_rows[node_id].tobytes() == model.weights.tobytes()
         return
-    ids = table.sv_ids
     assert ids.tolist() == sorted({i for m in models.values() for i in m.sv_ids.tolist()})
-    assert table.norms.tobytes() == squared_norms(table.rows).tobytes()
-    assert sorted(tree.coefficient_rows) == sorted(models)
+    assert bank.uncached == sum(m.n_support for m in models.values())
     for node_id, model in models.items():
         columns = np.searchsorted(ids, model.sv_ids)
         assert np.array_equal(ids[columns], model.sv_ids)
-        assert table.rows[columns].tobytes() == model.support_vectors.tobytes()
+        assert bank.rows[columns].tobytes() == model.support_vectors.tobytes()
         row = tree.coefficient_rows[node_id]
         assert row.shape == ids.shape
         assert row[columns].tobytes() == model.dual_coefficients.tobytes()
@@ -793,12 +853,12 @@ def _check_sv_table(tree):
 def _check_routes_predicts_and_round_trips(tree, X):
     """route equals predict on every row of X bit for bit, for the trained
     tree and its serialize round trip, which holds no phase-one learners.
-    Both trees hold a well-formed sv_table."""
+    Both trees hold a well-formed bank."""
     text = serialize(tree)
     clone = deserialize(text)
     assert serialize(clone) == text
-    _check_sv_table(tree)
-    _check_sv_table(clone)
+    _check_bank(tree)
+    _check_bank(clone)
     for node in iter_nodes(clone.root):
         if isinstance(node, InternalNode):
             assert node.split is node.boost is node.partition is None
