@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .svm import ClassifierBank, kernel_computations, train_svm, training_gram
+from .svm import ClassifierBank, train_svm, training_gram
 from .tree import route as route_tree
 
 
@@ -109,8 +109,8 @@ def evaluate_atree(tree, data):
     """Route the whole test set through the tree (tree.route) and keep its
     path groups on ``run.paths``. Each instance's label, evaluation count
     and, for kernel trees, cached/uncached kernel computation counts come
-    from its group: the instances reaching one leaf share one path, so the
-    counts are computed once per leaf."""
+    from its group: the instances reaching one leaf share one path, whose
+    kernel computation counts the tree derived when it was built."""
     nonlinear = not tree.config.kernel.is_linear
     n = len(data)
     preds = np.empty(n, dtype=np.int64)
@@ -121,7 +121,7 @@ def evaluate_atree(tree, data):
         preds[group.rows] = group.leaf.label
         evals[group.rows] = len(group.nodes)
         if nonlinear:
-            counts[group.rows] = kernel_computations([node.svm for node in group.nodes])
+            counts[group.rows] = tree.leaf_kernel_computations[group.leaf.node_id]
     run = EvaluationRun(
         method="atree", num_classes=tree.num_classes, predictions=preds,
         truths=data.labels.copy(), classifier_evaluations=evals, paths=paths)

@@ -137,8 +137,11 @@ class InternalNode:
 @dataclass
 class Atree:
     """A tree and what traversal derives from it once: the ClassifierBank
-    of its node classifiers, which every internal node must hold, and each
-    internal node's bank column as a contiguous coefficient row."""
+    of its node classifiers, which every internal node must hold, each
+    internal node's bank column as a contiguous coefficient row, and for a
+    kernel tree the (union, uncached) kernel computations of the path to
+    each leaf, keyed by leaf id (svm.kernel_computations of the path's
+    classifiers; empty for a linear tree)."""
 
     root: object
     config: AtreeConfig
@@ -146,6 +149,7 @@ class Atree:
     dimension: int
     bank: ClassifierBank = field(init=False, repr=False, compare=False)
     coefficient_rows: dict = field(init=False, repr=False, compare=False)
+    leaf_kernel_computations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         internal = [n for n in iter_nodes(self.root) if isinstance(n, InternalNode)]
@@ -157,6 +161,20 @@ class Atree:
                                       self.dimension)
         rows = np.ascontiguousarray(self.bank.coefficients.T)
         self.coefficient_rows = {n.node_id: row for n, row in zip(internal, rows)}
+        self.leaf_kernel_computations = {}
+        if not self.config.kernel.is_linear:
+            # seen marks the table rows of the support vectors met on the path
+            paths = [(self.root, np.zeros(len(self.bank.sv_ids), dtype=bool), 0)]
+            while paths:
+                node, seen, uncached = paths.pop()
+                if isinstance(node, LeafNode):
+                    self.leaf_kernel_computations[node.node_id] = (
+                        int(np.count_nonzero(seen)), uncached)
+                    continue
+                seen = seen.copy()
+                seen[np.searchsorted(self.bank.sv_ids, node.svm.sv_ids)] = True
+                uncached += len(node.svm.sv_ids)
+                paths += [(node.left, seen, uncached), (node.right, seen, uncached)]
 
     @property
     def num_classes(self):
@@ -189,50 +207,58 @@ def path_levels(root):
 
 
 def _xlogx(v):
-    out = np.zeros_like(v)
-    mask = v > 0
-    out[mask] = v[mask] * np.log(v[mask])
-    return out
+    return v * np.log(v, out=np.zeros_like(v), where=v > 0)
 
 
 def _entropy(his):
     return float(-_xlogx(np.asarray(his, dtype=np.float64)).sum())
 
 
-def entropy_split(X, labels, weights, num_classes):
+def entropy_split(X, labels, weights, num_classes, order=None):
     """Exhaustive minimum-entropy split over (feature, midpoint) candidates.
 
     The splitting rule is the feature test x[f] < v. Ties break to the lowest
     feature index, then the lowest threshold. Returns None when fewer than
     two classes are present or no candidate separates the samples.
+    ``order`` is ``np.argsort(X, axis=0, kind="stable")`` when the caller
+    has it.
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     if len(np.unique(labels)) < 2:
         return None
-    n, d = X.shape
-    # candidate i of a feature is the cut between sorted positions i and
-    # i+1; +inf marks a cut between equal values
-    thresholds = np.full((d, n - 1), np.inf)
-    scores = np.full((d, n - 1), np.inf)
-    for f in range(d):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        cuts = np.flatnonzero(np.diff(xs) != 0)
-        onehot = np.zeros((n, num_classes))
-        onehot[np.arange(n), labels[order]] = weights[order]
-        cum = np.cumsum(onehot, axis=0)
-        left = cum[cuts]
-        right = cum[-1][None, :] - left
-        zl = left.sum(axis=1)
-        zr = right.sum(axis=1)
-        scores[f, cuts] = (-_xlogx(left).sum(axis=1) + _xlogx(zl)
-                           - _xlogx(right).sum(axis=1) + _xlogx(zr))
-        thresholds[f, cuts] = (xs[cuts] + xs[cuts + 1]) / 2.0
+    if order is None:
+        order = np.argsort(X, axis=0, kind="stable")
+    # one row per feature, in ascending order of that feature
+    rows = order.T
+    xs = np.take_along_axis(X.T, rows, axis=1)
+    # The objective of the cut after sorted position i is
+    #   xlogx(zl) + xlogx(zr) - sum_k xlogx(left_k) - sum_k xlogx(right_k)
+    # for the side masses zl, zr and per-class masses left_k, right_k.
+    # Moving sample i (weight w) to the left changes only its own class's
+    # terms: with own its class's mass up to and including it and rest the
+    # mass beyond it, the class sums change by xlogx(own) - xlogx(own - w)
+    # and xlogx(rest) - xlogx(rest + w). Grouping each row by class, value
+    # order kept, makes own a cumulative sum.
+    by_class = np.argsort(labels[rows], axis=1, kind="stable")
+    grouped = np.take_along_axis(rows, by_class, axis=1)
+    gl, gw = labels[grouped], weights[grouped]
+    totals = np.bincount(labels, weights, num_classes)
+    own = np.cumsum(gw, axis=1) - (np.cumsum(totals) - totals)[gl]
+    rest = totals[gl] - own
+    change = _xlogx(own) - _xlogx(own - gw) + _xlogx(rest) - _xlogx(rest + gw)
+    in_order = np.empty_like(change)
+    np.put_along_axis(in_order, by_class, change, axis=1)
+    class_sums = np.cumsum(in_order, axis=1) + _xlogx(totals).sum()
+    zl = np.cumsum(weights[rows], axis=1)
+    scores = _xlogx(zl) + _xlogx(zl[:, -1:] - zl) - class_sums
+    # candidate i is the cut between sorted positions i and i+1; +inf marks
+    # a cut between equal values
+    scores = np.where(xs[:, 1:] != xs[:, :-1], scores[:, :-1], np.inf)
 
     def rescore(f, idx):
-        v = float(thresholds[f, idx])
+        v = float((xs[f, idx] + xs[f, idx + 1]) / 2.0)
         left = X[:, f] < v
         split = EntropySplit(f, v, np.bincount(labels[left], weights[left], num_classes),
                              np.bincount(labels[~left], weights[~left], num_classes))
@@ -344,13 +370,14 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
         return leaf()
     if depth >= max_depth:
         return leaf()
-    split = entropy_split(X, labels, weights, data.num_classes)
+    order = np.argsort(X, axis=0, kind="stable")
+    split = entropy_split(X, labels, weights, data.num_classes, order)
     if split is None:
         return leaf()
     signs, sign_of = binarize_labels(labels, split)
     if len(set(sign_of.values())) < 2:
         return leaf()
-    boost = adaboost_train(X, signs, weights, config.boost)
+    boost = adaboost_train(X, signs, weights, config.boost, order)
     if not boost.rounds:
         return leaf()
     part = partition_samples(X, boost, config.delta, ids=ids)
@@ -597,16 +624,32 @@ _INTERNAL_KEYS = {"pos_classes", "neg_classes", "binary_distribution", "n_traini
                   "left", "right"}
 
 
+def _is_class_id(v, num_classes):
+    return type(v) is int and 0 <= v < num_classes
+
+
 def _node_from_doc(node_id, doc, built, kernel, table, num_classes):
     if "svm" not in doc:
         label = doc["label"]
-        if type(label) is not int or not 0 <= label < num_classes:
+        if not _is_class_id(label, num_classes):
             raise SchemaError(f"leaf node {node_id} has label {label!r}, not a class id "
                               f"in range({num_classes})")
         return LeafNode(node_id, **doc)
     if set(doc) != _INTERNAL_KEYS:
         raise SchemaError(f"internal node {node_id} must have exactly the fields "
                           f"{sorted(_INTERNAL_KEYS)}, got {sorted(doc)}")
+    for key in ("pos_classes", "neg_classes"):
+        classes = doc[key]
+        if (type(classes) is not list
+                or not all(_is_class_id(c, num_classes) for c in classes)
+                or len(set(classes)) != len(classes)):
+            raise SchemaError(f"internal node {node_id} has {key} {classes!r}, not a list "
+                              f"of distinct class ids in range({num_classes})")
+    masses = doc["binary_distribution"]
+    if (type(masses) is not list or len(masses) != 2
+            or not all(type(m) in (int, float) and 0 <= m < math.inf for m in masses)):
+        raise SchemaError(f"internal node {node_id} has binary_distribution {masses!r}, "
+                          "not two finite nonnegative numbers")
     return InternalNode(node_id, **{
         **doc,
         "binary_distribution": tuple(doc["binary_distribution"]),
@@ -648,7 +691,11 @@ def deserialize(text):
         named = sorted(d[side] for d in node_docs if "svm" in d for side in ("left", "right"))
         if named != [*range(1, len(node_docs))] or any(type(c) is not int for c in named):
             raise SchemaError("every node but the root must be the child of exactly one node")
-        return Atree(built[0], config, label_names, dimension)
+        tree = Atree(built[0], config, label_names, dimension)
+        if not np.array_equal(table[0], tree.bank.sv_ids):
+            raise SchemaError("the support-vector table must hold exactly the support "
+                              "vectors that node classifiers name")
+        return tree
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model document: {exc!r}") from None
 

@@ -8,9 +8,11 @@ first, polarity +1 before -1), with strict-improvement selection.
 
 import numpy as np
 
+from atree.boosting import _TIE_SLACK, DecisionStump
 from atree.errors import ValidationError
 from atree.svm import (_SV_EPS, KernelSvmModel, SolverRecord, _split_labels,
                        kernel_matrix)
+from atree.tree import EntropySplit
 
 
 def stump_candidates(values):
@@ -65,6 +67,99 @@ def brute_force_entropy_split(X, labels, weights, num_classes):
             if best is None or obj < best[0]:
                 best = (obj, f, t)
     return best
+
+
+def _reference_argmin_rescored(scores, rescore):
+    """The exact-rescoring argmin of both scans as first written: every
+    candidate within _TIE_SLACK of the fast minimum is rescored in row-major
+    order, and a later one wins only when strictly smaller."""
+    cut = scores.min(initial=np.inf) + _TIE_SLACK
+    if cut == np.inf:
+        return None
+    best = None
+    for f, idx in np.argwhere(scores <= cut).tolist():
+        cand = rescore(f, idx)
+        if best is None or cand[0] < best[0]:
+            best = cand
+    return best
+
+
+def _reference_xlogx(v):
+    out = np.zeros_like(v)
+    mask = v > 0
+    out[mask] = v[mask] * np.log(v[mask])
+    return out
+
+
+def reference_entropy_split(X, labels, weights, num_classes):
+    """tree.entropy_split as first written: one sort per feature and a
+    cumulative sum of the (n, num_classes) one-hot masses. The library's
+    single sweep must return the same split, masses included, bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if len(np.unique(labels)) < 2:
+        return None
+    n, d = X.shape
+    thresholds = np.full((d, n - 1), np.inf)
+    scores = np.full((d, n - 1), np.inf)
+    for f in range(d):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        cuts = np.flatnonzero(np.diff(xs) != 0)
+        onehot = np.zeros((n, num_classes))
+        onehot[np.arange(n), labels[order]] = weights[order]
+        cum = np.cumsum(onehot, axis=0)
+        left = cum[cuts]
+        right = cum[-1][None, :] - left
+        zl = left.sum(axis=1)
+        zr = right.sum(axis=1)
+        scores[f, cuts] = (-_reference_xlogx(left).sum(axis=1) + _reference_xlogx(zl)
+                           - _reference_xlogx(right).sum(axis=1) + _reference_xlogx(zr))
+        thresholds[f, cuts] = (xs[cuts] + xs[cuts + 1]) / 2.0
+
+    def rescore(f, idx):
+        v = float(thresholds[f, idx])
+        left = X[:, f] < v
+        split = EntropySplit(f, v, np.bincount(labels[left], weights[left], num_classes),
+                             np.bincount(labels[~left], weights[~left], num_classes))
+        return split.objective, split
+
+    best = _reference_argmin_rescored(scores, rescore)
+    return None if best is None else best[1]
+
+
+def reference_train_stump(X, y, w, order=None):
+    """boosting.train_stump as first written: every round gathers the
+    sorted values and labels again and cumulates positive and negative mass
+    apart. The library's search must return the same stump and error."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    if order is None:
+        order = np.argsort(X, axis=0, kind="stable")
+    sorted_rows = order.T
+    xs = np.take_along_axis(X.T, sorted_rows, axis=1)
+    ws = w[sorted_rows]
+    pos = y[sorted_rows] > 0
+    cum_pos = np.cumsum(np.where(pos, ws, 0.0), axis=1)
+    cum_neg = np.cumsum(np.where(pos, 0.0, ws), axis=1)
+    total_pos = cum_pos[:, -1:]
+    total_neg = cum_neg[:, -1:]
+    scores = np.empty(xs.shape + (2,))
+    scores[:, 0] = np.hstack([total_neg, total_pos])
+    scores[:, 1:, 0] = cum_pos[:, :-1] + (total_neg - cum_neg[:, :-1])
+    scores[:, 1:, 1] = cum_neg[:, :-1] + (total_pos - cum_pos[:, :-1])
+    scores[:, 1:][xs[:, 1:] == xs[:, :-1]] = np.inf
+
+    def rescore(f, idx):
+        k = idx // 2
+        t = xs[f, 0] - 1.0 if k == 0 else (xs[f, k - 1] + xs[f, k]) / 2.0
+        stump = DecisionStump(f, float(t), 1 if idx % 2 == 0 else -1)
+        return float(w[stump.predict_batch(X) != y].sum()), stump
+
+    err, stump = _reference_argmin_rescored(scores.reshape(len(xs), -1), rescore)
+    return stump, err
 
 
 def hinge_objective(w_vec, b, X, y, c):

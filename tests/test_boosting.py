@@ -127,7 +127,7 @@ class TestAdaboost:
         model = adaboost_train(X, y, np.full(30, 1 / 30), config)
         assert len(orders) == searches == len(model.round_errors) + model.exited_early
         assert all(o is orders[0] for o in orders)
-        np.testing.assert_array_equal(orders[0], np.argsort(X, axis=0, kind="stable"))
+        np.testing.assert_array_equal(orders[0].rows, np.argsort(X, axis=0, kind="stable").T)
 
     def test_alpha_matches_formula_at_quarter_error(self):
         model = adaboost_train(XOR_X, XOR_Y, XOR_W, BoostConfig(max_rounds=1))

@@ -224,10 +224,24 @@ class TestTrain:
          "child of exactly one node", "linear"),
         (lambda doc: doc["nodes"].append({"label": 0, "purity": 1.0, "n_training": 1}),
          "child of exactly one node", "linear"),
+        (lambda doc: doc["support_vectors"].append([999999, [0.0, 0.0, 0.0]]),
+         "support vectors that node classifiers name", "rbf"),
+        (lambda doc: doc["nodes"][0].update(pos_classes="ab"), "pos_classes", "linear"),
+        (lambda doc: doc["nodes"][0].update(pos_classes=[99]), "pos_classes", "linear"),
+        (lambda doc: doc["nodes"][0].update(neg_classes=doc["nodes"][0]["neg_classes"] * 2),
+         "neg_classes", "linear"),
+        (lambda doc: doc["nodes"][0].update(binary_distribution="ab"), "binary_distribution",
+         "linear"),
+        (lambda doc: doc["nodes"][0].update(binary_distribution=[1]), "binary_distribution",
+         "linear"),
+        (lambda doc: doc["nodes"][0].update(binary_distribution=[float("nan"), 1]),
+         "binary_distribution", "linear"),
     ], ids=["max-passes-fraction", "max-passes-inf", "seed-string", "delta-bool",
             "max-rounds-fraction", "null-classifier", "leaf-label-99", "bias-nan",
             "weight-inf", "rbf-bias-nan", "table-row-nan", "dual-coefficient-nan",
-            "same-child", "orphan-node"])
+            "same-child", "orphan-node", "orphan-support-vector", "pos-classes-string",
+            "pos-classes-99", "neg-classes-repeated", "masses-string", "masses-one",
+            "masses-nan"])
     def test_model_the_program_could_not_have_written_exits_2(self, blob_csvs, tmp_path,
                                                              capsys, mutation, named, kernel):
         train, test = blob_csvs

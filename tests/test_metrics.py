@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from atree import metrics as metrics_module
 from atree import svm as svm_module
 from atree.boosting import BoostConfig
 from atree.dataset import Dataset, generate_gaussian_blobs, split_train_test
@@ -217,6 +216,23 @@ class TestEndToEnd:
             assert run.kernel_computations[i] == len(set(ids))
             assert run.kernel_computations_uncached[i] == len(ids)
 
+    def test_atree_evaluation_counts_no_support_vectors(self, monkeypatch):
+        data = generate_gaussian_blobs(5, 20, 3, 1.0, seed=12)
+        tree = train_atree(data, AtreeConfig(delta=0.7, max_depth=4,
+                                             kernel=KernelSpec("rbf", 0.5)))
+        expected = evaluate_atree(tree, data)
+        calls = []
+        for module, name in ((np, "unique"), (np, "union1d"),
+                             (svm_module, "kernel_computations")):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+        for _ in range(2):
+            run = evaluate_atree(tree, data)
+        monkeypatch.undo()
+        assert calls == []
+        assert run.kernel_computations.tobytes() == expected.kernel_computations.tobytes()
+        assert (run.kernel_computations_uncached.tobytes()
+                == expected.kernel_computations_uncached.tobytes())
+
     def test_flat_kernel_counts_are_constant(self):
         data = generate_gaussian_blobs(4, 12, 3, 1.0, seed=13)
         spec = KernelSpec("rbf", 0.5)
@@ -309,7 +325,7 @@ class TestFlatUnionBlock:
 
         monkeypatch.setattr(svm_module.ClassifierBank, "of",
                             counted("bank", svm_module.ClassifierBank.of))
-        monkeypatch.setattr(metrics_module, "kernel_computations",
+        monkeypatch.setattr(svm_module, "kernel_computations",
                             counted("kernel_computations", kernel_computations))
         monkeypatch.setattr(np, "unique", counted("unique", np.unique))
         for _ in range(2):

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from atree.boosting import BoostConfig, BoostedClassifier, DecisionStump, adaboost_train
-from atree.dataset import Dataset, generate_gaussian_blobs, generate_two_cluster_2d
+from atree import boosting
+from atree.boosting import (BoostConfig, BoostedClassifier, DecisionStump, Presort,
+                            adaboost_train, train_stump)
+from atree.dataset import (Dataset, generate_gaussian_blobs, generate_two_cluster_2d,
+                           split_train_test)
 from atree.errors import SchemaError, ValidationError
 from atree.svm import KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig, squared_norms
 from atree import cli
@@ -21,7 +24,8 @@ from atree.tree import (MODEL_SCHEMA_VERSION, Atree, AtreeConfig, EntropySplit,
                         build_phase1, deserialize, entropy_split, iter_nodes,
                         node_cost, partition_samples, path_levels, predict, route,
                         serialize, to_dot, train_atree)
-from oracles import brute_force_entropy_split, random_weighted_multiclass
+from oracles import (brute_force_entropy_split, random_weighted_multiclass,
+                     reference_entropy_split, reference_train_stump)
 
 LN2 = math.log(2.0)
 
@@ -358,6 +362,75 @@ class TestBuildPhase1:
         with pytest.raises(ValidationError):
             build_phase1(data, AtreeConfig(), ids=np.array([], dtype=np.int64),
                          weights=np.array([]))
+
+
+@st.composite
+def tied_multiclass_inputs(draw):
+    """Features on a small integer grid, so values repeat often, with some
+    columns held constant; 2 to 20 classes and positive weights spread over
+    six orders of magnitude, summing to 1."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 20))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=st.integers(-3, 3).map(float)))
+    X[:, draw(hnp.arrays(np.bool_, d))] = draw(st.integers(-3, 3))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    w = 10.0 ** draw(hnp.arrays(np.float64, n, elements=st.floats(-6, 0)))
+    return X, labels, w / w.sum(), k
+
+
+def _phase_one_record(node):
+    """Every phase-one output of a built node, exact to the bit."""
+    if isinstance(node, LeafNode):
+        return vars(node)
+    s, b, p = node.split, node.boost, node.partition
+    return (s.feature_index, s.threshold, s.left_masses.tobytes(), s.right_masses.tobytes(),
+            b.rounds, b.round_errors, b.exited_early,
+            *(a.tobytes() for a in (p.star_ids, p.left_ids, p.left_weights,
+                                    p.right_ids, p.right_weights)),
+            node.pos_classes, node.neg_classes, node.binary_distribution)
+
+
+class TestPhaseOneScans:
+    """The entropy sweep and the presorted stump search give exactly what
+    the scans they replaced (oracles.reference_*) give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_multiclass_inputs())
+    def test_scans_equal_the_references(self, inputs):
+        X, labels, w, k = inputs
+        order = np.argsort(X, axis=0, kind="stable")
+        split = entropy_split(X, labels, w, k, order)
+        expected = reference_entropy_split(X, labels, w, k)
+        if expected is None:
+            assert split is None
+        else:
+            assert (split.feature_index, split.threshold) == (expected.feature_index,
+                                                              expected.threshold)
+            assert split.left_masses.tobytes() == expected.left_masses.tobytes()
+            assert split.right_masses.tobytes() == expected.right_masses.tobytes()
+        y = np.where(labels % 2 == 1, 1, -1)
+        stump, err = reference_train_stump(X, y, w)
+        assert train_stump(X, y, w, Presort.of(X, y, order)) == (stump, err)
+        assert train_stump(X, y, w) == (stump, err)
+
+    def test_benchmark_scale_tree_equals_the_references(self, monkeypatch):
+        data = generate_gaussian_blobs(16, 100, 8, 1.2, seed=3)
+        train, _ = split_train_test(data, 0.5, seed=1, stratified=True)
+        config = AtreeConfig(delta=0.8, max_depth=8, kernel=KernelSpec("rbf", 0.2),
+                             boost=BoostConfig(max_rounds=20))
+        tree = train_atree(train, config)
+        monkeypatch.setattr(tree_module, "entropy_split",
+                            lambda X, labels, w, k, order=None:
+                            reference_entropy_split(X, labels, w, k))
+        monkeypatch.setattr(boosting, "train_stump",
+                            lambda X, y, w, order=None: reference_train_stump(X, y, w))
+        expected = train_atree(train, config)
+        monkeypatch.undo()
+        assert len(list(iter_nodes(tree.root))) > 60
+        assert serialize(tree) == serialize(expected)
+        assert ([_phase_one_record(n) for n in iter_nodes(tree.root)]
+                == [_phase_one_record(n) for n in iter_nodes(expected.root)])
 
 
 class TestPhase2:
