@@ -12,8 +12,7 @@ from .metrics import (ComplexityReport, EvaluationRun, complexity_report,
                       evaluate_atree, evaluate_one_vs_all, evaluate_one_vs_one,
                       mean_per_class_accuracy, train_one_vs_all,
                       train_one_vs_one)
-from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
-                  decision_values_batch, kernel_computations, kernel_matrix,
+from .svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig, kernel_matrix,
                   train_kernel_svm, train_linear_svm, train_svm)
 from .tree import (Atree, AtreeConfig, EntropySplit, InternalNode, LeafNode,
                    PartitionResult, attach_svms_phase2, binarize_labels,

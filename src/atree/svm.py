@@ -458,15 +458,6 @@ def train_svm(X, y, kernel, config, sample_ids=None, gram=None):
     return train_kernel_svm(X, y, kernel, config, sample_ids, gram)
 
 
-def kernel_computations(models):
-    """Kernel computations needed to evaluate ``models`` on one instance, as
-    (union, uncached). Under a per-instance cache a support vector shared by
-    several models is computed once, so union counts the distinct sv_ids;
-    uncached sums every model's support-vector count."""
-    ids = np.concatenate([np.empty(0, dtype=np.int64)] + [m.sv_ids for m in models])
-    return len(np.unique(ids)), len(ids)
-
-
 @dataclass(frozen=True, eq=False)
 class ClassifierBank:
     """Models of one kernel evaluated together: on the rows of X, model j
@@ -521,21 +512,3 @@ class ClassifierBank:
         if self.kernel.is_linear:
             return None, None
         return np.full(n, len(self.sv_ids)), np.full(n, self.uncached)
-
-
-def decision_values_batch(model, X):
-    """f(x) for either model type over the rows of X. A single instance of
-    shape (d,) gives a scalar, an (n, d) batch gives n values. Each value
-    depends on its own row alone, so it is bit-identical to the value of
-    that row evaluated by itself."""
-    X = np.asarray(X, dtype=np.float64)
-    if isinstance(model, LinearSvmModel):
-        if X.shape[-1] != model.weights.shape[0]:
-            raise ValidationError("dimension mismatch")
-        return np.vecdot(X, model.weights) + model.bias
-    if X.shape[-1] != model.support_vectors.shape[1]:
-        raise ValidationError("dimension mismatch")
-    k = np.vecdot(kernel_matrix(model.kernel, X, model.support_vectors),
-                  model.dual_coefficients)
-    return k.reshape(X.shape[:-1]) + model.bias
-

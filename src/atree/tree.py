@@ -31,7 +31,7 @@ from .errors import SchemaError, ValidationError, check_field_types
 from .svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
                   train_svm)
 
-MODEL_SCHEMA_VERSION = 6
+MODEL_SCHEMA_VERSION = 7
 
 
 @dataclass
@@ -109,24 +109,27 @@ class PartitionResult:
 
 @dataclass
 class LeafNode:
+    """n_training is phase one's; a loaded tree has none."""
+
     node_id: int
     label: int
     purity: float
-    n_training: int
+    n_training: int | None = None
 
 
 @dataclass
 class InternalNode:
-    """split, boost and partition belong to phase one; a loaded tree has none of them."""
+    """binary_distribution, n_training, split, boost and partition belong to
+    phase one; a loaded tree has none of them."""
 
     node_id: int
     pos_classes: list
     neg_classes: list
-    binary_distribution: tuple
-    n_training: int
     left: object
     right: object
     svm: object = None
+    binary_distribution: tuple | None = None
+    n_training: int | None = None
     split: EntropySplit | None = None
     boost: BoostedClassifier | None = None
     partition: PartitionResult | None = None
@@ -140,8 +143,8 @@ class Atree:
     of its node classifiers, which every internal node must hold, each
     internal node's bank column as a contiguous coefficient row, and for a
     kernel tree the (union, uncached) kernel computations of the path to
-    each leaf, keyed by leaf id (svm.kernel_computations of the path's
-    classifiers; empty for a linear tree)."""
+    each leaf, keyed by leaf id: the distinct support vectors of the path's
+    classifiers and their total count (empty for a linear tree)."""
 
     root: object
     config: AtreeConfig
@@ -544,15 +547,13 @@ def _svm_to_doc(svm):
 
 
 def _node_to_doc(node):
-    """A node's fields, less its id (its place in the node list) and its
-    phase-one split, boost and partition; an internal node names its
-    children by id."""
-    doc = {k: v for k, v in vars(node).items()
-           if k not in ("node_id", "split", "boost", "partition")}
-    if isinstance(node, InternalNode):
-        doc.update(svm=_svm_to_doc(node.svm), left=node.left.node_id,
-                   right=node.right.node_id)
-    return doc
+    """What traversal reads of a node: a leaf's label and purity, an
+    internal node's class sets, classifier and children's ids."""
+    if isinstance(node, LeafNode):
+        return {"label": node.label, "purity": node.purity}
+    return {"pos_classes": node.pos_classes, "neg_classes": node.neg_classes,
+            "left": node.left.node_id, "right": node.right.node_id,
+            "svm": _svm_to_doc(node.svm)}
 
 
 def serialize(tree):
@@ -584,44 +585,61 @@ def _config_from_doc(cls, doc, **parts):
     return cls(**{**doc, **nested})
 
 
+def _is_list_of(values, types):
+    """Whether values is a JSON list whose entries all have one of the
+    exact types ``types`` (so no bool passes for an int)."""
+    return type(values) is list and set(map(type, values)) <= types
+
+
+_NUMBER = {int, float}
+
+
 def _table_from_doc(entries, dimension):
-    """The support-vector table as (ids, rows): ids strictly increasing, one
-    row of ``dimension`` values each."""
-    ids = np.array([sv_id for sv_id, _ in entries], dtype=np.int64)
-    if (np.diff(ids) <= 0).any():
-        raise SchemaError("support-vector table must list each id once, in increasing order")
+    """The support-vector table as (ids, rows): int ids strictly increasing,
+    one row of ``dimension`` numbers each."""
+    ids = [sv_id for sv_id, _ in entries]
+    if type(entries) is not list or not _is_list_of(ids, {int}) or (np.diff(ids) <= 0).any():
+        raise SchemaError("support-vector table must list each int id once, in increasing order")
     rows = [row for _, row in entries]
-    if any(len(row) != dimension for row in rows):
-        raise SchemaError(f"support-vector table rows must be {dimension} wide")
-    return ids, np.array(rows, dtype=np.float64).reshape(len(rows), dimension)
+    if not all(_is_list_of(row, _NUMBER) and len(row) == dimension for row in rows):
+        raise SchemaError(f"support-vector table rows must be {dimension} numbers wide")
+    return (np.array(ids, dtype=np.int64),
+            np.array(rows, dtype=np.float64).reshape(len(rows), dimension))
 
 
 def _svm_from_doc(doc, kernel, table):
     """The node classifier of the configured kernel's family."""
-    if ("weights" in doc) != kernel.is_linear or ("sv_ids" in doc) == kernel.is_linear:
+    keys = {"weights", "bias"} if kernel.is_linear else {"sv_ids", "dual_coefficients", "bias"}
+    if set(doc) != keys:
         raise SchemaError(f"node classifier with fields {sorted(doc)} does not fit "
                           f"the configured {kernel.kind} kernel")
+    values = doc["weights"] if kernel.is_linear else doc["dual_coefficients"]
+    if not (_is_list_of(values, _NUMBER) and type(doc["bias"]) in _NUMBER):
+        raise SchemaError("node classifier weights, coefficients and bias must be numbers")
+    values, bias = np.array(values, dtype=np.float64), float(doc["bias"])
     ids, rows = table
     if kernel.is_linear:
-        weights = np.asarray(doc["weights"], dtype=np.float64)
         # the table's rows are dimension wide even when it holds none
-        if weights.shape != rows.shape[1:]:
+        if values.shape != rows.shape[1:]:
             raise SchemaError(f"linear node weights must be {rows.shape[1]} wide")
-        return LinearSvmModel(weights, float(doc["bias"]))
-    sv_ids = np.asarray(doc["sv_ids"], dtype=np.int64)
+        return LinearSvmModel(values, bias)
+    sv_ids = doc["sv_ids"]
+    if not _is_list_of(sv_ids, {int}) or len(set(sv_ids)) != len(sv_ids):
+        raise SchemaError("a kernel node's sv_ids must be distinct ints")
+    sv_ids = np.array(sv_ids, dtype=np.int64)
     at = np.searchsorted(ids, sv_ids)
     if (at >= len(ids)).any() or not np.array_equal(ids[at], sv_ids):
         raise SchemaError("node classifier refers to an sv_id the support-vector "
                           "table does not hold")
-    coefficients = np.asarray(doc["dual_coefficients"], dtype=np.float64)
-    if coefficients.shape != sv_ids.shape:
+    if values.shape != sv_ids.shape:
         raise SchemaError("a kernel node needs one dual coefficient per sv_id")
-    return KernelSvmModel(support_vectors=rows[at], dual_coefficients=coefficients,
-                          bias=float(doc["bias"]), kernel=kernel, sv_ids=sv_ids)
+    return KernelSvmModel(support_vectors=rows[at], dual_coefficients=values, bias=bias,
+                          kernel=kernel, sv_ids=sv_ids)
 
 
-_INTERNAL_KEYS = {"pos_classes", "neg_classes", "binary_distribution", "n_training", "svm",
-                  "left", "right"}
+_DOC_KEYS = {"version", "config", "label_names", "dimension", "support_vectors", "nodes"}
+_LEAF_KEYS = {"label", "purity"}
+_INTERNAL_KEYS = {"pos_classes", "neg_classes", "left", "right", "svm"}
 
 
 def _is_class_id(v, num_classes):
@@ -629,32 +647,28 @@ def _is_class_id(v, num_classes):
 
 
 def _node_from_doc(node_id, doc, built, kernel, table, num_classes):
-    if "svm" not in doc:
-        label = doc["label"]
+    kind, keys = ("internal", _INTERNAL_KEYS) if "svm" in doc else ("leaf", _LEAF_KEYS)
+    if set(doc) != keys:
+        raise SchemaError(f"{kind} node {node_id} must have exactly the fields "
+                          f"{sorted(keys)}, got {sorted(doc)}")
+    if kind == "leaf":
+        label, purity = doc["label"], doc["purity"]
         if not _is_class_id(label, num_classes):
             raise SchemaError(f"leaf node {node_id} has label {label!r}, not a class id "
                               f"in range({num_classes})")
-        return LeafNode(node_id, **doc)
-    if set(doc) != _INTERNAL_KEYS:
-        raise SchemaError(f"internal node {node_id} must have exactly the fields "
-                          f"{sorted(_INTERNAL_KEYS)}, got {sorted(doc)}")
+        if type(purity) not in _NUMBER or not 0 < purity <= 1:
+            raise SchemaError(f"leaf node {node_id} has purity {purity!r}, not a number "
+                              "in (0, 1]")
+        return LeafNode(node_id, label, purity)
     for key in ("pos_classes", "neg_classes"):
         classes = doc[key]
-        if (type(classes) is not list
+        if (type(classes) is not list or not classes
                 or not all(_is_class_id(c, num_classes) for c in classes)
                 or len(set(classes)) != len(classes)):
-            raise SchemaError(f"internal node {node_id} has {key} {classes!r}, not a list "
-                              f"of distinct class ids in range({num_classes})")
-    masses = doc["binary_distribution"]
-    if (type(masses) is not list or len(masses) != 2
-            or not all(type(m) in (int, float) and 0 <= m < math.inf for m in masses)):
-        raise SchemaError(f"internal node {node_id} has binary_distribution {masses!r}, "
-                          "not two finite nonnegative numbers")
-    return InternalNode(node_id, **{
-        **doc,
-        "binary_distribution": tuple(doc["binary_distribution"]),
-        "left": built[doc["left"]], "right": built[doc["right"]],
-        "svm": _svm_from_doc(doc["svm"], kernel, table)})
+            raise SchemaError(f"internal node {node_id} has {key} {classes!r}, not a nonempty "
+                              f"list of distinct class ids in range({num_classes})")
+    return InternalNode(node_id, doc["pos_classes"], doc["neg_classes"], built[doc["left"]],
+                        built[doc["right"]], _svm_from_doc(doc["svm"], kernel, table))
 
 
 def deserialize(text):
@@ -670,14 +684,22 @@ def deserialize(text):
     version = doc.get("version")
     if version != MODEL_SCHEMA_VERSION:
         raise SchemaError(
-            f"unsupported model version {version!r}, expected {MODEL_SCHEMA_VERSION}")
+            f"unsupported model version {version!r}, expected {MODEL_SCHEMA_VERSION}: "
+            "retrain the model")
+    if set(doc) != _DOC_KEYS:
+        raise SchemaError(f"malformed model document: expected exactly the fields "
+                          f"{sorted(_DOC_KEYS)}, got {sorted(doc)}")
     try:
         config = _config_from_doc(AtreeConfig, doc["config"], boost=BoostConfig,
                                   svm=SvmConfig, kernel=KernelSpec)
-        dimension = int(doc["dimension"])
+        dimension, label_names = doc["dimension"], doc["label_names"]
+        if type(dimension) is not int or dimension < 1:
+            raise SchemaError(f"dimension {dimension!r} is not a positive int")
+        if not _is_list_of(label_names, {int, str}) or len(label_names) < 2:
+            raise SchemaError(f"label_names {label_names!r} is not a list of at least "
+                              "two ints or strings")
         table = _table_from_doc(doc["support_vectors"], dimension)
         node_docs = doc["nodes"]
-        label_names = doc["label_names"]
         built = {}
         # children always carry larger ids than their parent, so build in
         # reverse id order
@@ -696,7 +718,7 @@ def deserialize(text):
             raise SchemaError("the support-vector table must hold exactly the support "
                               "vectors that node classifiers name")
         return tree
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model document: {exc!r}") from None
 
 

@@ -10,8 +10,8 @@ import numpy as np
 
 from atree.boosting import _TIE_SLACK, DecisionStump
 from atree.errors import ValidationError
-from atree.svm import (_SV_EPS, KernelSvmModel, SolverRecord, _split_labels,
-                       kernel_matrix)
+from atree.svm import (_SV_EPS, KernelSvmModel, LinearSvmModel, SolverRecord,
+                       _split_labels, kernel_matrix)
 from atree.tree import EntropySplit
 
 
@@ -304,6 +304,26 @@ def reference_kernel_svm(X, y, kernel, config, sample_ids=None):
         sv_ids=sample_ids[keep].copy(),
         convergence=SolverRecord(updates, gap, gap <= config.tolerance),
     )
+
+
+def reference_decision_values(model, X):
+    """f(x) of one linear or kernel model on each row of the (n, d) array X,
+    from the model alone: a vecdot of each row, or of its kernel values
+    against the model's own support vectors, with the weights or dual
+    coefficients, plus the bias."""
+    X = np.asarray(X, dtype=np.float64)
+    if isinstance(model, LinearSvmModel):
+        return np.vecdot(X, model.weights) + model.bias
+    k = kernel_matrix(model.kernel, X, model.support_vectors)
+    return np.vecdot(k, model.dual_coefficients) + model.bias
+
+
+def reference_kernel_computations(models):
+    """Kernel computations that evaluating every model of ``models`` costs
+    one instance, as (union, uncached): the distinct sv_ids of all models,
+    which a per-instance cache computes once each, and their total count."""
+    ids = [i for m in models for i in m.sv_ids.tolist()]
+    return len(set(ids)), len(ids)
 
 
 def random_binary_dataset(rng, n, d):

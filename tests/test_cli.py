@@ -66,6 +66,14 @@ class TestSynth:
         assert _digest(a) == _digest(b)
 
 
+def _repeat_first_support_vector(doc):
+    """Node 0 names its first support vector a second time, with the same
+    dual coefficient."""
+    svm = doc["nodes"][0]["svm"]
+    svm["sv_ids"].append(svm["sv_ids"][0])
+    svm["dual_coefficients"].append(svm["dual_coefficients"][0])
+
+
 class TestTrain:
     def test_small_tree_node_budget(self, blob_csvs, tmp_path):
         train, _ = blob_csvs
@@ -222,12 +230,13 @@ class TestTrain:
             0, float("nan")), "finite", "rbf"),
         (lambda doc: doc["nodes"][0].update(right=doc["nodes"][0]["left"]),
          "child of exactly one node", "linear"),
-        (lambda doc: doc["nodes"].append({"label": 0, "purity": 1.0, "n_training": 1}),
+        (lambda doc: doc["nodes"].append({"label": 0, "purity": 1.0}),
          "child of exactly one node", "linear"),
         (lambda doc: doc["support_vectors"].append([999999, [0.0, 0.0, 0.0]]),
          "support vectors that node classifiers name", "rbf"),
         (lambda doc: doc["nodes"][0].update(pos_classes="ab"), "pos_classes", "linear"),
         (lambda doc: doc["nodes"][0].update(pos_classes=[99]), "pos_classes", "linear"),
+        (lambda doc: doc["nodes"][0].update(pos_classes=[]), "pos_classes", "linear"),
         (lambda doc: doc["nodes"][0].update(neg_classes=doc["nodes"][0]["neg_classes"] * 2),
          "neg_classes", "linear"),
         (lambda doc: doc["nodes"][0].update(binary_distribution="ab"), "binary_distribution",
@@ -236,12 +245,22 @@ class TestTrain:
          "linear"),
         (lambda doc: doc["nodes"][0].update(binary_distribution=[float("nan"), 1]),
          "binary_distribution", "linear"),
+        (_repeat_first_support_vector, "sv_ids", "rbf"),
+        (lambda doc: doc.update(dimension=doc["dimension"] + 0.5), "dimension", "linear"),
+        (lambda doc: doc.update(label_names="abcd"), "label_names", "linear"),
+        (lambda doc: [n.update(purity="x") for n in doc["nodes"] if "label" in n], "purity",
+         "linear"),
+        (lambda doc: [n.update(purity=7.5) for n in doc["nodes"] if "label" in n], "purity",
+         "linear"),
+        (lambda doc: [n.update(purity=float("nan")) for n in doc["nodes"] if "label" in n],
+         "purity", "linear"),
     ], ids=["max-passes-fraction", "max-passes-inf", "seed-string", "delta-bool",
             "max-rounds-fraction", "null-classifier", "leaf-label-99", "bias-nan",
             "weight-inf", "rbf-bias-nan", "table-row-nan", "dual-coefficient-nan",
             "same-child", "orphan-node", "orphan-support-vector", "pos-classes-string",
-            "pos-classes-99", "neg-classes-repeated", "masses-string", "masses-one",
-            "masses-nan"])
+            "pos-classes-99", "pos-classes-empty", "neg-classes-repeated", "masses-string", "masses-one",
+            "masses-nan", "sv-ids-repeated", "dimension-fraction", "label-names-string",
+            "purity-string", "purity-above-one", "purity-nan"])
     def test_model_the_program_could_not_have_written_exits_2(self, blob_csvs, tmp_path,
                                                              capsys, mutation, named, kernel):
         train, test = blob_csvs
@@ -445,7 +464,7 @@ class TestExportTree:
         bad.write_text("{not json")
         assert run("--quiet", "export-tree", bad, "--out", tmp_path / "o.dot") == 2
 
-    @pytest.mark.parametrize("version", [3, 4, 5])
+    @pytest.mark.parametrize("version", [3, 4, 5, 6])
     def test_schema3_model_exits_2(self, blob_csvs, tmp_path, capsys, version):
         train, _ = blob_csvs
         model = tmp_path / "model.json"
@@ -454,4 +473,5 @@ class TestExportTree:
         doc["version"] = version
         model.write_text(json.dumps(doc))
         assert run("--quiet", "export-tree", model, "--out", tmp_path / "o.dot") == 2
-        assert f"version {version}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"version {version}" in err and "retrain" in err

@@ -9,9 +9,10 @@ from atree.metrics import (EvaluationRun, _flat_decision_values, complexity_repo
                            evaluate_atree, evaluate_one_vs_all, evaluate_one_vs_one,
                            mean_per_class_accuracy, train_one_vs_all,
                            train_one_vs_one)
-from atree.svm import (KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
-                       decision_values_batch, kernel_computations, train_svm)
+from atree.svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel,
+                       SvmConfig, train_svm)
 from atree.tree import AtreeConfig, InternalNode, iter_nodes, predict, train_atree
+from oracles import reference_decision_values, reference_kernel_computations
 
 
 def _linear_run(method, n_classes, n_instances, per_instance_cost):
@@ -107,7 +108,7 @@ class TestOneVsOne:
         y = np.where(data.labels == 1, 1.0, -1.0)
         binary = train_linear_svm(data.features, y, SvmConfig())
         run = evaluate_one_vs_one(model, data)
-        direct = np.where(decision_values_batch(binary, data.features) >= 0, 1, 0)
+        direct = np.where(reference_decision_values(binary, data.features) >= 0, 1, 0)
         np.testing.assert_array_equal(run.predictions, direct)
 
     def test_relative_complexity_is_half_n_minus_one(self):
@@ -155,7 +156,9 @@ class TestComplexityReport:
                            np.ones(4), 0.0, KernelSpec("rbf", 1.0), np.arange(4))
         b = KernelSvmModel(np.random.default_rng(2).uniform(size=(6, 2)),
                            np.ones(6), 0.0, KernelSpec("rbf", 1.0), np.arange(10, 16))
-        assert kernel_computations([a, b]) == (10, 10)
+        bank = ClassifierBank.of([a, b], KernelSpec("rbf", 1.0), 2)
+        union, uncached = bank.kernel_computations(1)
+        assert (union[0], uncached[0]) == (10, 10)
 
     def test_kernel_family_mismatch_rejected(self):
         linear = _linear_run("atree", 4, 5, 2)
@@ -222,9 +225,8 @@ class TestEndToEnd:
                                              kernel=KernelSpec("rbf", 0.5)))
         expected = evaluate_atree(tree, data)
         calls = []
-        for module, name in ((np, "unique"), (np, "union1d"),
-                             (svm_module, "kernel_computations")):
-            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+        for name in ("unique", "union1d"):
+            monkeypatch.setattr(np, name, lambda *a, name=name, **k: calls.append(name))
         for _ in range(2):
             run = evaluate_atree(tree, data)
         monkeypatch.undo()
@@ -266,7 +268,7 @@ class TestEndToEnd:
         if config.kernel.is_linear:
             assert run.kernel_computations is None
         else:
-            counts = [kernel_computations([svms[nid] for nid, _ in trace])
+            counts = [reference_kernel_computations([svms[nid] for nid, _ in trace])
                       for _, trace in singles]
             np.testing.assert_array_equal(run.kernel_computations, [c[0] for c in counts])
             np.testing.assert_array_equal(run.kernel_computations_uncached,
@@ -293,7 +295,7 @@ class TestFlatUnionBlock:
         else:
             model = train_one_vs_one(train, spec, SvmConfig())
             run = evaluate_one_vs_one(model, test)
-        per_model = np.stack([decision_values_batch(m, test.features) for m in model.models])
+        per_model = np.stack([reference_decision_values(m, test.features) for m in model.models])
         values = _flat_decision_values(model.bank, test.features)
         np.testing.assert_allclose(values, per_model, rtol=0, atol=1e-12)
         if method == "ova":
@@ -325,8 +327,6 @@ class TestFlatUnionBlock:
 
         monkeypatch.setattr(svm_module.ClassifierBank, "of",
                             counted("bank", svm_module.ClassifierBank.of))
-        monkeypatch.setattr(svm_module, "kernel_computations",
-                            counted("kernel_computations", kernel_computations))
         monkeypatch.setattr(np, "unique", counted("unique", np.unique))
         for _ in range(2):
             run = evaluate(model, data)
@@ -336,6 +336,6 @@ class TestFlatUnionBlock:
         if spec.is_linear:
             assert run.kernel_computations is run.kernel_computations_uncached is None
         else:
-            union, uncached = kernel_computations(model.models)
+            union, uncached = reference_kernel_computations(model.models)
             assert run.kernel_computations.tolist() == [union] * len(data)
             assert run.kernel_computations_uncached.tolist() == [uncached] * len(data)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from atree import dataset, metrics
 from atree import svm as svm_module
 from atree.errors import ValidationError
-from atree.svm import (KERNEL_KINDS, KernelSpec, KernelSvmModel, LinearSvmModel,
-                       SvmConfig, decision_values_batch, kernel_computations,
-                       kernel_matrix, squared_norms, train_kernel_svm,
-                       train_linear_svm, train_svm, training_gram)
+from atree.svm import (KERNEL_KINDS, ClassifierBank, KernelSpec, KernelSvmModel,
+                       LinearSvmModel, SvmConfig, kernel_matrix, squared_norms,
+                       train_kernel_svm, train_linear_svm, train_svm, training_gram)
 from oracles import (grid_min_linear_svm_1d, random_binary_dataset,
+                     reference_decision_values, reference_kernel_computations,
                      reference_kernel_svm, reference_linear_svm)
 
 SEP_X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
@@ -123,13 +123,13 @@ def _projected_gradient_spread(X, y, weights, bias, alpha, c):
 class TestLinearSolver:
     def test_separable_margins_match_analytic_optimum(self):
         model = train_linear_svm(SEP_X, SEP_Y, HARD_C)
-        assert (np.sign(decision_values_batch(model, SEP_X)) == SEP_Y).all()
+        assert (np.sign(reference_decision_values(model, SEP_X)) == SEP_Y).all()
         # hard-margin optimum is w=1, b=0, confirmed by a grid oracle
         w_star, b_star, _ = grid_min_linear_svm_1d(
             SEP_X, SEP_Y, 1000.0, np.arange(0.0, 2.01, 0.01), np.arange(-1.0, 1.01, 0.01))
         assert (w_star, b_star) == pytest.approx((1.0, 0.0), abs=1e-9)
-        assert decision_values_batch(model, np.array([1.0])) == pytest.approx(1.0, abs=1e-2)
-        assert decision_values_batch(model, np.array([-1.0])) == pytest.approx(-1.0, abs=1e-2)
+        assert reference_decision_values(model, np.array([[1.0], [-1.0]])) == pytest.approx(
+            [1.0, -1.0], abs=1e-2)
 
     def test_label_flip_negates_weights(self):
         rng = np.random.default_rng(1)
@@ -148,8 +148,8 @@ class TestLinearSolver:
         doubled = train_linear_svm(np.vstack([X, X]), np.concatenate([y, y]),
                                    SvmConfig(c=0.5, tolerance=1e-4, max_passes=2000, seed=0))
         grid = rng.normal(size=(100, 2)) * 2.0
-        s1 = np.sign(decision_values_batch(single, grid))
-        s2 = np.sign(decision_values_batch(doubled, grid))
+        s1 = np.sign(reference_decision_values(single, grid))
+        s2 = np.sign(reference_decision_values(doubled, grid))
         assert (s1 == s2).mean() >= 0.99
 
     def test_single_label_rejected(self):
@@ -215,7 +215,7 @@ class TestLinearSolver:
                                    rtol=1e-9, atol=1e-9 * max(1.0, np.abs(combined).max()))
         if converged:
             # projected gradients from scratch over all n coordinates
-            g = y * decision_values_batch(model, X) - 1.0
+            g = y * reference_decision_values(model, X) - 1.0
             pg = np.where(alpha <= 0.0, np.minimum(g, 0.0),
                           np.where(alpha >= c, np.maximum(g, 0.0), g))
             assert pg.max() - pg.min() <= tolerance
@@ -277,8 +277,8 @@ class TestKernelSolver:
         # probes stay off the decision boundary at 0
         probes = np.concatenate([np.linspace(-3, -0.25, 12),
                                  np.linspace(0.25, 3, 12)]).reshape(-1, 1)
-        km = np.where(decision_values_batch(model, probes) >= 0, 1, -1)
-        lm = np.where(decision_values_batch(linear, probes) >= 0, 1, -1)
+        km = np.where(reference_decision_values(model, probes) >= 0, 1, -1)
+        lm = np.where(reference_decision_values(linear, probes) >= 0, 1, -1)
         assert (km == lm).all()
 
     def test_rbf_solves_xor_exactly(self):
@@ -286,7 +286,7 @@ class TestKernelSolver:
         y = np.array([1.0, 1.0, -1.0, -1.0])
         model = train_kernel_svm(X, y, KernelSpec("rbf", 1.0),
                                  SvmConfig(c=10.0, tolerance=1e-4, max_passes=2000, seed=0))
-        assert (np.sign(decision_values_batch(model, X)) == y).all()
+        assert (np.sign(reference_decision_values(model, X)) == y).all()
 
     def test_dual_feasibility_and_balance(self):
         rng = np.random.default_rng(6)
@@ -303,7 +303,7 @@ class TestKernelSolver:
         cfg = SvmConfig(c=1.0, tolerance=1e-3, max_passes=3000, seed=0)
         model = train_kernel_svm(X, y, KernelSpec("rbf", 0.5), cfg)
         others = np.setdiff1d(np.arange(len(X)), model.sv_ids)
-        margins = y[others] * decision_values_batch(model, X[others])
+        margins = y[others] * reference_decision_values(model, X[others])
         assert (margins >= 1.0 - 10 * cfg.tolerance).all()
 
     def test_convergence_record(self):
@@ -337,8 +337,8 @@ class TestKernelSolver:
             lin = train_linear_svm(X, y, cfg)
             ker = train_kernel_svm(X, y, KernelSpec("linear"), cfg)
             grid = rng.normal(size=(40, d)) * 1.5
-            s1 = np.where(decision_values_batch(lin, grid) >= 0, 1, -1)
-            s2 = np.where(decision_values_batch(ker, grid) >= 0, 1, -1)
+            s1 = np.where(reference_decision_values(lin, grid) >= 0, 1, -1)
+            s2 = np.where(reference_decision_values(ker, grid) >= 0, 1, -1)
             agree.append((s1 == s2).mean())
         assert np.mean(agree) >= 0.99
 
@@ -441,11 +441,23 @@ class TestTrainSvm:
                                       expected.sv_ids - 100)
 
 
+def _one_model_bank(model, dimension):
+    kernel = KernelSpec("linear") if isinstance(model, LinearSvmModel) else model.kernel
+    return ClassifierBank.of([model], kernel, dimension)
+
+
+def _one_model_values(model, X):
+    """The model's decision values on the rows of X, through a one-model bank."""
+    bank = _one_model_bank(model, X.shape[1])
+    return (bank.inputs(X) @ bank.coefficients + bank.biases)[:, 0]
+
+
 class TestDecisionAndPredict:
+    """One model evaluated through a one-model ClassifierBank."""
+
     def test_zero_weight_linear_model_uses_bias(self):
         model = LinearSvmModel(np.zeros(3), 0.7)
-        assert decision_values_batch(model, np.zeros(3)) == 0.7
-        assert decision_values_batch(model, np.zeros((2, 3))).tolist() == [0.7, 0.7]
+        assert _one_model_values(model, np.zeros((2, 3))).tolist() == [0.7, 0.7]
 
     def test_single_support_vector_kernel_value(self):
         model = KernelSvmModel(
@@ -453,15 +465,8 @@ class TestDecisionAndPredict:
             dual_coefficients=np.array([1.0]),
             bias=0.0, kernel=KernelSpec("histogram_intersection"),
             sv_ids=np.array([0]))
-        assert decision_values_batch(model, np.array([1.0, 0.0])) == pytest.approx(0.4, abs=1e-15)
-        assert decision_values_batch(model, np.array([[1.0, 0.0]])).shape == (1,)
-
-    def test_dimension_mismatch_rejected(self):
-        model = LinearSvmModel(np.array([1.0, 2.0]), 0.0)
-        with pytest.raises(ValidationError):
-            decision_values_batch(model, np.array([1.0]))
-        with pytest.raises(ValidationError):
-            decision_values_batch(model, np.array([[1.0]]))
+        values = _one_model_values(model, np.array([[1.0, 0.0]]))
+        assert values.shape == (1,) and values[0] == pytest.approx(0.4, abs=1e-15)
 
     @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", 0.7),
                                       KernelSpec("chi_square", 0.4),
@@ -476,13 +481,14 @@ class TestDecisionAndPredict:
         else:
             model = train_kernel_svm(X, y, spec, SvmConfig())
         probes = rng.uniform(0.0, 2.0, size=(15, 3))
-        batch = decision_values_batch(model, probes)
-        assert batch.shape == (15,)
-        for row, value in zip(probes, batch):
-            single = decision_values_batch(model, row)
-            assert np.ndim(single) == 0
-            assert single == value
-
+        bank = _one_model_bank(model, 3)
+        block = bank.inputs(probes)
+        for i in range(len(probes)):
+            assert bank.inputs(probes[i:i + 1]).tobytes() == block[i].tobytes()
+        values = _one_model_values(model, probes)
+        assert values.shape == (15,)
+        np.testing.assert_allclose(values, reference_decision_values(model, probes),
+                                   rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(KERNEL_KINDS), seed=st.integers(0, 2**32 - 1),
@@ -490,15 +496,18 @@ class TestDecisionAndPredict:
     def test_each_value_depends_on_its_own_row_only(self, kind, seed, rows):
         rng = np.random.default_rng(seed)
         X = rng.uniform(0.0, 2.0, size=(30, 4))
-        if kind == "linear" and seed % 2:
+        n_sv = int(rng.integers(1, 40))
+        S = rng.uniform(0.0, 2.0, size=(n_sv, 4))
+        spec = KernelSpec(kind, 0.6 if kind in ("rbf", "chi_square") else None)
+        assert (kernel_matrix(spec, X[rows], S).tobytes()
+                == kernel_matrix(spec, X, S)[rows].tobytes())
+        if spec.is_linear:
             model = LinearSvmModel(rng.normal(size=4), float(rng.normal()))
         else:
-            n_sv = int(rng.integers(1, 40))
-            gamma = 0.6 if kind in ("rbf", "chi_square") else None
-            model = KernelSvmModel(rng.uniform(0.0, 2.0, size=(n_sv, 4)), rng.normal(size=n_sv),
-                                   float(rng.normal()), KernelSpec(kind, gamma), np.arange(n_sv))
-        np.testing.assert_array_equal(decision_values_batch(model, X[rows]),
-                                      decision_values_batch(model, X)[rows])
+            model = KernelSvmModel(S, rng.normal(size=n_sv), float(rng.normal()), spec,
+                                   np.arange(n_sv))
+        bank = _one_model_bank(model, 4)
+        assert bank.inputs(X[rows]).tobytes() == bank.inputs(X)[rows].tobytes()
 
 
 class TestCachedNorms:
@@ -516,15 +525,20 @@ class TestCachedNorms:
         # rows equal to a support vector put d2 at the max(., 0) clamp
         X[::3] = S[rng.integers(0, n_sv, size=len(X[::3]))]
         spec = KernelSpec(kind, 0.6 / scale ** 2 if kind in ("rbf", "chi_square") else None)
-        model = KernelSvmModel(S, rng.normal(size=n_sv), float(rng.normal()), spec,
-                               np.arange(n_sv))
-        expected = np.vecdot(kernel_matrix(spec, X, S), model.dual_coefficients) + model.bias
-        assert decision_values_batch(model, X).tobytes() == expected.tobytes()
+        if spec.is_linear:
+            def cached(A):
+                return kernel_matrix(spec, A, S, b_norms=squared_norms(S))
+        else:
+            # the bank's table keeps S's order, since its sv_ids increase
+            model = KernelSvmModel(S, rng.normal(size=n_sv), float(rng.normal()), spec,
+                                   np.arange(n_sv))
+            cached = _one_model_bank(model, d).inputs
+        expected = kernel_matrix(spec, X, S)
+        assert cached(X).tobytes() == expected.tobytes()
         rows = rng.permutation(n_rows)[:max(1, n_rows // 2)]
-        assert decision_values_batch(model, X[rows]).tobytes() == expected[rows].tobytes()
-        for x, value in zip(X, expected):
-            single = decision_values_batch(model, x)
-            assert np.float64(single).tobytes() == value.tobytes()
+        assert cached(X[rows]).tobytes() == expected[rows].tobytes()
+        for i in range(n_rows):
+            assert cached(X[i:i + 1]).tobytes() == expected[i].tobytes()
 
     def test_norms_of_the_wrong_shape_rejected(self):
         model = _toy_kernel_model(np.arange(5))
@@ -558,25 +572,32 @@ class TestModelEquality:
             assert (model == model) is True
 
 
+def _kernel_computations(models):
+    """One instance's (union, uncached) counts from the bank of ``models``."""
+    union, uncached = ClassifierBank.of(models, KernelSpec("rbf", 1.0), 2).kernel_computations(1)
+    return int(union[0]), int(uncached[0])
+
+
 class TestKernelEvalCounter:
-    """Per-instance kernel computations of a set of models (kernel_computations)."""
+    """Per-instance kernel computations of a set of models
+    (ClassifierBank.kernel_computations)."""
 
     def test_shared_support_vectors_counted_once(self):
         first = _toy_kernel_model(np.arange(0, 10))
         second = _toy_kernel_model(np.arange(5, 15))
-        assert kernel_computations([first, second]) == (15, 20)
+        assert _kernel_computations([first, second]) == (15, 20)
 
     def test_single_model_counts_every_sv(self):
-        assert kernel_computations([_toy_kernel_model(np.arange(10))]) == (10, 10)
+        assert _kernel_computations([_toy_kernel_model(np.arange(10))]) == (10, 10)
 
     def test_no_models_cost_nothing(self):
-        assert kernel_computations([]) == (0, 0)
+        assert _kernel_computations([]) == (0, 0)
 
     @given(st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True),
                     min_size=1, max_size=6))
     def test_union_never_exceeds_sum(self, id_sets):
         models = [_toy_kernel_model(ids) for ids in id_sets]
-        union, uncached = kernel_computations(models)
+        union, uncached = _kernel_computations(models)
         assert union == len({i for ids in id_sets for i in ids}) <= uncached
         assert uncached == sum(len(ids) for ids in id_sets)
 
@@ -589,7 +610,7 @@ class TestClassifierBank:
     def test_linear_columns_are_the_weights(self):
         models = [LinearSvmModel(np.array([1.0, -2.0, 0.5]), 0.25),
                   LinearSvmModel(np.array([0.0, 3.0, -1.0]), -1.5)]
-        bank = svm_module.ClassifierBank.of(models, KernelSpec("linear"), 3)
+        bank = ClassifierBank.of(models, KernelSpec("linear"), 3)
         assert bank.coefficients.tobytes() == np.column_stack(
             [m.weights for m in models]).tobytes()
         assert bank.biases.tolist() == [0.25, -1.5]
@@ -600,7 +621,7 @@ class TestClassifierBank:
 
     def test_kernel_columns_scatter_dual_coefficients_over_the_table(self):
         first, second = _toy_kernel_model([4, 9, 2]), _toy_kernel_model([9, 7])
-        bank = svm_module.ClassifierBank.of([first, second], KernelSpec("rbf", 1.0), 2)
+        bank = ClassifierBank.of([first, second], KernelSpec("rbf", 1.0), 2)
         assert bank.sv_ids.tolist() == [2, 4, 7, 9]
         expected = np.zeros((4, 2))
         expected[[1, 3, 0], 0] = first.dual_coefficients
@@ -611,12 +632,12 @@ class TestClassifierBank:
         assert bank.norms.tobytes() == squared_norms(bank.rows).tobytes()
         union, uncached = bank.kernel_computations(3)
         assert union.tolist() == [4] * 3 and uncached.tolist() == [5] * 3
-        assert (union[0], uncached[0]) == kernel_computations([first, second])
+        assert (union[0], uncached[0]) == reference_kernel_computations([first, second])
 
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 1.0)],
                              ids=lambda k: k.kind)
     def test_no_models_give_no_values(self, kernel):
-        bank = svm_module.ClassifierBank.of([], kernel, 3)
+        bank = ClassifierBank.of([], kernel, 3)
         X = np.ones((4, 3))
         assert (bank.inputs(X) @ bank.coefficients).shape == (4, 0)
         assert bank.biases.shape == (0,)
@@ -634,4 +655,4 @@ class TestClassifierBank:
         else:
             getattr(model, part).flat[1] = value
         with pytest.raises(ValidationError, match="finite"):
-            svm_module.ClassifierBank.of([model], kernel, 2)
+            ClassifierBank.of([model], kernel, 2)

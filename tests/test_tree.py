@@ -779,17 +779,20 @@ class TestSerialization:
 
     @pytest.mark.parametrize("case", ["sv_ids_under_linear_config",
                                       "weights_under_kernel_config",
-                                      "weights_node_in_kernel_tree"])
+                                      "weights_node_in_kernel_tree",
+                                      "kernel_node_stray_key"])
     def test_node_classifier_must_fit_config_family(self, case):
         # seed 1 trains an rbf tree, seed 0 a linear one
         doc = self._doc(0 if case == "weights_under_kernel_config" else 1)
+        node = next(n for n in doc["nodes"] if "svm" in n)
         if case == "sv_ids_under_linear_config":
             doc["config"]["kernel"] = {"kind": "linear", "gamma": None}
         elif case == "weights_under_kernel_config":
             doc["config"]["kernel"] = {"kind": "rbf", "gamma": 0.5}
-        else:
-            node = next(n for n in doc["nodes"] if "svm" in n)
+        elif case == "weights_node_in_kernel_tree":
             node["svm"] = {"weights": [0.0] * doc["dimension"], "bias": 0.0}
+        else:
+            node["svm"]["convergence"] = None
         with pytest.raises(SchemaError, match="kernel"):
             deserialize(json.dumps(doc))
 
@@ -867,17 +870,29 @@ class TestSerialization:
         assert not {"depth", "num_classes"} & set(doc)
         for node in doc["nodes"]:
             if "svm" in node:
-                assert set(node) == {"pos_classes", "neg_classes", "binary_distribution",
-                                     "n_training", "svm", "left", "right"}
+                assert set(node) == {"pos_classes", "neg_classes", "svm", "left", "right"}
                 assert set(node["svm"]) == {"sv_ids", "dual_coefficients", "bias"}
             else:
-                assert set(node) == {"label", "purity", "n_training"}
+                assert set(node) == {"label", "purity"}
 
     @pytest.mark.parametrize("key", ["split", "boost", "partition", "depth"])
     def test_internal_node_stray_key_rejected(self, key):
         doc = self._doc(1)
         next(n for n in doc["nodes"] if "svm" in n)[key] = {"x": 1}
         with pytest.raises(SchemaError, match="internal node"):
+            deserialize(json.dumps(doc))
+
+    # schema 6 stored n_training on every node, and binary_distribution on
+    # internal nodes
+    @pytest.mark.parametrize("kind, key", [("leaf", "n_training"), ("internal", "n_training"),
+                                           ("internal", "binary_distribution"),
+                                           ("document", "depth")])
+    def test_field_outside_the_schema_rejected(self, kind, key):
+        doc = self._doc(1)
+        owner = doc if kind == "document" else next(
+            n for n in doc["nodes"] if ("svm" in n) == (kind == "internal"))
+        owner[key] = 1
+        with pytest.raises(SchemaError, match="exactly the fields"):
             deserialize(json.dumps(doc))
 
     def test_config_survives_round_trip(self):
@@ -887,6 +902,83 @@ class TestSerialization:
         assert clone.label_names == tree.label_names
         assert clone.depth == tree.depth
         assert clone.num_classes == tree.num_classes
+
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_loader_accepts_only_what_serialize_writes(self, data):
+        # each example changes, one at a time, one drawn value of every kind
+        # in a linear and an rbf document to every replacement
+        for text, groups in _small_documents().values():
+            n_nodes = len(json.loads(text)["nodes"])
+            for shape in sorted(groups):
+                path = data.draw(st.sampled_from(groups[shape]))
+                for value in _REPLACEMENTS + [*range(-1, n_nodes + 1)]:
+                    mutated = json.loads(text)
+                    if path:
+                        owner = mutated
+                        for key in path[:-1]:
+                            owner = owner[key]
+                        owner[path[-1]] = value
+                    else:
+                        mutated = value
+                    try:
+                        tree = deserialize(json.dumps(mutated))
+                    except ValidationError:  # SchemaError included
+                        continue
+                    assert _same_json(json.loads(serialize(tree)), mutated), (path, value)
+
+
+# One value of every JSON type, non-finite numbers and out-of-range ints;
+# every int from -1 to one past the last node id is tried too, which
+# redirects a child id.
+_REPLACEMENTS = [None, True, False, "x", [], [1], {}, {"x": 1}, 0.5, -0.5, 7.5, math.nan,
+                 math.inf, -math.inf, 2 ** 31, 2 ** 63, 2 ** 70]
+
+
+def _json_paths(value, path=()):
+    """The path of every value in a parsed JSON document, containers and the
+    document itself included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+_SMALL_DOCUMENTS = {}
+
+
+def _small_documents():
+    """The serialize() text of a small linear tree and a small rbf tree, each
+    with its value paths grouped by shape (list positions as "*"), so that a
+    draw reaches every kind of value equally often."""
+    if not _SMALL_DOCUMENTS:
+        data = generate_gaussian_blobs(3, 8, 2, 0.8, seed=5)
+        for kernel in (KernelSpec("linear"), KernelSpec("rbf", 0.5)):
+            text = serialize(train_atree(data, AtreeConfig(
+                max_depth=3, kernel=kernel, boost=BoostConfig(max_rounds=5))))
+            groups = {}
+            for path in _json_paths(json.loads(text)):
+                shape = tuple("*" if type(key) is int else key for key in path)
+                groups.setdefault(shape, []).append(path)
+            _SMALL_DOCUMENTS[kernel.kind] = text, groups
+    return _SMALL_DOCUMENTS
+
+
+def _same_json(a, b):
+    """Equality of parsed JSON values: 1 equals 1.0 but not true, and NaN
+    equals nothing."""
+    if type(a) is bool or type(b) is bool:
+        return a is b
+    if type(a) in (int, float) and type(b) in (int, float):
+        return a == b
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
 
 
 def _check_bank(tree):
