@@ -194,8 +194,9 @@ def cmd_train(args):
 # eval
 
 
-def _metrics_row(run, tree_delta, kernel_kind, reference):
-    acc = mt.mean_per_class_accuracy(run.predictions, run.truths, run.num_classes)
+def _metrics_row(run, tree_delta, kernel_kind, reference, label_names):
+    acc = mt.mean_per_class_accuracy(run.predictions, run.truths, run.num_classes,
+                                     label_names)
     row = {"method": run.method, "delta": tree_delta, "kernel": kernel_kind,
            "num_classes": run.num_classes, "accuracy": acc,
            "mean_evals": float(run.classifier_evaluations.mean()),
@@ -211,7 +212,8 @@ def _metrics_row(run, tree_delta, kernel_kind, reference):
 def cmd_eval(args):
     svm_config = _resolve_run_config(args).to_svm_config()
     tree = tr.load(args.model)
-    test = load_csv(args.test_csv, args.has_header)
+    # both files' labels are the model's classes
+    test = load_csv(args.test_csv, args.has_header, tree.label_names)
     if test.dimension != tree.dimension:
         raise ValidationError(f"model expects dimension {tree.dimension}, "
                               f"test data has {test.dimension}")
@@ -223,16 +225,17 @@ def cmd_eval(args):
     if args.baseline != "none":
         if not args.train_csv:
             raise ValidationError("--baseline requires --train-csv to train the reference")
-        train = load_csv(args.train_csv, args.has_header)
+        train = load_csv(args.train_csv, args.has_header, tree.label_names)
         ova = mt.train_one_vs_all(train, tree.config.kernel, svm_config)
         reference = mt.evaluate_one_vs_all(ova, test)
         baseline_runs.append(reference)
         if args.baseline == "ovo":
             ovo = mt.train_one_vs_one(train, tree.config.kernel, svm_config)
             baseline_runs.append(mt.evaluate_one_vs_one(ovo, test))
-    rows.append(_metrics_row(atree_run, tree.config.delta, kernel_kind, reference))
+    rows.append(_metrics_row(atree_run, tree.config.delta, kernel_kind, reference,
+                             tree.label_names))
     for run in baseline_runs:
-        rows.append(_metrics_row(run, None, kernel_kind, reference))
+        rows.append(_metrics_row(run, None, kernel_kind, reference, tree.label_names))
     _write_rows(args.out_metrics, METRIC_COLUMNS, rows)
     if args.out_traces:
         node_ids = [None] * len(test)
@@ -270,7 +273,8 @@ def _tradeoff_row(run_config, train, test):
     atree_run = mt.evaluate_atree(tree, test)
     ova = mt.train_one_vs_all(train, config.kernel, config.svm)
     reference = mt.evaluate_one_vs_all(ova, test)
-    row = _metrics_row(atree_run, run_config.delta, run_config.kernel, reference)
+    row = _metrics_row(atree_run, run_config.delta, run_config.kernel, reference,
+                       train.label_names)
     row["num_classes"] = train.num_classes
     return row
 
@@ -283,7 +287,7 @@ def cmd_sweep(args):
                 raise ValidationError("a delta sweep needs --train-csv and --test-csv")
             deltas = _parse_list(args.deltas, "--deltas", float)
             train = load_csv(args.train_csv, args.has_header)
-            test = load_csv(args.test_csv, args.has_header)
+            test = load_csv(args.test_csv, args.has_header, train.label_names)
             rows = [_tradeoff_row(replace(run_config, delta=delta), train, test)
                     for delta in deltas]
         elif args.classes:

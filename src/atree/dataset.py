@@ -77,13 +77,20 @@ def _uniform_weights(n):
     return np.full(n, 1.0 / n)
 
 
-def load_csv(path, has_header=False):
+def load_csv(path, has_header=False, label_names=None):
     """Read ``label,f_1,...,f_d`` rows into a Dataset.
 
     Labels are remapped to dense ids in sorted order of their original values;
-    the original values are retained in ``label_names``. Weights are
-    initialized uniform.
+    the original values are retained in ``label_names``. Given
+    ``label_names`` (a model's classes, or a training file's), the file's
+    labels map through them instead: the label written as
+    ``str(label_names[k])`` becomes id k, whichever of them the file holds,
+    and a label not among them is a ValidationError that names it and its
+    line. Weights are initialized uniform.
     """
+    known = None
+    if label_names is not None:
+        known = {str(name): k for k, name in enumerate(label_names)}
     raw_labels = []
     rows = []
     dim = None
@@ -105,6 +112,9 @@ def load_csv(path, has_header=False):
                 label = int(cells[0])
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: label {cells[0]!r} is not an integer") from None
+            if known is not None and str(label) not in known:
+                raise ValidationError(f"{path}: line {lineno}: label {label} is not one of the "
+                                      f"{len(known)} known class labels")
             try:
                 feats = [float(c) for c in cells[1:]]
             except ValueError:
@@ -113,13 +123,15 @@ def load_csv(path, has_header=False):
             rows.append(feats)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
-    originals = sorted(set(raw_labels))
-    if len(originals) < 2:
-        raise ValidationError(f"{path}: found {len(originals)} distinct label(s), need at least 2")
-    remap = {orig: k for k, orig in enumerate(originals)}
-    labels = np.array([remap[v] for v in raw_labels], dtype=np.int64)
+    if known is None:
+        label_names = sorted(set(raw_labels))
+        if len(label_names) < 2:
+            raise ValidationError(f"{path}: found {len(label_names)} distinct label(s), "
+                                  "need at least 2")
+        known = {str(name): k for k, name in enumerate(label_names)}
+    labels = np.array([known[str(v)] for v in raw_labels], dtype=np.int64)
     return Dataset(np.array(rows), labels, _uniform_weights(len(rows)),
-                   len(originals), originals)
+                   len(known), list(label_names))
 
 
 def write_csv(data, path):

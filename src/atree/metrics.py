@@ -24,6 +24,7 @@ class OneVsAllModel:
     models: list
     num_classes: int
     bank: ClassifierBank = field(repr=False)   # the models', built when trained
+    coefficients: np.ndarray = field(repr=False)   # the bank's coefficient matrix
 
 
 @dataclass
@@ -32,6 +33,7 @@ class OneVsOneModel:
     models: list
     num_classes: int
     bank: ClassifierBank = field(repr=False)
+    coefficients: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -56,10 +58,15 @@ class ComplexityReport:
 
 def _check_all_classes_present(data):
     counts = np.bincount(data.labels, minlength=data.num_classes)
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise ValidationError(
-            f"classes {missing.tolist()} are absent from the training data")
+    missing = [data.label_names[k] for k in np.flatnonzero(counts == 0)]
+    if missing:
+        raise ValidationError(f"classes {missing} are absent from the training data")
+
+
+def _flat_bank(models, kernel, dimension):
+    """The models' bank and their coefficient matrix over its inputs."""
+    bank, placed = ClassifierBank.of(models, kernel, dimension)
+    return bank, bank.coefficient_matrix(placed)
 
 
 def train_one_vs_all(data, kernel, svm_config):
@@ -71,8 +78,7 @@ def train_one_vs_all(data, kernel, svm_config):
     gram = None if kernel.is_linear else training_gram(kernel, X)
     models = [train_svm(X, np.where(data.labels == cls, 1.0, -1.0), kernel,
                         svm_config, gram=gram) for cls in range(data.num_classes)]
-    return OneVsAllModel(models, data.num_classes,
-                         ClassifierBank.of(models, kernel, data.dimension))
+    return OneVsAllModel(models, data.num_classes, *_flat_bank(models, kernel, data.dimension))
 
 
 def train_one_vs_one(data, kernel, svm_config):
@@ -89,18 +95,21 @@ def train_one_vs_one(data, kernel, svm_config):
                                     sample_ids=members))
             pairs.append((a, b))
     return OneVsOneModel(pairs, models, data.num_classes,
-                         ClassifierBank.of(models, kernel, data.dimension))
+                         *_flat_bank(models, kernel, data.dimension))
 
 
-def mean_per_class_accuracy(predictions, truths, num_classes):
-    """Unweighted mean over classes of per-class recall."""
+def mean_per_class_accuracy(predictions, truths, num_classes, label_names=None):
+    """Unweighted mean over classes of per-class recall. A class without
+    test instances is an error, which names the class by its entry in
+    ``label_names`` when given."""
     predictions = np.asarray(predictions)
     truths = np.asarray(truths)
     recalls = []
     for cls in range(num_classes):
         members = truths == cls
         if not members.any():
-            raise ValidationError(f"class {cls} has no test instances")
+            name = cls if label_names is None else label_names[cls]
+            raise ValidationError(f"class {name} has no test instances")
         recalls.append(float((predictions[members] == cls).mean()))
     return float(np.mean(recalls))
 
@@ -110,7 +119,12 @@ def evaluate_atree(tree, data):
     path groups on ``run.paths``. Each instance's label, evaluation count
     and, for kernel trees, cached/uncached kernel computation counts come
     from its group: the instances reaching one leaf share one path, whose
-    kernel computation counts the tree derived when it was built."""
+    kernel computation counts the tree derived when it was built. The
+    dataset's labels must be the tree's classes: its label_names must be the
+    tree's (load_csv maps a file's labels through them)."""
+    if list(data.label_names) != list(tree.label_names):
+        raise ValidationError(f"the test data's classes {list(data.label_names)} are not the "
+                              f"tree's {list(tree.label_names)}")
     nonlinear = not tree.config.kernel.is_linear
     n = len(data)
     preds = np.empty(n, dtype=np.int64)
@@ -131,17 +145,18 @@ def evaluate_atree(tree, data):
     return run
 
 
-def _flat_decision_values(bank, X):
-    """Decision values of every model of the bank on every row of X, as a
-    (models, rows) matrix: one product of its inputs and coefficients."""
-    return (bank.inputs(X) @ bank.coefficients).T + bank.biases[:, None]
+def _flat_decision_values(model, X):
+    """Decision values of every model of a flat baseline on every row of X,
+    as a (models, rows) matrix: one product of its bank's inputs and its
+    coefficients."""
+    return (model.bank.inputs(X) @ model.coefficients).T + model.bank.biases[:, None]
 
 
 def _evaluate_flat(model, data, method):
     """Every model is evaluated on every instance, so the per-instance costs
     are constant: the model count and the bank's kernel computations."""
     n = len(data)
-    values = _flat_decision_values(model.bank, data.features)
+    values = _flat_decision_values(model, data.features)
     if method == "ova":
         preds = values.argmax(axis=0).astype(np.int64)
     else:

@@ -22,9 +22,15 @@ _SV_EPS = 1e-10
 # The linear solver leaves a coordinate alone when its projected gradient is
 # within this of zero (LIBLINEAR's threshold).
 _PG_EPS = 1e-12
+# Rows of A per block of kernel_matrix: against a table of a few thousand
+# support vectors, a block's (rows, m) temporaries stay within L2.
+_BLOCK_ROWS = 64
 # Element budget of one (rows, m, d) broadcast block of the chi-square and
 # histogram-intersection kernels (8 MB of float64 per intermediate).
 _CHUNK_ELEMENTS = 1 << 20
+# Largest training Gram, in entries, that training_gram builds (256 MB of
+# float64, n up to 5792).
+_GRAM_ELEMENTS = 1 << 25
 # Side of the square tiles that training_gram swaps (32 KB of float64 each).
 _TILE = 64
 
@@ -70,19 +76,19 @@ def _require_nonnegative(A, kind):
         raise ValidationError(f"{kind} kernel requires nonnegative features")
 
 
-def _cross(A, B):
-    """Inner products a_i . b_j, one row of A at a time: each row's values
-    are those of A[i:i+1] @ B.T alone, whatever the other rows are."""
-    return np.matmul(A[:, None, :], B.T)[:, 0, :]
+def _cross(A, B, out):
+    """Inner products a_i . b_j into out, one row of A at a time: each row's
+    values are those of A[i:i+1] @ B.T alone, whatever the other rows are."""
+    np.matmul(A[:, None, :], B.T, out=out[:, None, :])
 
 
-def _chunked(A, B, kernel_rows):
-    """kernel_rows(A[block], B) over blocks of rows of A that keep each
-    (rows, len(B), d) intermediate within _CHUNK_ELEMENTS."""
-    rows = max(1, _CHUNK_ELEMENTS // max(1, B.size))
-    out = np.empty((len(A), len(B)))
-    for i in range(0, len(A), rows):
-        out[i:i + rows] = kernel_rows(A[i:i + rows], B)
+def _in_row_blocks(n, width, rows, block):
+    """One (n, width) array that block(i, j, out) fills, out being its rows
+    i:j, over consecutive blocks of at most ``rows`` rows."""
+    out = np.empty((n, width))
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        block(i, j, out[i:j])
     return out
 
 
@@ -93,12 +99,16 @@ def squared_norms(A):
 
 
 def kernel_matrix(spec, A, B, b_norms=None):
-    """Gram block k(a_i, b_j) with shape (len(A), len(B)).
+    """Gram block k(a_i, b_j) with shape (len(A), len(B)), computed in
+    blocks of _BLOCK_ROWS rows of A (fewer for the chi-square and
+    histogram-intersection kernels when their (rows, len(B), d) broadcast
+    would exceed _CHUNK_ELEMENTS).
 
     Rows are independent: row i depends on A[i] alone, so a row is
     bit-identical whether A holds one instance or many. Columns are not: the
     cross products come from one BLAS product over all of B, so an entry's
-    bits can depend on its column's position among B's rows.
+    bits can depend on B's layout and on its column's position among B's
+    rows.
 
     b_norms optionally gives squared_norms(B) for the rbf kernel, computed
     beforehand; entries are bit-identical with and without it. Other kernels
@@ -108,32 +118,42 @@ def kernel_matrix(spec, A, B, b_norms=None):
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValidationError("kernel operands must share a dimension")
+    rows = _BLOCK_ROWS
     if spec.kind == "linear":
-        return _cross(A, B)
-    if spec.kind == "rbf":
-        # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)), computed in place
-        cross = _cross(A, B)
-        cross *= 2.0
+        def block(i, j, out):
+            _cross(A[i:j], B, out)
+    elif spec.kind == "rbf":
         if b_norms is None:
             b_norms = squared_norms(B)
         elif np.shape(b_norms) != (len(B),):
             raise ValidationError("precomputed norms must have one entry per row")
-        d2 = squared_norms(A)[:, None] + b_norms[None, :]
-        d2 -= cross
-        np.maximum(d2, 0.0, out=d2)
-        d2 *= -spec.gamma
-        return np.exp(d2, out=d2)
-    _require_nonnegative(A, spec.kind)
-    _require_nonnegative(B, spec.kind)
-    if spec.kind == "chi_square":
-        def rows(a, b):
-            diff2 = (a[:, None, :] - b[None, :, :]) ** 2
-            denom = a[:, None, :] + b[None, :, :] + _CHI2_EPS
-            return np.exp(-spec.gamma * (diff2 / denom).sum(axis=2))
+        a_norms = squared_norms(A)
+
+        def block(i, j, out):
+            # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)), computed in place
+            _cross(A[i:j], B, out)
+            out *= 2.0
+            d2 = a_norms[i:j, None] + b_norms[None, :]
+            d2 -= out
+            np.maximum(d2, 0.0, out=d2)
+            d2 *= -spec.gamma
+            np.exp(d2, out=out)
     else:
-        def rows(a, b):
-            return np.minimum(a[:, None, :], b[None, :, :]).sum(axis=2)
-    return _chunked(A, B, rows)
+        _require_nonnegative(A, spec.kind)
+        _require_nonnegative(B, spec.kind)
+        rows = max(1, min(rows, _CHUNK_ELEMENTS // max(1, B.size)))
+        a, b = A[:, None, :], B[None, :, :]
+        if spec.kind == "chi_square":
+            def block(i, j, out):
+                diff2 = (a[i:j] - b) ** 2
+                diff2 /= a[i:j] + b + _CHI2_EPS
+                diff2.sum(axis=2, out=out)
+                out *= -spec.gamma
+                np.exp(out, out=out)
+        else:
+            def block(i, j, out):
+                np.minimum(a[i:j], b).sum(axis=2, out=out)
+    return _in_row_blocks(len(A), len(B), rows, block)
 
 
 @dataclass
@@ -332,7 +352,13 @@ def training_gram(kernel, X):
     transposed in place tile by tile and returned as the transpose's view,
     so no second n x n array is allocated. Its entries need not be
     symmetric bit for bit, so the layout cannot come from a plain
-    transpose."""
+    transpose. Raises ValidationError when the n x n Gram would exceed
+    _GRAM_ELEMENTS entries."""
+    n = len(X)
+    if n * n > _GRAM_ELEMENTS:
+        raise ValidationError(f"a training Gram of {n} x {n} kernel values exceeds the "
+                              f"limit of {_GRAM_ELEMENTS} entries (at most "
+                              f"{math.isqrt(_GRAM_ELEMENTS)} training samples)")
     K = kernel_matrix(kernel, X, X)
     for a in range(0, len(K), _TILE):
         rows = slice(a, a + _TILE)
@@ -460,17 +486,20 @@ def train_svm(X, y, kernel, config, sample_ids=None, gram=None):
 
 @dataclass(frozen=True, eq=False)
 class ClassifierBank:
-    """Models of one kernel evaluated together: on the rows of X, model j
-    gives inputs(X) @ coefficients[:, j] + biases[j]. Linear models read the
-    rows, and their weights are the columns. Kernel models read kernel
-    values against their distinct support vectors sorted by sv_id (sv_ids,
-    rows, norms = squared_norms(rows)); column j holds model j's dual
-    coefficients in its support vectors' rows and 0 elsewhere, so a shared
-    support vector costs one kernel computation. uncached counts every
-    model's support vectors, repeats included."""
+    """What models of one kernel read, computed together, and their biases.
+    Linear models read the rows of X. Kernel models read kernel values
+    against one table of their distinct support vectors (sv_ids, rows,
+    norms = squared_norms(rows)), so a shared support vector costs one
+    kernel computation. uncached counts every model's support vectors,
+    repeats included. Where each model's coefficients sit among the inputs
+    comes with the bank from of(), for its consumer to lay out.
+
+    The table is column-major, so that kernel_matrix's product of an
+    instance with the table reads the table's transpose contiguously. Its
+    values may differ in the last bits from those against the models' own
+    row-major rows."""
 
     kernel: KernelSpec
-    coefficients: np.ndarray
     biases: np.ndarray
     sv_ids: np.ndarray
     rows: np.ndarray
@@ -478,27 +507,53 @@ class ClassifierBank:
     uncached: int
 
     @classmethod
-    def of(cls, models, kernel, dimension):
+    def of(cls, models, kernel, dimension, ranks=None):
         """The bank of ``models``, of the family of ``kernel``, over rows of
-        ``dimension`` features. Rejects values that are not finite."""
+        ``dimension`` features, and for each model (columns, values): the
+        columns of the inputs it reads and its coefficients there, its
+        weights over every feature or its dual coefficients at their support
+        vectors' table columns. The table lists the support vectors by sv_id.
+        Given ``ranks``, distinct ints, one per model, it lists them in one
+        group per model instead, in model order, each group by sv_id: a
+        support vector joins the group of the highest-ranked model that keeps
+        it. Rejects values that are not finite."""
+        biases = np.array([m.bias for m in models], dtype=np.float64)
         sv_ids, rows = np.empty(0, dtype=np.int64), np.empty((0, dimension))
         if kernel.is_linear:
-            width, uncached, index = dimension, 0, np.tile(np.arange(dimension), len(models))
+            uncached, columns = 0, [np.arange(dimension)] * len(models)
             values = [m.weights for m in models]
         else:
+            counts = [len(m.sv_ids) for m in models]
             ids = np.concatenate([sv_ids] + [m.sv_ids for m in models])
-            sv_ids, first, index = np.unique(ids, return_index=True, return_inverse=True)
-            rows = np.concatenate([rows] + [m.support_vectors for m in models])[first]
-            width, uncached = len(sv_ids), len(ids)
+            sv_ids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            order = np.arange(len(sv_ids))
+            if ranks is not None and len(ids):
+                owner = np.repeat(np.arange(len(models)), counts)
+                # occurrences by sv_id, then rank: the last of each id is its keeper's
+                by = np.lexsort((np.asarray(ranks)[owner], inverse))
+                last = np.append(np.diff(inverse[by]) != 0, True)
+                order = np.lexsort((sv_ids, owner[by][last]))
+            rows = np.concatenate([rows] + [m.support_vectors for m in models])[first[order]]
+            sv_ids, uncached = sv_ids[order], len(ids)
+            columns = np.split(np.argsort(order)[inverse], np.cumsum(counts)[:-1])
             values = [m.dual_coefficients for m in models]
-        coefficients = np.zeros((width, len(models)))
-        owner = np.repeat(np.arange(len(models)), [len(v) for v in values])
-        coefficients[index, owner] = np.concatenate([np.empty(0)] + values)
-        biases = np.array([m.bias for m in models], dtype=np.float64)
-        if not all(np.isfinite(a).all() for a in (coefficients, biases, rows)):
+        values = [np.asarray(v, dtype=np.float64) for v in values]
+        if not all(np.isfinite(a).all() for a in [biases, rows, *values]):
             raise ValidationError("classifier weights, biases, dual coefficients and "
                                   "support vectors must be finite")
-        return cls(kernel, coefficients, biases, sv_ids, rows, squared_norms(rows), uncached)
+        rows = np.asfortranarray(rows)
+        bank = cls(kernel, biases, sv_ids, rows, squared_norms(rows), uncached)
+        return bank, list(zip(columns, values))
+
+    def coefficient_matrix(self, placed):
+        """The (inputs, models) matrix of the models placed as of() places
+        them, 0 where a model reads nothing: model j gives inputs(X) @
+        matrix[:, j] + biases[j]."""
+        width = self.rows.shape[1] if self.kernel.is_linear else len(self.sv_ids)
+        matrix = np.zeros((width, len(placed)))
+        for j, (columns, values) in enumerate(placed):
+            matrix[columns, j] = values
+        return matrix
 
     def inputs(self, X):
         """What the models read: the rows of X or their kernel values."""

@@ -139,19 +139,26 @@ class InternalNode:
 
 @dataclass
 class Atree:
-    """A tree and what traversal derives from it once: the ClassifierBank
-    of its node classifiers, which every internal node must hold, each
-    internal node's bank column as a contiguous coefficient row, and for a
-    kernel tree the (union, uncached) kernel computations of the path to
-    each leaf, keyed by leaf id: the distinct support vectors of the path's
-    classifiers and their total count (empty for a linear tree)."""
+    """A tree and what traversal derives from it once: its depth (the
+    levels on the longest root path); the ClassifierBank of its node
+    classifiers, which every internal node must hold; each internal node's
+    span of the bank's columns as (lo, hi, segment), keyed by node id; and
+    for a kernel tree the (union, uncached) kernel computations of the path
+    to each leaf, keyed by leaf id: the distinct support vectors of the
+    path's classifiers and their total count (empty for a linear tree).
+
+    The bank's table is in tree order: it lists the support vectors node by
+    node in preorder, each with the deepest node that keeps it (the last in
+    preorder among equals), so a node's span holds its own support vectors
+    and mostly those of its descendants."""
 
     root: object
     config: AtreeConfig
     label_names: list
     dimension: int
+    depth: int = field(init=False, repr=False, compare=False)
     bank: ClassifierBank = field(init=False, repr=False, compare=False)
-    coefficient_rows: dict = field(init=False, repr=False, compare=False)
+    node_spans: dict = field(init=False, repr=False, compare=False)
     leaf_kernel_computations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,13 +167,21 @@ class Atree:
             if node.svm is None:
                 raise ValidationError(f"internal node {node.node_id} has no classifier: "
                                       "phase two has not been attached")
-        self.bank = ClassifierBank.of([n.svm for n in internal], self.config.kernel,
-                                      self.dimension)
-        rows = np.ascontiguousarray(self.bank.coefficients.T)
-        self.coefficient_rows = {n.node_id: row for n, row in zip(internal, rows)}
+        levels = path_levels(self.root)
+        self.depth = max(levels.values())
+        ranks = [levels[n.node_id] * len(internal) + k for k, n in enumerate(internal)]
+        self.bank, placed = ClassifierBank.of([n.svm for n in internal], self.config.kernel,
+                                              self.dimension, ranks)
+        placed = {n.node_id: p for n, p in zip(internal, placed)}
+        self.node_spans = {}
+        for node_id, (columns, values) in placed.items():
+            lo, hi = (int(columns.min()), int(columns.max()) + 1) if len(columns) else (0, 0)
+            segment = np.zeros(hi - lo)
+            segment[columns - lo] = values
+            self.node_spans[node_id] = lo, hi, segment
         self.leaf_kernel_computations = {}
         if not self.config.kernel.is_linear:
-            # seen marks the table rows of the support vectors met on the path
+            # seen marks the table columns of the support vectors met on the path
             paths = [(self.root, np.zeros(len(self.bank.sv_ids), dtype=bool), 0)]
             while paths:
                 node, seen, uncached = paths.pop()
@@ -175,18 +190,13 @@ class Atree:
                         int(np.count_nonzero(seen)), uncached)
                     continue
                 seen = seen.copy()
-                seen[np.searchsorted(self.bank.sv_ids, node.svm.sv_ids)] = True
+                seen[placed[node.node_id][0]] = True
                 uncached += len(node.svm.sv_ids)
                 paths += [(node.left, seen, uncached), (node.right, seen, uncached)]
 
     @property
     def num_classes(self):
         return len(self.label_names)
-
-    @property
-    def depth(self):
-        """Levels on the longest root path."""
-        return max(path_levels(self.root).values())
 
 
 def iter_nodes(root):
@@ -463,17 +473,11 @@ def _require_finite(v):
         raise ValidationError("features must be finite (no NaN or inf)")
 
 
-def _node_values(tree, node, rows):
-    """The node's decision values on rows of tree.bank.inputs() (one row or
-    a batch). Each value depends on its own row alone."""
-    return np.vecdot(rows, tree.coefficient_rows[node.node_id]) + node.svm.bias
-
-
 def predict(tree, x):
     """Traverse from the root, routing right when the node decision value is
     nonnegative. Returns (class id, trace); the trace lists every evaluated
     node as (node_id, decision value). Every node on the path reads its
-    value from the instance's one row of tree.bank.inputs()."""
+    value from its span of the instance's one row of tree.bank.inputs()."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
@@ -482,7 +486,8 @@ def predict(tree, x):
     trace = []
     node = tree.root
     while isinstance(node, InternalNode):
-        dv = _node_values(tree, node, row)
+        lo, hi, segment = tree.node_spans[node.node_id]
+        dv = row[lo:hi].dot(segment) + node.svm.bias
         trace.append((node.node_id, dv))
         node = node.right if dv >= 0 else node.left
     return node.label, trace
@@ -505,30 +510,40 @@ def route(tree, X):
     """Traverse every row of X at once, level by level: each node evaluates
     its classifier once, over the rows that reach it, and routes them right
     where the decision value is nonnegative. Labels, paths and decision
-    values are bit-identical to predict() on each row. Every node reads one
-    tree.bank.inputs() block of a row-major copy of X, laid out as predict()
-    lays out one instance, whole when every row reaches the node. Returns
-    one PathGroup per reached leaf."""
+    values are bit-identical to predict() on each row. Every node reads its
+    span of one tree.bank.inputs() block of a row-major copy of X, laid out
+    as predict() lays out one instance: a node that a third of the rows or
+    more reach reads its span in place, on every row, and keeps its rows'
+    values; any other node reads a copy of its rows' spans. A node's values
+    go to its level's column of one (rows, levels) array, which each leaf's
+    group slices. Returns one PathGroup per reached leaf."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.dimension:
         raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
     _require_finite(X.reshape(-1))
+    n = len(X)
     inputs = tree.bank.inputs(np.ascontiguousarray(X))
+    values = np.empty((n, tree.depth - 1))
     groups = []
-    level = [(tree.root, np.arange(len(X)), [], np.empty((len(X), 0)))]
+    level = [(tree.root, np.arange(n), [])]
     while level:
         below = []
-        for node, rows, path, values in level:
+        for node, rows, path in level:
             if isinstance(node, LeafNode):
-                groups.append(PathGroup(node, path, rows, values))
+                groups.append(PathGroup(node, path, rows, values[rows, :len(path)]))
+                continue
+            lo, hi, segment = tree.node_spans[node.node_id]
+            if 3 * len(rows) >= n:
+                dv = np.vecdot(inputs[:, lo:hi], segment)[rows]
             else:
-                block = inputs if len(rows) == len(inputs) else inputs[rows]
-                dv = _node_values(tree, node, block)
-                right = dv >= 0
-                for child, sel in ((node.left, ~right), (node.right, right)):
-                    if sel.any():
-                        below.append((child, rows[sel], path + [node],
-                                      np.column_stack((values[sel], dv[sel]))))
+                dv = np.vecdot(inputs[rows, lo:hi], segment)
+            dv += node.svm.bias
+            values[rows, len(path)] = dv
+            right = dv >= 0
+            path = path + [node]
+            for child, below_rows in ((node.left, rows[~right]), (node.right, rows[right])):
+                if len(below_rows):
+                    below.append((child, below_rows, path))
         level = below
     return groups
 
@@ -562,12 +577,14 @@ def serialize(tree):
     vector appears once however many node classifiers keep it."""
     nodes = sorted(iter_nodes(tree.root), key=lambda n: n.node_id)
     bank = tree.bank
+    by_id = np.argsort(bank.sv_ids)
     doc = {
         "version": MODEL_SCHEMA_VERSION,
         "config": asdict(tree.config),
         "label_names": tree.label_names,
         "dimension": tree.dimension,
-        "support_vectors": [[i, row] for i, row in zip(bank.sv_ids.tolist(), bank.rows)],
+        "support_vectors": [[i, row] for i, row in zip(bank.sv_ids[by_id].tolist(),
+                                                        bank.rows[by_id])],
         "nodes": [_node_to_doc(n) for n in nodes],
     }
     return json.dumps(doc, default=np.ndarray.tolist)
@@ -714,7 +731,7 @@ def deserialize(text):
         if named != [*range(1, len(node_docs))] or any(type(c) is not int for c in named):
             raise SchemaError("every node but the root must be the child of exactly one node")
         tree = Atree(built[0], config, label_names, dimension)
-        if not np.array_equal(table[0], tree.bank.sv_ids):
+        if not np.array_equal(table[0], np.sort(tree.bank.sv_ids)):
             raise SchemaError("the support-vector table must hold exactly the support "
                               "vectors that node classifiers name")
         return tree

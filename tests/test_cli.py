@@ -4,8 +4,8 @@ import json
 import pytest
 
 from atree.cli import RunConfig, main
-from atree.dataset import load_csv
-from atree.tree import InternalNode, iter_nodes, load, predict, train_atree
+from atree.dataset import Dataset, load_csv
+from atree.tree import InternalNode, iter_nodes, load, predict, save, train_atree
 
 
 def run(*argv):
@@ -411,6 +411,105 @@ class TestEval:
         bad.write_text("\n".join(lines + [f"{label},nan,0.0,0.0"]) + "\n")
         assert run("--quiet", "eval", model, bad, "--out-metrics", tmp_path / "m.csv") == 2
         assert "finite" in capsys.readouterr().err
+
+
+def _relabelled(path, out, relabel):
+    """A copy of the CSV at path, each row's label replaced by
+    relabel(line number, label), or the row dropped where that is None."""
+    lines = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        label, rest = line.split(",", 1)
+        new = relabel(lineno, int(label))
+        if new is not None:
+            lines.append(f"{new},{rest}")
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+class TestTestLabelsAreTheModelsClasses:
+    """A test file's labels map through the model's label names; a label the
+    model does not know, or a class without test rows, exits 2 naming it."""
+
+    def _trained(self, blob_csvs, tmp_path, relabel=lambda lineno, label: label):
+        train, test = blob_csvs
+        train = _relabelled(train, tmp_path / "train_named.csv", relabel)
+        test = _relabelled(test, tmp_path / "test_named.csv", relabel)
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model,
+                   "--delta", 0.6, "--max-depth", 4) == 0
+        return train, test, model
+
+    def test_shifted_labels_exit_2_naming_the_first_unknown_label(self, blob_csvs,
+                                                                  tmp_path, capsys):
+        train, test, model = self._trained(blob_csvs, tmp_path)
+        shifted = _relabelled(test, tmp_path / "shifted.csv", lambda lineno, label: label + 5)
+        first = int(shifted.read_text().split(",", 1)[0])
+        metrics = tmp_path / "m.csv"
+        assert run("--quiet", "eval", model, shifted, "--out-metrics", metrics) == 2
+        assert f"line 1: label {first} is not one of the 4 known" in capsys.readouterr().err
+        assert not metrics.exists()
+        # the sweep maps its test file through the training file's labels
+        assert run("--quiet", "sweep", "--train-csv", train, "--test-csv", shifted,
+                   "--deltas", "0.6", "--max-depth", 3, "--out", tmp_path / "s.csv") == 2
+        assert f"label {first} is not one of the 4 known" in capsys.readouterr().err
+        # and the baseline's training file through the model's
+        assert run("--quiet", "eval", model, test, "--baseline", "ova",
+                   "--train-csv", shifted, "--out-metrics", metrics) == 2
+        assert f"label {first} is not one of the 4 known" in capsys.readouterr().err
+
+    def test_missing_class_exits_2_naming_its_label(self, blob_csvs, tmp_path, capsys):
+        # labels 100..103: a class's dense id and its name differ
+        _, test, model = self._trained(blob_csvs, tmp_path,
+                                       lambda lineno, label: label + 100)
+        assert run("--quiet", "eval", model, test, "--out-metrics", tmp_path / "ok.csv") == 0
+        no_first = _relabelled(test, tmp_path / "no_first.csv",
+                               lambda lineno, label: None if label == 100 else label)
+        assert run("--quiet", "eval", model, no_first,
+                   "--out-metrics", tmp_path / "m.csv") == 2
+        assert "class 100 has no test instances" in capsys.readouterr().err
+
+    def test_half_relabelled_class_exits_2_naming_the_label_and_line(self, blob_csvs,
+                                                                     tmp_path, capsys):
+        _, test, model = self._trained(blob_csvs, tmp_path)
+        threes = [n for n, line in enumerate(test.read_text().splitlines(), start=1)
+                  if line.startswith("3,")]
+        moved = set(threes[::2])
+        half = _relabelled(test, tmp_path / "half.csv",
+                           lambda lineno, label: 9 if lineno in moved else label)
+        assert run("--quiet", "eval", model, half, "--out-metrics", tmp_path / "m.csv") == 2
+        assert f"line {min(moved)}: label 9 is not one of the 4 known" in (
+            capsys.readouterr().err)
+
+    def test_named_labels_report_the_names(self, blob_csvs, tmp_path):
+        _, test, model = self._trained(blob_csvs, tmp_path,
+                                       lambda lineno, label: label * 10 + 7)
+        metrics, traces = tmp_path / "m.csv", tmp_path / "t.csv"
+        assert run("--quiet", "eval", model, test, "--out-metrics", metrics,
+                   "--out-traces", traces) == 0
+        rows = [line.split(",") for line in traces.read_text().splitlines()[1:]]
+        names = {"7", "17", "27", "37"}
+        assert {true for _, true, *_ in rows} == names
+        assert {predicted for _, _, predicted, *_ in rows} <= names
+
+
+    def test_string_named_model_reads_its_names_as_written(self, blob_csvs, tmp_path):
+        # a tree trained through the API on data whose class names are strings
+        # serializes them; its test file holds those names as write_csv writes them
+        train, test = blob_csvs
+        data = load_csv(train)
+        named = Dataset(data.features, data.labels, data.weights, data.num_classes,
+                        [str(name) for name in data.label_names])
+        config = RunConfig(delta=0.6, max_depth=4).to_atree_config()
+        outputs = {}
+        for kind, source in (("int", data), ("str", named)):
+            model = tmp_path / f"{kind}.json"
+            save(train_atree(source, config), model)
+            metrics, traces = tmp_path / f"{kind}_m.csv", tmp_path / f"{kind}_t.csv"
+            assert run("--quiet", "eval", model, test, "--out-metrics", metrics,
+                       "--out-traces", traces) == 0
+            outputs[kind] = _digest(metrics), _digest(traces)
+        assert load(tmp_path / "str.json").label_names == ["0", "1", "2", "3"]
+        assert outputs["str"] == outputs["int"]
 
 
 class TestSweep:

@@ -27,6 +27,27 @@ class TestLoadCsv:
         assert data.label_names == [3, 7]
         assert data.labels.tolist() == [1, 0, 1]
 
+    def test_labels_map_through_given_names(self, tmp_path):
+        path = _write(tmp_path, "7,1.0\n3,2.0\n7,3.0\n")
+        data = load_csv(path, label_names=[9, 7, 3])
+        assert data.label_names == [9, 7, 3] and data.num_classes == 3
+        assert data.labels.tolist() == [1, 2, 1]
+
+    def test_label_outside_given_names_names_label_and_line(self, tmp_path):
+        path = _write(tmp_path, "7,1.0\n3,2.0\n5,3.0\n")
+        with pytest.raises(ValidationError, match="line 3: label 5 is not one of the 2 "):
+            load_csv(path, label_names=[3, 7])
+
+    def test_string_names_match_the_labels_as_written(self, tmp_path):
+        # a model's names may be strings; write_csv writes str(name)
+        path = _write(tmp_path, "7,1.0\n3,2.0\n")
+        data = load_csv(path, label_names=["3", "7", "cat"])
+        assert data.label_names == ["3", "7", "cat"] and data.labels.tolist() == [1, 0]
+
+    def test_given_names_accept_a_single_label(self, tmp_path):
+        path = _write(tmp_path, "4,1.0\n4,2.0\n")
+        assert load_csv(path, label_names=[4, 8]).labels.tolist() == [0, 0]
+
     def test_empty_file_rejected(self, tmp_path):
         path = _write(tmp_path, "")
         with pytest.raises(ValidationError):

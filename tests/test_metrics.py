@@ -61,6 +61,13 @@ class TestOneVsAll:
         with pytest.raises(ValidationError):
             train_one_vs_all(sub, KernelSpec("linear"), SvmConfig())
 
+    def test_missing_class_named_by_its_label(self):
+        data = generate_gaussian_blobs(3, 10, 2, 0.5, seed=4)
+        named = Dataset(data.features, data.labels, data.weights, 3, ["a", "b", "c"])
+        with pytest.raises(ValidationError, match=r"classes \['b'\] are absent"):
+            train_one_vs_all(named.subset(np.flatnonzero(data.labels != 1)),
+                             KernelSpec("linear"), SvmConfig())
+
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5),
                                         KernelSpec("histogram_intersection")],
                              ids=lambda spec: spec.kind)
@@ -139,6 +146,10 @@ class TestMeanPerClassAccuracy:
         with pytest.raises(ValidationError):
             mean_per_class_accuracy(np.array([0, 1]), np.array([0, 1]), 3)
 
+    def test_empty_class_named_by_its_label(self):
+        with pytest.raises(ValidationError, match="class 30 has no test instances"):
+            mean_per_class_accuracy(np.array([0, 1]), np.array([0, 1]), 3, [10, 20, 30])
+
 
 class TestComplexityReport:
     def test_atree_trace_three_over_twenty_classes(self):
@@ -156,7 +167,7 @@ class TestComplexityReport:
                            np.ones(4), 0.0, KernelSpec("rbf", 1.0), np.arange(4))
         b = KernelSvmModel(np.random.default_rng(2).uniform(size=(6, 2)),
                            np.ones(6), 0.0, KernelSpec("rbf", 1.0), np.arange(10, 16))
-        bank = ClassifierBank.of([a, b], KernelSpec("rbf", 1.0), 2)
+        bank, _ = ClassifierBank.of([a, b], KernelSpec("rbf", 1.0), 2)
         union, uncached = bank.kernel_computations(1)
         assert (union[0], uncached[0]) == (10, 10)
 
@@ -185,6 +196,16 @@ class TestEndToEnd:
         run = evaluate_atree(tree, test)
         assert run.classifier_evaluations.max() <= tree.depth
         assert run.classifier_evaluations.mean() < 8
+
+    def test_atree_rejects_data_of_other_classes(self):
+        data = generate_gaussian_blobs(3, 10, 2, 0.5, seed=4)
+        tree = train_atree(data, AtreeConfig(max_depth=2))
+        for names in ([1, 2, 3], [0, 1], ["0", "1", "2"]):
+            other = Dataset(data.features, data.labels % len(names), data.weights,
+                            len(names), names)
+            with pytest.raises(ValidationError, match="are not the tree's"):
+                evaluate_atree(tree, other)
+        assert len(evaluate_atree(tree, data).predictions) == len(data)
 
     def test_nonlinear_ova_union_counts_at_most_sum(self):
         data = generate_gaussian_blobs(3, 20, 3, 1.0, seed=10)
@@ -296,7 +317,7 @@ class TestFlatUnionBlock:
             model = train_one_vs_one(train, spec, SvmConfig())
             run = evaluate_one_vs_one(model, test)
         per_model = np.stack([reference_decision_values(m, test.features) for m in model.models])
-        values = _flat_decision_values(model.bank, test.features)
+        values = _flat_decision_values(model, test.features)
         np.testing.assert_allclose(values, per_model, rtol=0, atol=1e-12)
         if method == "ova":
             expected = per_model.argmax(axis=0)
@@ -327,6 +348,8 @@ class TestFlatUnionBlock:
 
         monkeypatch.setattr(svm_module.ClassifierBank, "of",
                             counted("bank", svm_module.ClassifierBank.of))
+        monkeypatch.setattr(svm_module.ClassifierBank, "coefficient_matrix",
+                            counted("matrix", svm_module.ClassifierBank.coefficient_matrix))
         monkeypatch.setattr(np, "unique", counted("unique", np.unique))
         for _ in range(2):
             run = evaluate(model, data)

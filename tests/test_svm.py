@@ -88,6 +88,44 @@ class TestKernels:
         rbf = KernelSpec("rbf", 0.5)
         assert training_gram(rbf, X).tobytes("F") == kernel_matrix(rbf, X, X).tobytes("F")
 
+    def test_training_gram_above_the_budget_is_rejected(self, monkeypatch):
+        # the budget holds the largest Gram of the 64-class growth probe many times
+        assert svm_module._GRAM_ELEMENTS >= 8 * 1920 ** 2
+        rbf, rng = KernelSpec("rbf", 0.5), np.random.default_rng(3)
+        monkeypatch.setattr(svm_module, "_GRAM_ELEMENTS", 100)
+        assert training_gram(rbf, rng.normal(size=(10, 2))).shape == (10, 10)
+        X, y = rng.normal(size=(11, 2)), np.repeat([-1.0, 1.0], [5, 6])
+        for build in (lambda: training_gram(rbf, X),
+                      lambda: train_kernel_svm(X, y, rbf, SvmConfig()),
+                      lambda: metrics.train_one_vs_all(
+                          dataset.Dataset(X, (y > 0).astype(int), np.full(11, 1 / 11), 2),
+                          rbf, SvmConfig())):
+            with pytest.raises(ValidationError, match="11 x 11 .* limit of 100 entries"):
+                build()
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_row_blocks_equal_rows_computed_alone(self, monkeypatch, kind):
+        rng = np.random.default_rng(11)
+        S = rng.uniform(0.0, 2.0, size=(40, 5))
+        X = rng.uniform(0.0, 2.0, size=(2 * svm_module._BLOCK_ROWS + 5, 5))
+        spec = KernelSpec(kind, 0.3 if kind in ("rbf", "chi_square") else None)
+        sizes, blocks = [], svm_module._in_row_blocks
+
+        def recorded(n, width, rows, block):
+            sizes.append(rows)
+            return blocks(n, width, rows, block)
+
+        monkeypatch.setattr(svm_module, "_in_row_blocks", recorded)
+        whole = kernel_matrix(spec, X, S)
+        assert sizes == [svm_module._BLOCK_ROWS]
+        for i in range(len(X)):
+            assert kernel_matrix(spec, X[i:i + 1], S).tobytes() == whole[i:i + 1].tobytes()
+        # broadcast kernels take fewer rows when a block would exceed the budget
+        monkeypatch.setattr(svm_module, "_CHUNK_ELEMENTS", 3 * S.size)
+        sizes.clear()
+        assert kernel_matrix(spec, X, S).tobytes() == whole.tobytes()
+        assert sizes == [svm_module._BLOCK_ROWS if kind in ("linear", "rbf") else 3]
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
             KernelSpec("rbf")
@@ -442,14 +480,15 @@ class TestTrainSvm:
 
 
 def _one_model_bank(model, dimension):
+    """A one-model bank and its model's placement (ClassifierBank.of)."""
     kernel = KernelSpec("linear") if isinstance(model, LinearSvmModel) else model.kernel
     return ClassifierBank.of([model], kernel, dimension)
 
 
 def _one_model_values(model, X):
     """The model's decision values on the rows of X, through a one-model bank."""
-    bank = _one_model_bank(model, X.shape[1])
-    return (bank.inputs(X) @ bank.coefficients + bank.biases)[:, 0]
+    bank, placed = _one_model_bank(model, X.shape[1])
+    return (bank.inputs(X) @ bank.coefficient_matrix(placed) + bank.biases)[:, 0]
 
 
 class TestDecisionAndPredict:
@@ -481,7 +520,7 @@ class TestDecisionAndPredict:
         else:
             model = train_kernel_svm(X, y, spec, SvmConfig())
         probes = rng.uniform(0.0, 2.0, size=(15, 3))
-        bank = _one_model_bank(model, 3)
+        bank, _ = _one_model_bank(model, 3)
         block = bank.inputs(probes)
         for i in range(len(probes)):
             assert bank.inputs(probes[i:i + 1]).tobytes() == block[i].tobytes()
@@ -506,7 +545,7 @@ class TestDecisionAndPredict:
         else:
             model = KernelSvmModel(S, rng.normal(size=n_sv), float(rng.normal()), spec,
                                    np.arange(n_sv))
-        bank = _one_model_bank(model, 4)
+        bank, _ = _one_model_bank(model, 4)
         assert bank.inputs(X[rows]).tobytes() == bank.inputs(X)[rows].tobytes()
 
 
@@ -526,14 +565,19 @@ class TestCachedNorms:
         X[::3] = S[rng.integers(0, n_sv, size=len(X[::3]))]
         spec = KernelSpec(kind, 0.6 / scale ** 2 if kind in ("rbf", "chi_square") else None)
         if spec.is_linear:
+            table = S
+
             def cached(A):
                 return kernel_matrix(spec, A, S, b_norms=squared_norms(S))
         else:
-            # the bank's table keeps S's order, since its sv_ids increase
+            # the bank's table keeps S's order, since its sv_ids increase, in
+            # its own column-major layout
             model = KernelSvmModel(S, rng.normal(size=n_sv), float(rng.normal()), spec,
                                    np.arange(n_sv))
-            cached = _one_model_bank(model, d).inputs
-        expected = kernel_matrix(spec, X, S)
+            bank, _ = _one_model_bank(model, d)
+            table, cached = bank.rows, bank.inputs
+            assert table.flags.f_contiguous and table.tobytes("C") == S.tobytes()
+        expected = kernel_matrix(spec, X, table)
         assert cached(X).tobytes() == expected.tobytes()
         rows = rng.permutation(n_rows)[:max(1, n_rows // 2)]
         assert cached(X[rows]).tobytes() == expected[rows].tobytes()
@@ -574,7 +618,8 @@ class TestModelEquality:
 
 def _kernel_computations(models):
     """One instance's (union, uncached) counts from the bank of ``models``."""
-    union, uncached = ClassifierBank.of(models, KernelSpec("rbf", 1.0), 2).kernel_computations(1)
+    bank, _ = ClassifierBank.of(models, KernelSpec("rbf", 1.0), 2)
+    union, uncached = bank.kernel_computations(1)
     return int(union[0]), int(uncached[0])
 
 
@@ -610,8 +655,8 @@ class TestClassifierBank:
     def test_linear_columns_are_the_weights(self):
         models = [LinearSvmModel(np.array([1.0, -2.0, 0.5]), 0.25),
                   LinearSvmModel(np.array([0.0, 3.0, -1.0]), -1.5)]
-        bank = ClassifierBank.of(models, KernelSpec("linear"), 3)
-        assert bank.coefficients.tobytes() == np.column_stack(
+        bank, placed = ClassifierBank.of(models, KernelSpec("linear"), 3)
+        assert bank.coefficient_matrix(placed).tobytes() == np.column_stack(
             [m.weights for m in models]).tobytes()
         assert bank.biases.tolist() == [0.25, -1.5]
         assert bank.sv_ids.shape == (0,) and bank.rows.shape == (0, 3)
@@ -621,12 +666,14 @@ class TestClassifierBank:
 
     def test_kernel_columns_scatter_dual_coefficients_over_the_table(self):
         first, second = _toy_kernel_model([4, 9, 2]), _toy_kernel_model([9, 7])
-        bank = ClassifierBank.of([first, second], KernelSpec("rbf", 1.0), 2)
+        bank, placed = ClassifierBank.of([first, second], KernelSpec("rbf", 1.0), 2)
         assert bank.sv_ids.tolist() == [2, 4, 7, 9]
+        assert [columns.tolist() for columns, _ in placed] == [[1, 3, 0], [3, 2]]
         expected = np.zeros((4, 2))
         expected[[1, 3, 0], 0] = first.dual_coefficients
         expected[[3, 2], 1] = second.dual_coefficients
-        assert bank.coefficients.tobytes() == expected.tobytes()
+        assert bank.coefficient_matrix(placed).tobytes() == expected.tobytes()
+        assert bank.rows.flags.f_contiguous
         assert bank.rows[[1, 3, 0]].tobytes() == first.support_vectors.tobytes()
         assert bank.rows[2].tobytes() == second.support_vectors[1].tobytes()
         assert bank.norms.tobytes() == squared_norms(bank.rows).tobytes()
@@ -637,9 +684,10 @@ class TestClassifierBank:
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 1.0)],
                              ids=lambda k: k.kind)
     def test_no_models_give_no_values(self, kernel):
-        bank = ClassifierBank.of([], kernel, 3)
+        bank, placed = ClassifierBank.of([], kernel, 3)
         X = np.ones((4, 3))
-        assert (bank.inputs(X) @ bank.coefficients).shape == (4, 0)
+        assert placed == []
+        assert (bank.inputs(X) @ bank.coefficient_matrix(placed)).shape == (4, 0)
         assert bank.biases.shape == (0,)
 
     @pytest.mark.parametrize("part", ["weights", "linear-bias", "dual_coefficients",

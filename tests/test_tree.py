@@ -551,28 +551,41 @@ class TestPredict:
                                         KernelSpec("chi_square", 0.5)],
                              ids=lambda k: k.kind)
     def test_traversal_computes_one_kernel_block_per_call(self, monkeypatch, kernel):
-        blobs = generate_gaussian_blobs(3, 15, 3, 0.5, seed=4)
+        blobs = generate_gaussian_blobs(3, 50, 3, 0.5, seed=4)
         # nonnegative features, as the chi-square kernel requires
         data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
+        assert len(data) > 2 * svm_module._BLOCK_ROWS
         tree = train_atree(data, AtreeConfig(max_depth=3, kernel=kernel,
                                              boost=BoostConfig(max_rounds=5)))
         assert any(isinstance(n, InternalNode) for n in iter_nodes(tree.root))
-        blocks = []
-        original = svm_module.kernel_matrix
+        blocks, row_blocks = [], []
+        original, in_row_blocks = svm_module.kernel_matrix, svm_module._in_row_blocks
 
         def counted(spec, A, B, b_norms=None):
+            # the bank's own table, with its cached norms
+            assert B is tree.bank.rows and b_norms is tree.bank.norms
             blocks.append((len(A), len(B)))
             return original(spec, A, B, b_norms)
 
+        def counted_rows(n, width, rows, block):
+            row_blocks.append((n, rows))
+            return in_row_blocks(n, width, rows, block)
+
         monkeypatch.setattr(svm_module, "kernel_matrix", counted)
+        monkeypatch.setattr(svm_module, "_in_row_blocks", counted_rows)
         table = [] if kernel.is_linear else [len(tree.bank.sv_ids)]
         for x in data.features[:5]:
             blocks.clear()
             predict(tree, x)
             assert blocks == [(1, n) for n in table]
         blocks.clear()
+        row_blocks.clear()
         route(tree, data.features)
         assert blocks == [(len(data), n) for n in table]
+        # that one block is computed in row blocks, more than two of them here
+        rows = min(svm_module._BLOCK_ROWS,
+                   svm_module._CHUNK_ELEMENTS // max(1, tree.bank.rows.size))
+        assert row_blocks == [(len(data), rows) for _ in table]
 
     def test_dimension_mismatch_rejected(self):
         root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
@@ -621,27 +634,47 @@ class TestRoute:
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
                              ids=lambda k: k.kind)
     def test_root_reads_the_input_block_as_is(self, monkeypatch, kernel):
-        data = generate_gaussian_blobs(3, 15, 3, 0.5, seed=4)
-        tree = train_atree(data, AtreeConfig(max_depth=3, kernel=kernel,
+        data = generate_gaussian_blobs(4, 15, 3, 0.5, seed=4)
+        tree = train_atree(data, AtreeConfig(max_depth=4, kernel=kernel,
                                              boost=BoostConfig(max_rounds=5)))
         assert isinstance(tree.root, InternalNode)
         blocks, seen = [], []
-        inputs, node_values = svm_module.ClassifierBank.inputs, tree_module._node_values
+        inputs, vecdot = svm_module.ClassifierBank.inputs, np.vecdot
 
         def recorded_inputs(bank, X):
             blocks.append(inputs(bank, X))
             return blocks[-1]
 
-        def recorded_values(tree, node, rows):
-            seen.append((node.node_id, rows))
-            return node_values(tree, node, rows)
+        def recorded_vecdot(rows, segment):
+            seen.append((rows, segment))
+            return vecdot(rows, segment)
 
         monkeypatch.setattr(svm_module.ClassifierBank, "inputs", recorded_inputs)
-        monkeypatch.setattr(tree_module, "_node_values", recorded_values)
-        route(tree, data.features)
+        monkeypatch.setattr(np, "vecdot", recorded_vecdot)
+        groups = route(tree, data.features)
+        monkeypatch.undo()
         assert len(blocks) == 1
-        assert seen[0][0] == tree.root.node_id and seen[0][1] is blocks[0]
-        assert all(len(rows) < len(data) for _, rows in seen[1:])
+        block = blocks[0]
+        reached = {n.node_id: sum(len(g.rows) for g in groups if n in g.nodes)
+                   for n in iter_nodes(tree.root) if isinstance(n, InternalNode)}
+        reached = {node_id: count for node_id, count in reached.items() if count}
+        assert len(seen) == len(reached)
+        spans = {id(segment): (node_id, lo, hi)
+                 for node_id, (lo, hi, segment) in tree.node_spans.items()}
+        for rows, segment in seen:
+            node_id, lo, hi = spans[id(segment)]
+            assert rows.shape[1] == hi - lo
+            if 3 * reached[node_id] >= len(data):
+                # read in place, on every row: the root, and any node a third
+                # of the rows or more reach
+                assert np.shares_memory(rows, block) and len(rows) == len(data)
+            else:
+                # a copy of the span of the rows that reach the node
+                assert not np.shares_memory(rows, block) and len(rows) == reached[node_id]
+        assert spans[id(seen[0][1])][0] == tree.root.node_id
+        # below the root, nodes read in place and nodes read copies
+        assert sorted({3 * count >= len(data) for count in reached.values()}) == [False, True]
+        assert sum(3 * count >= len(data) for count in reached.values()) > 1
 
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5),
                                         KernelSpec("chi_square", 0.5)],
@@ -652,7 +685,7 @@ class TestRoute:
         data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
         tree = train_atree(data, AtreeConfig(max_depth=1, kernel=kernel))
         assert isinstance(tree.root, LeafNode)
-        assert tree.bank.coefficients.shape[1] == 0 and tree.coefficient_rows == {}
+        assert tree.bank.biases.shape == (0,) and tree.node_spans == {}
         _check_routes_predicts_and_round_trips(tree, data.features)
 
     def test_column_major_input_routes_like_row_major(self):
@@ -982,37 +1015,49 @@ def _same_json(a, b):
 
 
 def _check_bank(tree):
-    """Every internal node has a contiguous coefficient row, the bank column
-    of its classifier, whose bias the bank holds in the same column. A
-    linear node's row is its weights, and a linear tree's table is empty. A
+    """The bank holds every internal node's classifier in preorder, with
+    its bias, and the tree each internal node's span of the bank's columns
+    as (lo, hi, segment), a contiguous segment of hi - lo coefficients, in
+    preorder. A linear node's span is every
+    feature and its segment its weights; a linear tree's table is empty. A
     kernel tree's table lists each distinct sv_id of its node models once,
-    in increasing order, with the models' own rows and fresh norms; a
-    kernel node's row holds its dual coefficients at its own support
-    vectors' columns and is 0 everywhere else."""
-    models = {n.node_id: n.svm for n in iter_nodes(tree.root) if isinstance(n, InternalNode)}
+    column-major, with the models' own rows and fresh norms, in tree order: node by node
+    in preorder, each support vector with the deepest node that keeps it
+    (the last in preorder among equals), each node's group by sv_id. A
+    kernel node's span is the narrowest that holds its support vectors, and
+    its segment holds exactly its own dual coefficients, at their columns,
+    and 0 elsewhere."""
+    internal = [n for n in iter_nodes(tree.root) if isinstance(n, InternalNode)]
     bank = tree.bank
-    assert list(tree.coefficient_rows) == list(models)
-    assert bank.biases.tolist() == [m.bias for m in models.values()]
-    for j, row in enumerate(tree.coefficient_rows.values()):
-        assert row.flags.c_contiguous
-        assert row.tobytes() == bank.coefficients[:, j].tobytes()
+    assert list(tree.node_spans) == [n.node_id for n in internal]
+    assert bank.biases.tolist() == [n.svm.bias for n in internal]
+    for lo, hi, segment in tree.node_spans.values():
+        assert segment.flags.c_contiguous and segment.shape == (hi - lo,)
     ids = bank.sv_ids
+    assert bank.rows.flags.f_contiguous
     assert bank.norms.tobytes() == squared_norms(bank.rows).tobytes()
     if tree.config.kernel.is_linear:
         assert len(ids) == len(bank.rows) == bank.uncached == 0
-        for node_id, model in models.items():
-            assert tree.coefficient_rows[node_id].tobytes() == model.weights.tobytes()
+        for node in internal:
+            lo, hi, segment = tree.node_spans[node.node_id]
+            assert (lo, hi) == (0, tree.dimension)
+            assert segment.tobytes() == node.svm.weights.tobytes()
         return
-    assert ids.tolist() == sorted({i for m in models.values() for i in m.sv_ids.tolist()})
-    assert bank.uncached == sum(m.n_support for m in models.values())
-    for node_id, model in models.items():
-        columns = np.searchsorted(ids, model.sv_ids)
-        assert np.array_equal(ids[columns], model.sv_ids)
-        assert bank.rows[columns].tobytes() == model.support_vectors.tobytes()
-        row = tree.coefficient_rows[node_id]
-        assert row.shape == ids.shape
-        assert row[columns].tobytes() == model.dual_coefficients.tobytes()
-        assert set(np.flatnonzero(row).tolist()) == set(columns.tolist())
+    levels = path_levels(tree.root)
+    keeper = {}
+    for k, node in enumerate(internal):
+        for i in node.svm.sv_ids.tolist():
+            keeper[i] = max(keeper.get(i, (0, 0)), (levels[node.node_id], k))
+    assert ids.tolist() == sorted(keeper, key=lambda i: (keeper[i][1], i))
+    assert bank.uncached == sum(n.svm.n_support for n in internal)
+    column = {i: c for c, i in enumerate(ids.tolist())}
+    for node in internal:
+        lo, hi, segment = tree.node_spans[node.node_id]
+        columns = np.array([column[i] for i in node.svm.sv_ids.tolist()], dtype=np.int64)
+        assert bank.rows[columns].tobytes() == node.svm.support_vectors.tobytes()
+        assert (lo, hi) == ((columns.min(), columns.max() + 1) if len(columns) else (0, 0))
+        assert segment[columns - lo].tobytes() == node.svm.dual_coefficients.tobytes()
+        assert set(np.flatnonzero(segment).tolist()) == set((columns - lo).tolist())
 
 
 def _check_routes_predicts_and_round_trips(tree, X):
@@ -1075,6 +1120,32 @@ class TestTrainedTreeProperties:
                                              boost=BoostConfig(max_rounds=5)))
         X = np.vstack([data.features, np.abs(
             data.features[::-1] + np.random.default_rng(seed).normal(size=data.features.shape))])
+        _check_routes_predicts_and_round_trips(tree, X)
+
+
+class TestTreeOrderedTable:
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(svm_module.KERNEL_KINDS), k=st.integers(2, 6),
+           per_class=st.integers(12, 30), d=st.integers(1, 4), spread=st.floats(0.3, 2.0),
+           seed=st.integers(0, 2 ** 16), delta=st.floats(0.5, 0.95),
+           max_depth=st.integers(2, 6))
+    def test_route_equals_predict_on_batches_beyond_one_row_block(
+            self, kind, k, per_class, d, spread, seed, delta, max_depth):
+        """On trained and reloaded trees of every kernel, route equals
+        predict bit for bit on batches longer than one kernel row block,
+        and each node's span holds exactly its own dual coefficients."""
+        blobs = generate_gaussian_blobs(k, per_class, d, spread, seed=seed)
+        # nonnegative features, as two of the kernels require
+        data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
+        gamma = 0.5 if kind in ("rbf", "chi_square") else None
+        tree = train_atree(data, AtreeConfig(delta=delta, max_depth=max_depth,
+                                             kernel=KernelSpec(kind, gamma),
+                                             boost=BoostConfig(max_rounds=5)))
+        # noisy copies of the data, one row block's worth and more
+        copies = svm_module._BLOCK_ROWS // len(data) + 1
+        noise = np.random.default_rng(seed).normal(size=(copies, *data.features.shape))
+        X = np.vstack([data.features, *np.abs(data.features[::-1] + noise)])
+        assert len(X) > svm_module._BLOCK_ROWS
         _check_routes_predicts_and_round_trips(tree, X)
 
 
