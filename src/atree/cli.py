@@ -226,6 +226,9 @@ def cmd_eval(args):
         if not args.train_csv:
             raise ValidationError("--baseline requires --train-csv to train the reference")
         train = load_csv(args.train_csv, args.has_header, tree.label_names)
+        if train.dimension != tree.dimension:
+            raise ValidationError(f"model expects dimension {tree.dimension}, "
+                                  f"--train-csv has {train.dimension}")
         ova = mt.train_one_vs_all(train, tree.config.kernel, svm_config)
         reference = mt.evaluate_one_vs_all(ova, test)
         baseline_runs.append(reference)

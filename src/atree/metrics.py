@@ -48,7 +48,7 @@ class EvaluationRun:
     classifier_evaluations: np.ndarray
     kernel_computations: np.ndarray | None = None       # union-cached
     kernel_computations_uncached: np.ndarray | None = None
-    paths: list | None = None          # ATree only: tree.route's PathGroups
+    paths: list | None = None          # ATree only: tree.route's leaf, nodes and rows
 
 
 @dataclass
@@ -147,14 +147,22 @@ def evaluate_atree(tree, data):
 
 def _flat_decision_values(model, X):
     """Decision values of every model of a flat baseline on every row of X,
-    as a (models, rows) matrix: one product of its bank's inputs and its
-    coefficients."""
-    return (model.bank.inputs(X) @ model.coefficients).T + model.bank.biases[:, None]
+    as a (models, rows) matrix: per block of its bank's input_blocks, one
+    product of the inputs and its coefficients."""
+    values = np.empty((len(X), len(model.models)))
+    for i, inputs in model.bank.input_blocks(X):
+        np.matmul(inputs, model.coefficients, out=values[i:i + len(inputs)])
+    values += model.bank.biases
+    return values.T
 
 
 def _evaluate_flat(model, data, method):
     """Every model is evaluated on every instance, so the per-instance costs
     are constant: the model count and the bank's kernel computations."""
+    dimension = model.bank.rows.shape[1]
+    if data.dimension != dimension:
+        raise ValidationError(f"model expects dimension {dimension}, "
+                              f"test data has {data.dimension}")
     n = len(data)
     values = _flat_decision_values(model, data.features)
     if method == "ova":

@@ -31,6 +31,9 @@ _CHUNK_ELEMENTS = 1 << 20
 # Largest training Gram, in entries, that training_gram builds (256 MB of
 # float64, n up to 5792).
 _GRAM_ELEMENTS = 1 << 25
+# Largest (rows, inputs) block, in entries, that evaluation builds at a time
+# (32 MB of float64): ClassifierBank.input_blocks splits a test set to fit.
+_EVAL_ELEMENTS = 1 << 22
 # Side of the square tiles that training_gram swaps (32 KB of float64 each).
 _TILE = 64
 
@@ -549,17 +552,30 @@ class ClassifierBank:
         """The (inputs, models) matrix of the models placed as of() places
         them, 0 where a model reads nothing: model j gives inputs(X) @
         matrix[:, j] + biases[j]."""
-        width = self.rows.shape[1] if self.kernel.is_linear else len(self.sv_ids)
-        matrix = np.zeros((width, len(placed)))
+        matrix = np.zeros((self.width, len(placed)))
         for j, (columns, values) in enumerate(placed):
             matrix[columns, j] = values
         return matrix
+
+    @property
+    def width(self):
+        """Inputs per row: features for linear models, else table rows."""
+        return self.rows.shape[1] if self.kernel.is_linear else len(self.sv_ids)
 
     def inputs(self, X):
         """What the models read: the rows of X or their kernel values."""
         if self.kernel.is_linear:
             return X
         return kernel_matrix(self.kernel, X, self.rows, b_norms=self.norms)
+
+    def input_blocks(self, X):
+        """(i, inputs(X[i:j])) over consecutive row blocks of X, each block
+        of inputs at most _EVAL_ELEMENTS entries. A row's inputs are those of
+        one inputs(X) call, bit for bit (kernel_matrix's rows are
+        independent)."""
+        rows = max(1, _EVAL_ELEMENTS // max(1, self.width))
+        for i in range(0, len(X), rows):
+            yield i, self.inputs(X[i:i + rows])
 
     def kernel_computations(self, n):
         """(union, uncached) counts of n instances that each evaluate every

@@ -497,40 +497,45 @@ def predict(tree, x):
 class PathGroup:
     """The rows of a batch that reach one leaf. Every row of the group
     follows the same path: ``nodes`` lists the evaluated internal nodes from
-    the root down, and ``values[k, j]`` is the decision value of
-    ``nodes[j]`` on row ``rows[k]``."""
+    the root down."""
 
     leaf: LeafNode
     nodes: list
     rows: np.ndarray
-    values: np.ndarray
 
 
 def route(tree, X):
     """Traverse every row of X at once, level by level: each node evaluates
     its classifier once, over the rows that reach it, and routes them right
-    where the decision value is nonnegative. Labels, paths and decision
-    values are bit-identical to predict() on each row. Every node reads its
-    span of one tree.bank.inputs() block of a row-major copy of X, laid out
-    as predict() lays out one instance: a node that a third of the rows or
-    more reach reads its span in place, on every row, and keeps its rows'
-    values; any other node reads a copy of its rows' spans. A node's values
-    go to its level's column of one (rows, levels) array, which each leaf's
-    group slices. Returns one PathGroup per reached leaf."""
+    where the decision value is nonnegative. Labels and paths are those of
+    predict() on each row, whose trace holds the decision values. Rows go
+    through in tree.bank.input_blocks() of a row-major copy of X, and every
+    node reads its span of its block's inputs, laid out as predict() lays
+    out one instance. Returns one PathGroup per leaf that a block reaches,
+    its rows indexing X."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.dimension:
         raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
     _require_finite(X.reshape(-1))
-    n = len(X)
-    inputs = tree.bank.inputs(np.ascontiguousarray(X))
-    values = np.empty((n, tree.depth - 1))
+    groups = []
+    for first, inputs in tree.bank.input_blocks(np.ascontiguousarray(X)):
+        groups += _route_block(tree, inputs, first)
+    return groups
+
+
+def _route_block(tree, inputs, first):
+    """route() over one block of inputs, whose row 0 is row ``first`` of X.
+    A node that a third of the block's rows or more reach reads its span in
+    place, on every row, and keeps its rows' values; any other node reads a
+    copy of its rows' spans."""
+    n = len(inputs)
     groups = []
     level = [(tree.root, np.arange(n), [])]
     while level:
         below = []
         for node, rows, path in level:
             if isinstance(node, LeafNode):
-                groups.append(PathGroup(node, path, rows, values[rows, :len(path)]))
+                groups.append(PathGroup(node, path, rows + first))
                 continue
             lo, hi, segment = tree.node_spans[node.node_id]
             if 3 * len(rows) >= n:
@@ -538,7 +543,6 @@ def route(tree, X):
             else:
                 dv = np.vecdot(inputs[rows, lo:hi], segment)
             dv += node.svm.bias
-            values[rows, len(path)] = dv
             right = dv >= 0
             path = path + [node]
             for child, below_rows in ((node.left, rows[~right]), (node.right, rows[right])):

@@ -387,6 +387,22 @@ class TestEval:
                    "--dim", 2, "--spread", 0.5, "--seed", 1, "--out", bad) == 0
         assert run("--quiet", "eval", model, bad, "--out-metrics", tmp_path / "m.csv") == 2
 
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_baseline_training_data_of_another_width_exits_2(self, blob_csvs, tmp_path,
+                                                            capsys, kernel):
+        train, test = blob_csvs
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 3,
+                   "--kernel", kernel, *(["--kernel-gamma", 0.5] if kernel == "rbf" else [])) == 0
+        wide = tmp_path / "wide.csv"
+        assert run("--quiet", "synth", "blobs", "--classes", 4, "--per-class", 10,
+                   "--dim", 4, "--spread", 0.6, "--seed", 7, "--out", wide) == 0
+        capsys.readouterr()
+        assert run("--quiet", "eval", model, test, "--baseline", "ova", "--train-csv", wide,
+                   "--out-metrics", tmp_path / "m.csv") == 2
+        err = capsys.readouterr().err
+        assert "dimension 3" in err and "--train-csv has 4" in err
+
 
     @pytest.mark.parametrize("kernel", ["linear", "rbf"])
     def test_model_with_a_truncated_node_classifier_exits_2(self, blob_csvs, tmp_path,

@@ -11,7 +11,8 @@ from atree.metrics import (EvaluationRun, _flat_decision_values, complexity_repo
                            train_one_vs_one)
 from atree.svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel,
                        SvmConfig, train_svm)
-from atree.tree import AtreeConfig, InternalNode, iter_nodes, predict, train_atree
+from atree.tree import (AtreeConfig, InternalNode, deserialize, iter_nodes, predict, serialize,
+                        train_atree)
 from oracles import reference_decision_values, reference_kernel_computations
 
 
@@ -23,17 +24,18 @@ def _linear_run(method, n_classes, n_instances, per_instance_cost):
         classifier_evaluations=np.full(n_instances, per_instance_cost, dtype=np.int64))
 
 
-def _path_traces(run, n):
-    """Per-instance (node_id, value) traces rebuilt from run.paths, after
-    checking that the groups' rows partition range(n)."""
+def _node_paths(run, n):
+    """Per-instance node-id paths rebuilt from run.paths, after checking
+    that the groups' rows partition range(n) and that each group's rows are
+    labelled with its leaf's label."""
     rows = np.concatenate([group.rows for group in run.paths])
     np.testing.assert_array_equal(np.sort(rows), np.arange(n))
-    traces = [None] * n
+    paths = [None] * n
     for group in run.paths:
-        ids = [node.node_id for node in group.nodes]
-        for k, row in enumerate(group.rows.tolist()):
-            traces[row] = list(zip(ids, group.values[k]))
-    return traces
+        assert (run.predictions[group.rows] == group.leaf.label).all()
+        for row in group.rows.tolist():
+            paths[row] = [node.node_id for node in group.nodes]
+    return paths
 
 
 class TestOneVsAll:
@@ -231,12 +233,12 @@ class TestEndToEnd:
         sv_ids = {n.node_id: n.svm.sv_ids.tolist() for n in iter_nodes(tree.root)
                   if isinstance(n, InternalNode) and n.svm is not None}
         run = evaluate_atree(tree, test)
-        traces = _path_traces(run, len(test))
+        paths = _node_paths(run, len(test))
         for i, x in enumerate(test.features):
             label, trace = predict(tree, x)
             ids = [sid for nid, _ in trace for sid in sv_ids[nid]]
             assert run.predictions[i] == label
-            assert traces[i] == trace
+            assert paths[i] == [nid for nid, _ in trace]
             assert run.kernel_computations[i] == len(set(ids))
             assert run.kernel_computations_uncached[i] == len(ids)
 
@@ -282,10 +284,19 @@ class TestEndToEnd:
         run = evaluate_atree(tree, test)
         singles = [predict(tree, x) for x in test.features]
         np.testing.assert_array_equal(run.predictions, [label for label, _ in singles])
-        # node ids and decision values, bit for bit
-        assert _path_traces(run, len(test)) == [trace for _, trace in singles]
+        assert _node_paths(run, len(test)) == [[nid for nid, _ in trace] for _, trace in singles]
         np.testing.assert_array_equal(run.classifier_evaluations,
                                       [len(trace) for _, trace in singles])
+        # the reloaded tree: the same labels and paths, and predict's
+        # decision values bit for bit
+        clone = deserialize(serialize(tree))
+        reloaded = evaluate_atree(clone, test)
+        assert reloaded.predictions.tobytes() == run.predictions.tobytes()
+        assert _node_paths(reloaded, len(test)) == _node_paths(run, len(test))
+        assert all(
+            [(i, np.float64(v).tobytes()) for i, v in trace]
+            == [(i, np.float64(v).tobytes()) for i, v in predict(clone, x)[1]]
+            for x, (_, trace) in zip(test.features, singles))
         if config.kernel.is_linear:
             assert run.kernel_computations is None
         else:
@@ -362,3 +373,64 @@ class TestFlatUnionBlock:
             union, uncached = reference_kernel_computations(model.models)
             assert run.kernel_computations.tolist() == [union] * len(data)
             assert run.kernel_computations_uncached.tolist() == [uncached] * len(data)
+
+    @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("train, evaluate", [(train_one_vs_all, evaluate_one_vs_all),
+                                                 (train_one_vs_one, evaluate_one_vs_one)],
+                             ids=["ova", "ovo"])
+    def test_data_of_another_width_rejected(self, spec, train, evaluate):
+        data = generate_gaussian_blobs(3, 10, 3, 0.5, seed=4)
+        model = train(data, spec, SvmConfig())
+        wide = Dataset(np.hstack([data.features, data.features[:, :1]]), data.labels,
+                       data.weights, data.num_classes)
+        with pytest.raises(ValidationError, match="dimension 3, test data has 4"):
+            evaluate(model, wide)
+
+
+class TestRowBlocks:
+    """A test set is evaluated in row blocks of at most svm._EVAL_ELEMENTS
+    inputs; several blocks give what one block gives."""
+
+    @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda spec: spec.kind)
+    def test_several_blocks_equal_one(self, monkeypatch, spec):
+        data = generate_gaussian_blobs(4, 25, 3, 1.0, seed=14)
+        train, test = split_train_test(data, 0.5, seed=1, stratified=True)
+        tree = train_atree(train, AtreeConfig(delta=0.7, max_depth=4, kernel=spec,
+                                              boost=BoostConfig(max_rounds=5)))
+        ova = train_one_vs_all(train, spec, SvmConfig())
+        ovo = train_one_vs_one(train, spec, SvmConfig())
+        run = evaluate_atree(tree, test)
+        flat = [(m, evaluate, evaluate(m, test), _flat_decision_values(m, test.features))
+                for m, evaluate in ((ova, evaluate_one_vs_all), (ovo, evaluate_one_vs_one))]
+        blocks = []
+        inputs = svm_module.ClassifierBank.inputs
+
+        def recorded_inputs(bank, X):
+            blocks.append(len(X))
+            return inputs(bank, X)
+
+        # blocks of 7 rows, the last one shorter
+        sizes = [7] * (len(test) // 7) + [len(test) % 7]
+        assert len(sizes) > 2 and sizes[-1]
+        monkeypatch.setattr(svm_module.ClassifierBank, "inputs", recorded_inputs)
+        monkeypatch.setattr(svm_module, "_EVAL_ELEMENTS", 7 * tree.bank.width)
+        blocked = evaluate_atree(tree, test)
+        assert blocks == sizes
+        assert blocked.predictions.tobytes() == run.predictions.tobytes()
+        assert blocked.classifier_evaluations.tobytes() == run.classifier_evaluations.tobytes()
+        if spec.is_linear:
+            assert blocked.kernel_computations is blocked.kernel_computations_uncached is None
+        else:
+            assert blocked.kernel_computations.tobytes() == run.kernel_computations.tobytes()
+            assert (blocked.kernel_computations_uncached.tobytes()
+                    == run.kernel_computations_uncached.tobytes())
+        assert _node_paths(blocked, len(test)) == _node_paths(run, len(test))
+        for model, evaluate, expected, values in flat:
+            monkeypatch.setattr(svm_module, "_EVAL_ELEMENTS", 7 * model.bank.width)
+            blocks.clear()
+            assert evaluate(model, test).predictions.tobytes() == expected.predictions.tobytes()
+            assert blocks == sizes
+            np.testing.assert_allclose(_flat_decision_values(model, test.features), values,
+                                       rtol=0, atol=1e-12)

@@ -622,14 +622,16 @@ class TestRoute:
         assert [n.node_id for n in groups[4].nodes] == [0]
         assert groups[3].rows.tolist() == [1, 3]
         assert [n.node_id for n in groups[3].nodes] == [0, 1]
-        np.testing.assert_array_equal(groups[3].values, [[2.0, 1.0], [3.0, 2.0]])
         assert groups[2].rows.tolist() == [2]
-        np.testing.assert_array_equal(groups[2].values, [[0.5, -0.5]])
+        assert [n.node_id for n in groups[2].nodes] == [0, 1]
         for g in groups.values():
-            for row, values in zip(g.rows, g.values):
+            for row in g.rows:
                 label, trace = predict(tree, X[row])
                 assert label == g.leaf.label
-                assert trace == list(zip([n.node_id for n in g.nodes], values))
+                assert [node_id for node_id, _ in trace] == [n.node_id for n in g.nodes]
+        assert predict(tree, X[1]) == (1, [(0, 2.0), (1, 1.0)])
+        assert predict(tree, X[3]) == (1, [(0, 3.0), (1, 2.0)])
+        assert predict(tree, X[2]) == (0, [(0, 0.5), (1, -0.5)])
 
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
                              ids=lambda k: k.kind)
@@ -1061,9 +1063,10 @@ def _check_bank(tree):
 
 
 def _check_routes_predicts_and_round_trips(tree, X):
-    """route equals predict on every row of X bit for bit, for the trained
-    tree and its serialize round trip, which holds no phase-one learners.
-    Both trees hold a well-formed bank."""
+    """route gives predict's label and node-id path on every row of X, for
+    the trained tree and its serialize round trip, which holds no phase-one
+    learners; predict's traces of the two trees are equal bit for bit. Both
+    trees hold a well-formed bank."""
     text = serialize(tree)
     clone = deserialize(text)
     assert serialize(clone) == text
@@ -1072,17 +1075,24 @@ def _check_routes_predicts_and_round_trips(tree, X):
     for node in iter_nodes(clone.root):
         if isinstance(node, InternalNode):
             assert node.split is node.boost is node.partition is None
-    groups = route(tree, X)
-    assert np.array_equal(np.sort(np.concatenate([g.rows for g in groups])),
-                          np.arange(len(X)))
-    for g in groups:
-        ids = [n.node_id for n in g.nodes]
-        for row, values in zip(g.rows, g.values):
-            label, trace = predict(tree, X[row])
-            assert label == g.leaf.label
-            assert [(i, np.float64(v).tobytes()) for i, v in trace] == [
-                (i, v.tobytes()) for i, v in zip(ids, values)]
-            assert predict(clone, X[row]) == (label, trace)
+    routed = []
+    for t in (tree, clone):
+        groups = route(t, X)
+        assert np.array_equal(np.sort(np.concatenate([g.rows for g in groups])),
+                              np.arange(len(X)))
+        routed.append([(g.leaf.node_id, [n.node_id for n in g.nodes], g.rows.tolist())
+                       for g in groups])
+        for g in groups:
+            for row in g.rows:
+                label, trace = predict(t, X[row])
+                assert label == g.leaf.label
+                assert [i for i, _ in trace] == [n.node_id for n in g.nodes]
+    assert routed[0] == routed[1]
+    for x in X:
+        (label, trace), (clone_label, clone_trace) = predict(tree, x), predict(clone, x)
+        assert clone_label == label
+        assert [(i, np.float64(v).tobytes()) for i, v in clone_trace] == [
+            (i, np.float64(v).tobytes()) for i, v in trace]
 
 
 class TestTrainedTreeProperties:
