@@ -74,6 +74,9 @@ class KernelSpec:
         return self.kind == "linear"
 
 
+_NONNEGATIVE_KINDS = ("chi_square", "histogram_intersection")
+
+
 def _require_nonnegative(A, kind):
     if A.size and A.min() < 0:
         raise ValidationError(f"{kind} kernel requires nonnegative features")
@@ -81,18 +84,13 @@ def _require_nonnegative(A, kind):
 
 def _cross(A, B, out):
     """Inner products a_i . b_j into out, one row of A at a time: each row's
-    values are those of A[i:i+1] @ B.T alone, whatever the other rows are."""
-    np.matmul(A[:, None, :], B.T, out=out[:, None, :])
-
-
-def _in_row_blocks(n, width, rows, block):
-    """One (n, width) array that block(i, j, out) fills, out being its rows
-    i:j, over consecutive blocks of at most ``rows`` rows."""
-    out = np.empty((n, width))
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
-        block(i, j, out[i:j])
-    return out
+    values are those of A[i:i+1] @ B.T alone, whatever the other rows are.
+    A single row is that product itself, without the stacking views: numpy
+    computes it by the same vector-matrix product as a row of a stack."""
+    if len(A) == 1:
+        np.matmul(A, B.T, out=out)
+    else:
+        np.matmul(A[:, None, :], B.T, out=out[:, None, :])
 
 
 def squared_norms(A):
@@ -101,11 +99,75 @@ def squared_norms(A):
     return (A * A).sum(axis=1)
 
 
+# The kernel formulas, one block function each: block(gamma, A, B, a_norms,
+# b_norms, out, scratch) writes k(a_i, b_j) for the rows of A into out. The
+# rbf kernel reads the squared norms of A's and B's rows and uses scratch, an
+# array of out's shape; the others ignore all three.
+
+def _linear_block(gamma, A, B, a_norms, b_norms, out, scratch):
+    _cross(A, B, out)
+
+
+def _rbf_block(gamma, A, B, a_norms, b_norms, out, scratch):
+    # exp(-gamma * max(|b|^2 + |a|^2 - 2 a.b, 0)), computed in place
+    _cross(A, B, out)
+    out *= 2.0
+    np.add(b_norms, a_norms[:, None], out=scratch)
+    scratch -= out
+    np.maximum(scratch, 0.0, out=scratch)
+    scratch *= -gamma
+    np.exp(scratch, out=out)
+
+
+def _chi_square_block(gamma, A, B, a_norms, b_norms, out, scratch):
+    a = A[:, None, :]
+    diff2 = (a - B) ** 2
+    diff2 /= a + B + _CHI2_EPS
+    diff2.sum(axis=2, out=out)
+    out *= -gamma
+    np.exp(out, out=out)
+
+
+def _histogram_intersection_block(gamma, A, B, a_norms, b_norms, out, scratch):
+    np.minimum(A[:, None, :], B).sum(axis=2, out=out)
+
+
+_KERNEL_BLOCKS = {"linear": _linear_block, "rbf": _rbf_block,
+                  "chi_square": _chi_square_block,
+                  "histogram_intersection": _histogram_intersection_block}
+
+
+def _kernel_rows(spec, A, B, b_norms):
+    """kernel_matrix(spec, A, B) of checked operands: 2-d float64 arrays of
+    one width, b_norms squared_norms(B) for the rbf kernel. A's rows go
+    through their kernel's block function in blocks of _BLOCK_ROWS rows, or
+    fewer for the chi-square and histogram-intersection kernels when their
+    (rows, len(B), d) broadcast would exceed _CHUNK_ELEMENTS; when A fits in
+    one block it is passed whole, with no slicing. The rbf kernel computes
+    A's norms once and reuses one scratch block across blocks."""
+    n, m = len(A), len(B)
+    rows = _BLOCK_ROWS
+    if spec.kind in ("chi_square", "histogram_intersection"):
+        rows = max(1, min(rows, _CHUNK_ELEMENTS // max(1, B.size)))
+    block = _KERNEL_BLOCKS[spec.kind]
+    a_norms = scratch = None
+    if spec.kind == "rbf":
+        a_norms = squared_norms(A)
+        scratch = np.empty((min(rows, n), m))
+    out = np.empty((n, m))
+    if n <= rows:
+        block(spec.gamma, A, B, a_norms, b_norms, out, scratch)
+        return out
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        block(spec.gamma, A[i:j], B, None if a_norms is None else a_norms[i:j],
+              b_norms, out[i:j], None if scratch is None else scratch[:j - i])
+    return out
+
+
 def kernel_matrix(spec, A, B, b_norms=None):
     """Gram block k(a_i, b_j) with shape (len(A), len(B)), computed in
-    blocks of _BLOCK_ROWS rows of A (fewer for the chi-square and
-    histogram-intersection kernels when their (rows, len(B), d) broadcast
-    would exceed _CHUNK_ELEMENTS).
+    blocks of _BLOCK_ROWS rows of A (see _kernel_rows).
 
     Rows are independent: row i depends on A[i] alone, so a row is
     bit-identical whether A holds one instance or many. Columns are not: the
@@ -121,42 +183,15 @@ def kernel_matrix(spec, A, B, b_norms=None):
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValidationError("kernel operands must share a dimension")
-    rows = _BLOCK_ROWS
-    if spec.kind == "linear":
-        def block(i, j, out):
-            _cross(A[i:j], B, out)
-    elif spec.kind == "rbf":
+    if spec.kind == "rbf":
         if b_norms is None:
             b_norms = squared_norms(B)
         elif np.shape(b_norms) != (len(B),):
             raise ValidationError("precomputed norms must have one entry per row")
-        a_norms = squared_norms(A)
-
-        def block(i, j, out):
-            # exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)), computed in place
-            _cross(A[i:j], B, out)
-            out *= 2.0
-            d2 = a_norms[i:j, None] + b_norms[None, :]
-            d2 -= out
-            np.maximum(d2, 0.0, out=d2)
-            d2 *= -spec.gamma
-            np.exp(d2, out=out)
-    else:
+    elif not spec.is_linear:
         _require_nonnegative(A, spec.kind)
         _require_nonnegative(B, spec.kind)
-        rows = max(1, min(rows, _CHUNK_ELEMENTS // max(1, B.size)))
-        a, b = A[:, None, :], B[None, :, :]
-        if spec.kind == "chi_square":
-            def block(i, j, out):
-                diff2 = (a[i:j] - b) ** 2
-                diff2 /= a[i:j] + b + _CHI2_EPS
-                diff2.sum(axis=2, out=out)
-                out *= -spec.gamma
-                np.exp(out, out=out)
-        else:
-            def block(i, j, out):
-                np.minimum(a[i:j], b).sum(axis=2, out=out)
-    return _in_row_blocks(len(A), len(B), rows, block)
+    return _kernel_rows(spec, A, B, b_norms)
 
 
 @dataclass
@@ -519,7 +554,8 @@ class ClassifierBank:
         Given ``ranks``, distinct ints, one per model, it lists them in one
         group per model instead, in model order, each group by sv_id: a
         support vector joins the group of the highest-ranked model that keeps
-        it. Rejects values that are not finite."""
+        it. Rejects values that are not finite, and negative support-vector
+        features under the chi-square and histogram-intersection kernels."""
         biases = np.array([m.bias for m in models], dtype=np.float64)
         sv_ids, rows = np.empty(0, dtype=np.int64), np.empty((0, dimension))
         if kernel.is_linear:
@@ -544,6 +580,8 @@ class ClassifierBank:
         if not all(np.isfinite(a).all() for a in [biases, rows, *values]):
             raise ValidationError("classifier weights, biases, dual coefficients and "
                                   "support vectors must be finite")
+        if kernel.kind in _NONNEGATIVE_KINDS:
+            _require_nonnegative(rows, kernel.kind)
         rows = np.asfortranarray(rows)
         bank = cls(kernel, biases, sv_ids, rows, squared_norms(rows), uncached)
         return bank, list(zip(columns, values))
@@ -563,10 +601,16 @@ class ClassifierBank:
         return self.rows.shape[1] if self.kernel.is_linear else len(self.sv_ids)
 
     def inputs(self, X):
-        """What the models read: the rows of X or their kernel values."""
+        """What the models read: the rows of X or their kernel values, as
+        kernel_matrix(kernel, X, rows, norms) gives them bit for bit. X is a
+        2-d float64 array as wide as the table's rows. of() has checked that
+        the table is finite, and nonnegative where the kernel requires it,
+        and computed its norms, so only X's own sign is checked here."""
         if self.kernel.is_linear:
             return X
-        return kernel_matrix(self.kernel, X, self.rows, b_norms=self.norms)
+        if self.kernel.kind in _NONNEGATIVE_KINDS:
+            _require_nonnegative(X, self.kernel.kind)
+        return _kernel_rows(self.kernel, X, self.rows, self.norms)
 
     def input_blocks(self, X):
         """(i, inputs(X[i:j])) over consecutive row blocks of X, each block

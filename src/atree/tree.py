@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,20 +138,42 @@ class InternalNode:
     passthrough = None  # not a field; benchmarks/workloads.tree_counters still reads it
 
 
+class NodeEntry(NamedTuple):
+    """One internal node as traversal reads it: the node, its span of the
+    bank's columns as a slice (None when it is every column, as for every
+    linear node, so that no view of a whole row is made), its segment of
+    coefficients over that span, its classifier's bias, and its left and
+    right children as codes. A child's code is its index in the tree's
+    table when it is internal, and ~k when it is the tree's leaf k."""
+
+    node: InternalNode
+    span: slice | None
+    segment: np.ndarray
+    bias: float
+    left: int
+    right: int
+
+
 @dataclass
 class Atree:
-    """A tree and what traversal derives from it once: its depth (the
-    levels on the longest root path); the ClassifierBank of its node
-    classifiers, which every internal node must hold; each internal node's
-    span of the bank's columns as (lo, hi, segment), keyed by node id; and
-    for a kernel tree the (union, uncached) kernel computations of the path
-    to each leaf, keyed by leaf id: the distinct support vectors of the
-    path's classifiers and their total count (empty for a linear tree).
+    """A tree and what traversal derives from it once, when the tree is
+    built: its depth (the levels on the longest root path); the
+    ClassifierBank of its node classifiers, which every internal node must
+    hold; its table, one NodeEntry per internal node in preorder, entry i
+    reading bank columns table[i].span with bias bank.biases[i]; its
+    leaves in preorder; and for a kernel tree the (union, uncached) kernel
+    computations of the path to each leaf, keyed by leaf id: the distinct
+    support vectors of the path's classifiers and their total count (empty
+    for a linear tree). Traversal starts at code 0, the root's entry, or at
+    ~0, leaves[0], when the root is a leaf and the table is empty.
 
     The bank's table is in tree order: it lists the support vectors node by
     node in preorder, each with the deepest node that keeps it (the last in
     preorder among equals), so a node's span holds its own support vectors
-    and mostly those of its descendants."""
+    and mostly those of its descendants.
+
+    Nothing derived is updated later: a built tree must not be mutated.
+    Change a node and build a new Atree from its root instead."""
 
     root: object
     config: AtreeConfig
@@ -158,11 +181,13 @@ class Atree:
     dimension: int
     depth: int = field(init=False, repr=False, compare=False)
     bank: ClassifierBank = field(init=False, repr=False, compare=False)
-    node_spans: dict = field(init=False, repr=False, compare=False)
+    table: list = field(init=False, repr=False, compare=False)
+    leaves: list = field(init=False, repr=False, compare=False)
     leaf_kernel_computations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        internal = [n for n in iter_nodes(self.root) if isinstance(n, InternalNode)]
+        nodes = list(iter_nodes(self.root))
+        internal = [n for n in nodes if isinstance(n, InternalNode)]
         for node in internal:
             if node.svm is None:
                 raise ValidationError(f"internal node {node.node_id} has no classifier: "
@@ -172,27 +197,32 @@ class Atree:
         ranks = [levels[n.node_id] * len(internal) + k for k, n in enumerate(internal)]
         self.bank, placed = ClassifierBank.of([n.svm for n in internal], self.config.kernel,
                                               self.dimension, ranks)
-        placed = {n.node_id: p for n, p in zip(internal, placed)}
-        self.node_spans = {}
-        for node_id, (columns, values) in placed.items():
+        self.leaves = [n for n in nodes if isinstance(n, LeafNode)]
+        code = {id(n): k for k, n in enumerate(internal)}
+        code.update((id(n), ~k) for k, n in enumerate(self.leaves))
+        self.table = []
+        for node, (columns, values) in zip(internal, placed):
             lo, hi = (int(columns.min()), int(columns.max()) + 1) if len(columns) else (0, 0)
             segment = np.zeros(hi - lo)
             segment[columns - lo] = values
-            self.node_spans[node_id] = lo, hi, segment
+            span = None if (lo, hi) == (0, self.bank.width) else slice(lo, hi)
+            self.table.append(NodeEntry(node, span, segment, node.svm.bias,
+                                        code[id(node.left)], code[id(node.right)]))
         self.leaf_kernel_computations = {}
         if not self.config.kernel.is_linear:
             # seen marks the table columns of the support vectors met on the path
-            paths = [(self.root, np.zeros(len(self.bank.sv_ids), dtype=bool), 0)]
+            paths = [(0 if self.table else ~0, np.zeros(len(self.bank.sv_ids), dtype=bool), 0)]
             while paths:
-                node, seen, uncached = paths.pop()
-                if isinstance(node, LeafNode):
-                    self.leaf_kernel_computations[node.node_id] = (
+                i, seen, uncached = paths.pop()
+                if i < 0:
+                    self.leaf_kernel_computations[self.leaves[~i].node_id] = (
                         int(np.count_nonzero(seen)), uncached)
                     continue
+                entry = self.table[i]
                 seen = seen.copy()
-                seen[placed[node.node_id][0]] = True
-                uncached += len(node.svm.sv_ids)
-                paths += [(node.left, seen, uncached), (node.right, seen, uncached)]
+                seen[placed[i][0]] = True
+                uncached += len(entry.node.svm.sv_ids)
+                paths += [(entry.left, seen, uncached), (entry.right, seen, uncached)]
 
     @property
     def num_classes(self):
@@ -476,21 +506,23 @@ def _require_finite(v):
 def predict(tree, x):
     """Traverse from the root, routing right when the node decision value is
     nonnegative. Returns (class id, trace); the trace lists every evaluated
-    node as (node_id, decision value). Every node on the path reads its
-    value from its span of the instance's one row of tree.bank.inputs()."""
+    node as (node_id, decision value). The instance's one row of
+    tree.bank.inputs() is computed first, and the walk reads tree.table:
+    each node on the path reads its value from its span of that row."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
     _require_finite(x)
     row = tree.bank.inputs(x[None, :])[0]
+    table = tree.table
     trace = []
-    node = tree.root
-    while isinstance(node, InternalNode):
-        lo, hi, segment = tree.node_spans[node.node_id]
-        dv = row[lo:hi].dot(segment) + node.svm.bias
+    i = 0 if table else ~0
+    while i >= 0:
+        node, span, segment, bias, left, right = table[i]
+        dv = (row if span is None else row[span]).dot(segment) + bias
         trace.append((node.node_id, dv))
-        node = node.right if dv >= 0 else node.left
-    return node.label, trace
+        i = right if dv >= 0 else left
+    return tree.leaves[~i].label, trace
 
 
 @dataclass
@@ -524,28 +556,30 @@ def route(tree, X):
 
 
 def _route_block(tree, inputs, first):
-    """route() over one block of inputs, whose row 0 is row ``first`` of X.
-    A node that a third of the block's rows or more reach reads its span in
-    place, on every row, and keeps its rows' values; any other node reads a
-    copy of its rows' spans."""
+    """route() over one block of inputs, whose row 0 is row ``first`` of X,
+    walking tree.table as predict() does. A node that a third of the block's
+    rows or more reach reads its span in place, on every row, and keeps its
+    rows' values; any other node reads a copy of its rows' spans."""
     n = len(inputs)
+    table = tree.table
     groups = []
-    level = [(tree.root, np.arange(n), [])]
+    level = [(0 if table else ~0, np.arange(n), [])]
     while level:
         below = []
-        for node, rows, path in level:
-            if isinstance(node, LeafNode):
-                groups.append(PathGroup(node, path, rows + first))
+        for i, rows, path in level:
+            if i < 0:
+                groups.append(PathGroup(tree.leaves[~i], path, rows + first))
                 continue
-            lo, hi, segment = tree.node_spans[node.node_id]
+            node, span, segment, bias, left, right = table[i]
+            columns = inputs if span is None else inputs[:, span]
             if 3 * len(rows) >= n:
-                dv = np.vecdot(inputs[:, lo:hi], segment)[rows]
+                dv = np.vecdot(columns, segment)[rows]
             else:
-                dv = np.vecdot(inputs[rows, lo:hi], segment)
-            dv += node.svm.bias
-            right = dv >= 0
+                dv = np.vecdot(columns[rows], segment)
+            dv += bias
+            goes_right = dv >= 0
             path = path + [node]
-            for child, below_rows in ((node.left, rows[~right]), (node.right, rows[right])):
+            for child, below_rows in ((left, rows[~goes_right]), (right, rows[goes_right])):
                 if len(below_rows):
                     below.append((child, below_rows, path))
         level = below

@@ -12,7 +12,7 @@ from atree.boosting import _TIE_SLACK, DecisionStump
 from atree.errors import ValidationError
 from atree.svm import (_SV_EPS, KernelSvmModel, LinearSvmModel, SolverRecord,
                        _split_labels, kernel_matrix)
-from atree.tree import EntropySplit
+from atree.tree import EntropySplit, InternalNode
 
 
 def stump_candidates(values):
@@ -324,6 +324,38 @@ def reference_kernel_computations(models):
     which a per-instance cache computes once each, and their total count."""
     ids = [i for m in models for i in m.sv_ids.tolist()]
     return len(set(ids)), len(ids)
+
+
+def reference_predict(tree, x):
+    """predict() as a walk over the node objects: from the root, each
+    internal node's decision value, routing right when it is nonnegative.
+    The instance's kernel row comes from kernel_matrix against the bank's
+    table, and each node's span and segment are rebuilt from its own
+    classifier: a linear node reads every feature with its weights, a
+    kernel node the narrowest column range of the table that holds its
+    support vectors, with its dual coefficients at their columns and 0
+    elsewhere. Returns (class id, trace of (node_id, decision value))."""
+    x = np.asarray(x, dtype=np.float64)
+    bank = tree.bank
+    if bank.kernel.is_linear:
+        row = x
+    else:
+        row = kernel_matrix(bank.kernel, x[None, :], bank.rows, b_norms=bank.norms)[0]
+    column = {i: c for c, i in enumerate(bank.sv_ids.tolist())}
+    trace = []
+    node = tree.root
+    while isinstance(node, InternalNode):
+        if bank.kernel.is_linear:
+            lo, hi, segment = 0, len(x), node.svm.weights
+        else:
+            columns = np.array([column[i] for i in node.svm.sv_ids.tolist()], dtype=np.int64)
+            lo, hi = (columns.min(), columns.max() + 1) if len(columns) else (0, 0)
+            segment = np.zeros(hi - lo)
+            segment[columns - lo] = node.svm.dual_coefficients
+        dv = row[lo:hi].dot(segment) + node.svm.bias
+        trace.append((node.node_id, dv))
+        node = node.right if dv >= 0 else node.left
+    return node.label, trace
 
 
 def random_binary_dataset(rng, n, d):

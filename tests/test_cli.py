@@ -4,7 +4,7 @@ import json
 import pytest
 
 from atree.cli import RunConfig, main
-from atree.dataset import Dataset, load_csv
+from atree.dataset import Dataset, load_csv, write_csv
 from atree.tree import InternalNode, iter_nodes, load, predict, save, train_atree
 
 
@@ -209,6 +209,25 @@ class TestTrain:
         assert value in model.read_text()
         assert run("--quiet", "export-tree", model, "--out", tmp_path / "o.dot") == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kernel", [("chi_square", "--kernel-gamma", 0.5),
+                                        ("histogram_intersection",)], ids=lambda k: k[0])
+    def test_model_with_a_negative_support_vector_exits_2(self, blob_csvs, tmp_path, capsys,
+                                                          kernel):
+        # nonnegative features, as both kernels require
+        blobs = load_csv(blob_csvs[0])
+        train = tmp_path / "nonnegative.csv"
+        write_csv(Dataset(abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes,
+                          blobs.label_names), train)
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 3,
+                   "--kernel", *kernel) == 0
+        doc = json.loads(model.read_text())
+        doc["support_vectors"][0][1][0] = -0.5
+        model.write_text(json.dumps(doc))
+        assert run("--quiet", "eval", model, train, "--out-metrics", tmp_path / "m.csv",
+                   "--out-traces", tmp_path / "t.csv") == 2
+        assert "nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mutation,named,kernel", [
         (lambda doc: doc["config"]["svm"].update(max_passes=2.5), "'max_passes'", "linear"),

@@ -109,22 +109,31 @@ class TestKernels:
         S = rng.uniform(0.0, 2.0, size=(40, 5))
         X = rng.uniform(0.0, 2.0, size=(2 * svm_module._BLOCK_ROWS + 5, 5))
         spec = KernelSpec(kind, 0.3 if kind in ("rbf", "chi_square") else None)
-        sizes, blocks = [], svm_module._in_row_blocks
+        blocks, block = [], svm_module._KERNEL_BLOCKS[kind]
 
-        def recorded(n, width, rows, block):
-            sizes.append(rows)
-            return blocks(n, width, rows, block)
+        def recorded(gamma, A, *rest):
+            blocks.append(A)
+            return block(gamma, A, *rest)
 
-        monkeypatch.setattr(svm_module, "_in_row_blocks", recorded)
+        def sizes(rows):
+            return [rows] * (len(X) // rows) + [len(X) % rows] * bool(len(X) % rows)
+
+        monkeypatch.setitem(svm_module._KERNEL_BLOCKS, kind, recorded)
         whole = kernel_matrix(spec, X, S)
-        assert sizes == [svm_module._BLOCK_ROWS]
+        assert [len(A) for A in blocks] == sizes(svm_module._BLOCK_ROWS)
         for i in range(len(X)):
             assert kernel_matrix(spec, X[i:i + 1], S).tobytes() == whole[i:i + 1].tobytes()
+        # operands that fit in one block are passed whole, not sliced
+        part = X[:svm_module._BLOCK_ROWS]
+        blocks.clear()
+        assert kernel_matrix(spec, part, S).tobytes() == whole[:len(part)].tobytes()
+        assert len(blocks) == 1 and blocks[0] is part
         # broadcast kernels take fewer rows when a block would exceed the budget
         monkeypatch.setattr(svm_module, "_CHUNK_ELEMENTS", 3 * S.size)
-        sizes.clear()
+        blocks.clear()
         assert kernel_matrix(spec, X, S).tobytes() == whole.tobytes()
-        assert sizes == [svm_module._BLOCK_ROWS if kind in ("linear", "rbf") else 3]
+        assert [len(A) for A in blocks] == sizes(
+            svm_module._BLOCK_ROWS if kind in ("linear", "rbf") else 3)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -689,6 +698,19 @@ class TestClassifierBank:
         assert placed == []
         assert (bank.inputs(X) @ bank.coefficient_matrix(placed)).shape == (4, 0)
         assert bank.biases.shape == (0,)
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("chi_square", 1.0),
+                                        KernelSpec("histogram_intersection")],
+                             ids=lambda k: k.kind)
+    def test_negative_support_vector_rejected(self, kernel):
+        model = replace(_toy_kernel_model([3, 1]), kernel=kernel)
+        model.support_vectors.flat[1] = -0.25
+        with pytest.raises(ValidationError, match="nonnegative"):
+            ClassifierBank.of([model], kernel, 2)
+        # the rbf kernel reads features of any sign
+        rbf = KernelSpec("rbf", 1.0)
+        bank, _ = ClassifierBank.of([replace(model, kernel=rbf)], rbf, 2)
+        assert bank.rows.min() == -0.25
 
     @pytest.mark.parametrize("part", ["weights", "linear-bias", "dual_coefficients",
                                       "support_vectors", "kernel-bias"])

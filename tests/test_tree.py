@@ -25,7 +25,7 @@ from atree.tree import (MODEL_SCHEMA_VERSION, Atree, AtreeConfig, EntropySplit,
                         node_cost, partition_samples, path_levels, predict, route,
                         serialize, to_dot, train_atree)
 from oracles import (brute_force_entropy_split, random_weighted_multiclass,
-                     reference_entropy_split, reference_train_stump)
+                     reference_entropy_split, reference_predict, reference_train_stump)
 
 LN2 = math.log(2.0)
 
@@ -521,9 +521,10 @@ class TestPredict:
         # bias 0 -> right: one evaluation to a depth-2 leaf
         label, short_trace = predict(tree, np.array([0.0]))
         assert len(short_trace) == 1
-        # force left at the root, then walk the deep side
+        # force left at the root, then walk the deep side; a built tree is
+        # not mutated, so the changed root makes a second tree
         root.svm = LinearSvmModel(np.array([0.0]), -0.5)
-        label, long_trace = predict(tree, np.array([0.0]))
+        label, long_trace = predict(Atree(root, AtreeConfig(), [0, 1], 1), np.array([0.0]))
         assert len(long_trace) == 3
 
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
@@ -559,25 +560,27 @@ class TestPredict:
                                              boost=BoostConfig(max_rounds=5)))
         assert any(isinstance(n, InternalNode) for n in iter_nodes(tree.root))
         blocks, row_blocks = [], []
-        original, in_row_blocks = svm_module.kernel_matrix, svm_module._in_row_blocks
+        original, block = svm_module._kernel_rows, svm_module._KERNEL_BLOCKS[kernel.kind]
 
-        def counted(spec, A, B, b_norms=None):
+        def counted(spec, A, B, b_norms):
             # the bank's own table, with its cached norms
             assert B is tree.bank.rows and b_norms is tree.bank.norms
             blocks.append((len(A), len(B)))
             return original(spec, A, B, b_norms)
 
-        def counted_rows(n, width, rows, block):
-            row_blocks.append((n, rows))
-            return in_row_blocks(n, width, rows, block)
+        def counted_rows(gamma, A, *rest):
+            row_blocks.append(len(A))
+            return block(gamma, A, *rest)
 
-        monkeypatch.setattr(svm_module, "kernel_matrix", counted)
-        monkeypatch.setattr(svm_module, "_in_row_blocks", counted_rows)
+        monkeypatch.setattr(svm_module, "_kernel_rows", counted)
+        monkeypatch.setitem(svm_module._KERNEL_BLOCKS, kernel.kind, counted_rows)
         table = [] if kernel.is_linear else [len(tree.bank.sv_ids)]
         for x in data.features[:5]:
             blocks.clear()
+            row_blocks.clear()
             predict(tree, x)
             assert blocks == [(1, n) for n in table]
+            assert row_blocks == [1 for _ in table]
         blocks.clear()
         row_blocks.clear()
         route(tree, data.features)
@@ -585,7 +588,9 @@ class TestPredict:
         # that one block is computed in row blocks, more than two of them here
         rows = min(svm_module._BLOCK_ROWS,
                    svm_module._CHUNK_ELEMENTS // max(1, tree.bank.rows.size))
-        assert row_blocks == [(len(data), rows) for _ in table]
+        sizes = [rows] * (len(data) // rows) + [len(data) % rows] * bool(len(data) % rows)
+        assert len(sizes) > 2
+        assert row_blocks == [size for _ in table for size in sizes]
 
     def test_dimension_mismatch_rejected(self):
         root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
@@ -661,8 +666,7 @@ class TestRoute:
                    for n in iter_nodes(tree.root) if isinstance(n, InternalNode)}
         reached = {node_id: count for node_id, count in reached.items() if count}
         assert len(seen) == len(reached)
-        spans = {id(segment): (node_id, lo, hi)
-                 for node_id, (lo, hi, segment) in tree.node_spans.items()}
+        spans = {id(e.segment): (e.node.node_id, *_bounds(tree, e.span)) for e in tree.table}
         for rows, segment in seen:
             node_id, lo, hi = spans[id(segment)]
             assert rows.shape[1] == hi - lo
@@ -687,7 +691,8 @@ class TestRoute:
         data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
         tree = train_atree(data, AtreeConfig(max_depth=1, kernel=kernel))
         assert isinstance(tree.root, LeafNode)
-        assert tree.bank.biases.shape == (0,) and tree.node_spans == {}
+        assert tree.bank.biases.shape == (0,) and tree.table == []
+        assert tree.leaves == [tree.root]
         _check_routes_predicts_and_round_trips(tree, data.features)
 
     def test_column_major_input_routes_like_row_major(self):
@@ -866,6 +871,20 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="wide"):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("kernel", [KernelSpec("chi_square", 0.5),
+                                        KernelSpec("histogram_intersection")],
+                             ids=lambda k: k.kind)
+    def test_negative_support_vector_rejected(self, kernel):
+        blobs = generate_gaussian_blobs(3, 12, 2, 0.5, seed=2)
+        # nonnegative features, as both kernels require
+        data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
+        tree = train_atree(data, AtreeConfig(max_depth=3, kernel=kernel,
+                                             boost=BoostConfig(max_rounds=5)))
+        doc = json.loads(serialize(tree))
+        doc["support_vectors"][0][1][0] = -0.5
+        with pytest.raises(ValidationError, match="nonnegative"):
+            deserialize(json.dumps(doc))
+
     # a child named by its parent twice and an unnamed node are cases of
     # test_cli's test_model_the_program_could_not_have_written_exits_2
     @pytest.mark.parametrize("case", ["two-parents", "bool-child"])
@@ -1016,12 +1035,20 @@ def _same_json(a, b):
     return a == b
 
 
+def _bounds(tree, span):
+    """(lo, hi) of a table entry's span, None being every bank column."""
+    return (0, tree.bank.width) if span is None else (span.start, span.stop)
+
+
 def _check_bank(tree):
     """The bank holds every internal node's classifier in preorder, with
-    its bias, and the tree each internal node's span of the bank's columns
-    as (lo, hi, segment), a contiguous segment of hi - lo coefficients, in
-    preorder. A linear node's span is every
-    feature and its segment its weights; a linear tree's table is empty. A
+    its bias, and the tree's table one entry per internal node in preorder:
+    the node, its span of the bank's columns as a slice, or None when it is
+    every column, a contiguous segment of as many coefficients, the node's
+    bias, and its children's codes, an internal child's index in the table
+    or ~k for leaf k of the tree's leaves in preorder. A linear node's span
+    is every feature and its segment its weights; a linear tree's table is
+    empty. A
     kernel tree's table lists each distinct sv_id of its node models once,
     column-major, with the models' own rows and fresh norms, in tree order: node by node
     in preorder, each support vector with the deepest node that keeps it
@@ -1029,19 +1056,30 @@ def _check_bank(tree):
     kernel node's span is the narrowest that holds its support vectors, and
     its segment holds exactly its own dual coefficients, at their columns,
     and 0 elsewhere."""
-    internal = [n for n in iter_nodes(tree.root) if isinstance(n, InternalNode)]
+    nodes = list(iter_nodes(tree.root))
+    internal = [n for n in nodes if isinstance(n, InternalNode)]
     bank = tree.bank
-    assert list(tree.node_spans) == [n.node_id for n in internal]
+    assert tree.leaves == [n for n in nodes if isinstance(n, LeafNode)]
+    code = {id(n): k for k, n in enumerate(internal)}
+    code.update((id(n), ~k) for k, n in enumerate(tree.leaves))
+    assert len(tree.table) == len(internal)
+    assert all(e.node is node for e, node in zip(tree.table, internal))
     assert bank.biases.tolist() == [n.svm.bias for n in internal]
-    for lo, hi, segment in tree.node_spans.values():
-        assert segment.flags.c_contiguous and segment.shape == (hi - lo,)
+    spans = {}
+    for e in tree.table:
+        assert np.float64(e.bias).tobytes() == np.float64(e.node.svm.bias).tobytes()
+        assert (e.left, e.right) == (code[id(e.node.left)], code[id(e.node.right)])
+        lo, hi = _bounds(tree, e.span)
+        assert e.span == (None if (lo, hi) == (0, bank.width) else slice(lo, hi))
+        assert e.segment.flags.c_contiguous and e.segment.shape == (hi - lo,)
+        spans[e.node.node_id] = lo, hi, e.segment
     ids = bank.sv_ids
     assert bank.rows.flags.f_contiguous
     assert bank.norms.tobytes() == squared_norms(bank.rows).tobytes()
     if tree.config.kernel.is_linear:
         assert len(ids) == len(bank.rows) == bank.uncached == 0
         for node in internal:
-            lo, hi, segment = tree.node_spans[node.node_id]
+            lo, hi, segment = spans[node.node_id]
             assert (lo, hi) == (0, tree.dimension)
             assert segment.tobytes() == node.svm.weights.tobytes()
         return
@@ -1054,7 +1092,7 @@ def _check_bank(tree):
     assert bank.uncached == sum(n.svm.n_support for n in internal)
     column = {i: c for c, i in enumerate(ids.tolist())}
     for node in internal:
-        lo, hi, segment = tree.node_spans[node.node_id]
+        lo, hi, segment = spans[node.node_id]
         columns = np.array([column[i] for i in node.svm.sv_ids.tolist()], dtype=np.int64)
         assert bank.rows[columns].tobytes() == node.svm.support_vectors.tobytes()
         assert (lo, hi) == ((columns.min(), columns.max() + 1) if len(columns) else (0, 0))
@@ -1157,6 +1195,57 @@ class TestTreeOrderedTable:
         X = np.vstack([data.features, *np.abs(data.features[::-1] + noise)])
         assert len(X) > svm_module._BLOCK_ROWS
         _check_routes_predicts_and_round_trips(tree, X)
+
+
+def _check_predict_equals_the_node_walk(tree, X):
+    """predict gives reference_predict's label, node ids and decision values
+    bit for bit on every row of X, for the tree and its serialize round
+    trip."""
+    for t in (tree, deserialize(serialize(tree))):
+        for x in X:
+            (label, trace), (ref_label, ref_trace) = predict(t, x), reference_predict(t, x)
+            assert label == ref_label
+            assert [(i, np.float64(v).tobytes()) for i, v in trace] == [
+                (i, np.float64(v).tobytes()) for i, v in ref_trace]
+
+
+def _kernel_of(kind):
+    return KernelSpec(kind, 0.5 if kind in ("rbf", "chi_square") else None)
+
+
+class TestPredictOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(svm_module.KERNEL_KINDS), k=st.integers(2, 5),
+           per_class=st.integers(3, 15), d=st.integers(1, 4), spread=st.floats(0.1, 2.0),
+           seed=st.integers(0, 2 ** 16), delta=st.floats(0.5, 0.99),
+           max_depth=st.integers(1, 6))
+    def test_predict_equals_the_node_walk(self, kind, k, per_class, d, spread, seed, delta,
+                                          max_depth):
+        """On trained and reloaded trees of every kernel, predict's flat
+        table walk equals the walk over the node objects bit for bit."""
+        blobs = generate_gaussian_blobs(k, per_class, d, spread, seed=seed)
+        # nonnegative features, as two of the kernels require
+        data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
+        tree = train_atree(data, AtreeConfig(delta=delta, max_depth=max_depth,
+                                             kernel=_kernel_of(kind),
+                                             boost=BoostConfig(max_rounds=5)))
+        noise = np.random.default_rng(seed).normal(size=data.features.shape)
+        _check_predict_equals_the_node_walk(
+            tree, np.vstack([data.features, np.abs(data.features[::-1] + noise)]))
+
+    @pytest.mark.parametrize("kind", svm_module.KERNEL_KINDS)
+    def test_spliced_and_leaf_root_trees(self, monkeypatch, kind):
+        data = Dataset(np.abs(SPLICE_DATA.features), SPLICE_DATA.labels,
+                       SPLICE_DATA.weights, SPLICE_DATA.num_classes)
+        config = replace(SPLICE_CONFIG, kernel=_kernel_of(kind))
+        forged = _forge_one_sided_root(monkeypatch, "left_only_ids")
+        spliced = train_atree(data, config)
+        monkeypatch.undo()
+        assert forged and isinstance(spliced.root, InternalNode)
+        leaf_root = train_atree(data, replace(config, max_depth=1))
+        assert isinstance(leaf_root.root, LeafNode)
+        for tree in (spliced, leaf_root):
+            _check_predict_equals_the_node_walk(tree, data.features)
 
 
 class TestDotExport:
