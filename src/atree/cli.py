@@ -23,6 +23,8 @@ from .svm import KERNEL_KINDS, KernelSpec, SvmConfig
 
 METRIC_COLUMNS = ("method", "delta", "num_classes", "kernel", "accuracy",
                   "mean_evals", "mean_kernel_computations", "relative_complexity")
+TRACE_COLUMNS = ("instance", "true", "predicted", "evaluations", "kernel_computations",
+                 "node_ids")
 
 
 @dataclass
@@ -103,10 +105,15 @@ def _fmt(value):
 
 
 def _write_rows(path, columns, rows):
+    """Write a header of columns, then one line per row of formatted cells."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in rows)
+
+
+def _write_metrics(path, rows):
+    _write_rows(path, METRIC_COLUMNS,
+                ([_fmt(row[c]) for c in METRIC_COLUMNS] for row in rows))
 
 
 def _say(args, message):
@@ -239,28 +246,22 @@ def cmd_eval(args):
                              tree.label_names))
     for run in baseline_runs:
         rows.append(_metrics_row(run, None, kernel_kind, reference, tree.label_names))
-    _write_rows(args.out_metrics, METRIC_COLUMNS, rows)
+    _write_metrics(args.out_metrics, rows)
     if args.out_traces:
         node_ids = [None] * len(test)
         for group in atree_run.paths:
             joined = ";".join(str(node.node_id) for node in group.nodes)
             for row in group.rows.tolist():
                 node_ids[row] = joined
-        trace_rows = []
-        nonlinear = atree_run.kernel_computations is not None
-        for i, ids in enumerate(node_ids):
-            trace_rows.append({
-                "instance": i,
-                "true": test.label_names[test.labels[i]],
-                "predicted": tree.label_names[atree_run.predictions[i]],
-                "evaluations": int(atree_run.classifier_evaluations[i]),
-                "kernel_computations": (int(atree_run.kernel_computations[i])
-                                        if nonlinear else None),
-                "node_ids": ids,
-            })
-        _write_rows(args.out_traces,
-                    ("instance", "true", "predicted", "evaluations",
-                     "kernel_computations", "node_ids"), trace_rows)
+        names = [str(name) for name in tree.label_names]
+        kernel = atree_run.kernel_computations
+        _write_rows(args.out_traces, TRACE_COLUMNS, zip(
+            map(str, range(len(test))),
+            [names[k] for k in test.labels.tolist()],
+            [names[k] for k in atree_run.predictions.tolist()],
+            map(str, atree_run.classifier_evaluations.tolist()),
+            [""] * len(test) if kernel is None else map(str, kernel.tolist()),
+            node_ids))
     _say(args, f"evaluated {len(test)} instances -> {args.out_metrics}")
     return 0
 
@@ -306,7 +307,7 @@ def cmd_sweep(args):
         raise
     except Exception as exc:
         raise AtreeError(f"sweep entry failed: {exc}") from exc
-    _write_rows(args.out, METRIC_COLUMNS, rows)
+    _write_metrics(args.out, rows)
     _say(args, f"swept {len(rows)} configurations -> {args.out}")
     return 0
 

@@ -77,6 +77,40 @@ def _uniform_weights(n):
     return np.full(n, 1.0 / n)
 
 
+_NON_NUMERIC = "non-numeric feature value"
+
+
+def _loadtxt(lines):
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _parse_features(path, linenos, texts):
+    """The feature matrix of the lines whose feature text is ``texts``, from
+    one np.loadtxt call. loadtxt parses a cell with the same correctly rounded
+    PyOS_string_to_double as float(), so the values are bit-identical to
+    float() of each cell. Its error names no file line, so on failure each
+    line is parsed alone, by the same parser, to name the first that fails.
+    """
+    try:
+        return _loadtxt(texts)
+    except ValueError:
+        for lineno, text in zip(linenos, texts):
+            try:
+                _loadtxt([text])
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: {_NON_NUMERIC}") from None
+        raise
+
+
+def _line_error(path, lineno, message, linenos, texts, error=ParseError):
+    """The error for line ``lineno``, which the structural pass rejects. The
+    features of the lines before it are parsed first, and a bad cell there
+    raises for its own line: a row-by-row reader stops at it first."""
+    if texts:
+        _parse_features(path, linenos, texts)
+    return error(f"{path}: line {lineno}: {message}")
+
+
 def load_csv(path, has_header=False, label_names=None):
     """Read ``label,f_1,...,f_d`` rows into a Dataset.
 
@@ -87,42 +121,57 @@ def load_csv(path, has_header=False, label_names=None):
     ``str(label_names[k])`` becomes id k, whichever of them the file holds,
     and a label not among them is a ValidationError that names it and its
     line. Weights are initialized uniform.
+
+    The file is UTF-8, with or without a byte-order mark. A label is what
+    ``int`` accepts. A feature cell is an ASCII decimal or exponent float
+    (``nan`` and ``inf`` spellings parse, and the Dataset rejects them),
+    with any surrounding characters ``str.isspace`` counts as whitespace;
+    digit-group underscores (``1_0``) and non-ASCII digits are rejected.
+    Every rejected file names its first bad line, the line a row-by-row
+    reader stops at.
     """
     known = None
     if label_names is not None:
         known = {str(name): k for k, name in enumerate(label_names)}
     raw_labels = []
-    rows = []
+    linenos = []
+    texts = []
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if has_header and lineno == 1:
                 continue
             line = line.strip()
             if not line:
                 continue
-            cells = line.split(",")
-            if len(cells) < 2:
-                raise ParseError(f"{path}: line {lineno}: expected a label and at least one feature")
+            label, comma, text = line.partition(",")
+            if not comma:
+                raise _line_error(path, lineno, "expected a label and at least one feature",
+                                  linenos, texts)
+            width = text.count(",") + 1
             if dim is None:
-                dim = len(cells) - 1
-            elif len(cells) - 1 != dim:
-                raise ParseError(f"{path}: line {lineno}: expected {dim} features, found {len(cells) - 1}")
+                dim = width
+            elif width != dim:
+                raise _line_error(path, lineno, f"expected {dim} features, found {width}",
+                                  linenos, texts)
             try:
-                label = int(cells[0])
+                label = int(label)
             except ValueError:
-                raise ParseError(f"{path}: line {lineno}: label {cells[0]!r} is not an integer") from None
+                raise _line_error(path, lineno, f"label {label!r} is not an integer",
+                                  linenos, texts) from None
             if known is not None and str(label) not in known:
-                raise ValidationError(f"{path}: line {lineno}: label {label} is not one of the "
-                                      f"{len(known)} known class labels")
-            try:
-                feats = [float(c) for c in cells[1:]]
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric feature value") from None
+                raise _line_error(path, lineno, f"label {label} is not one of the "
+                                  f"{len(known)} known class labels", linenos, texts,
+                                  ValidationError)
+            if not text:
+                # loadtxt would skip the empty line, and the row with it
+                raise _line_error(path, lineno, _NON_NUMERIC, linenos, texts)
             raw_labels.append(label)
-            rows.append(feats)
-    if not rows:
+            linenos.append(lineno)
+            texts.append(text)
+    if not texts:
         raise ValidationError(f"{path}: no data rows")
+    features = _parse_features(path, linenos, texts)
     if known is None:
         label_names = sorted(set(raw_labels))
         if len(label_names) < 2:
@@ -130,7 +179,7 @@ def load_csv(path, has_header=False, label_names=None):
                                   "need at least 2")
         known = {str(name): k for k, name in enumerate(label_names)}
     labels = np.array([known[str(v)] for v in raw_labels], dtype=np.int64)
-    return Dataset(np.array(rows), labels, _uniform_weights(len(rows)),
+    return Dataset(features, labels, _uniform_weights(len(texts)),
                    len(known), list(label_names))
 
 
@@ -141,11 +190,10 @@ def write_csv(data, path):
     round-trip preserves the file's label vocabulary. Floats are written with
     repr so the round-trip is exact.
     """
+    names = [str(name) for name in data.label_names]
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(data)):
-            cells = [str(data.label_names[data.labels[i]])]
-            cells.extend(repr(float(v)) for v in data.features[i])
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(f"{names[label]},{','.join(map(repr, row))}\n"
+                      for label, row in zip(data.labels.tolist(), data.features.tolist()))
 
 
 # Mixture components of the two-cluster synthetic set: (fraction, class,

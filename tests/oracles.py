@@ -9,7 +9,8 @@ first, polarity +1 before -1), with strict-improvement selection.
 import numpy as np
 
 from atree.boosting import _TIE_SLACK, DecisionStump
-from atree.errors import ValidationError
+from atree.dataset import Dataset
+from atree.errors import ParseError, ValidationError
 from atree.svm import (_SV_EPS, KernelSvmModel, LinearSvmModel, SolverRecord,
                        _split_labels, kernel_matrix)
 from atree.tree import EntropySplit, InternalNode
@@ -378,3 +379,63 @@ def random_weighted_multiclass(rng, n, d, k):
     w = rng.uniform(0.2, 1.0, size=n)
     w = w / w.sum()
     return X, labels.astype(np.int64), w
+
+
+def reference_load_csv(path, has_header=False, label_names=None):
+    """load_csv as a row-by-row reader: each line is split into cells and
+    checked in turn (label present, width, integer label, known label, then
+    float() of every feature cell), so the first bad line raises."""
+    known = None
+    if label_names is not None:
+        known = {str(name): k for k, name in enumerate(label_names)}
+    raw_labels = []
+    rows = []
+    dim = None
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if has_header and lineno == 1:
+                continue
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) < 2:
+                raise ParseError(f"{path}: line {lineno}: expected a label and at least one feature")
+            if dim is None:
+                dim = len(cells) - 1
+            elif len(cells) - 1 != dim:
+                raise ParseError(f"{path}: line {lineno}: expected {dim} features, found {len(cells) - 1}")
+            try:
+                label = int(cells[0])
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: label {cells[0]!r} is not an integer") from None
+            if known is not None and str(label) not in known:
+                raise ValidationError(f"{path}: line {lineno}: label {label} is not one of the "
+                                      f"{len(known)} known class labels")
+            try:
+                feats = [float(c) for c in cells[1:]]
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: non-numeric feature value") from None
+            raw_labels.append(label)
+            rows.append(feats)
+    if not rows:
+        raise ValidationError(f"{path}: no data rows")
+    if known is None:
+        label_names = sorted(set(raw_labels))
+        if len(label_names) < 2:
+            raise ValidationError(f"{path}: found {len(label_names)} distinct label(s), "
+                                  "need at least 2")
+        known = {str(name): k for k, name in enumerate(label_names)}
+    labels = np.array([known[str(v)] for v in raw_labels], dtype=np.int64)
+    return Dataset(np.array(rows), labels, np.full(len(rows), 1.0 / len(rows)),
+                   len(known), list(label_names))
+
+
+def reference_write_csv(data, path):
+    """write_csv one row and one numpy scalar at a time: the label name,
+    then repr(float(v)) of each feature."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(len(data)):
+            cells = [str(data.label_names[data.labels[i]])]
+            cells.extend(repr(float(v)) for v in data.features[i])
+            fh.write(",".join(cells) + "\n")

@@ -438,6 +438,27 @@ class TestEval:
         err = capsys.readouterr().err
         assert "node" in err and "dimension mismatch" not in err
 
+    def test_test_file_with_a_byte_order_mark_reads_as_without(self, blob_csvs, tmp_path):
+        _, test, model = self._trained(blob_csvs, tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + test.read_bytes())
+        for name, path in (("plain", test), ("bom", bom)):
+            assert run("--quiet", "eval", model, path, "--out-metrics", tmp_path / f"{name}_m.csv",
+                       "--out-traces", tmp_path / f"{name}_t.csv") == 0
+        for kind in ("m", "t"):
+            assert _digest(tmp_path / f"bom_{kind}.csv") == _digest(tmp_path / f"plain_{kind}.csv")
+
+    def test_cell_only_float_reads_exits_2_naming_its_line(self, blob_csvs, tmp_path, capsys):
+        _, test, model = self._trained(blob_csvs, tmp_path)
+        lines = test.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "1_0"
+        lines[2] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run("--quiet", "eval", model, bad, "--out-metrics", tmp_path / "m.csv") == 2
+        assert "line 3: non-numeric feature value" in capsys.readouterr().err
+
     def test_non_finite_test_data_exits_2(self, blob_csvs, tmp_path, capsys):
         _, test, model = self._trained(blob_csvs, tmp_path)
         lines = test.read_text().splitlines()

@@ -1,16 +1,57 @@
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from atree.dataset import (Dataset, generate_gaussian_blobs,
                            generate_two_cluster_2d, load_csv, split_train_test,
                            write_csv)
-from atree.errors import ParseError, ValidationError
+from atree.errors import AtreeError, ParseError, ValidationError
+from oracles import reference_load_csv, reference_write_csv
 
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# Finite float64 values, with the edges of the format drawn often: signed
+# zeros, the smallest subnormal and the largest magnitudes.
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]))
+
+
+@st.composite
+def labelled_matrices(draw):
+    """A Dataset of random finite features whose label names are distinct
+    ints, or those ints as strings."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 4))
+    names = draw(st.lists(st.integers(-10**20, 10**20), min_size=k, max_size=k,
+                          unique=True))
+    if draw(st.booleans()):
+        names = [str(name) for name in names]
+    features = draw(hnp.arrays(np.float64, (n, d), elements=_FINITE))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    return Dataset(features, labels, np.full(n, 1.0 / n), k, names)
+
+
+def _loaded(load, path, label_names):
+    """What load makes of the file: the features' bytes, labels and names,
+    or the class and message of its error."""
+    try:
+        data = load(path, label_names=label_names)
+    except AtreeError as exc:
+        return type(exc), str(exc)
+    return data.features.tobytes(), data.labels.tolist(), data.label_names
 
 
 class TestLoadCsv:
@@ -84,6 +125,13 @@ class TestLoadCsv:
         data = load_csv(path, has_header=True)
         assert len(data) == 2
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf0,1.0\n1,2.0\n")
+        data = load_csv(str(path))
+        assert data.label_names == [0, 1]
+        assert data.features.tolist() == [[1.0], [2.0]]
+
     def test_write_load_round_trip_exact(self, tmp_path):
         data = generate_gaussian_blobs(3, 5, 4, 0.7, seed=9)
         path = str(tmp_path / "round.csv")
@@ -91,6 +139,60 @@ class TestLoadCsv:
         back = load_csv(path)
         np.testing.assert_array_equal(back.features, data.features)
         np.testing.assert_array_equal(back.labels, data.labels)
+
+
+class TestAgainstTheRowByRowOracle:
+    """load_csv and write_csv work on whole columns; tests/oracles.py keeps
+    the row-by-row reader and writer they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=labelled_matrices())
+    def test_same_bytes_written_and_same_dataset_read(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "new.csv"
+            write_csv(data, path)
+            reference_write_csv(data, pathlib.Path(tmp) / "old.csv")
+            assert path.read_bytes() == (pathlib.Path(tmp) / "old.csv").read_bytes()
+            for names in (None, data.label_names):
+                got = _loaded(load_csv, str(path), names)
+                assert got == _loaded(reference_load_csv, str(path), names)
+            # read through its own names, the file gives the dataset back
+            assert got[0] == data.features.tobytes()
+            assert got[1] == data.labels.tolist()
+
+    @pytest.mark.parametrize("text, names, line", [
+        ("0,1.0,2.0\n1,,2.0\n", None, 2),              # empty field
+        ("0,1.0,2.0\n1,3.0,\n", None, 2),              # trailing comma
+        ("0,1.0\n1,\n", None, 2),                      # a label, then an empty field
+        ("0,1.0\n1\n", None, 2),                       # no feature
+        ("0,1.0,2.0\n1,3.0\n", None, 2),               # ragged row
+        ("0,1.0\n1,zap\n", None, 2),                   # non-numeric cell
+        ('0,1.0\n1,"2.0"\n', None, 2),                 # quoted cell
+        ("0,1.0\n1,2#3\n", None, 2),                   # '#' inside a cell
+        ("0,1.0\n1.5,2.0\n", None, 2),                 # label not an int
+        ("x,1.0\n0,2.0\n", None, 1),                   # ... on the first line
+        ("0,1.0\n5,2.0\n", [0, 1], 2),                 # label not known
+        ("0,1.0\n1,zap\nx,2.0\n", None, 2),            # bad cell, then bad label
+        ("0,1.0\n1,zap\n5,2.0\n", [0, 1], 2),          # bad cell, then unknown label
+        ("0,1.0\n1,zap\n1,2.0,3.0\n", None, 2),        # bad cell, then ragged row
+        ("0,1.0\n5,2.0\n1,zap\n", [0, 1], 2),          # unknown label, then bad cell
+    ])
+    def test_rejected_like_the_oracle(self, tmp_path, text, names, line):
+        path = _write(tmp_path, text)
+        with pytest.raises(AtreeError) as want:
+            reference_load_csv(path, label_names=names)
+        with pytest.raises(AtreeError, match=f"line {line}: ") as got:
+            load_csv(path, label_names=names)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11"])
+    def test_cells_only_float_reads_are_rejected_naming_their_line(self, tmp_path, cell):
+        # underscores and non-ASCII digits: float() reads them, np.loadtxt does not
+        path = _write(tmp_path, f"0,1.0\n1,{cell}\n0,2.0\n")
+        assert reference_load_csv(path).features[1, 0] == float(cell)
+        with pytest.raises(ParseError, match="line 2: non-numeric feature value"):
+            load_csv(path)
 
 
 class TestTwoCluster:
