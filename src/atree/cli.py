@@ -2,7 +2,8 @@
 
 Every command is deterministic given its inputs, flags, and --seed; logs can
 carry a timestamp line, suppressible with --no-timestamp. Exit codes: 0 on
-success, 2 on validation errors, 3 on runtime failures.
+success, 2 on validation errors and on files that cannot be read or written
+(missing, undecodable, or in a missing directory), 3 on runtime failures.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _resolve_run_config(args):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
@@ -303,7 +304,7 @@ def cmd_sweep(args):
                     data, args.train_fraction, run_config.seed, stratified=True)))
         else:
             raise ValidationError("sweep needs --deltas or --classes")
-    except AtreeError:
+    except (AtreeError, OSError):
         raise
     except Exception as exc:
         raise AtreeError(f"sweep entry failed: {exc}") from exc
@@ -422,7 +423,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AtreeError as exc:

@@ -19,12 +19,15 @@ class Dataset:
     Labels are dense ids in ``[0, num_classes)``; ``label_names[k]`` maps the
     dense id ``k`` back to the label value found in the source data. Weights
     of freshly loaded or generated data are uniform and sum to 1.
+
+    The Dataset owns read-only copies of the arrays it is given, so neither
+    the caller's arrays nor any view of them can change it.
     """
 
     def __init__(self, features, labels, weights, num_classes, label_names=None):
-        features = np.ascontiguousarray(features, dtype=np.float64)
-        labels = np.ascontiguousarray(labels, dtype=np.int64)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
+        features = np.array(features, dtype=np.float64, order="C")
+        labels = np.array(labels, dtype=np.int64, order="C")
+        weights = np.array(weights, dtype=np.float64, order="C")
         if features.ndim != 2 or features.shape[0] == 0 or features.shape[1] == 0:
             raise ValidationError("features must be a non-empty (n, d) matrix")
         if not np.isfinite(features).all():
@@ -102,6 +105,15 @@ def _parse_features(path, linenos, texts):
         raise
 
 
+def _decoded_lines(path, fh):
+    """The lines of the text file fh; text it cannot decode is a ParseError
+    naming path."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _line_error(path, lineno, message, linenos, texts, error=ParseError):
     """The error for line ``lineno``, which the structural pass rejects. The
     features of the lines before it are parsed first, and a bad cell there
@@ -122,13 +134,13 @@ def load_csv(path, has_header=False, label_names=None):
     and a label not among them is a ValidationError that names it and its
     line. Weights are initialized uniform.
 
-    The file is UTF-8, with or without a byte-order mark. A label is what
-    ``int`` accepts. A feature cell is an ASCII decimal or exponent float
-    (``nan`` and ``inf`` spellings parse, and the Dataset rejects them),
-    with any surrounding characters ``str.isspace`` counts as whitespace;
-    digit-group underscores (``1_0``) and non-ASCII digits are rejected.
-    Every rejected file names its first bad line, the line a row-by-row
-    reader stops at.
+    The file is UTF-8, with or without a byte-order mark; other text is a
+    ParseError naming the file. A label is what ``int`` accepts. A feature
+    cell is an ASCII decimal or exponent float (``nan`` and ``inf``
+    spellings parse, and the Dataset rejects them), with any surrounding
+    characters ``str.isspace`` counts as whitespace; digit-group underscores
+    (``1_0``) and non-ASCII digits are rejected. Every other rejected file
+    names its first bad line, the line a row-by-row reader stops at.
     """
     known = None
     if label_names is not None:
@@ -138,7 +150,7 @@ def load_csv(path, has_header=False, label_names=None):
     texts = []
     dim = None
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_decoded_lines(path, fh), start=1):
             if has_header and lineno == 1:
                 continue
             line = line.strip()

@@ -24,7 +24,7 @@ class OneVsAllModel:
     models: list
     num_classes: int
     bank: ClassifierBank = field(repr=False)   # the models', built when trained
-    coefficients: np.ndarray = field(repr=False)   # the bank's coefficient matrix
+    coefficients: np.ndarray = field(repr=False)   # _flat_bank's coefficient matrix
 
 
 @dataclass
@@ -64,9 +64,14 @@ def _check_all_classes_present(data):
 
 
 def _flat_bank(models, kernel, dimension):
-    """The models' bank and their coefficient matrix over its inputs."""
+    """The models' bank and their (inputs, models) coefficient matrix over
+    its inputs, 0 where a model reads nothing: model j gives
+    bank.inputs(X) @ matrix[:, j] + bank.biases[j]."""
     bank, placed = ClassifierBank.of(models, kernel, dimension)
-    return bank, bank.coefficient_matrix(placed)
+    matrix = np.zeros((bank.width, len(placed)))
+    for j, (columns, values) in enumerate(placed):
+        matrix[columns, j] = values
+    return bank, matrix
 
 
 def train_one_vs_all(data, kernel, svm_config):
@@ -158,7 +163,8 @@ def _flat_decision_values(model, X):
 
 def _evaluate_flat(model, data, method):
     """Every model is evaluated on every instance, so the per-instance costs
-    are constant: the model count and the bank's kernel computations."""
+    are constant: the model count and, for kernel models, the support
+    vectors of the bank's table (union) and of every model (uncached)."""
     dimension = model.bank.rows.shape[1]
     if data.dimension != dimension:
         raise ValidationError(f"model expects dimension {dimension}, "
@@ -170,11 +176,14 @@ def _evaluate_flat(model, data, method):
     else:
         votes = np.zeros((model.num_classes, n), dtype=np.int64)
         for (a, b), dv in zip(model.pairs, values):
-            winner = np.where(dv >= 0, b, a)
-            for cls in (a, b):
-                votes[cls] += winner == cls
+            right = dv >= 0
+            votes[b] += right
+            votes[a] += ~right
         preds = votes.argmax(axis=0).astype(np.int64)
-    union, uncached = model.bank.kernel_computations(n)
+    union = uncached = None
+    if not model.bank.kernel.is_linear:
+        union = np.full(n, len(model.bank.sv_ids))
+        uncached = np.full(n, sum(m.n_support for m in model.models))
     return EvaluationRun(
         method=method, num_classes=model.num_classes, predictions=preds,
         truths=data.labels.copy(),

@@ -165,7 +165,7 @@ def _kernel_rows(spec, A, B, b_norms):
     return out
 
 
-def kernel_matrix(spec, A, B, b_norms=None):
+def kernel_matrix(spec, A, B):
     """Gram block k(a_i, b_j) with shape (len(A), len(B)), computed in
     blocks of _BLOCK_ROWS rows of A (see _kernel_rows).
 
@@ -173,25 +173,16 @@ def kernel_matrix(spec, A, B, b_norms=None):
     bit-identical whether A holds one instance or many. Columns are not: the
     cross products come from one BLAS product over all of B, so an entry's
     bits can depend on B's layout and on its column's position among B's
-    rows.
-
-    b_norms optionally gives squared_norms(B) for the rbf kernel, computed
-    beforehand; entries are bit-identical with and without it. Other kernels
-    ignore it. A's norms are computed here, once per call.
+    rows. The rbf kernel computes both operands' norms here, once per call.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise ValidationError("kernel operands must share a dimension")
-    if spec.kind == "rbf":
-        if b_norms is None:
-            b_norms = squared_norms(B)
-        elif np.shape(b_norms) != (len(B),):
-            raise ValidationError("precomputed norms must have one entry per row")
-    elif not spec.is_linear:
+    if spec.kind in _NONNEGATIVE_KINDS:
         _require_nonnegative(A, spec.kind)
         _require_nonnegative(B, spec.kind)
-    return _kernel_rows(spec, A, B, b_norms)
+    return _kernel_rows(spec, A, B, squared_norms(B) if spec.kind == "rbf" else None)
 
 
 @dataclass
@@ -528,9 +519,8 @@ class ClassifierBank:
     Linear models read the rows of X. Kernel models read kernel values
     against one table of their distinct support vectors (sv_ids, rows,
     norms = squared_norms(rows)), so a shared support vector costs one
-    kernel computation. uncached counts every model's support vectors,
-    repeats included. Where each model's coefficients sit among the inputs
-    comes with the bank from of(), for its consumer to lay out.
+    kernel computation. Where each model's coefficients sit among the inputs
+    comes with the bank from of(), for its consumer to lay out and count.
 
     The table is column-major, so that kernel_matrix's product of an
     instance with the table reads the table's transpose contiguously. Its
@@ -542,7 +532,6 @@ class ClassifierBank:
     sv_ids: np.ndarray
     rows: np.ndarray
     norms: np.ndarray
-    uncached: int
 
     @classmethod
     def of(cls, models, kernel, dimension, ranks=None):
@@ -559,7 +548,7 @@ class ClassifierBank:
         biases = np.array([m.bias for m in models], dtype=np.float64)
         sv_ids, rows = np.empty(0, dtype=np.int64), np.empty((0, dimension))
         if kernel.is_linear:
-            uncached, columns = 0, [np.arange(dimension)] * len(models)
+            columns = [np.arange(dimension)] * len(models)
             values = [m.weights for m in models]
         else:
             counts = [len(m.sv_ids) for m in models]
@@ -573,7 +562,7 @@ class ClassifierBank:
                 last = np.append(np.diff(inverse[by]) != 0, True)
                 order = np.lexsort((sv_ids, owner[by][last]))
             rows = np.concatenate([rows] + [m.support_vectors for m in models])[first[order]]
-            sv_ids, uncached = sv_ids[order], len(ids)
+            sv_ids = sv_ids[order]
             columns = np.split(np.argsort(order)[inverse], np.cumsum(counts)[:-1])
             values = [m.dual_coefficients for m in models]
         values = [np.asarray(v, dtype=np.float64) for v in values]
@@ -583,17 +572,8 @@ class ClassifierBank:
         if kernel.kind in _NONNEGATIVE_KINDS:
             _require_nonnegative(rows, kernel.kind)
         rows = np.asfortranarray(rows)
-        bank = cls(kernel, biases, sv_ids, rows, squared_norms(rows), uncached)
+        bank = cls(kernel, biases, sv_ids, rows, squared_norms(rows))
         return bank, list(zip(columns, values))
-
-    def coefficient_matrix(self, placed):
-        """The (inputs, models) matrix of the models placed as of() places
-        them, 0 where a model reads nothing: model j gives inputs(X) @
-        matrix[:, j] + biases[j]."""
-        matrix = np.zeros((self.width, len(placed)))
-        for j, (columns, values) in enumerate(placed):
-            matrix[columns, j] = values
-        return matrix
 
     @property
     def width(self):
@@ -602,7 +582,7 @@ class ClassifierBank:
 
     def inputs(self, X):
         """What the models read: the rows of X or their kernel values, as
-        kernel_matrix(kernel, X, rows, norms) gives them bit for bit. X is a
+        kernel_matrix(kernel, X, rows) gives them bit for bit. X is a
         2-d float64 array as wide as the table's rows. of() has checked that
         the table is finite, and nonnegative where the kernel requires it,
         and computed its norms, so only X's own sign is checked here."""
@@ -620,10 +600,3 @@ class ClassifierBank:
         rows = max(1, _EVAL_ELEMENTS // max(1, self.width))
         for i in range(0, len(X), rows):
             yield i, self.inputs(X[i:i + rows])
-
-    def kernel_computations(self, n):
-        """(union, uncached) counts of n instances that each evaluate every
-        model; (None, None) for linear models, which compute none."""
-        if self.kernel.is_linear:
-            return None, None
-        return np.full(n, len(self.sv_ids)), np.full(n, self.uncached)

@@ -160,12 +160,13 @@ class Atree:
     built: its depth (the levels on the longest root path); the
     ClassifierBank of its node classifiers, which every internal node must
     hold; its table, one NodeEntry per internal node in preorder, entry i
-    reading bank columns table[i].span with bias bank.biases[i]; its
-    leaves in preorder; and for a kernel tree the (union, uncached) kernel
-    computations of the path to each leaf, keyed by leaf id: the distinct
-    support vectors of the path's classifiers and their total count (empty
-    for a linear tree). Traversal starts at code 0, the root's entry, or at
-    ~0, leaves[0], when the root is a leaf and the table is empty.
+    reading bank columns table[i].span with bias table[i].bias, its node's
+    svm.bias; its leaves in preorder; and for a kernel tree the (union,
+    uncached) kernel computations of the path to each leaf, keyed by leaf
+    id: the distinct support vectors of the path's classifiers and their
+    total count (empty for a linear tree). Traversal starts at code 0, the
+    root's entry, or at ~0, leaves[0], when the root is a leaf and the table
+    is empty.
 
     The bank's table is in tree order: it lists the support vectors node by
     node in preorder, each with the deepest node that keeps it (the last in
@@ -732,7 +733,7 @@ def deserialize(text):
     and ValidationError on classifier values that are not finite."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("malformed model document: expected an object")
@@ -783,8 +784,15 @@ def save(tree, path):
 
 
 def load(path):
+    """deserialize() of the UTF-8 file at path; undecodable text is a
+    SchemaError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"malformed model document: {path} is not UTF-8 text "
+                              f"({exc.reason})") from None
+    return deserialize(text)
 
 
 # ---------------------------------------------------------------------------

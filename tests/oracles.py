@@ -341,7 +341,7 @@ def reference_predict(tree, x):
     if bank.kernel.is_linear:
         row = x
     else:
-        row = kernel_matrix(bank.kernel, x[None, :], bank.rows, b_norms=bank.norms)[0]
+        row = kernel_matrix(bank.kernel, x[None, :], bank.rows)[0]
     column = {i: c for c, i in enumerate(bank.sv_ids.tolist())}
     trace = []
     node = tree.root

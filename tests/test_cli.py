@@ -602,6 +602,38 @@ class TestSweep:
         assert run("--quiet", "sweep", "--out", tmp_path / "s.csv") == 2
 
 
+class TestFileErrors:
+    """A file that cannot be read or written exits 2 with one error line,
+    and no traceback: missing, not UTF-8, or in a missing directory."""
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "{missing}.csv", "--out", "{tmp}/m.json"),
+        ("eval", "{missing}.json", "{test}", "--out-metrics", "{tmp}/o.csv"),
+        ("eval", "{model}", "{missing}.csv", "--out-metrics", "{tmp}/o.csv"),
+        ("export-tree", "{missing}.json", "--out", "{tmp}/x.dot"),
+        ("synth", "blobs", "--out", "{missing}/x.csv"),
+        ("eval", "{model}", "{undecodable}", "--out-metrics", "{tmp}/o.csv"),
+        ("eval", "{undecodable}", "{test}", "--out-metrics", "{tmp}/o.csv"),
+        ("sweep", "--train-csv", "{missing}.csv", "--test-csv", "{test}", "--deltas", "0.7",
+         "--out", "{tmp}/s.csv"),
+    ], ids=["train-missing-csv", "eval-missing-model", "eval-missing-csv",
+            "export-tree-missing-model", "synth-missing-directory", "eval-undecodable-csv",
+            "eval-undecodable-model", "sweep-missing-csv"])
+    def test_exits_2_with_one_error_line(self, blob_csvs, tmp_path, capsys, argv):
+        train, test = blob_csvs
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 2) == 0
+        undecodable = tmp_path / "undecodable"
+        undecodable.write_bytes(b"\xff\xfe0,1.0\n")
+        capsys.readouterr()
+        paths = {"missing": tmp_path / "missing", "tmp": tmp_path, "test": test,
+                 "model": model, "undecodable": undecodable}
+        assert run("--quiet", *(a.format(**paths) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestExportTree:
     def test_dot_output_and_depth_cut(self, blob_csvs, tmp_path):
         train, _ = blob_csvs

@@ -55,6 +55,14 @@ def _loaded(load, path, label_names):
 
 
 class TestLoadCsv:
+    @pytest.mark.parametrize("text", [b"\xff\xfe0,1.0\n1,2.0\n", b"0,1.0\n1,2\xe9\n"],
+                             ids=["utf-16-mark", "latin-1"])
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=f"{path}: not UTF-8 text"):
+            load_csv(path)
+
     def test_basic_rows_and_uniform_weights(self, tmp_path):
         path = _write(tmp_path, "0,1.0,2.0\n1,3.0,4.0\n")
         data = load_csv(path)
@@ -319,6 +327,18 @@ class TestDatasetInvariants:
             data.features[0, 0] = 99.0
         with pytest.raises(ValueError):
             data.weights[0] = 0.5
+
+    def test_arrays_are_copies_of_the_callers(self):
+        features = np.array([[0.0, 1.0], [2.0, 3.0]])
+        labels, weights = np.array([0, 1]), np.array([0.5, 0.5])
+        view = features[1]
+        data = Dataset(features, labels, weights, 2)
+        for given in (features, labels, weights):
+            assert given.flags.writeable
+        view[1] = np.nan
+        labels[0], weights[0] = 1, 0.0
+        assert data.features.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert data.labels.tolist() == [0, 1] and data.weights.tolist() == [0.5, 0.5]
 
     def test_generated_weights_sum_to_one(self):
         for seed in range(5):

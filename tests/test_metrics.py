@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from atree import metrics as metrics_module
 from atree import svm as svm_module
 from atree.boosting import BoostConfig
 from atree.dataset import Dataset, generate_gaussian_blobs, split_train_test
 from atree.errors import ValidationError
-from atree.metrics import (EvaluationRun, _flat_decision_values, complexity_report,
-                           evaluate_atree, evaluate_one_vs_all, evaluate_one_vs_one,
-                           mean_per_class_accuracy, train_one_vs_all,
-                           train_one_vs_one)
-from atree.svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel,
-                       SvmConfig, train_svm)
+from atree.metrics import (EvaluationRun, OneVsAllModel, OneVsOneModel, _flat_bank,
+                           _flat_decision_values, complexity_report, evaluate_atree,
+                           evaluate_one_vs_all, evaluate_one_vs_one, mean_per_class_accuracy,
+                           train_one_vs_all, train_one_vs_one)
+from atree.svm import KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig, train_svm
 from atree.tree import (AtreeConfig, InternalNode, deserialize, iter_nodes, predict, serialize,
                         train_atree)
 from oracles import reference_decision_values, reference_kernel_computations
@@ -80,9 +80,9 @@ class TestOneVsAll:
         blocks = []
         original = svm_module.kernel_matrix
 
-        def counted(spec, A, B, b_norms=None):
+        def counted(spec, A, B):
             blocks.append((len(A), len(B)))
-            return original(spec, A, B, b_norms)
+            return original(spec, A, B)
 
         monkeypatch.setattr(svm_module, "kernel_matrix", counted)
         model = train_one_vs_all(data, kernel, SvmConfig())
@@ -119,6 +119,16 @@ class TestOneVsOne:
         run = evaluate_one_vs_one(model, data)
         direct = np.where(reference_decision_values(binary, data.features) >= 0, 1, 0)
         np.testing.assert_array_equal(run.predictions, direct)
+
+    def test_a_decision_value_of_zero_votes_for_the_second_class(self):
+        # every pair's decision value is exactly 0: (0, 1) votes 1, and
+        # (0, 2) and (1, 2) vote 2
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        models = [LinearSvmModel(np.zeros(2), 0.0) for _ in pairs]
+        model = OneVsOneModel(pairs, models, 3, *_flat_bank(models, KernelSpec("linear"), 2))
+        data = Dataset(np.ones((3, 2)), [0, 1, 2], np.full(3, 1 / 3), 3)
+        assert (_flat_decision_values(model, data.features) == 0.0).all()
+        assert evaluate_one_vs_one(model, data).predictions.tolist() == [2, 2, 2]
 
     def test_relative_complexity_is_half_n_minus_one(self):
         for n in (2, 8, 256, 397):
@@ -169,9 +179,9 @@ class TestComplexityReport:
                            np.ones(4), 0.0, KernelSpec("rbf", 1.0), np.arange(4))
         b = KernelSvmModel(np.random.default_rng(2).uniform(size=(6, 2)),
                            np.ones(6), 0.0, KernelSpec("rbf", 1.0), np.arange(10, 16))
-        bank, _ = ClassifierBank.of([a, b], KernelSpec("rbf", 1.0), 2)
-        union, uncached = bank.kernel_computations(1)
-        assert (union[0], uncached[0]) == (10, 10)
+        model = OneVsAllModel([a, b], 2, *_flat_bank([a, b], KernelSpec("rbf", 1.0), 2))
+        run = evaluate_one_vs_all(model, Dataset(np.zeros((1, 2)), [0], [1.0], 2))
+        assert (run.kernel_computations[0], run.kernel_computations_uncached[0]) == (10, 10)
 
     def test_kernel_family_mismatch_rejected(self):
         linear = _linear_run("atree", 4, 5, 2)
@@ -359,8 +369,8 @@ class TestFlatUnionBlock:
 
         monkeypatch.setattr(svm_module.ClassifierBank, "of",
                             counted("bank", svm_module.ClassifierBank.of))
-        monkeypatch.setattr(svm_module.ClassifierBank, "coefficient_matrix",
-                            counted("matrix", svm_module.ClassifierBank.coefficient_matrix))
+        monkeypatch.setattr(metrics_module, "_flat_bank",
+                            counted("matrix", metrics_module._flat_bank))
         monkeypatch.setattr(np, "unique", counted("unique", np.unique))
         for _ in range(2):
             run = evaluate(model, data)

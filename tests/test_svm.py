@@ -73,7 +73,7 @@ class TestKernels:
         rng = np.random.default_rng(n)
         made = []
 
-        def gram_of(spec, A, B, b_norms=None):
+        def gram_of(spec, A, B):
             made.append(rng.normal(size=(len(A), len(B))))
             made.append(made[0].copy())
             return made[1]
@@ -495,9 +495,11 @@ def _one_model_bank(model, dimension):
 
 
 def _one_model_values(model, X):
-    """The model's decision values on the rows of X, through a one-model bank."""
-    bank, placed = _one_model_bank(model, X.shape[1])
-    return (bank.inputs(X) @ bank.coefficient_matrix(placed) + bank.biases)[:, 0]
+    """The model's decision values on the rows of X, through a one-model bank
+    and its coefficient matrix (metrics._flat_bank)."""
+    kernel = KernelSpec("linear") if isinstance(model, LinearSvmModel) else model.kernel
+    bank, coefficients = metrics._flat_bank([model], kernel, X.shape[1])
+    return (bank.inputs(X) @ coefficients + bank.biases)[:, 0]
 
 
 class TestDecisionAndPredict:
@@ -574,10 +576,8 @@ class TestCachedNorms:
         X[::3] = S[rng.integers(0, n_sv, size=len(X[::3]))]
         spec = KernelSpec(kind, 0.6 / scale ** 2 if kind in ("rbf", "chi_square") else None)
         if spec.is_linear:
-            table = S
-
-            def cached(A):
-                return kernel_matrix(spec, A, S, b_norms=squared_norms(S))
+            # the linear kernel reads no norms; its rows are as independent
+            table, cached = S, lambda A: kernel_matrix(spec, A, S)
         else:
             # the bank's table keeps S's order, since its sv_ids increase, in
             # its own column-major layout
@@ -592,14 +592,6 @@ class TestCachedNorms:
         assert cached(X[rows]).tobytes() == expected[rows].tobytes()
         for i in range(n_rows):
             assert cached(X[i:i + 1]).tobytes() == expected[i].tobytes()
-
-    def test_norms_of_the_wrong_shape_rejected(self):
-        model = _toy_kernel_model(np.arange(5))
-        X = np.random.default_rng(3).uniform(size=(4, 2))
-        norms = squared_norms(model.support_vectors)
-        for wrong in (norms[1:], norms[:, None]):
-            with pytest.raises(ValidationError, match="one entry per row"):
-                kernel_matrix(model.kernel, X, model.support_vectors, b_norms=wrong)
 
 
 def _toy_kernel_model(sv_ids, dim=2):
@@ -625,16 +617,27 @@ class TestModelEquality:
             assert (model == model) is True
 
 
+def _flat_run(models, kernel, n=1, dimension=2):
+    """The evaluation run of n instances of ``dimension`` zeros through a
+    flat baseline of ``models``: a one-vs-one model with every model voting
+    between classes 0 and 1 (metrics.evaluate_one_vs_one)."""
+    model = metrics.OneVsOneModel([(0, 1)] * len(models), models, 2,
+                                  *metrics._flat_bank(models, kernel, dimension))
+    data = dataset.Dataset(np.zeros((n, dimension)), np.zeros(n, dtype=np.int64),
+                           np.full(n, 1.0 / n), 2)
+    return metrics.evaluate_one_vs_one(model, data)
+
+
 def _kernel_computations(models):
-    """One instance's (union, uncached) counts from the bank of ``models``."""
-    bank, _ = ClassifierBank.of(models, KernelSpec("rbf", 1.0), 2)
-    union, uncached = bank.kernel_computations(1)
-    return int(union[0]), int(uncached[0])
+    """One instance's (union, uncached) counts when a flat baseline of
+    ``models`` evaluates every one of them."""
+    run = _flat_run(models, KernelSpec("rbf", 1.0))
+    return int(run.kernel_computations[0]), int(run.kernel_computations_uncached[0])
 
 
 class TestKernelEvalCounter:
-    """Per-instance kernel computations of a set of models
-    (ClassifierBank.kernel_computations)."""
+    """Per-instance kernel computations of a set of models that a flat
+    baseline evaluates together (metrics._evaluate_flat)."""
 
     def test_shared_support_vectors_counted_once(self):
         first = _toy_kernel_model(np.arange(0, 10))
@@ -658,20 +661,25 @@ class TestKernelEvalCounter:
 
 
 class TestClassifierBank:
-    """One bank per set of models: their coefficients, biases and, for
-    kernel models, the table of their distinct support vectors."""
+    """One bank per set of models: their biases, where their coefficients
+    sit among its inputs, and, for kernel models, the table of their
+    distinct support vectors; and the flat baselines' coefficient matrix and
+    counts over it (metrics._flat_bank and metrics._evaluate_flat)."""
 
     def test_linear_columns_are_the_weights(self):
         models = [LinearSvmModel(np.array([1.0, -2.0, 0.5]), 0.25),
                   LinearSvmModel(np.array([0.0, 3.0, -1.0]), -1.5)]
-        bank, placed = ClassifierBank.of(models, KernelSpec("linear"), 3)
-        assert bank.coefficient_matrix(placed).tobytes() == np.column_stack(
+        linear = KernelSpec("linear")
+        bank, placed = ClassifierBank.of(models, linear, 3)
+        assert [columns.tolist() for columns, _ in placed] == [[0, 1, 2]] * 2
+        assert metrics._flat_bank(models, linear, 3)[1].tobytes() == np.column_stack(
             [m.weights for m in models]).tobytes()
         assert bank.biases.tolist() == [0.25, -1.5]
         assert bank.sv_ids.shape == (0,) and bank.rows.shape == (0, 3)
         X = np.arange(6.0).reshape(2, 3)
         assert bank.inputs(X) is X
-        assert bank.kernel_computations(2) == (None, None)
+        run = _flat_run(models, linear, n=2, dimension=3)
+        assert run.kernel_computations is run.kernel_computations_uncached is None
 
     def test_kernel_columns_scatter_dual_coefficients_over_the_table(self):
         first, second = _toy_kernel_model([4, 9, 2]), _toy_kernel_model([9, 7])
@@ -681,12 +689,15 @@ class TestClassifierBank:
         expected = np.zeros((4, 2))
         expected[[1, 3, 0], 0] = first.dual_coefficients
         expected[[3, 2], 1] = second.dual_coefficients
-        assert bank.coefficient_matrix(placed).tobytes() == expected.tobytes()
+        flat_bank, coefficients = metrics._flat_bank([first, second], KernelSpec("rbf", 1.0), 2)
+        assert coefficients.tobytes() == expected.tobytes()
+        assert flat_bank.sv_ids.tobytes() == bank.sv_ids.tobytes()
         assert bank.rows.flags.f_contiguous
         assert bank.rows[[1, 3, 0]].tobytes() == first.support_vectors.tobytes()
         assert bank.rows[2].tobytes() == second.support_vectors[1].tobytes()
         assert bank.norms.tobytes() == squared_norms(bank.rows).tobytes()
-        union, uncached = bank.kernel_computations(3)
+        run = _flat_run([first, second], KernelSpec("rbf", 1.0), n=3)
+        union, uncached = run.kernel_computations, run.kernel_computations_uncached
         assert union.tolist() == [4] * 3 and uncached.tolist() == [5] * 3
         assert (union[0], uncached[0]) == reference_kernel_computations([first, second])
 
@@ -696,7 +707,8 @@ class TestClassifierBank:
         bank, placed = ClassifierBank.of([], kernel, 3)
         X = np.ones((4, 3))
         assert placed == []
-        assert (bank.inputs(X) @ bank.coefficient_matrix(placed)).shape == (4, 0)
+        bank, coefficients = metrics._flat_bank([], kernel, 3)
+        assert (bank.inputs(X) @ coefficients).shape == (4, 0)
         assert bank.biases.shape == (0,)
 
     @pytest.mark.parametrize("kernel", [KernelSpec("chi_square", 1.0),

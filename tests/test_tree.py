@@ -21,7 +21,7 @@ from atree import svm as svm_module
 from atree import tree as tree_module
 from atree.tree import (MODEL_SCHEMA_VERSION, Atree, AtreeConfig, EntropySplit,
                         InternalNode, LeafNode, attach_svms_phase2, binarize_labels,
-                        build_phase1, deserialize, entropy_split, iter_nodes,
+                        build_phase1, deserialize, entropy_split, iter_nodes, load,
                         node_cost, partition_samples, path_levels, predict, route,
                         serialize, to_dot, train_atree)
 from oracles import (brute_force_entropy_split, random_weighted_multiclass,
@@ -814,6 +814,14 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="malformed"):
             deserialize(f'{{"version": {MODEL_SCHEMA_VERSION}, "nodes": "nope"}}')
 
+    def test_text_that_is_not_utf8_rejected(self, tmp_path):
+        with pytest.raises(SchemaError, match="malformed"):
+            deserialize(b'{"version": "\xff"}')
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SchemaError, match=f"{path} is not UTF-8 text"):
+            load(path)
+
     def _doc(self, seed):
         return json.loads(serialize(self._random_tree(seed)[0]))
 
@@ -1077,7 +1085,7 @@ def _check_bank(tree):
     assert bank.rows.flags.f_contiguous
     assert bank.norms.tobytes() == squared_norms(bank.rows).tobytes()
     if tree.config.kernel.is_linear:
-        assert len(ids) == len(bank.rows) == bank.uncached == 0
+        assert len(ids) == len(bank.rows) == 0
         for node in internal:
             lo, hi, segment = spans[node.node_id]
             assert (lo, hi) == (0, tree.dimension)
@@ -1089,7 +1097,6 @@ def _check_bank(tree):
         for i in node.svm.sv_ids.tolist():
             keeper[i] = max(keeper.get(i, (0, 0)), (levels[node.node_id], k))
     assert ids.tolist() == sorted(keeper, key=lambda i: (keeper[i][1], i))
-    assert bank.uncached == sum(n.svm.n_support for n in internal)
     column = {i: c for c, i in enumerate(ids.tolist())}
     for node in internal:
         lo, hi, segment = spans[node.node_id]
