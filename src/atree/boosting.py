@@ -142,7 +142,8 @@ def train_stump(X, y, w, order=None):
     polarity +1. ``order`` is ``np.argsort(X, axis=0, kind="stable")`` or
     the Presort of X and y built from it; neither depends on ``w``, so
     boosting builds one Presort for all its rounds.
-    Returns (stump, weighted_error).
+    Returns (stump, weighted_error, predictions): the predictions are
+    ``stump.predict_batch(X)``, kept from the exact rescore that picked it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -171,10 +172,11 @@ def train_stump(X, y, w, order=None):
         k = idx // 2
         t = xs[f, 0] - 1.0 if k == 0 else (xs[f, k - 1] + xs[f, k]) / 2.0
         stump = DecisionStump(f, float(t), 1 if idx % 2 == 0 else -1)
-        return float(w[stump.predict_batch(X) != y].sum()), stump
+        predictions = stump.predict_batch(X)
+        return float(w[predictions != y].sum()), (stump, predictions)
 
-    err, stump = _argmin_rescored(scores, rescore)
-    return stump, err
+    err, (stump, predictions) = _argmin_rescored(scores, rescore)
+    return stump, err, predictions
 
 
 def adaboost_train(X, y, w, config, order=None):
@@ -186,6 +188,9 @@ def adaboost_train(X, y, w, config, order=None):
     alpha), or the first time eps exceeds gamma (round discarded,
     exited_early set). ``order`` is ``np.argsort(X, axis=0, kind="stable")``
     when the caller has it.
+    Returns (model, scores): scores are H over the rows of X, summed in
+    the same order as strong_score_batch(model, X), so they are equal bit
+    for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -196,22 +201,24 @@ def adaboost_train(X, y, w, config, order=None):
         raise ValidationError("weights must have positive total mass")
     w = w / total
     model = BoostedClassifier()
+    h = np.zeros(X.shape[0])
     presort = Presort.of(X, y, order)
     for _ in range(config.max_rounds):
-        stump, eps = train_stump(X, y, w, presort)
+        stump, eps, predictions = train_stump(X, y, w, presort)
         if eps > config.gamma:
             model.exited_early = True
             break
         model.round_errors.append(eps)
-        if eps < _MIN_WEIGHT_FLOOR:
-            floor = _MIN_WEIGHT_FLOOR
-            model.rounds.append((0.5 * math.log((1.0 - floor) / floor), stump))
-            break
-        alpha = 0.5 * math.log((1.0 - eps) / eps)
+        perfect = eps < _MIN_WEIGHT_FLOOR
+        e = _MIN_WEIGHT_FLOOR if perfect else eps
+        alpha = 0.5 * math.log((1.0 - e) / e)
         model.rounds.append((alpha, stump))
-        w = w * np.exp(-alpha * y * stump.predict_batch(X))
+        h += alpha * predictions
+        if perfect:
+            break
+        w = w * np.exp(-alpha * y * predictions)
         w = w / w.sum()
-    return model
+    return model, h
 
 
 def _check_dimension(model, dim):
@@ -236,15 +243,19 @@ def strong_score_batch(model, X):
 _PROB_CLAMP = 1e-15
 
 
-def prob_positive_batch(model, X):
-    """Logistic partition probabilities 1/(1 + exp(-H(x))), clamped into (0, 1)."""
-    h = strong_score_batch(model, X)
+def logistic(h):
+    """Partition probabilities 1/(1 + exp(-h)) of scores h, clamped into (0, 1)."""
     p = np.empty_like(h)
     pos = h >= 0
     p[pos] = 1.0 / (1.0 + np.exp(-h[pos]))
     e = np.exp(h[~pos])
     p[~pos] = e / (1.0 + e)
     return np.clip(p, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
+
+
+def prob_positive_batch(model, X):
+    """Logistic partition probabilities of the rows of X: logistic(H(x))."""
+    return logistic(strong_score_batch(model, X))
 
 
 def error_bound(model):

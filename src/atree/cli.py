@@ -4,13 +4,16 @@ Every command is deterministic given its inputs, flags, and --seed; logs can
 carry a timestamp line, suppressible with --no-timestamp. Exit codes: 0 on
 success, 2 on validation errors and on files that cannot be read or written
 (missing, undecodable, or in a missing directory), 3 on runtime failures.
+A command that fails leaves none of its output files behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -117,6 +120,36 @@ def _write_metrics(path, rows):
                 ([_fmt(row[c]) for c in METRIC_COLUMNS] for row in rows))
 
 
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Stand-ins for a command's output paths (None for an output it does
+    not write): an empty temporary file beside each, made before any work,
+    so an output that cannot be written fails the command before it starts.
+    The command writes each stand-in; once it has succeeded every stand-in
+    replaces its path, and if it fails they are all removed. A path that
+    exists but is no regular file, such as /dev/stdout or a pipe, is its
+    own stand-in and is written in place."""
+    temps = [path if path is None or os.path.exists(path) and not os.path.isfile(path)
+             else f"{path}.{os.getpid()}-{k}.tmp" for k, path in enumerate(paths)]
+    made = []
+    try:
+        for temp, path in zip(temps, paths):
+            if temp != path:
+                try:
+                    open(temp, "w").close()
+                except OSError as exc:
+                    raise type(exc)(exc.errno, exc.strerror, path) from None
+                made.append((temp, path))
+        yield temps
+        for temp, path in made:
+            os.replace(temp, path)
+    except BaseException:
+        for temp, _ in made:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
+
+
 def _say(args, message):
     if not getattr(args, "quiet", False):
         print(message)
@@ -128,12 +161,13 @@ def _say(args, message):
 
 def cmd_synth(args):
     seed = _resolve_run_config(args).seed
-    if args.kind == "two-cluster-2d":
-        data = generate_two_cluster_2d(args.count, seed)
-    else:
-        data = generate_gaussian_blobs(args.classes, args.per_class, args.dim,
-                                       args.spread, seed)
-    write_csv(data, args.out)
+    with _outputs(args.out) as (out,):
+        if args.kind == "two-cluster-2d":
+            data = generate_two_cluster_2d(args.count, seed)
+        else:
+            data = generate_gaussian_blobs(args.classes, args.per_class, args.dim,
+                                           args.spread, seed)
+        write_csv(data, out)
     _say(args, f"wrote {args.out}: samples={len(data)} classes={data.num_classes} "
                f"dimension={data.dimension}")
     return 0
@@ -186,13 +220,14 @@ def _training_log_lines(tree, include_timestamp):
 def cmd_train(args):
     run_config = _resolve_run_config(args)
     config = run_config.to_atree_config()
-    data = load_csv(args.train_csv, args.has_header)
-    tree = tr.train_atree(data, config)
-    tr.save(tree, args.out)
-    log_lines = _training_log_lines(tree, include_timestamp=not args.no_timestamp)
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(log_lines) + "\n")
+    with _outputs(args.out, args.log) as (out, log):
+        data = load_csv(args.train_csv, args.has_header)
+        tree = tr.train_atree(data, config)
+        tr.save(tree, out)
+        if log:
+            log_lines = _training_log_lines(tree, include_timestamp=not args.no_timestamp)
+            with open(log, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(log_lines) + "\n")
     n_nodes = sum(1 for _ in tr.iter_nodes(tree.root))
     _say(args, f"trained tree: nodes={n_nodes} depth={tree.depth} -> {args.out}")
     return 0
@@ -219,50 +254,51 @@ def _metrics_row(run, tree_delta, kernel_kind, reference, label_names):
 
 def cmd_eval(args):
     svm_config = _resolve_run_config(args).to_svm_config()
-    tree = tr.load(args.model)
-    # both files' labels are the model's classes
-    test = load_csv(args.test_csv, args.has_header, tree.label_names)
-    if test.dimension != tree.dimension:
-        raise ValidationError(f"model expects dimension {tree.dimension}, "
-                              f"test data has {test.dimension}")
-    atree_run = mt.evaluate_atree(tree, test)
-    kernel_kind = tree.config.kernel.kind
-    rows = []
-    reference = None
-    baseline_runs = []
-    if args.baseline != "none":
-        if not args.train_csv:
-            raise ValidationError("--baseline requires --train-csv to train the reference")
-        train = load_csv(args.train_csv, args.has_header, tree.label_names)
-        if train.dimension != tree.dimension:
+    with _outputs(args.out_metrics, args.out_traces) as (metrics_out, traces_out):
+        tree = tr.load(args.model)
+        # both files' labels are the model's classes
+        test = load_csv(args.test_csv, args.has_header, tree.label_names)
+        if test.dimension != tree.dimension:
             raise ValidationError(f"model expects dimension {tree.dimension}, "
-                                  f"--train-csv has {train.dimension}")
-        ova = mt.train_one_vs_all(train, tree.config.kernel, svm_config)
-        reference = mt.evaluate_one_vs_all(ova, test)
-        baseline_runs.append(reference)
-        if args.baseline == "ovo":
-            ovo = mt.train_one_vs_one(train, tree.config.kernel, svm_config)
-            baseline_runs.append(mt.evaluate_one_vs_one(ovo, test))
-    rows.append(_metrics_row(atree_run, tree.config.delta, kernel_kind, reference,
-                             tree.label_names))
-    for run in baseline_runs:
-        rows.append(_metrics_row(run, None, kernel_kind, reference, tree.label_names))
-    _write_metrics(args.out_metrics, rows)
-    if args.out_traces:
-        node_ids = [None] * len(test)
-        for group in atree_run.paths:
-            joined = ";".join(str(node.node_id) for node in group.nodes)
-            for row in group.rows.tolist():
-                node_ids[row] = joined
-        names = [str(name) for name in tree.label_names]
-        kernel = atree_run.kernel_computations
-        _write_rows(args.out_traces, TRACE_COLUMNS, zip(
-            map(str, range(len(test))),
-            [names[k] for k in test.labels.tolist()],
-            [names[k] for k in atree_run.predictions.tolist()],
-            map(str, atree_run.classifier_evaluations.tolist()),
-            [""] * len(test) if kernel is None else map(str, kernel.tolist()),
-            node_ids))
+                                  f"test data has {test.dimension}")
+        atree_run = mt.evaluate_atree(tree, test)
+        kernel_kind = tree.config.kernel.kind
+        rows = []
+        reference = None
+        baseline_runs = []
+        if args.baseline != "none":
+            if not args.train_csv:
+                raise ValidationError("--baseline requires --train-csv to train the reference")
+            train = load_csv(args.train_csv, args.has_header, tree.label_names)
+            if train.dimension != tree.dimension:
+                raise ValidationError(f"model expects dimension {tree.dimension}, "
+                                      f"--train-csv has {train.dimension}")
+            ova = mt.train_one_vs_all(train, tree.config.kernel, svm_config)
+            reference = mt.evaluate_one_vs_all(ova, test)
+            baseline_runs.append(reference)
+            if args.baseline == "ovo":
+                ovo = mt.train_one_vs_one(train, tree.config.kernel, svm_config)
+                baseline_runs.append(mt.evaluate_one_vs_one(ovo, test))
+        rows.append(_metrics_row(atree_run, tree.config.delta, kernel_kind, reference,
+                                 tree.label_names))
+        for run in baseline_runs:
+            rows.append(_metrics_row(run, None, kernel_kind, reference, tree.label_names))
+        _write_metrics(metrics_out, rows)
+        if traces_out:
+            node_ids = [None] * len(test)
+            for group in atree_run.paths:
+                joined = ";".join(str(node.node_id) for node in group.nodes)
+                for row in group.rows.tolist():
+                    node_ids[row] = joined
+            names = [str(name) for name in tree.label_names]
+            kernel = atree_run.kernel_computations
+            _write_rows(traces_out, TRACE_COLUMNS, zip(
+                map(str, range(len(test))),
+                [names[k] for k in test.labels.tolist()],
+                [names[k] for k in atree_run.predictions.tolist()],
+                map(str, atree_run.classifier_evaluations.tolist()),
+                [""] * len(test) if kernel is None else map(str, kernel.tolist()),
+                node_ids))
     _say(args, f"evaluated {len(test)} instances -> {args.out_metrics}")
     return 0
 
@@ -286,6 +322,14 @@ def _tradeoff_row(run_config, train, test):
 
 def cmd_sweep(args):
     run_config = _resolve_run_config(args)
+    with _outputs(args.out) as (out,):
+        rows = _sweep_rows(args, run_config)
+        _write_metrics(out, rows)
+    _say(args, f"swept {len(rows)} configurations -> {args.out}")
+    return 0
+
+
+def _sweep_rows(args, run_config):
     try:
         if args.deltas:
             if not (args.train_csv and args.test_csv):
@@ -308,9 +352,7 @@ def cmd_sweep(args):
         raise
     except Exception as exc:
         raise AtreeError(f"sweep entry failed: {exc}") from exc
-    _write_metrics(args.out, rows)
-    _say(args, f"swept {len(rows)} configurations -> {args.out}")
-    return 0
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +360,11 @@ def cmd_sweep(args):
 
 
 def cmd_export_tree(args):
-    tree = tr.load(args.model)
-    text = tr.to_dot(tree, max_depth=args.max_depth)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with _outputs(args.out) as (out,):
+        tree = tr.load(args.model)
+        text = tr.to_dot(tree, max_depth=args.max_depth)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     _say(args, f"wrote {args.out}")
     return 0
 

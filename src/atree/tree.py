@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boosting import (BoostConfig, BoostedClassifier, _argmin_rescored, adaboost_train,
-                       prob_positive_batch)
+                       logistic)
 from .errors import SchemaError, ValidationError, check_field_types
 from .svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
                   train_svm)
@@ -261,7 +261,9 @@ def _entropy(his):
 def entropy_split(X, labels, weights, num_classes, order=None):
     """Exhaustive minimum-entropy split over (feature, midpoint) candidates.
 
-    The splitting rule is the feature test x[f] < v. Ties break to the lowest
+    The splitting rule is the feature test x[f] < v, with v the midpoint of
+    two consecutive distinct values, or the upper one when the midpoint
+    rounds onto the lower (adjacent floats). Ties break to the lowest
     feature index, then the lowest threshold. Returns None when fewer than
     two classes are present or no candidate separates the samples.
     ``order`` is ``np.argsort(X, axis=0, kind="stable")`` when the caller
@@ -284,11 +286,13 @@ def entropy_split(X, labels, weights, num_classes, order=None):
     # terms: with own its class's mass up to and including it and rest the
     # mass beyond it, the class sums change by xlogx(own) - xlogx(own - w)
     # and xlogx(rest) - xlogx(rest + w). Grouping each row by class, value
-    # order kept, makes own a cumulative sum.
-    by_class = np.argsort(labels[rows], axis=1, kind="stable")
+    # order kept, makes own a cumulative sum. A stable sort has one answer,
+    # so it sorts the labels as the narrowest integers that hold them.
+    totals = np.bincount(labels, weights, num_classes)
+    keys = labels.astype(np.min_scalar_type(len(totals) - 1))
+    by_class = np.argsort(keys[rows], axis=1, kind="stable")
     grouped = np.take_along_axis(rows, by_class, axis=1)
     gl, gw = labels[grouped], weights[grouped]
-    totals = np.bincount(labels, weights, num_classes)
     own = np.cumsum(gw, axis=1) - (np.cumsum(totals) - totals)[gl]
     rest = totals[gl] - own
     change = _xlogx(own) - _xlogx(own - gw) + _xlogx(rest) - _xlogx(rest + gw)
@@ -302,7 +306,12 @@ def entropy_split(X, labels, weights, num_classes, order=None):
     scores = np.where(xs[:, 1:] != xs[:, :-1], scores[:, :-1], np.inf)
 
     def rescore(f, idx):
-        v = float((xs[f, idx] + xs[f, idx + 1]) / 2.0)
+        lo, hi = float(xs[f, idx]), float(xs[f, idx + 1])
+        # between adjacent floats the midpoint can round onto lo, and x < lo
+        # would put lo on the right, away from the side the sweep scored
+        v = (lo + hi) / 2.0
+        if v == lo:
+            v = hi
         left = X[:, f] < v
         split = EntropySplit(f, v, np.bincount(labels[left], weights[left], num_classes),
                              np.bincount(labels[~left], weights[~left], num_classes))
@@ -332,27 +341,28 @@ def binarize_labels(labels, split):
             sign_of[a], sign_of[b] = -1, 1
         else:
             sign_of[a], sign_of[b] = 1, -1
-    signs = np.array([sign_of[int(c)] for c in labels], dtype=np.int64)
-    return signs, sign_of
+    lookup = np.zeros(len(lm), dtype=np.int64)
+    lookup[list(sign_of)] = list(sign_of.values())
+    return lookup[labels], sign_of
 
 
-def partition_samples(X, boost, delta, ids=None):
+def partition_samples(p, delta, ids=None):
     """Route samples by the boosted classifier's confidence.
 
-    p = p(+1|x): p > delta goes right with weight 1; 1-p > delta goes left
-    with weight 1; anything else is starred and lands on both sides with
-    weights p (right) and 1-p (left). At delta = 0.5 the starred band is
-    empty and p = 0.5 ties route right, matching sign(H) with the 0 -> +1
-    rule. Each side's weights are renormalized to sum 1.
+    p holds each sample's partition probability p(+1|x), as
+    prob_positive_batch gives it: p > delta goes right with weight 1;
+    1-p > delta goes left with weight 1; anything else is starred and lands
+    on both sides with weights p (right) and 1-p (left). At delta = 0.5 the
+    starred band is empty and p = 0.5 ties route right, matching sign(H)
+    with the 0 -> +1 rule. Each side's weights are renormalized to sum 1.
     """
     if not 0.5 <= delta <= 1.0:
         raise ValidationError("delta must lie in [0.5, 1]")
-    X = np.asarray(X, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
     if ids is None:
-        ids = np.arange(X.shape[0], dtype=np.int64)
+        ids = np.arange(len(p), dtype=np.int64)
     else:
         ids = np.asarray(ids, dtype=np.int64)
-    p = prob_positive_batch(boost, X)
     if delta == 0.5:
         right_conf = p >= 0.5
         left_conf = ~right_conf
@@ -421,10 +431,10 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
     signs, sign_of = binarize_labels(labels, split)
     if len(set(sign_of.values())) < 2:
         return leaf()
-    boost = adaboost_train(X, signs, weights, config.boost, order)
+    boost, scores = adaboost_train(X, signs, weights, config.boost, order)
     if not boost.rounds:
         return leaf()
-    part = partition_samples(X, boost, config.delta, ids=ids)
+    part = partition_samples(logistic(scores), config.delta, ids=ids)
     if len(part.left_ids) == 0 or len(part.right_ids) == 0:
         return leaf()
     lo, ro = part.left_only_ids, part.right_only_ids

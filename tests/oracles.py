@@ -8,7 +8,7 @@ first, polarity +1 before -1), with strict-improvement selection.
 
 import numpy as np
 
-from atree.boosting import _TIE_SLACK, DecisionStump
+from atree.boosting import _MIN_WEIGHT_FLOOR, _TIE_SLACK, DecisionStump
 from atree.dataset import Dataset
 from atree.errors import ParseError, ValidationError
 from atree.svm import (_SV_EPS, KernelSvmModel, LinearSvmModel, SolverRecord,
@@ -161,6 +161,32 @@ def reference_train_stump(X, y, w, order=None):
 
     err, stump = _reference_argmin_rescored(scores.reshape(len(xs), -1), rescore)
     return stump, err
+
+
+def boost_ending(model):
+    """How boosting stopped: a gamma exit, a perfect round or the cap."""
+    if model.exited_early:
+        return "gamma"
+    return "perfect" if model.round_errors[-1] < _MIN_WEIGHT_FLOOR else "cap"
+
+
+def reference_binarize_labels(labels, split):
+    """tree.binarize_labels as first written: the sign of each sample looked
+    up in the class-to-sign map one sample at a time, so a label the map
+    lacks raises KeyError. The library's lookup must give the same signs."""
+    lm, rm = split.left_masses, split.right_masses
+    present = np.flatnonzero(lm + rm > 0)
+    sign_of = {int(k): (-1 if lm[k] >= rm[k] else 1) for k in present}
+    if len(present) == 2 and len(set(sign_of.values())) == 1:
+        a, b = (int(present[0]), int(present[1]))
+        share_a = lm[a] / (lm[a] + rm[a])
+        share_b = lm[b] / (lm[b] + rm[b])
+        if share_a >= share_b:
+            sign_of[a], sign_of[b] = -1, 1
+        else:
+            sign_of[a], sign_of[b] = 1, -1
+    signs = np.array([sign_of[int(c)] for c in labels], dtype=np.int64)
+    return signs, sign_of
 
 
 def hinge_objective(w_vec, b, X, y, c):

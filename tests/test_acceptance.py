@@ -50,13 +50,13 @@ def test_criterion_01_boosting_oracle_suite():
         w = rng.uniform(0.1, 1.0, size=n)
         w /= w.sum()
 
-        stump, err = train_stump(X, y, w)
+        stump, err, _ = train_stump(X, y, w)
         o_err, o_f, o_t, o_p = brute_force_stump(X, y, w)
         assert (stump.feature_index, stump.threshold, stump.polarity) == (o_f, o_t, o_p)
         assert err == o_err
 
         uniform = np.full(n, 1.0 / n)
-        model = adaboost_train(X, y, uniform, BoostConfig(max_rounds=10))
+        model, _ = adaboost_train(X, y, uniform, BoostConfig(max_rounds=10))
         current = uniform.copy()
         for t, (alpha, st) in enumerate(model.rounds):
             if model.round_errors[t] == 0.0:
@@ -110,7 +110,7 @@ def test_criterion_02_partition_rule_identities():
         boost, X, p = _spread_node(rng)
         ids = np.arange(len(X))
         for delta in DELTAS:
-            part = partition_samples(X, boost, delta, ids=ids)
+            part = partition_samples(p, delta, ids=ids)
             left = set(part.left_ids.tolist())
             right = set(part.right_ids.tolist())
             star = set(part.star_ids.tolist())

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -11,7 +11,7 @@ from atree.boosting import (BoostConfig, BoostedClassifier, DecisionStump,
                             adaboost_train, error_bound, prob_positive_batch,
                             strong_score_batch, train_stump)
 from atree.errors import ValidationError
-from oracles import brute_force_stump
+from oracles import boost_ending, brute_force_stump
 
 # Unbalanced four-corner pattern: the best stump is the constant +1 vote,
 # which still misclassifies the two negative corners (weight 0.25).
@@ -38,12 +38,12 @@ class TestTrainStump:
     def test_separable_1d(self):
         X = np.array([[-1.0], [0.0], [1.0], [2.0]])
         y = np.array([1, 1, -1, -1])
-        stump, err = train_stump(X, y, np.full(4, 0.25))
+        stump, err, _ = train_stump(X, y, np.full(4, 0.25))
         assert (stump.feature_index, stump.threshold, stump.polarity) == (0, 0.5, -1)
         assert err == 0.0
 
     def test_xor_pattern_matches_brute_force(self):
-        stump, err = train_stump(XOR_X, XOR_Y, XOR_W)
+        stump, err, _ = train_stump(XOR_X, XOR_Y, XOR_W)
         oracle = brute_force_stump(XOR_X, XOR_Y, XOR_W)
         assert err == pytest.approx(0.25, abs=1e-15)
         assert (err, stump.feature_index, stump.threshold, stump.polarity) == oracle
@@ -55,7 +55,7 @@ class TestTrainStump:
         y[0] = 1
         w = np.full(11, 0.003)
         w[0] = 0.97
-        stump, err = train_stump(X, y, w)
+        stump, err, _ = train_stump(X, y, w)
         assert stump.predict_batch(X[:1])[0] == 1
         assert err <= 0.03 + 1e-12
 
@@ -68,7 +68,7 @@ class TestTrainStump:
             y = np.where(rng.random(n) > 0.5, 1, -1)
             w = rng.uniform(0.1, 1.0, size=n)
             w /= w.sum()
-            stump, err = train_stump(X, y, w)
+            stump, err, _ = train_stump(X, y, w)
             o_err, o_f, o_t, o_p = brute_force_stump(X, y, w)
             assert (stump.feature_index, stump.threshold, stump.polarity) == (o_f, o_t, o_p)
             assert err == o_err
@@ -76,7 +76,7 @@ class TestTrainStump:
     def test_all_labels_identical_gives_zero_error_constant(self):
         X = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1, 1, 1])
-        stump, err = train_stump(X, y, np.full(3, 1 / 3))
+        stump, err, _ = train_stump(X, y, np.full(3, 1 / 3))
         assert err == 0.0
         assert (stump.predict_batch(X) == 1).all()
 
@@ -84,7 +84,7 @@ class TestTrainStump:
         # both features separate perfectly; feature 0 must win
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         y = np.array([-1, 1])
-        stump, err = train_stump(X, y, np.array([0.5, 0.5]))
+        stump, err, _ = train_stump(X, y, np.array([0.5, 0.5]))
         assert err == 0.0
         assert stump.feature_index == 0
 
@@ -93,7 +93,7 @@ class TestTrainStump:
     @given(tied_stump_inputs())
     def test_matches_brute_force_on_tied_values(self, inputs):
         X, y, w = inputs
-        stump, err = train_stump(X, y, w)
+        stump, err, _ = train_stump(X, y, w)
         o_err, o_f, o_t, o_p = brute_force_stump(X, y, w)
         assert (stump.feature_index, stump.threshold, stump.polarity) == (o_f, o_t, o_p)
         assert err == o_err
@@ -103,7 +103,10 @@ class TestTrainStump:
     def test_presorted_order_gives_the_same_stump(self, inputs):
         X, y, w = inputs
         order = np.argsort(X, axis=0, kind="stable")
-        assert train_stump(X, y, w, order) == train_stump(X, y, w)
+        stump, err, predictions = train_stump(X, y, w, order)
+        expected = train_stump(X, y, w)
+        assert (stump, err) == expected[:2]
+        np.testing.assert_array_equal(predictions, expected[2])
 
 
 class TestAdaboost:
@@ -124,13 +127,13 @@ class TestAdaboost:
             return train_stump(X, y, w, order)
 
         monkeypatch.setattr(boosting, "train_stump", counted)
-        model = adaboost_train(X, y, np.full(30, 1 / 30), config)
+        model, _ = adaboost_train(X, y, np.full(30, 1 / 30), config)
         assert len(orders) == searches == len(model.round_errors) + model.exited_early
         assert all(o is orders[0] for o in orders)
         np.testing.assert_array_equal(orders[0].rows, np.argsort(X, axis=0, kind="stable").T)
 
     def test_alpha_matches_formula_at_quarter_error(self):
-        model = adaboost_train(XOR_X, XOR_Y, XOR_W, BoostConfig(max_rounds=1))
+        model, _ = adaboost_train(XOR_X, XOR_Y, XOR_W, BoostConfig(max_rounds=1))
         assert model.round_errors[0] == pytest.approx(0.25, abs=1e-15)
         expected = 0.5 * math.log((1 - 0.25) / 0.25)   # 0.5*ln(3)
         assert abs(model.rounds[0][0] - expected) < 1e-12
@@ -139,7 +142,7 @@ class TestAdaboost:
     def test_separable_data_stops_after_one_perfect_round(self):
         X = np.array([[-1.0], [0.0], [1.0], [2.0]])
         y = np.array([1, 1, -1, -1])
-        model = adaboost_train(X, y, np.full(4, 0.25), BoostConfig(max_rounds=50))
+        model, _ = adaboost_train(X, y, np.full(4, 0.25), BoostConfig(max_rounds=50))
         assert len(model.rounds) == 1
         assert model.round_errors == [0.0]
         assert not model.exited_early
@@ -154,7 +157,7 @@ class TestAdaboost:
         w = np.full(m, 1 / m)
         best_err = brute_force_stump(X, y, w)[0]
         assert best_err >= 0.49
-        model = adaboost_train(X, y, w, BoostConfig(max_rounds=10, gamma=0.48))
+        model, _ = adaboost_train(X, y, w, BoostConfig(max_rounds=10, gamma=0.48))
         assert model.exited_early
         assert model.rounds == []
         assert model.round_errors == []
@@ -162,7 +165,7 @@ class TestAdaboost:
     def test_single_label_input_ends_on_one_perfect_round(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([1, 1])
-        model = adaboost_train(X, y, np.array([0.5, 0.5]), BoostConfig())
+        model, _ = adaboost_train(X, y, np.array([0.5, 0.5]), BoostConfig())
         assert model.round_errors == [0.0]
         assert len(model.rounds) == 1
         assert strong_score_batch(model, np.array([[5.0]]))[0] > 10
@@ -172,7 +175,7 @@ class TestAdaboost:
         X = rng.normal(size=(40, 3))
         y = np.where(X @ np.array([1.0, -0.5, 0.2]) + 0.4 * rng.normal(size=40) > 0, 1, -1)
         w = np.full(40, 1 / 40)
-        model = adaboost_train(X, y, w, BoostConfig(max_rounds=8))
+        model, _ = adaboost_train(X, y, w, BoostConfig(max_rounds=8))
         current = w.copy()
         for t, (alpha, stump) in enumerate(model.rounds):
             eps = model.round_errors[t]
@@ -191,7 +194,7 @@ class TestAdaboost:
             y = np.where(rng.random(30) > 0.5, 1, -1)
             if len(np.unique(y)) < 2:
                 continue
-            model = adaboost_train(X, y, np.full(30, 1 / 30), BoostConfig(max_rounds=12))
+            model, _ = adaboost_train(X, y, np.full(30, 1 / 30), BoostConfig(max_rounds=12))
             assert all(alpha > 0 for alpha, _ in model.rounds)
 
     def test_bad_labels_rejected(self):
@@ -204,6 +207,57 @@ class TestAdaboost:
             BoostConfig(gamma=0.6)
         with pytest.raises(ValidationError):
             BoostConfig(max_rounds=0)
+
+
+@st.composite
+def boosting_problems(draw, ending):
+    """Inputs and a config steered toward one ending: labels a stump
+    separates end on a perfect round; random labels under gamma 0.5 run to
+    a cap of 1 to 6 rounds, and under a lower gamma and a cap of 50 they
+    exit on gamma."""
+    n = draw(st.integers(2 if ending == "perfect" else 8, 40))
+    d = draw(st.integers(1, 3))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=st.integers(-3, 3).map(float)
+                        | st.floats(-5, 5, allow_subnormal=False)))
+    if ending == "perfect":
+        y = np.where(X[:, draw(st.integers(0, d - 1))] > draw(st.floats(-4, 4)), 1, -1)
+        config = BoostConfig(max_rounds=draw(st.integers(1, 10)))
+    else:
+        y = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+        config = (BoostConfig(max_rounds=draw(st.integers(1, 6)), gamma=0.5)
+                  if ending == "cap" else
+                  BoostConfig(max_rounds=50, gamma=draw(st.floats(0.25, 0.45))))
+    w = 10.0 ** draw(hnp.arrays(np.float64, n, elements=st.floats(-3, 0)))
+    return X, y, w, config
+
+
+class TestHandedScores:
+    """Boosting keeps each round's predictions from the stump search and sums
+    H from them, so routing needs no second pass over the stumps."""
+
+    @pytest.mark.parametrize("ending", ["cap", "gamma", "perfect"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scores_and_predictions_are_the_stumps(self, ending, data):
+        X, y, w, config = data.draw(boosting_problems(ending))
+        searched = []
+
+        def checked(X, y, w, order=None):
+            stump, err, predictions = train_stump(X, y, w, order)
+            searched.append((stump, predictions))
+            return stump, err, predictions
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boosting, "train_stump", checked)
+            model, scores = adaboost_train(X, y, w, config)
+        assume(boost_ending(model) == ending)
+        for stump, predictions in searched:
+            expected = stump.predict_batch(X)
+            assert np.array_equal(predictions, expected)
+            assert predictions.dtype == expected.dtype
+        h = strong_score_batch(model, X)
+        assert np.array_equal(scores, h)
+        assert scores.tobytes() == h.tobytes()
 
 
 class TestScoring:
@@ -255,7 +309,7 @@ class TestScoring:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(25, 2))
         y = np.where(X[:, 0] > 0, 1, -1)
-        model = adaboost_train(X, y, np.full(25, 1 / 25), BoostConfig(max_rounds=5))
+        model, _ = adaboost_train(X, y, np.full(25, 1 / 25), BoostConfig(max_rounds=5))
         mirrored = BoostedClassifier(rounds=[(-alpha, s) for alpha, s in model.rounds])
         total = prob_positive_batch(model, X) + prob_positive_batch(mirrored, X)
         np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
@@ -288,7 +342,7 @@ class TestErrorBound:
             if len(np.unique(y)) < 2:
                 continue
             w = np.full(n, 1 / n)
-            model = adaboost_train(X, y, w, BoostConfig(max_rounds=10))
+            model, _ = adaboost_train(X, y, w, BoostConfig(max_rounds=10))
             if not model.rounds:
                 continue
             h = np.zeros(n)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -632,6 +635,70 @@ class TestFileErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestNoOutputOnFailure:
+    """A command that fails leaves none of its outputs behind: no file it
+    would have written, no stand-in, and an earlier file at an output path
+    unchanged."""
+
+    @pytest.mark.parametrize("argv,outputs", [
+        (("eval", "{model}", "{test}", "--out-metrics", "{tmp}/o.csv",
+          "--out-traces", "{tmp}/nodir/t.csv"), ["o.csv"]),
+        (("train", "{train}", "--out", "{tmp}/m.json", "--log", "{tmp}/nodir/log.txt"),
+         ["m.json"]),
+        (("eval", "{model}", "{undecodable}", "--out-metrics", "{tmp}/o.csv",
+          "--out-traces", "{tmp}/t.csv"), ["o.csv", "t.csv"]),
+        (("train", "{undecodable}", "--out", "{tmp}/m.json", "--log", "{tmp}/log.txt"),
+         ["m.json", "log.txt"]),
+        (("sweep", "--train-csv", "{train}", "--test-csv", "{undecodable}", "--deltas", "0.7",
+          "--out", "{tmp}/s.csv"), ["s.csv"]),
+        (("export-tree", "{undecodable}", "--out", "{tmp}/x.dot"), ["x.dot"]),
+    ], ids=["eval-traces-in-missing-directory", "train-log-in-missing-directory",
+            "eval-undecodable-csv", "train-undecodable-csv", "sweep-undecodable-csv",
+            "export-tree-undecodable-model"])
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "over-earlier-file"])
+    def test_exits_2_and_writes_nothing(self, blob_csvs, tmp_path, capsys, argv, outputs,
+                                        earlier):
+        train, test = blob_csvs
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 2) == 0
+        undecodable = tmp_path / "undecodable"
+        undecodable.write_bytes(b"\xff\xfe0,1.0\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in outputs if earlier else ():
+            (out / name).write_text("earlier\n")
+        capsys.readouterr()
+        paths = {"tmp": out, "train": train, "test": test, "model": model,
+                 "undecodable": undecodable}
+        assert run("--quiet", *(a.format(**paths) for a in argv)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        expected = {name: "earlier\n" for name in outputs} if earlier else {}
+        assert {p.name: p.read_text() for p in out.iterdir()} == expected
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(pipe.read_text()), daemon=True)
+        reader.start()
+        assert run("--quiet", "synth", "blobs", "--classes", 2, "--per-class", 3,
+                   "--dim", 2, "--out", pipe) == 0
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert read[0].count("\n") == 6
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_outputs_appear_only_on_success(self, blob_csvs, tmp_path):
+        train, test = blob_csvs
+        assert run("--quiet", "train", train, "--out", tmp_path / "m.json",
+                   "--log", tmp_path / "log.txt", "--max-depth", 2, "--no-timestamp") == 0
+        assert run("--quiet", "eval", tmp_path / "m.json", test,
+                   "--out-metrics", tmp_path / "o.csv", "--out-traces", tmp_path / "t.csv") == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["log.txt", "m.json", "o.csv", "t.csv", "test.csv", "train.csv"]
 
 
 class TestExportTree:

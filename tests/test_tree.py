@@ -5,13 +5,13 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from atree import boosting
 from atree.boosting import (BoostConfig, BoostedClassifier, DecisionStump, Presort,
-                            adaboost_train, train_stump)
+                            adaboost_train, prob_positive_batch, train_stump)
 from atree.dataset import (Dataset, generate_gaussian_blobs, generate_two_cluster_2d,
                            split_train_test)
 from atree.errors import SchemaError, ValidationError
@@ -24,10 +24,26 @@ from atree.tree import (MODEL_SCHEMA_VERSION, Atree, AtreeConfig, EntropySplit,
                         build_phase1, deserialize, entropy_split, iter_nodes, load,
                         node_cost, partition_samples, path_levels, predict, route,
                         serialize, to_dot, train_atree)
-from oracles import (brute_force_entropy_split, random_weighted_multiclass,
-                     reference_entropy_split, reference_predict, reference_train_stump)
+from oracles import (boost_ending, brute_force_entropy_split, random_weighted_multiclass,
+                     reference_binarize_labels, reference_entropy_split, reference_predict,
+                     reference_train_stump)
 
 LN2 = math.log(2.0)
+
+
+@st.composite
+def tied_multiclass_inputs(draw):
+    """Features on a small integer grid, so values repeat often, with some
+    columns held constant; 2 to 20 classes and positive weights spread over
+    six orders of magnitude, summing to 1."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 20))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=st.integers(-3, 3).map(float)))
+    X[:, draw(hnp.arrays(np.bool_, d))] = draw(st.integers(-3, 3))
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    w = 10.0 ** draw(hnp.arrays(np.float64, n, elements=st.floats(-6, 0)))
+    return X, labels, w / w.sum(), k
 
 
 class TestEntropySplit:
@@ -54,6 +70,18 @@ class TestEntropySplit:
         oracle = brute_force_entropy_split(X, labels, w, 4)
         assert split.objective == pytest.approx(oracle[0], abs=1e-12)
         assert (split.feature_index, split.threshold) == (oracle[1], oracle[2])
+
+    def test_adjacent_values_split_between_them(self):
+        # the midpoint of -4.0 and the next float up rounds onto -4.0, and
+        # x < -4.0 would leave the left side empty
+        lo = -4.0
+        hi = float(np.nextafter(lo, 0.0))
+        assert (lo + hi) / 2.0 == lo
+        X = np.array([[lo], [hi], [1.0], [2.0]])
+        split = entropy_split(X, np.array([0, 1, 1, 1]), np.full(4, 0.25), 2)
+        assert (split.feature_index, split.threshold) == (0, hi)
+        np.testing.assert_array_equal(split.left_masses, [0.25, 0.0])
+        assert split.objective == 0.0
 
     def test_identical_samples_unsplittable(self):
         X = np.ones((6, 2))
@@ -105,6 +133,35 @@ class TestEntropySplit:
         assert split.left_masses.sum() + split.right_masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("num_classes,top", [
+        (300, 299),        # more than 256 classes: 16-bit keys
+        (256, 255),        # the largest id 8-bit keys hold
+        (257, 256),        # one past it
+        (65536, 65535),    # the largest id 16-bit keys hold
+        (65537, 65536),    # one past it: 32-bit keys
+    ])
+    def test_narrow_class_keys_match_brute_force(self, num_classes, top):
+        # the sweep groups each feature's samples by class with a stable sort
+        # of the narrowest integer keys that hold the class ids
+        rng = np.random.default_rng(top)
+        if num_classes == 300:
+            labels = rng.permutation(np.arange(600) % 300)
+        else:
+            # ids at both ends of the key type, each often enough to matter
+            labels = rng.choice([0, 1, 2, top - 1, top], size=90)
+        X = rng.integers(-30, 31, size=(len(labels), 3)).astype(np.float64)
+        w = rng.uniform(0.1, 1.0, size=len(labels))
+        w /= w.sum()
+        split = entropy_split(X, labels, w, num_classes)
+        oracle = brute_force_entropy_split(X, labels, w, num_classes)
+        assert split.objective == pytest.approx(oracle[0], abs=1e-12)
+        assert (split.feature_index, split.threshold) == (oracle[1], oracle[2])
+        if num_classes < 65536:
+            expected = reference_entropy_split(X, labels, w, num_classes)
+            assert split.left_masses.tobytes() == expected.left_masses.tobytes()
+            assert split.right_masses.tobytes() == expected.right_masses.tobytes()
+
+
 class TestBinarize:
     def _split_on_feature0(self, X, labels, w, k):
         return entropy_split(X, labels, w, k)
@@ -135,6 +192,20 @@ class TestBinarize:
             _, mapping = binarize_labels(labels, split)
             assert sorted(mapping.values()) == [-1, 1]
 
+    @settings(max_examples=200, deadline=None)
+    @given(tied_multiclass_inputs(), st.integers(1, 4))
+    def test_lookup_matches_the_per_sample_loop(self, inputs, stride):
+        # class ids spaced stride apart leave every id in between absent
+        X, labels, w, k = inputs
+        labels = labels * stride
+        split = entropy_split(X, labels, w, k * stride)
+        assume(split is not None)
+        signs, mapping = binarize_labels(labels, split)
+        expected_signs, expected_mapping = reference_binarize_labels(labels, split)
+        assert mapping == expected_mapping
+        assert signs.dtype == expected_signs.dtype
+        assert signs.tobytes() == expected_signs.tobytes()
+
 
 def _soft_boost(seed=0, n=60, rounds=2):
     """A boosted model whose probabilities spread across (0.1, 0.9)."""
@@ -143,7 +214,7 @@ def _soft_boost(seed=0, n=60, rounds=2):
     y = np.where(X[:, 0] + 0.8 * rng.normal(size=n) > 0, 1, -1)
     if len(np.unique(y)) < 2:
         y[0] = -y[0]
-    model = adaboost_train(X, y, np.full(n, 1 / n), BoostConfig(max_rounds=rounds))
+    model, _ = adaboost_train(X, y, np.full(n, 1 / n), BoostConfig(max_rounds=rounds))
     return model, X
 
 
@@ -152,7 +223,7 @@ class TestPartition:
         stump = DecisionStump(0, 0.0, 1)
         boost = BoostedClassifier(rounds=[(3.0, stump)])   # p(+) ~ 0.95 for x>0
         X = np.array([[1.0], [-1.0]])
-        part = partition_samples(X, boost, 0.8)
+        part = partition_samples(prob_positive_batch(boost, X), 0.8)
         assert part.right_only_ids.tolist() == [0]
         assert part.left_only_ids.tolist() == [1]
         assert part.star_ids.tolist() == []
@@ -164,7 +235,7 @@ class TestPartition:
         boost = BoostedClassifier(rounds=[(alpha, stump)])
         X = np.array([[1.0], [1.0], [-1.0]])
         p = 1.0 / (1.0 + math.exp(-alpha))
-        part = partition_samples(X, boost, 0.8)
+        part = partition_samples(prob_positive_batch(boost, X), 0.8)
         assert part.star_ids.tolist() == [0, 1, 2]
         # all three are starred; right weights are (p, p, 1-p) normalized
         expect_right = np.array([p, p, 1 - p])
@@ -176,24 +247,23 @@ class TestPartition:
 
     def test_half_delta_routes_by_score_sign_with_empty_star(self):
         boost, X = _soft_boost(seed=2)
-        part = partition_samples(X, boost, 0.5)
+        part = partition_samples(prob_positive_batch(boost, X), 0.5)
         assert len(part.star_ids) == 0
         assert set(part.left_ids.tolist()) | set(part.right_ids.tolist()) == set(range(len(X)))
         assert set(part.left_ids.tolist()) & set(part.right_ids.tolist()) == set()
 
     def test_delta_one_duplicates_everything(self):
         boost, X = _soft_boost(seed=3)
-        part = partition_samples(X, boost, 1.0)
+        part = partition_samples(prob_positive_batch(boost, X), 1.0)
         assert part.star_ids.tolist() == list(range(len(X)))
         assert part.left_ids.tolist() == list(range(len(X)))
         assert part.right_ids.tolist() == list(range(len(X)))
 
     def test_star_band_identity(self):
-        from atree.boosting import prob_positive_batch
         boost, X = _soft_boost(seed=4)
         p = prob_positive_batch(boost, X)
         for delta in (0.6, 0.75, 0.9):
-            part = partition_samples(X, boost, delta)
+            part = partition_samples(p, delta)
             band = set(np.flatnonzero((p >= 1 - delta) & (p <= delta)).tolist())
             assert set(part.star_ids.tolist()) == band
 
@@ -201,7 +271,7 @@ class TestPartition:
         boost, X = _soft_boost(seed=5)
         ids = np.arange(len(X)) + 1000
         for delta in (0.5, 0.7, 1.0):
-            part = partition_samples(X, boost, delta, ids=ids)
+            part = partition_samples(prob_positive_batch(boost, X), delta, ids=ids)
             assert set(part.left_ids.tolist()) | set(part.right_ids.tolist()) == set(ids.tolist())
             assert (set(part.left_ids.tolist()) & set(part.right_ids.tolist())
                     == set(part.star_ids.tolist()))
@@ -209,7 +279,7 @@ class TestPartition:
     def test_invalid_delta_rejected(self):
         boost, X = _soft_boost(seed=6)
         with pytest.raises(ValidationError):
-            partition_samples(X, boost, 0.49)
+            partition_samples(prob_positive_batch(boost, X), 0.49)
 
 
 SPLICE_DATA = generate_gaussian_blobs(4, 30, 3, 0.8, seed=12)
@@ -223,8 +293,8 @@ def _forge_one_sided_root(monkeypatch, emptied):
     real = tree_module.partition_samples
     forged = []
 
-    def one_sided_at_root(X, boost, delta, ids=None):
-        part = real(X, boost, delta, ids=ids)
+    def one_sided_at_root(p, delta, ids=None):
+        part = real(p, delta, ids=ids)
         if not forged:
             for side in ("left_only_ids", "right_only_ids"):
                 if emptied in (side, "both"):
@@ -364,19 +434,10 @@ class TestBuildPhase1:
                          weights=np.array([]))
 
 
-@st.composite
-def tied_multiclass_inputs(draw):
-    """Features on a small integer grid, so values repeat often, with some
-    columns held constant; 2 to 20 classes and positive weights spread over
-    six orders of magnitude, summing to 1."""
-    n = draw(st.integers(2, 60))
-    d = draw(st.integers(1, 5))
-    k = draw(st.integers(2, 20))
-    X = draw(hnp.arrays(np.float64, (n, d), elements=st.integers(-3, 3).map(float)))
-    X[:, draw(hnp.arrays(np.bool_, d))] = draw(st.integers(-3, 3))
-    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
-    w = 10.0 ** draw(hnp.arrays(np.float64, n, elements=st.floats(-6, 0)))
-    return X, labels, w / w.sum(), k
+def _with_predictions(stump, err, X):
+    """A (stump, error) search result as train_stump returns it: with the
+    stump's predictions on X."""
+    return stump, err, stump.predict_batch(np.asarray(X, dtype=np.float64))
 
 
 def _phase_one_record(node):
@@ -411,8 +472,8 @@ class TestPhaseOneScans:
             assert split.right_masses.tobytes() == expected.right_masses.tobytes()
         y = np.where(labels % 2 == 1, 1, -1)
         stump, err = reference_train_stump(X, y, w)
-        assert train_stump(X, y, w, Presort.of(X, y, order)) == (stump, err)
-        assert train_stump(X, y, w) == (stump, err)
+        assert train_stump(X, y, w, Presort.of(X, y, order))[:2] == (stump, err)
+        assert train_stump(X, y, w)[:2] == (stump, err)
 
     def test_benchmark_scale_tree_equals_the_references(self, monkeypatch):
         data = generate_gaussian_blobs(16, 100, 8, 1.2, seed=3)
@@ -424,13 +485,62 @@ class TestPhaseOneScans:
                             lambda X, labels, w, k, order=None:
                             reference_entropy_split(X, labels, w, k))
         monkeypatch.setattr(boosting, "train_stump",
-                            lambda X, y, w, order=None: reference_train_stump(X, y, w))
+                            lambda X, y, w, order=None: _with_predictions(
+                                *reference_train_stump(X, y, w), X))
         expected = train_atree(train, config)
         monkeypatch.undo()
         assert len(list(iter_nodes(tree.root))) > 60
         assert serialize(tree) == serialize(expected)
         assert ([_phase_one_record(n) for n in iter_nodes(tree.root)]
                 == [_phase_one_record(n) for n in iter_nodes(expected.root)])
+
+
+@st.composite
+def phase_one_problems(draw, ending):
+    """A small multiclass dataset and a tree config steered toward nodes
+    whose boosting ends one way: classes laid out along one feature give
+    separable nodes (perfect rounds); random classes under gamma 0.5 and a
+    cap of 1 to 4 rounds run to the cap, and under gamma 0.3 exit on gamma."""
+    n = draw(st.integers(12, 60))
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 5))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=st.integers(-3, 3).map(float)
+                        | st.floats(-4, 4, allow_subnormal=False), fill=st.nothing()))
+    if ending == "perfect":
+        labels = np.digitize(X[:, 0], np.linspace(-4, 4, k + 1)[1:-1])
+    else:
+        labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1),
+                                 fill=st.nothing()))
+    labels[:2] = 0, 1
+    w = 10.0 ** draw(hnp.arrays(np.float64, n, elements=st.floats(-3, 0)))
+    boost = (BoostConfig(max_rounds=draw(st.integers(1, 4)), gamma=0.5) if ending == "cap"
+             else BoostConfig(max_rounds=20, gamma=0.3 if ending == "gamma" else 0.48))
+    config = AtreeConfig(delta=draw(st.sampled_from([0.5, 0.55, 0.6, 0.7])),
+                         max_depth=draw(st.integers(2, 5)), min_node_samples=2, boost=boost)
+    return Dataset(X, labels, w, k), config
+
+
+class TestPhaseOneRouting:
+    """Phase one routes each node by the scores boosting summed while it
+    trained, which are the ones its stumps give."""
+
+    @pytest.mark.parametrize("ending", ["cap", "gamma", "perfect"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_partitions_are_the_boosted_classifiers(self, ending, data):
+        data, config = data.draw(phase_one_problems(ending))
+        root = build_phase1(data, config)
+        internal = [n for n in iter_nodes(root) if isinstance(n, InternalNode)]
+        assume(any(boost_ending(n.boost) == ending for n in internal))
+        for node in internal:
+            part = node.partition
+            # a node's samples arrive in ascending id order
+            ids = np.union1d(part.left_ids, part.right_ids)
+            expected = partition_samples(
+                prob_positive_batch(node.boost, data.features[ids]), config.delta, ids)
+            for f in fields(part):
+                got, want = getattr(part, f.name), getattr(expected, f.name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
 
 
 class TestPhase2:
