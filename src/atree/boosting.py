@@ -29,15 +29,15 @@ _MIN_WEIGHT_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class DecisionStump:
-    """Single-feature threshold test: +1 when polarity*(x[f] - t) > 0, else -1."""
+    """Single-feature threshold test: -polarity when x[f] < t, else polarity."""
 
     feature_index: int
     threshold: float
     polarity: int
 
     def predict_batch(self, X):
-        s = self.polarity * (X[:, self.feature_index] - self.threshold)
-        return np.where(s > 0, 1, -1)
+        return np.where(X[:, self.feature_index] < self.threshold, -self.polarity,
+                        self.polarity)
 
 
 @dataclass
@@ -103,91 +103,88 @@ def _argmin_rescored(scores, rescore):
 
 @dataclass(frozen=True, eq=False)
 class Presort:
-    """What every stump search on one (X, y) shares, whatever the weights.
+    """The sorted view of a node's X that its entropy split and stump
+    searches share, whatever the labels and weights.
 
-    Row f of ``rows`` lists the samples in ascending order of feature f
-    (``order.T`` for the stable argsort ``order`` of X's columns), row f of
-    ``values`` their values and row f of ``signs`` their labels as +-1.0.
-    ``positive`` is the positive-label mask as 1.0 and 0.0, and ``ties``
-    holds the flat indices, in the (features, 2n) stump scores, of the cuts
-    between equal values.
+    Row f of ``rows`` lists the samples in stable ascending order of
+    feature f and row f of ``values`` their values; ``ties[f, k - 1]``
+    marks sorted positions k - 1 and k as equal, so no cut falls between.
     """
 
     rows: np.ndarray
     values: np.ndarray
-    signs: np.ndarray
-    positive: np.ndarray
     ties: np.ndarray
 
     @classmethod
-    def of(cls, X, y, order=None):
-        if order is None:
-            order = np.argsort(X, axis=0, kind="stable")
-        rows = order.T
+    def of(cls, X):
+        rows = np.argsort(X, axis=0, kind="stable").T
         values = np.take_along_axis(X.T, rows, axis=1)
-        positive = (y > 0).astype(np.float64)
-        # the cut before sorted position k of feature f scores at 2k and 2k+1
-        f, k = np.nonzero(values[:, 1:] == values[:, :-1])
-        at = 2 * (f * values.shape[1] + k + 1)
-        return cls(rows, values, 2.0 * positive[rows] - 1.0, positive,
-                   np.concatenate([at, at + 1]))
+        return cls(rows, values, values[:, 1:] == values[:, :-1])
+
+    def threshold(self, f, k):
+        """The cut before sorted position k of feature f: for k = 0 a value
+        no sample lies below, otherwise the midpoint of positions k - 1 and
+        k, or the upper value when the midpoint rounds onto the lower
+        (adjacent floats) or overflows. Unless position k ties with k - 1,
+        x < t holds for exactly the samples sorted before k."""
+        if k == 0:
+            return float(self.values[f, 0]) - 1.0
+        lo, hi = float(self.values[f, k - 1]), float(self.values[f, k])
+        v = (lo + hi) / 2.0
+        return v if lo < v <= hi else hi
 
 
-def train_stump(X, y, w, order=None):
+def train_stump(X, y, w, presort=None):
     """Exhaustive weighted-error-minimizing stump.
 
-    Searches every feature, every midpoint between consecutive distinct
-    values plus one threshold below the minimum, and both polarities.
+    Searches every feature, every cut between consecutive distinct values
+    plus one below the minimum (Presort.threshold), and both polarities.
     Ties break to the lowest feature index, then the lowest threshold, then
-    polarity +1. ``order`` is ``np.argsort(X, axis=0, kind="stable")`` or
-    the Presort of X and y built from it; neither depends on ``w``, so
-    boosting builds one Presort for all its rounds.
+    polarity +1. ``presort`` is Presort.of(X) when the caller has it; it
+    does not depend on ``y`` or ``w``, so boosting builds one for all its
+    rounds.
     Returns (stump, weighted_error, predictions): the predictions are
     ``stump.predict_batch(X)``, kept from the exact rescore that picked it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
-    presort = order if isinstance(order, Presort) else Presort.of(X, y, order)
-    xs = presort.values
-    total_pos = float(w @ presort.positive)
+    presort = Presort.of(X) if presort is None else presort
+    positive = y > 0
+    total_pos = float(w @ positive)
     total_neg = float(w.sum()) - total_pos
-    # lead[f, k]: positive minus negative mass up to and including sorted
-    # position k
-    lead = (w[presort.rows] * presort.signs).cumsum(axis=1)
-    # scores[f, k] for k >= 1 is the cut between sorted positions k-1 and k
-    # (+inf between equal values); k = 0 is the below-minimum threshold.
-    # Polarity +1 predicts -1 left of the threshold and +1 right of it, so
-    # it errs on the positive mass left of the cut and the negative mass
-    # right of it; polarity -1 errs on the rest.
-    scores = np.empty(xs.shape + (2,))
-    scores[:, 0] = total_neg, total_pos
-    np.add(lead[:, :-1], total_neg, out=scores[:, 1:, 0])
-    np.subtract(total_pos, lead[:, :-1], out=scores[:, 1:, 1])
-    # (features, 2n) walks candidates threshold-ascending, +1 before -1
-    scores = scores.reshape(len(xs), -1)
-    scores.flat[presort.ties] = np.inf
+    # lead[f, k]: positive minus negative mass before sorted position k, so
+    # 0 at the below-minimum cut k = 0
+    lead = np.zeros(presort.rows.shape)
+    np.cumsum(np.where(positive, w, -w)[presort.rows[:, :-1]], axis=1, out=lead[:, 1:])
+    # scores[f, k] is the cut before sorted position k (+inf between equal
+    # values). Polarity +1 predicts -1 left of the threshold and +1 right
+    # of it, so it errs on the positive mass left of the cut and the
+    # negative mass right of it; polarity -1 errs on the rest.
+    scores = np.empty(lead.shape + (2,))
+    np.add(lead, total_neg, out=scores[..., 0])
+    np.subtract(total_pos, lead, out=scores[..., 1])
+    scores[:, 1:][presort.ties] = np.inf
 
     def rescore(f, idx):
-        k = idx // 2
-        t = xs[f, 0] - 1.0 if k == 0 else (xs[f, k - 1] + xs[f, k]) / 2.0
-        stump = DecisionStump(f, float(t), 1 if idx % 2 == 0 else -1)
+        k, negative = divmod(idx, 2)
+        stump = DecisionStump(f, presort.threshold(f, k), -1 if negative else 1)
         predictions = stump.predict_batch(X)
         return float(w[predictions != y].sum()), (stump, predictions)
 
-    err, (stump, predictions) = _argmin_rescored(scores, rescore)
+    # (features, 2n) walks candidates threshold-ascending, +1 before -1
+    err, (stump, predictions) = _argmin_rescored(scores.reshape(len(lead), -1), rescore)
     return stump, err, predictions
 
 
-def adaboost_train(X, y, w, config, order=None):
+def adaboost_train(X, y, w, config, presort=None):
     """Discrete Adaboost over decision stumps.
 
     Per retained round: error eps, vote alpha = 0.5*ln((1-eps)/eps),
     multiplicative re-weighting (mistakes up, correct down), renormalize.
     Stops at max_rounds, on a perfect stump (eps below the floor, capped
     alpha), or the first time eps exceeds gamma (round discarded,
-    exited_early set). ``order`` is ``np.argsort(X, axis=0, kind="stable")``
-    when the caller has it.
+    exited_early set). ``presort`` is Presort.of(X) when the caller has it.
     Returns (model, scores): scores are H over the rows of X, summed in
     the same order as strong_score_batch(model, X), so they are equal bit
     for bit.
@@ -202,7 +199,7 @@ def adaboost_train(X, y, w, config, order=None):
     w = w / total
     model = BoostedClassifier()
     h = np.zeros(X.shape[0])
-    presort = Presort.of(X, y, order)
+    presort = Presort.of(X) if presort is None else presort
     for _ in range(config.max_rounds):
         stump, eps, predictions = train_stump(X, y, w, presort)
         if eps > config.gamma:

@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boosting import (BoostConfig, BoostedClassifier, _argmin_rescored, adaboost_train,
-                       logistic)
+from .boosting import (BoostConfig, BoostedClassifier, Presort, _argmin_rescored,
+                       adaboost_train, logistic)
 from .errors import SchemaError, ValidationError, check_field_types
 from .svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
                   train_svm)
@@ -258,15 +258,14 @@ def _entropy(his):
     return float(-_xlogx(np.asarray(his, dtype=np.float64)).sum())
 
 
-def entropy_split(X, labels, weights, num_classes, order=None):
+def entropy_split(X, labels, weights, num_classes, presort=None):
     """Exhaustive minimum-entropy split over (feature, midpoint) candidates.
 
-    The splitting rule is the feature test x[f] < v, with v the midpoint of
-    two consecutive distinct values, or the upper one when the midpoint
-    rounds onto the lower (adjacent floats). Ties break to the lowest
-    feature index, then the lowest threshold. Returns None when fewer than
-    two classes are present or no candidate separates the samples.
-    ``order`` is ``np.argsort(X, axis=0, kind="stable")`` when the caller
+    The splitting rule is the feature test x[f] < v, with v the
+    Presort.threshold of a cut between two consecutive distinct values.
+    Ties break to the lowest feature index, then the lowest threshold.
+    Returns None when fewer than two classes are present or no candidate
+    separates the samples. ``presort`` is Presort.of(X) when the caller
     has it.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -274,11 +273,8 @@ def entropy_split(X, labels, weights, num_classes, order=None):
     weights = np.asarray(weights, dtype=np.float64)
     if len(np.unique(labels)) < 2:
         return None
-    if order is None:
-        order = np.argsort(X, axis=0, kind="stable")
-    # one row per feature, in ascending order of that feature
-    rows = order.T
-    xs = np.take_along_axis(X.T, rows, axis=1)
+    presort = Presort.of(X) if presort is None else presort
+    rows = presort.rows
     # The objective of the cut after sorted position i is
     #   xlogx(zl) + xlogx(zr) - sum_k xlogx(left_k) - sum_k xlogx(right_k)
     # for the side masses zl, zr and per-class masses left_k, right_k.
@@ -303,15 +299,10 @@ def entropy_split(X, labels, weights, num_classes, order=None):
     scores = _xlogx(zl) + _xlogx(zl[:, -1:] - zl) - class_sums
     # candidate i is the cut between sorted positions i and i+1; +inf marks
     # a cut between equal values
-    scores = np.where(xs[:, 1:] != xs[:, :-1], scores[:, :-1], np.inf)
+    scores = np.where(presort.ties, np.inf, scores[:, :-1])
 
     def rescore(f, idx):
-        lo, hi = float(xs[f, idx]), float(xs[f, idx + 1])
-        # between adjacent floats the midpoint can round onto lo, and x < lo
-        # would put lo on the right, away from the side the sweep scored
-        v = (lo + hi) / 2.0
-        if v == lo:
-            v = hi
+        v = presort.threshold(f, idx + 1)
         left = X[:, f] < v
         split = EntropySplit(f, v, np.bincount(labels[left], weights[left], num_classes),
                              np.bincount(labels[~left], weights[~left], num_classes))
@@ -424,14 +415,14 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
         return leaf()
     if depth >= max_depth:
         return leaf()
-    order = np.argsort(X, axis=0, kind="stable")
-    split = entropy_split(X, labels, weights, data.num_classes, order)
+    presort = Presort.of(X)
+    split = entropy_split(X, labels, weights, data.num_classes, presort)
     if split is None:
         return leaf()
     signs, sign_of = binarize_labels(labels, split)
     if len(set(sign_of.values())) < 2:
         return leaf()
-    boost, scores = adaboost_train(X, signs, weights, config.boost, order)
+    boost, scores = adaboost_train(X, signs, weights, config.boost, presort)
     if not boost.rounds:
         return leaf()
     part = partition_samples(logistic(scores), config.delta, ids=ids)

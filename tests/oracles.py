@@ -42,6 +42,40 @@ def brute_force_stump(X, y, w):
     return best
 
 
+def position_stump(X, y, w):
+    """Minimum-weighted-error stump enumerated by sorted position.
+
+    The candidate before position k of a stable sort of feature f predicts
+    -polarity on the first k samples and polarity on the rest, so its
+    mistakes never depend on how its threshold compares with the values.
+    Cuts between equal values are skipped. The threshold reported is the
+    midpoint of positions k - 1 and k when it lies above position k - 1
+    and at most at position k, else the value at position k, and the
+    minimum less 1.0 for k = 0.
+    Returns (DecisionStump, error).
+    """
+    best = None
+    n, d = X.shape
+    for f in range(d):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f].tolist()
+        for k in range(n):
+            if k and xs[k] == xs[k - 1]:
+                continue
+            if k == 0:
+                t = xs[0] - 1.0
+            else:
+                mid = (xs[k - 1] + xs[k]) / 2.0
+                t = mid if xs[k - 1] < mid <= xs[k] else xs[k]
+            for pol in (1, -1):
+                pred = np.full(n, pol)
+                pred[order[:k]] = -pol
+                err = float(w[pred != y].sum())
+                if best is None or err < best[1]:
+                    best = (DecisionStump(f, t, pol), err)
+    return best
+
+
 def _side_term(masses):
     z = masses.sum()
     his = masses / z
@@ -130,16 +164,14 @@ def reference_entropy_split(X, labels, weights, num_classes):
     return None if best is None else best[1]
 
 
-def reference_train_stump(X, y, w, order=None):
+def reference_train_stump(X, y, w):
     """boosting.train_stump as first written: every round gathers the
     sorted values and labels again and cumulates positive and negative mass
     apart. The library's search must return the same stump and error."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
-    if order is None:
-        order = np.argsort(X, axis=0, kind="stable")
-    sorted_rows = order.T
+    sorted_rows = np.argsort(X, axis=0, kind="stable").T
     xs = np.take_along_axis(X.T, sorted_rows, axis=1)
     ws = w[sorted_rows]
     pos = y[sorted_rows] > 0

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from atree import boosting
-from atree.boosting import (BoostConfig, BoostedClassifier, DecisionStump,
+from atree.boosting import (BoostConfig, BoostedClassifier, DecisionStump, Presort,
                             adaboost_train, error_bound, prob_positive_batch,
                             strong_score_batch, train_stump)
 from atree.errors import ValidationError
-from oracles import boost_ending, brute_force_stump
+from oracles import boost_ending, brute_force_stump, position_stump
 
 # Unbalanced four-corner pattern: the best stump is the constant +1 vote,
 # which still misclassifies the two negative corners (weight 0.25).
@@ -102,11 +102,82 @@ class TestTrainStump:
     @given(tied_stump_inputs())
     def test_presorted_order_gives_the_same_stump(self, inputs):
         X, y, w = inputs
-        order = np.argsort(X, axis=0, kind="stable")
-        stump, err, predictions = train_stump(X, y, w, order)
+        stump, err, predictions = train_stump(X, y, w, Presort.of(X))
         expected = train_stump(X, y, w)
         assert (stump, err) == expected[:2]
         np.testing.assert_array_equal(predictions, expected[2])
+
+
+# Values where a threshold can round onto a sample: adjacent doubles on
+# both sides of 1.0, 1e17 and its neighbours (where x - 1.0 == x),
+# subnormals, both zeros, and values whose sum overflows.
+_ONE_BELOW = float(np.nextafter(1.0, 0.0))      # 0.9999999999999999
+_ONE_ABOVE = float(np.nextafter(1.0, 2.0))      # 1 + 2**-52
+_EDGE_VALUES = [_ONE_BELOW, 1.0, _ONE_ABOVE, float(np.nextafter(_ONE_ABOVE, 2.0)),
+                -1e17, float(np.nextafter(-1e17, 0.0)), 1e17, float(np.nextafter(1e17, 2e17)),
+                2e17, -5e-324, 5e-324, 1e-323, -0.0, 0.0, 2.0, 1e308, 1.5e308,
+                -np.finfo(float).max, np.finfo(float).max]
+
+
+@st.composite
+def edge_stump_inputs(draw):
+    """Features drawn from _EDGE_VALUES, labels +-1 and positive weights
+    summing to 1."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 3))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=st.sampled_from(_EDGE_VALUES)))
+    y = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    w = draw(hnp.arrays(np.float64, n, elements=st.integers(1, 4).map(float)))
+    return X, y, w / w.sum()
+
+
+class TestThresholdRounding:
+    """Every cut the stump search scores is the cut its threshold makes,
+    also where a midpoint or the below-minimum value rounds onto a sample
+    and where a midpoint overflows."""
+
+    @pytest.mark.parametrize("lo,hi,midpoint", [(1.0, _ONE_ABOVE, 1.0), (_ONE_BELOW, 1.0, 1.0),
+                                                (1e308, 1.5e308, np.inf)],
+                             ids=["midpoint-rounds-down", "midpoint-rounds-up", "sum-overflows"])
+    @pytest.mark.parametrize("polarity", [1, -1])
+    def test_two_values_separate_at_the_upper(self, lo, hi, midpoint, polarity):
+        assert (lo + hi) / 2.0 == midpoint
+        X = np.array([[lo], [lo], [hi], [hi]])
+        y = np.array([-polarity, -polarity, polarity, polarity])
+        stump, err, predictions = train_stump(X, y, np.full(4, 0.25))
+        assert (stump, err) == (DecisionStump(0, hi, polarity), 0.0)
+        np.testing.assert_array_equal(predictions, y)
+
+    @pytest.mark.parametrize("label", [1, -1])
+    def test_below_minimum_cut_at_large_values(self, label):
+        X = np.array([[1e17], [2e17], [3e17]])
+        assert X[0, 0] - 1.0 == X[0, 0]
+        y = np.full(3, label)
+        stump, err, predictions = train_stump(X, y, np.full(3, 1 / 3))
+        assert (stump, err) == (DecisionStump(0, 1e17, label), 0.0)
+        np.testing.assert_array_equal(predictions, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 3)),
+                      elements=st.sampled_from(_EDGE_VALUES)
+                      | st.floats(allow_nan=False, allow_infinity=False)))
+    def test_threshold_cuts_at_its_sorted_position(self, X):
+        presort = Presort.of(X)
+        n, d = X.shape
+        for f in range(d):
+            for k in range(n):
+                if k and presort.ties[f, k - 1]:
+                    continue
+                below = X[presort.rows[f], f] < presort.threshold(f, k)
+                np.testing.assert_array_equal(below, np.arange(n) < k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_stump_inputs())
+    def test_matches_the_position_oracle(self, inputs):
+        X, y, w = inputs
+        stump, err, predictions = train_stump(X, y, w)
+        assert (stump, err) == position_stump(X, y, w)
+        np.testing.assert_array_equal(predictions, stump.predict_batch(X))
 
 
 class TestAdaboost:
@@ -120,17 +191,17 @@ class TestAdaboost:
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(30, 3))
         y = np.where((X[:, 0] if separable else rng.normal(size=30)) > 0, 1, -1)
-        orders = []
+        presorts = []
 
-        def counted(X, y, w, order=None):
-            orders.append(order)
-            return train_stump(X, y, w, order)
+        def counted(X, y, w, presort=None):
+            presorts.append(presort)
+            return train_stump(X, y, w, presort)
 
         monkeypatch.setattr(boosting, "train_stump", counted)
         model, _ = adaboost_train(X, y, np.full(30, 1 / 30), config)
-        assert len(orders) == searches == len(model.round_errors) + model.exited_early
-        assert all(o is orders[0] for o in orders)
-        np.testing.assert_array_equal(orders[0].rows, np.argsort(X, axis=0, kind="stable").T)
+        assert len(presorts) == searches == len(model.round_errors) + model.exited_early
+        assert all(p is presorts[0] for p in presorts)
+        np.testing.assert_array_equal(presorts[0].rows, np.argsort(X, axis=0, kind="stable").T)
 
     def test_alpha_matches_formula_at_quarter_error(self):
         model, _ = adaboost_train(XOR_X, XOR_Y, XOR_W, BoostConfig(max_rounds=1))
@@ -242,8 +313,8 @@ class TestHandedScores:
         X, y, w, config = data.draw(boosting_problems(ending))
         searched = []
 
-        def checked(X, y, w, order=None):
-            stump, err, predictions = train_stump(X, y, w, order)
+        def checked(X, y, w, presort=None):
+            stump, err, predictions = train_stump(X, y, w, presort)
             searched.append((stump, predictions))
             return stump, err, predictions
 

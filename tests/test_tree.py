@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -81,6 +82,14 @@ class TestEntropySplit:
         split = entropy_split(X, np.array([0, 1, 1, 1]), np.full(4, 0.25), 2)
         assert (split.feature_index, split.threshold) == (0, hi)
         np.testing.assert_array_equal(split.left_masses, [0.25, 0.0])
+        assert split.objective == 0.0
+
+    def test_overflowing_midpoint_splits_at_the_upper_value(self):
+        # 1e308 + 1.5e308 overflows, and x < inf would put every sample left
+        X = np.array([[1e308], [1e308], [1.5e308], [1.5e308]])
+        split = entropy_split(X, np.array([0, 0, 1, 1]), np.full(4, 0.25), 2)
+        assert (split.feature_index, split.threshold) == (0, 1.5e308)
+        np.testing.assert_array_equal(split.left_masses, [0.5, 0.0])
         assert split.objective == 0.0
 
     def test_identical_samples_unsplittable(self):
@@ -331,6 +340,19 @@ class TestBuildPhase1:
         assert root.label == 0
         assert root.purity == 1.0
 
+    def test_classes_on_adjacent_doubles_split_at_the_root(self):
+        # the midpoint of the two values rounds onto the upper one, which the
+        # split and the stump must both put on the right
+        lo = float(np.nextafter(1.0, 0.0))
+        X = np.repeat([[lo, 0.0], [1.0, 0.0]], 10, axis=0)
+        data = Dataset(X, np.repeat([0, 1], 10), np.ones(20), 2)
+        root = build_phase1(data, AtreeConfig(delta=0.7, max_depth=4))
+        assert isinstance(root, InternalNode)
+        assert (root.split.feature_index, root.split.threshold) == (0, 1.0)
+        assert [s for _, s in root.boost.rounds] == [DecisionStump(0, 1.0, 1)]
+        assert root.partition.left_only_ids.tolist() == list(range(10))
+        assert root.partition.right_only_ids.tolist() == list(range(10, 20))
+
     def test_two_cluster_root_isolates_anchor_and_descends(self):
         data = generate_two_cluster_2d(1200, seed=1)
         cfg = AtreeConfig(delta=0.7, max_depth=4, boost=BoostConfig(max_rounds=20))
@@ -460,8 +482,8 @@ class TestPhaseOneScans:
     @given(tied_multiclass_inputs())
     def test_scans_equal_the_references(self, inputs):
         X, labels, w, k = inputs
-        order = np.argsort(X, axis=0, kind="stable")
-        split = entropy_split(X, labels, w, k, order)
+        presort = Presort.of(X)
+        split = entropy_split(X, labels, w, k, presort)
         expected = reference_entropy_split(X, labels, w, k)
         if expected is None:
             assert split is None
@@ -472,8 +494,41 @@ class TestPhaseOneScans:
             assert split.right_masses.tobytes() == expected.right_masses.tobytes()
         y = np.where(labels % 2 == 1, 1, -1)
         stump, err = reference_train_stump(X, y, w)
-        assert train_stump(X, y, w, Presort.of(X, y, order))[:2] == (stump, err)
+        assert train_stump(X, y, w, presort)[:2] == (stump, err)
         assert train_stump(X, y, w)[:2] == (stump, err)
+
+    def test_each_node_sorts_once_for_its_split_and_boosting(self, monkeypatch):
+        events = []
+        of = Presort.of.__func__
+
+        def sorting(cls, X):
+            events.append(("sort", of(cls, X)))
+            return events[-1][1]
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                bound = inspect.signature(fn).bind(*args, **kwargs)
+                events.append((name, bound.arguments.get("presort")))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(tree_module, name, wrapped)
+
+        monkeypatch.setattr(Presort, "of", classmethod(sorting))
+        spy("entropy_split", entropy_split)
+        spy("adaboost_train", adaboost_train)
+        data = generate_gaussian_blobs(6, 30, 3, 1.0, seed=2)
+        tree = train_atree(data, AtreeConfig(delta=0.7, max_depth=5,
+                                             boost=BoostConfig(max_rounds=5)))
+        internal = [n for n in iter_nodes(tree.root) if isinstance(n, InternalNode)]
+        kinds = [kind for kind, _ in events]
+        assert kinds.count("sort") == kinds.count("entropy_split") >= len(internal) > 2
+        assert kinds.count("adaboost_train") >= len(internal)
+        # each node sorts once, then splits and boosts on that one view
+        view = None
+        for kind, obj in events:
+            if kind == "sort":
+                view = obj
+            else:
+                assert obj is view
 
     def test_benchmark_scale_tree_equals_the_references(self, monkeypatch):
         data = generate_gaussian_blobs(16, 100, 8, 1.2, seed=3)
@@ -482,10 +537,10 @@ class TestPhaseOneScans:
                              boost=BoostConfig(max_rounds=20))
         tree = train_atree(train, config)
         monkeypatch.setattr(tree_module, "entropy_split",
-                            lambda X, labels, w, k, order=None:
+                            lambda X, labels, w, k, presort=None:
                             reference_entropy_split(X, labels, w, k))
         monkeypatch.setattr(boosting, "train_stump",
-                            lambda X, y, w, order=None: _with_predictions(
+                            lambda X, y, w, presort=None: _with_predictions(
                                 *reference_train_stump(X, y, w), X))
         expected = train_atree(train, config)
         monkeypatch.undo()
