@@ -196,11 +196,8 @@ def _training_log_lines(tree, include_timestamp):
         boost = node.boost
         eps = "[" + ",".join(f"{e:.6f}" for e in boost.round_errors) + "]"
         bound = (f"{error_bound(boost):.6f}" if boost.round_errors else "n/a")
-        if cfg.kernel.is_linear:
-            svm_desc = f"svm=linear cost={tr.node_cost(node):.6f}"
-        else:
-            svm_desc = (f"svm=kernel svs={node.svm.n_support} "
-                        f"cost={tr.node_cost(node):.6f}")
+        svm = "linear" if cfg.kernel.is_linear else f"kernel svs={node.svm.n_support}"
+        svm_desc = f"svm={svm} cost={tr.node_cost(node):.6f}"
         lines.append(
             f"node {node.node_id} depth={levels[node.node_id]} internal "
             f"samples={node.n_training} "
@@ -466,12 +463,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, OSError) as exc:
+    except (AtreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AtreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ValidationError, OSError)) else 3
 
 
 def main_entry():

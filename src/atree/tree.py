@@ -18,6 +18,8 @@ holding a private trace.
 
 from __future__ import annotations
 
+import base64
+import contextlib
 import itertools
 import json
 import math
@@ -32,7 +34,7 @@ from .errors import SchemaError, ValidationError, check_field_types
 from .svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
                   train_svm)
 
-MODEL_SCHEMA_VERSION = 7
+MODEL_SCHEMA_VERSION = 8
 
 
 @dataclass
@@ -325,13 +327,9 @@ def binarize_labels(labels, split):
     present = np.flatnonzero(lm + rm > 0)
     sign_of = {int(k): (-1 if lm[k] >= rm[k] else 1) for k in present}
     if len(present) == 2 and len(set(sign_of.values())) == 1:
-        a, b = (int(present[0]), int(present[1]))
-        share_a = lm[a] / (lm[a] + rm[a])
-        share_b = lm[b] / (lm[b] + rm[b])
-        if share_a >= share_b:
-            sign_of[a], sign_of[b] = -1, 1
-        else:
-            sign_of[a], sign_of[b] = 1, -1
+        a, b = present.tolist()
+        a_leans_left = lm[a] / (lm[a] + rm[a]) >= lm[b] / (lm[b] + rm[b])
+        sign_of[a], sign_of[b] = (-1, 1) if a_leans_left else (1, -1)
     lookup = np.zeros(len(lm), dtype=np.int64)
     lookup[list(sign_of)] = list(sign_of.values())
     return lookup[labels], sign_of
@@ -350,10 +348,7 @@ def partition_samples(p, delta, ids=None):
     if not 0.5 <= delta <= 1.0:
         raise ValidationError("delta must lie in [0.5, 1]")
     p = np.asarray(p, dtype=np.float64)
-    if ids is None:
-        ids = np.arange(len(p), dtype=np.int64)
-    else:
-        ids = np.asarray(ids, dtype=np.int64)
+    ids = np.arange(len(p), dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
     if delta == 0.5:
         right_conf = p >= 0.5
         left_conf = ~right_conf
@@ -409,11 +404,7 @@ def build_phase1(data, config, depth=1, ids=None, weights=None, _counter=None):
     def leaf():
         return _make_leaf(next(_counter), labels, weights, data.num_classes)
 
-    if len(np.unique(labels)) < 2:
-        return leaf()
-    if len(ids) < config.min_node_samples:
-        return leaf()
-    if depth >= max_depth:
+    if len(np.unique(labels)) < 2 or len(ids) < config.min_node_samples or depth >= max_depth:
         return leaf()
     presort = Presort.of(X)
     split = entropy_split(X, labels, weights, data.num_classes, presort)
@@ -592,12 +583,30 @@ def _route_block(tree, inputs, first):
 # Serialization
 
 
+def _pack(values):
+    """The little-endian float64 bytes of ``values``, row-major, as base64
+    text, which loads without parsing a decimal literal per value."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack(doc, key, count, rule):
+    """doc[key], _pack() text of ``count`` float64 values, as a read-only
+    array; ``rule`` says why that many, for the error."""
+    text, raw = doc[key], None
+    with contextlib.suppress(ValueError):  # binascii.Error, or text outside ASCII
+        raw = base64.b64decode(text, validate=True) if type(text) is str else None
+    # b64decode also takes padding and trailing bits that _pack never writes
+    if raw is None or len(raw) != 8 * count or base64.b64encode(raw).decode() != text:
+        raise SchemaError(f"{rule}: {key} must be the base64 text of {count} float64 values")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
+
+
 def _svm_to_doc(svm):
     """A node classifier without its kernel, which the config holds; a
     kernel model names its support vectors by id in the tree's table."""
     if isinstance(svm, LinearSvmModel):
-        return {"weights": svm.weights, "bias": svm.bias}
-    return {"sv_ids": svm.sv_ids, "dual_coefficients": svm.dual_coefficients,
+        return {"weights": _pack(svm.weights), "bias": svm.bias}
+    return {"sv_ids": svm.sv_ids, "dual_coefficients": _pack(svm.dual_coefficients),
             "bias": svm.bias}
 
 
@@ -612,9 +621,9 @@ def _node_to_doc(node):
 
 
 def serialize(tree):
-    """Lossless JSON text for a tree; floats keep full precision. The bank's
-    table is stored as [sv_id, row] pairs sorted by id, so every support
-    vector appears once however many node classifiers keep it."""
+    """Lossless JSON text for a tree, its float arrays _pack() text. The
+    bank's table is its sv_ids in increasing order and their rows, so every
+    support vector appears once however many node classifiers keep it."""
     nodes = sorted(iter_nodes(tree.root), key=lambda n: n.node_id)
     bank = tree.bank
     by_id = np.argsort(bank.sv_ids)
@@ -623,8 +632,7 @@ def serialize(tree):
         "config": asdict(tree.config),
         "label_names": tree.label_names,
         "dimension": tree.dimension,
-        "support_vectors": [[i, row] for i, row in zip(bank.sv_ids[by_id].tolist(),
-                                                        bank.rows[by_id])],
+        "support_vectors": {"ids": bank.sv_ids[by_id], "rows": _pack(bank.rows[by_id])},
         "nodes": [_node_to_doc(n) for n in nodes],
     }
     return json.dumps(doc, default=np.ndarray.tolist)
@@ -651,17 +659,16 @@ def _is_list_of(values, types):
 _NUMBER = {int, float}
 
 
-def _table_from_doc(entries, dimension):
+def _table_from_doc(doc, dimension):
     """The support-vector table as (ids, rows): int ids strictly increasing,
-    one row of ``dimension`` numbers each."""
-    ids = [sv_id for sv_id, _ in entries]
-    if type(entries) is not list or not _is_list_of(ids, {int}) or (np.diff(ids) <= 0).any():
-        raise SchemaError("support-vector table must list each int id once, in increasing order")
-    rows = [row for _, row in entries]
-    if not all(_is_list_of(row, _NUMBER) and len(row) == dimension for row in rows):
-        raise SchemaError(f"support-vector table rows must be {dimension} numbers wide")
-    return (np.array(ids, dtype=np.int64),
-            np.array(rows, dtype=np.float64).reshape(len(rows), dimension))
+    and their rows, ``dimension`` values each."""
+    ids = doc["ids"] if set(doc) == {"ids", "rows"} else None
+    if not _is_list_of(ids, {int}) or (np.diff(ids) <= 0).any():
+        raise SchemaError("support-vector table must be exactly its 'ids', each int once and "
+                          "in increasing order, and their 'rows'")
+    rows = _unpack(doc, "rows", len(ids) * dimension,
+                   f"support-vector table rows must be {dimension} values wide")
+    return np.array(ids, dtype=np.int64), rows.reshape(len(ids), dimension)
 
 
 def _svm_from_doc(doc, kernel, table):
@@ -670,16 +677,14 @@ def _svm_from_doc(doc, kernel, table):
     if set(doc) != keys:
         raise SchemaError(f"node classifier with fields {sorted(doc)} does not fit "
                           f"the configured {kernel.kind} kernel")
-    values = doc["weights"] if kernel.is_linear else doc["dual_coefficients"]
-    if not (_is_list_of(values, _NUMBER) and type(doc["bias"]) in _NUMBER):
-        raise SchemaError("node classifier weights, coefficients and bias must be numbers")
-    values, bias = np.array(values, dtype=np.float64), float(doc["bias"])
+    if type(doc["bias"]) not in _NUMBER:
+        raise SchemaError("node classifier bias must be a number")
+    bias = float(doc["bias"])
     ids, rows = table
     if kernel.is_linear:
         # the table's rows are dimension wide even when it holds none
-        if values.shape != rows.shape[1:]:
-            raise SchemaError(f"linear node weights must be {rows.shape[1]} wide")
-        return LinearSvmModel(values, bias)
+        return LinearSvmModel(_unpack(doc, "weights", rows.shape[1], "linear node weights "
+                                      f"must be {rows.shape[1]} wide"), bias)
     sv_ids = doc["sv_ids"]
     if not _is_list_of(sv_ids, {int}) or len(set(sv_ids)) != len(sv_ids):
         raise SchemaError("a kernel node's sv_ids must be distinct ints")
@@ -688,8 +693,8 @@ def _svm_from_doc(doc, kernel, table):
     if (at >= len(ids)).any() or not np.array_equal(ids[at], sv_ids):
         raise SchemaError("node classifier refers to an sv_id the support-vector "
                           "table does not hold")
-    if values.shape != sv_ids.shape:
-        raise SchemaError("a kernel node needs one dual coefficient per sv_id")
+    values = _unpack(doc, "dual_coefficients", len(sv_ids),
+                     "a kernel node needs one dual coefficient per sv_id")
     return KernelSvmModel(support_vectors=rows[at], dual_coefficients=values, bias=bias,
                           kernel=kernel, sv_ids=sv_ids)
 
@@ -752,9 +757,10 @@ def deserialize(text):
         dimension, label_names = doc["dimension"], doc["label_names"]
         if type(dimension) is not int or dimension < 1:
             raise SchemaError(f"dimension {dimension!r} is not a positive int")
-        if not _is_list_of(label_names, {int, str}) or len(label_names) < 2:
-            raise SchemaError(f"label_names {label_names!r} is not a list of at least "
-                              "two ints or strings")
+        if (not _is_list_of(label_names, {int, str}) or len(label_names) < 2
+                or len(set(map(str, label_names))) < len(label_names)):
+            raise SchemaError(f"label_names {label_names!r} is not a list of at least two ints "
+                              "or strings whose str() forms, which name classes in files, differ")
         table = _table_from_doc(doc["support_vectors"], dimension)
         node_docs = doc["nodes"]
         built = {}

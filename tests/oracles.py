@@ -6,6 +6,8 @@ candidate is enumerated and scored directly, in the documented search order
 first, polarity +1 before -1), with strict-improvement selection.
 """
 
+import base64
+
 import numpy as np
 
 from atree.boosting import _MIN_WEIGHT_FLOOR, _TIE_SLACK, DecisionStump
@@ -17,16 +19,22 @@ from atree.tree import EntropySplit, InternalNode
 
 
 def stump_candidates(values):
-    """Thresholds in search order for one feature's values."""
-    distinct = np.unique(values)
-    out = [float(distinct[0]) - 1.0]
-    out.extend(float((distinct[i] + distinct[i + 1]) / 2.0)
-               for i in range(len(distinct) - 1))
+    """Thresholds in search order for one feature's values: the minimum
+    less 1.0, then one cut between each pair of consecutive distinct values,
+    their midpoint, or the upper value when the midpoint rounds onto the
+    lower (adjacent floats) or overflows, so that x < t holds for exactly
+    the values below the cut."""
+    distinct = np.unique(values).tolist()
+    out = [distinct[0] - 1.0]
+    for lo, hi in zip(distinct, distinct[1:]):
+        mid = (lo + hi) / 2.0
+        out.append(mid if lo < mid <= hi else hi)
     return out
 
 
 def brute_force_stump(X, y, w):
-    """Minimum-weighted-error stump by full enumeration.
+    """Minimum-weighted-error stump by full enumeration, predicting
+    -polarity where x[f] < threshold, as DecisionStump does.
 
     Returns (error, feature, threshold, polarity).
     """
@@ -35,7 +43,7 @@ def brute_force_stump(X, y, w):
         col = X[:, f]
         for t in stump_candidates(col):
             for pol in (1, -1):
-                pred = np.where(pol * (col - t) > 0, 1, -1)
+                pred = np.where(col < t, -pol, pol)
                 err = float(w[pred != y].sum())
                 if best is None or err < best[0]:
                     best = (err, f, t, pol)
@@ -497,3 +505,45 @@ def reference_write_csv(data, path):
             cells = [str(data.label_names[data.labels[i]])]
             cells.extend(repr(float(v)) for v in data.features[i])
             fh.write(",".join(cells) + "\n")
+
+
+def packed(values):
+    """Model-file text of a float array: base64 of its little-endian float64
+    bytes, row-major."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unpacked(text):
+    """The float values of packed() text, as a list."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").tolist()
+
+
+def model_table(doc):
+    """A parsed model document's support-vector table as [id, row] pairs."""
+    table, d = doc["support_vectors"], doc["dimension"]
+    values = unpacked(table["rows"])
+    return [[i, values[k * d:(k + 1) * d]] for k, i in enumerate(table["ids"])]
+
+
+def set_model_table(doc, entries):
+    """Store [id, row] pairs as a parsed model document's support-vector
+    table, rows packed in the order given."""
+    doc["support_vectors"] = {"ids": [i for i, _ in entries],
+                              "rows": packed([v for _, row in entries for v in row])}
+
+
+# Packed-field edits that a loader must reject, each applied to packed()
+# text of one value or more: not a string, a character outside the base64
+# alphabet inserted (a lenient decoder skips it and finds the right byte
+# count), padding inside the text, padding appended (which b64decode
+# ignores after text that needs none), one value too few or too many, and
+# a first value of NaN.
+BAD_PACKINGS = {
+    "non-string": unpacked,
+    "non-alphabet": lambda text: text[:4] + "*" + text[4:],
+    "bad-padding": lambda text: text[:4] + "=" + text[5:],
+    "extra-padding": lambda text: text + "==",
+    "short": lambda text: packed(unpacked(text)[:-1]),
+    "long": lambda text: packed(unpacked(text) + [0.0]),
+    "nan": lambda text: packed([np.nan] + unpacked(text)[1:]),
+}

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -173,10 +173,14 @@ class TestThresholdRounding:
 
     @settings(max_examples=300, deadline=None)
     @given(edge_stump_inputs())
+    @example((np.array([[1.0], [1.0], [_ONE_ABOVE], [_ONE_ABOVE]]), np.array([1, 1, -1, -1]),
+              np.full(4, 0.25)))
     def test_matches_the_position_oracle(self, inputs):
         X, y, w = inputs
         stump, err, predictions = train_stump(X, y, w)
         assert (stump, err) == position_stump(X, y, w)
+        assert (err, stump.feature_index, stump.threshold, stump.polarity) == \
+            brute_force_stump(X, y, w)
         np.testing.assert_array_equal(predictions, stump.predict_batch(X))
 
 

@@ -9,6 +9,7 @@ import pytest
 from atree.cli import RunConfig, main
 from atree.dataset import Dataset, load_csv, write_csv
 from atree.tree import InternalNode, iter_nodes, load, predict, save, train_atree
+from oracles import BAD_PACKINGS, model_table, packed, set_model_table, unpacked
 
 
 def run(*argv):
@@ -74,7 +75,18 @@ def _repeat_first_support_vector(doc):
     dual coefficient."""
     svm = doc["nodes"][0]["svm"]
     svm["sv_ids"].append(svm["sv_ids"][0])
-    svm["dual_coefficients"].append(svm["dual_coefficients"][0])
+    coefficients = unpacked(svm["dual_coefficients"])
+    svm["dual_coefficients"] = packed(coefficients + coefficients[:1])
+
+
+def _set_packed(doc, path, index, value):
+    """Set entry ``index`` of the packed float array at ``path`` in doc."""
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    values = unpacked(owner[path[-1]])
+    values[index] = value
+    owner[path[-1]] = packed(values)
 
 
 class TestTrain:
@@ -226,7 +238,7 @@ class TestTrain:
         assert run("--quiet", "train", train, "--out", model, "--max-depth", 3,
                    "--kernel", *kernel) == 0
         doc = json.loads(model.read_text())
-        doc["support_vectors"][0][1][0] = -0.5
+        _set_packed(doc, ("support_vectors", "rows"), 0, -0.5)
         model.write_text(json.dumps(doc))
         assert run("--quiet", "eval", model, train, "--out-metrics", tmp_path / "m.csv",
                    "--out-traces", tmp_path / "t.csv") == 2
@@ -243,18 +255,18 @@ class TestTrain:
         (lambda doc: [n.update(label=99) for n in doc["nodes"] if "label" in n], "leaf node",
          "linear"),
         (lambda doc: doc["nodes"][0]["svm"].update(bias=float("nan")), "finite", "linear"),
-        (lambda doc: doc["nodes"][0]["svm"]["weights"].__setitem__(0, float("inf")), "finite",
-         "linear"),
+        (lambda doc: _set_packed(doc, ("nodes", 0, "svm", "weights"), 0, float("inf")),
+         "finite", "linear"),
         (lambda doc: doc["nodes"][0]["svm"].update(bias=float("nan")), "finite", "rbf"),
-        (lambda doc: doc["support_vectors"][0][1].__setitem__(0, float("nan")), "finite",
+        (lambda doc: _set_packed(doc, ("support_vectors", "rows"), 0, float("nan")), "finite",
          "rbf"),
-        (lambda doc: doc["nodes"][0]["svm"]["dual_coefficients"].__setitem__(
-            0, float("nan")), "finite", "rbf"),
+        (lambda doc: _set_packed(doc, ("nodes", 0, "svm", "dual_coefficients"), 0,
+                                 float("nan")), "finite", "rbf"),
         (lambda doc: doc["nodes"][0].update(right=doc["nodes"][0]["left"]),
          "child of exactly one node", "linear"),
         (lambda doc: doc["nodes"].append({"label": 0, "purity": 1.0}),
          "child of exactly one node", "linear"),
-        (lambda doc: doc["support_vectors"].append([999999, [0.0, 0.0, 0.0]]),
+        (lambda doc: set_model_table(doc, model_table(doc) + [[999999, [0.0, 0.0, 0.0]]]),
          "support vectors that node classifiers name", "rbf"),
         (lambda doc: doc["nodes"][0].update(pos_classes="ab"), "pos_classes", "linear"),
         (lambda doc: doc["nodes"][0].update(pos_classes=[99]), "pos_classes", "linear"),
@@ -435,11 +447,30 @@ class TestEval:
                    "--kernel", kernel, *(["--kernel-gamma", 0.5] if kernel == "rbf" else [])) == 0
         doc = json.loads(model.read_text())
         svm = next(n["svm"] for n in doc["nodes"] if "svm" in n)
-        svm["weights" if kernel == "linear" else "dual_coefficients"].pop()
+        key = "weights" if kernel == "linear" else "dual_coefficients"
+        svm[key] = packed(unpacked(svm[key])[:-1])
         model.write_text(json.dumps(doc))
         assert run("--quiet", "eval", model, test, "--out-metrics", tmp_path / "m.csv") == 2
         err = capsys.readouterr().err
         assert "node" in err and "dimension mismatch" not in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_PACKINGS))
+    @pytest.mark.parametrize("field", ["rows", "dual_coefficients", "weights"])
+    def test_model_with_a_bad_packed_field_exits_2(self, blob_csvs, tmp_path, capsys, field,
+                                                   case):
+        train, test = blob_csvs
+        model = tmp_path / "model.json"
+        kernel = ["linear"] if field == "weights" else ["rbf", "--kernel-gamma", 0.5]
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 3,
+                   "--kernel", *kernel) == 0
+        doc = json.loads(model.read_text())
+        owner = doc["support_vectors"] if field == "rows" else doc["nodes"][0]["svm"]
+        owner[field] = BAD_PACKINGS[case](owner[field])
+        model.write_text(json.dumps(doc))
+        assert run("--quiet", "eval", model, test, "--out-metrics", tmp_path / "m.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert ("finite" if case == "nan" else field) in err
 
     def test_test_file_with_a_byte_order_mark_reads_as_without(self, blob_csvs, tmp_path):
         _, test, model = self._trained(blob_csvs, tmp_path)
@@ -497,6 +528,18 @@ class TestTestLabelsAreTheModelsClasses:
         assert run("--quiet", "train", train, "--out", model,
                    "--delta", 0.6, "--max-depth", 4) == 0
         return train, test, model
+
+    @pytest.mark.parametrize("second", [int, str], ids=["repeated", "same-str"])
+    def test_model_whose_label_names_collide_exits_2_naming_the_model(self, blob_csvs,
+                                                                      tmp_path, capsys, second):
+        # [0, 0, 2, 3] or [0, "0", 2, 3]: a test file could not tell classes 0 and 1 apart
+        _, test, model = self._trained(blob_csvs, tmp_path)
+        doc = json.loads(model.read_text())
+        doc["label_names"][1] = second(doc["label_names"][0])
+        model.write_text(json.dumps(doc))
+        assert run("--quiet", "eval", model, test, "--out-metrics", tmp_path / "m.csv") == 2
+        err = capsys.readouterr().err
+        assert "label_names" in err and test.name not in err
 
     def test_shifted_labels_exit_2_naming_the_first_unknown_label(self, blob_csvs,
                                                                   tmp_path, capsys):
@@ -718,7 +761,7 @@ class TestExportTree:
         bad.write_text("{not json")
         assert run("--quiet", "export-tree", bad, "--out", tmp_path / "o.dot") == 2
 
-    @pytest.mark.parametrize("version", [3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [3, 4, 5, 6, 7])
     def test_schema3_model_exits_2(self, blob_csvs, tmp_path, capsys, version):
         train, _ = blob_csvs
         model = tmp_path / "model.json"

@@ -25,9 +25,10 @@ from atree.tree import (MODEL_SCHEMA_VERSION, Atree, AtreeConfig, EntropySplit,
                         build_phase1, deserialize, entropy_split, iter_nodes, load,
                         node_cost, partition_samples, path_levels, predict, route,
                         serialize, to_dot, train_atree)
-from oracles import (boost_ending, brute_force_entropy_split, random_weighted_multiclass,
-                     reference_binarize_labels, reference_entropy_split, reference_predict,
-                     reference_train_stump)
+from oracles import (BAD_PACKINGS, boost_ending, brute_force_entropy_split, model_table, packed,
+                     random_weighted_multiclass, reference_binarize_labels,
+                     reference_entropy_split, reference_predict, reference_train_stump,
+                     set_model_table, unpacked)
 
 LN2 = math.log(2.0)
 
@@ -1003,7 +1004,7 @@ class TestSerialization:
         elif case == "weights_under_kernel_config":
             doc["config"]["kernel"] = {"kind": "rbf", "gamma": 0.5}
         elif case == "weights_node_in_kernel_tree":
-            node["svm"] = {"weights": [0.0] * doc["dimension"], "bias": 0.0}
+            node["svm"] = {"weights": packed([0.0] * doc["dimension"]), "bias": 0.0}
         else:
             node["svm"]["convergence"] = None
         with pytest.raises(SchemaError, match="kernel"):
@@ -1011,21 +1012,24 @@ class TestSerialization:
 
     def test_node_sv_id_missing_from_table_rejected(self):
         doc = self._doc(1)
-        doc["support_vectors"].pop(len(doc["support_vectors"]) // 2)
+        table = model_table(doc)
+        table.pop(len(table) // 2)
+        set_model_table(doc, table)
         with pytest.raises(SchemaError, match="sv_id"):
             deserialize(json.dumps(doc))
 
     def test_table_id_listed_twice_rejected(self):
         doc = self._doc(1)
-        table = doc["support_vectors"]
+        table = model_table(doc)
         table.insert(1, [table[0][0], table[0][1]])
+        set_model_table(doc, table)
         with pytest.raises(SchemaError, match="once"):
             deserialize(json.dumps(doc))
 
     def test_kernel_node_needs_one_coefficient_per_sv_id(self):
         doc = self._doc(1)
         node = next(n for n in doc["nodes"] if "svm" in n)
-        node["svm"]["dual_coefficients"].pop()
+        node["svm"]["dual_coefficients"] = packed(unpacked(node["svm"]["dual_coefficients"])[:-1])
         with pytest.raises(SchemaError, match="coefficient per sv_id"):
             deserialize(json.dumps(doc))
 
@@ -1033,14 +1037,16 @@ class TestSerialization:
     def test_linear_node_weights_must_be_dimension_wide(self, change):
         doc = self._doc(0)
         node = next(n for n in doc["nodes"] if "svm" in n)
-        weights = node["svm"]["weights"]
-        node["svm"]["weights"] = weights[:-1] if change < 0 else weights + [0.0]
+        weights = unpacked(node["svm"]["weights"])
+        node["svm"]["weights"] = packed(weights[:-1] if change < 0 else weights + [0.0])
         with pytest.raises(SchemaError, match="wide"):
             deserialize(json.dumps(doc))
 
     def test_table_row_must_be_dimension_wide(self):
         doc = self._doc(1)
-        doc["support_vectors"][-1][1].append(0.0)
+        table = model_table(doc)
+        table[-1][1].append(0.0)
+        set_model_table(doc, table)
         with pytest.raises(SchemaError, match="wide"):
             deserialize(json.dumps(doc))
 
@@ -1054,7 +1060,9 @@ class TestSerialization:
         tree = train_atree(data, AtreeConfig(max_depth=3, kernel=kernel,
                                              boost=BoostConfig(max_rounds=5)))
         doc = json.loads(serialize(tree))
-        doc["support_vectors"][0][1][0] = -0.5
+        table = model_table(doc)
+        table[0][1][0] = -0.5
+        set_model_table(doc, table)
         with pytest.raises(ValidationError, match="nonnegative"):
             deserialize(json.dumps(doc))
 
@@ -1090,8 +1098,8 @@ class TestSerialization:
         assert kernel_svms and all(isinstance(m, KernelSvmModel) for m in kernel_svms)
         ids = np.concatenate([m.sv_ids for m in kernel_svms])
         assert len(ids) > len(np.unique(ids))  # some vector serves several nodes
-        assert [sv_id for sv_id, _ in doc["support_vectors"]] == np.unique(ids).tolist()
-        rows = dict(doc["support_vectors"])
+        assert [sv_id for sv_id, _ in model_table(doc)] == np.unique(ids).tolist()
+        rows = dict(model_table(doc))
         for m in kernel_svms:
             assert m.support_vectors.tolist() == [rows[i] for i in m.sv_ids.tolist()]
         assert not {"depth", "num_classes"} & set(doc)
@@ -1130,6 +1138,71 @@ class TestSerialization:
         assert clone.depth == tree.depth
         assert clone.num_classes == tree.num_classes
 
+    @pytest.mark.parametrize("second", [int, str], ids=["repeated", "same-str"])
+    def test_label_names_with_one_str_form_twice_rejected(self, second):
+        # [0, 0, 2, ...] or [0, "0", 2, ...]
+        doc = self._doc(0)
+        names = doc["label_names"]
+        names[1] = second(names[0])
+        with pytest.raises(SchemaError, match="label_names"):
+            deserialize(json.dumps(doc))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["linear", "rbf"]))
+    def test_packed_values_round_trip_bit_for_bit(self, data, kind):
+        tree = deserialize(_small_documents()[kind][0])
+        values = st.sampled_from(_PACKED_EDGES) | st.floats(allow_nan=False,
+                                                             allow_infinity=False)
+
+        def draw(shape):
+            return data.draw(hnp.arrays(np.float64, shape, elements=values))
+
+        # one row per support vector, shared by every node that keeps it
+        column = {i: k for k, i in enumerate(tree.bank.sv_ids.tolist())}
+        rows = draw((len(column), tree.dimension))
+        for node in iter_nodes(tree.root):
+            if not isinstance(node, InternalNode):
+                continue
+            bias = float(draw(()))
+            if kind == "linear":
+                node.svm = LinearSvmModel(draw(tree.dimension), bias)
+            else:
+                sv_ids = node.svm.sv_ids
+                at = [column[i] for i in sv_ids.tolist()]
+                node.svm = KernelSvmModel(rows[at], draw(len(sv_ids)), bias, node.svm.kernel,
+                                          sv_ids)
+        with np.errstate(all="ignore"):
+            built = Atree(tree.root, tree.config, tree.label_names, tree.dimension)
+            clone = deserialize(serialize(built))
+            assert clone.bank.sv_ids.tobytes() == built.bank.sv_ids.tobytes()
+            assert clone.bank.rows.tobytes() == built.bank.rows.tobytes()
+            assert clone.bank.biases.tobytes() == built.bank.biases.tobytes()
+            for a, b in zip(clone.table, built.table, strict=True):
+                assert (a.span, a.left, a.right) == (b.span, b.left, b.right)
+                assert a.segment.tobytes() == b.segment.tobytes()
+                assert np.float64(a.bias).tobytes() == np.float64(b.bias).tobytes()
+            assert clone.leaf_kernel_computations == built.leaf_kernel_computations
+            for x in np.random.default_rng(0).normal(size=(20, tree.dimension)):
+                (label, trace), (clone_label, clone_trace) = predict(built, x), predict(clone, x)
+                assert clone_label == label
+                assert [(i, np.float64(v).tobytes()) for i, v in clone_trace] == \
+                    [(i, np.float64(v).tobytes()) for i, v in trace]
+
+    @pytest.mark.parametrize("case", sorted(BAD_PACKINGS))
+    @pytest.mark.parametrize("field", ["rows", "dual_coefficients", "weights"])
+    def test_bad_packed_field_rejected(self, field, case):
+        # seed 0 trains a linear tree, seed 1 an rbf one
+        doc = self._doc(0 if field == "weights" else 1)
+        owner = doc["support_vectors"] if field == "rows" else next(
+            n["svm"] for n in doc["nodes"] if "svm" in n)
+        owner[field] = BAD_PACKINGS[case](owner[field])
+        with pytest.raises(ValidationError) as raised:
+            deserialize(json.dumps(doc))
+        if raised.type is SchemaError:
+            assert field in str(raised.value)
+        else:
+            assert case == "nan" and "finite" in str(raised.value)
+
     @settings(max_examples=5, deadline=None)
     @given(data=st.data())
     def test_loader_accepts_only_what_serialize_writes(self, data):
@@ -1153,6 +1226,11 @@ class TestSerialization:
                     except ValidationError:  # SchemaError included
                         continue
                     assert _same_json(json.loads(serialize(tree)), mutated), (path, value)
+
+
+# Floats whose bits a packed model must keep: both zeros, subnormals and
+# values near the largest double.
+_PACKED_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.7e308, -1.7e308]
 
 
 # One value of every JSON type, non-finite numbers and out-of-range ints;
