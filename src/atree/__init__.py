@@ -18,7 +18,5 @@ from .tree import (Atree, AtreeConfig, EntropySplit, InternalNode, LeafNode,
                    PartitionResult, attach_svms_phase2, binarize_labels,
                    build_phase1, deserialize, entropy_split, node_cost,
                    partition_samples, serialize, to_dot, train_atree)
-from .tree import predict as predict_tree
-from .tree import route as route_tree
 
 __version__ = "0.1.0"

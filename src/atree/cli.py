@@ -2,8 +2,9 @@
 
 Every command is deterministic given its inputs, flags, and --seed; logs can
 carry a timestamp line, suppressible with --no-timestamp. Exit codes: 0 on
-success, 2 on validation errors and on files that cannot be read or written
-(missing, undecodable, or in a missing directory), 3 on runtime failures.
+success, 2 on every error of this package (invalid input or configuration)
+and on files that cannot be read or written (missing, undecodable, or in a
+missing directory). Any other exception is a bug and shows its traceback.
 A command that fails leaves none of its output files behind.
 """
 
@@ -186,10 +187,9 @@ def _training_log_lines(tree, include_timestamp):
     cfg = tree.config
     lines.append(f"config: delta={_fmt(cfg.delta)} max_depth={cfg.max_depth} "
                  f"kernel={cfg.kernel.kind} min_node_samples={cfg.min_node_samples}")
-    levels = tr.path_levels(tree.root)
-    for node in sorted(tr.iter_nodes(tree.root), key=lambda n: n.node_id):
+    for node in tree.nodes:
         if isinstance(node, tr.LeafNode):
-            lines.append(f"node {node.node_id} depth={levels[node.node_id]} leaf "
+            lines.append(f"node {node.node_id} depth={tree.levels[node.node_id]} leaf "
                          f"label={tree.label_names[node.label]} "
                          f"purity={node.purity:.6f} samples={node.n_training}")
             continue
@@ -199,7 +199,7 @@ def _training_log_lines(tree, include_timestamp):
         svm = "linear" if cfg.kernel.is_linear else f"kernel svs={node.svm.n_support}"
         svm_desc = f"svm={svm} cost={tr.node_cost(node):.6f}"
         lines.append(
-            f"node {node.node_id} depth={levels[node.node_id]} internal "
+            f"node {node.node_id} depth={tree.levels[node.node_id]} internal "
             f"samples={node.n_training} "
             f"split=f{node.split.feature_index}<{node.split.threshold:.6g} "
             f"objective={node.split.objective:.6f} "
@@ -207,9 +207,8 @@ def _training_log_lines(tree, include_timestamp):
             f"binary_dist=({node.binary_distribution[0]:.6f},"
             f"{node.binary_distribution[1]:.6f}) "
             f"eps={eps} bound={bound} exited_early={boost.exited_early} {svm_desc}")
-    lines.append(f"tree: nodes={len(levels)} depth={tree.depth}")
-    records = [n.svm.convergence for n in tr.iter_nodes(tree.root)
-               if isinstance(n, tr.InternalNode)]
+    lines.append(f"tree: nodes={len(tree.nodes)} depth={tree.depth}")
+    records = [entry.node.svm.convergence for entry in tree.table]
     lines.append(f"svm: converged={sum(r.converged for r in records)}/{len(records)}")
     return lines
 
@@ -225,8 +224,7 @@ def cmd_train(args):
             log_lines = _training_log_lines(tree, include_timestamp=not args.no_timestamp)
             with open(log, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(log_lines) + "\n")
-    n_nodes = sum(1 for _ in tr.iter_nodes(tree.root))
-    _say(args, f"trained tree: nodes={n_nodes} depth={tree.depth} -> {args.out}")
+    _say(args, f"trained tree: nodes={len(tree.nodes)} depth={tree.depth} -> {args.out}")
     return 0
 
 
@@ -311,10 +309,8 @@ def _tradeoff_row(run_config, train, test):
     atree_run = mt.evaluate_atree(tree, test)
     ova = mt.train_one_vs_all(train, config.kernel, config.svm)
     reference = mt.evaluate_one_vs_all(ova, test)
-    row = _metrics_row(atree_run, run_config.delta, run_config.kernel, reference,
-                       train.label_names)
-    row["num_classes"] = train.num_classes
-    return row
+    return _metrics_row(atree_run, run_config.delta, run_config.kernel, reference,
+                        train.label_names)
 
 
 def cmd_sweep(args):
@@ -327,29 +323,23 @@ def cmd_sweep(args):
 
 
 def _sweep_rows(args, run_config):
-    try:
-        if args.deltas:
-            if not (args.train_csv and args.test_csv):
-                raise ValidationError("a delta sweep needs --train-csv and --test-csv")
-            deltas = _parse_list(args.deltas, "--deltas", float)
-            train = load_csv(args.train_csv, args.has_header)
-            test = load_csv(args.test_csv, args.has_header, train.label_names)
-            rows = [_tradeoff_row(replace(run_config, delta=delta), train, test)
-                    for delta in deltas]
-        elif args.classes:
-            rows = []
-            for n in _parse_list(args.classes, "--classes", int):
-                data = generate_gaussian_blobs(n, args.per_class, args.dim, args.spread,
-                                               run_config.seed)
-                rows.append(_tradeoff_row(run_config, *split_train_test(
-                    data, args.train_fraction, run_config.seed, stratified=True)))
-        else:
-            raise ValidationError("sweep needs --deltas or --classes")
-    except (AtreeError, OSError):
-        raise
-    except Exception as exc:
-        raise AtreeError(f"sweep entry failed: {exc}") from exc
-    return rows
+    if args.deltas:
+        if not (args.train_csv and args.test_csv):
+            raise ValidationError("a delta sweep needs --train-csv and --test-csv")
+        deltas = _parse_list(args.deltas, "--deltas", float)
+        train = load_csv(args.train_csv, args.has_header)
+        test = load_csv(args.test_csv, args.has_header, train.label_names)
+        return [_tradeoff_row(replace(run_config, delta=delta), train, test)
+                for delta in deltas]
+    if args.classes:
+        rows = []
+        for n in _parse_list(args.classes, "--classes", int):
+            data = generate_gaussian_blobs(n, args.per_class, args.dim, args.spread,
+                                           run_config.seed)
+            rows.append(_tradeoff_row(run_config, *split_train_test(
+                data, args.train_fraction, run_config.seed, stratified=True)))
+        return rows
+    raise ValidationError("sweep needs --deltas or --classes")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +455,7 @@ def main(argv=None):
         return args.fn(args)
     except (AtreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ValidationError, OSError)) else 3
+        return 2
 
 
 def main_entry():

@@ -13,12 +13,24 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 
+def check_label_names(names, error=ValidationError):
+    """Raise ``error``, naming label_names, unless names is a list of at
+    least two ints or strings by exact type (no bool, float or numpy int)
+    whose str() forms differ: files name classes by them, and a model file
+    holds them as JSON."""
+    if (type(names) is not list or len(names) < 2 or not set(map(type, names)) <= {int, str}
+            or len(set(map(str, names))) < len(names)):
+        raise error(f"label_names {names!r} is not a list of at least two ints or strings "
+                    "whose str() forms, which name classes in files, differ")
+
+
 class Dataset:
     """Finite feature matrix plus dense integer labels and positive weights.
 
     Labels are dense ids in ``[0, num_classes)``; ``label_names[k]`` maps the
-    dense id ``k`` back to the label value found in the source data. Weights
-    of freshly loaded or generated data are uniform and sum to 1.
+    dense id ``k`` back to the label value found in the source data, and the
+    names must pass check_label_names. Weights of freshly loaded or
+    generated data are uniform and sum to 1.
 
     The Dataset owns read-only copies of the arrays it is given, so neither
     the caller's arrays nor any view of them can change it.
@@ -41,8 +53,8 @@ class Dataset:
             raise ValidationError("labels must lie in [0, num_classes)")
         if (weights <= 0).any():
             raise ValidationError("weights must be positive")
-        if label_names is None:
-            label_names = list(range(num_classes))
+        label_names = list(range(num_classes) if label_names is None else label_names)
+        check_label_names(label_names)
         if len(label_names) != num_classes:
             raise ValidationError("label_names must have one entry per class")
         for arr in (features, labels, weights):
@@ -51,7 +63,7 @@ class Dataset:
         self.labels = labels
         self.weights = weights
         self.num_classes = int(num_classes)
-        self.label_names = list(label_names)
+        self.label_names = label_names
 
     def __len__(self):
         return self.features.shape[0]

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package, and the field-type check
 every config class runs on construction.
 
-The CLI maps ValidationError (and subclasses) to exit code 2 and any other
-AtreeError to exit code 3.
+The CLI maps every AtreeError to exit code 2; the package raises only
+ValidationError and its subclasses.
 """
 
 from dataclasses import fields

@@ -20,20 +20,14 @@ from .tree import route as route_tree
 
 
 @dataclass
-class OneVsAllModel:
+class FlatModel:
+    """A one-vs-all baseline, or a one-vs-one baseline when it has pairs."""
+
     models: list
     num_classes: int
     bank: ClassifierBank = field(repr=False)   # the models', built when trained
     coefficients: np.ndarray = field(repr=False)   # _flat_bank's coefficient matrix
-
-
-@dataclass
-class OneVsOneModel:
-    pairs: list          # [(class_a, class_b), ...] with a < b
-    models: list
-    num_classes: int
-    bank: ClassifierBank = field(repr=False)
-    coefficients: np.ndarray = field(repr=False)
+    pairs: list | None = None   # one-vs-one: model j's (class_a, class_b), a < b
 
 
 @dataclass
@@ -83,7 +77,7 @@ def train_one_vs_all(data, kernel, svm_config):
     gram = None if kernel.is_linear else training_gram(kernel, X)
     models = [train_svm(X, np.where(data.labels == cls, 1.0, -1.0), kernel,
                         svm_config, gram=gram) for cls in range(data.num_classes)]
-    return OneVsAllModel(models, data.num_classes, *_flat_bank(models, kernel, data.dimension))
+    return FlatModel(models, data.num_classes, *_flat_bank(models, kernel, data.dimension))
 
 
 def train_one_vs_one(data, kernel, svm_config):
@@ -99,8 +93,8 @@ def train_one_vs_one(data, kernel, svm_config):
             models.append(train_svm(data.features[members], y, kernel, svm_config,
                                     sample_ids=members))
             pairs.append((a, b))
-    return OneVsOneModel(pairs, models, data.num_classes,
-                         *_flat_bank(models, kernel, data.dimension))
+    return FlatModel(models, data.num_classes, *_flat_bank(models, kernel, data.dimension),
+                     pairs)
 
 
 def mean_per_class_accuracy(predictions, truths, num_classes, label_names=None):
@@ -161,8 +155,9 @@ def _flat_decision_values(model, X):
     return values.T
 
 
-def _evaluate_flat(model, data, method):
-    """Every model is evaluated on every instance, so the per-instance costs
+def _evaluate_flat(model, data):
+    """The run of one-vs-all, or of one-vs-one when the model has pairs.
+    Every model is evaluated on every instance, so the per-instance costs
     are constant: the model count and, for kernel models, the support
     vectors of the bank's table (union) and of every model (uncached)."""
     dimension = model.bank.rows.shape[1]
@@ -171,6 +166,7 @@ def _evaluate_flat(model, data, method):
                               f"test data has {data.dimension}")
     n = len(data)
     values = _flat_decision_values(model, data.features)
+    method = "ova" if model.pairs is None else "ovo"
     if method == "ova":
         preds = values.argmax(axis=0).astype(np.int64)
     else:
@@ -191,12 +187,8 @@ def _evaluate_flat(model, data, method):
         kernel_computations=union, kernel_computations_uncached=uncached)
 
 
-def evaluate_one_vs_all(model, data):
-    return _evaluate_flat(model, data, "ova")
-
-
-def evaluate_one_vs_one(model, data):
-    return _evaluate_flat(model, data, "ovo")
+# one function for both baselines: the model's pairs pick argmax or votes
+evaluate_one_vs_all = evaluate_one_vs_one = _evaluate_flat
 
 
 def run_cost(run):

@@ -30,6 +30,7 @@ import numpy as np
 
 from .boosting import (BoostConfig, BoostedClassifier, Presort, _argmin_rescored,
                        adaboost_train, logistic)
+from .dataset import check_label_names
 from .errors import SchemaError, ValidationError, check_field_types
 from .svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
                   train_svm)
@@ -159,16 +160,17 @@ class NodeEntry(NamedTuple):
 @dataclass
 class Atree:
     """A tree and what traversal derives from it once, when the tree is
-    built: its depth (the levels on the longest root path); the
-    ClassifierBank of its node classifiers, which every internal node must
-    hold; its table, one NodeEntry per internal node in preorder, entry i
-    reading bank columns table[i].span with bias table[i].bias, its node's
-    svm.bias; its leaves in preorder; and for a kernel tree the (union,
-    uncached) kernel computations of the path to each leaf, keyed by leaf
-    id: the distinct support vectors of the path's classifiers and their
-    total count (empty for a linear tree). Traversal starts at code 0, the
-    root's entry, or at ~0, leaves[0], when the root is a leaf and the table
-    is empty.
+    built: its nodes in node-id order; the level of each node on its root
+    path, keyed by node id (the root is level 1); its depth (the levels on
+    the longest root path); the ClassifierBank of its node classifiers,
+    which every internal node must hold; its table, one NodeEntry per
+    internal node in preorder, entry i reading bank columns table[i].span
+    with bias table[i].bias, its node's svm.bias; its leaves in preorder;
+    and for a kernel tree the (union, uncached) kernel computations of the
+    path to each leaf, keyed by leaf id: the distinct support vectors of the
+    path's classifiers and their total count (empty for a linear tree).
+    Traversal starts at code 0, the root's entry, or at ~0, leaves[0], when
+    the root is a leaf and the table is empty.
 
     The bank's table is in tree order: it lists the support vectors node by
     node in preorder, each with the deepest node that keeps it (the last in
@@ -182,6 +184,8 @@ class Atree:
     config: AtreeConfig
     label_names: list
     dimension: int
+    nodes: list = field(init=False, repr=False, compare=False)
+    levels: dict = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)
     bank: ClassifierBank = field(init=False, repr=False, compare=False)
     table: list = field(init=False, repr=False, compare=False)
@@ -189,18 +193,20 @@ class Atree:
     leaf_kernel_computations: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = list(iter_nodes(self.root))
-        internal = [n for n in nodes if isinstance(n, InternalNode)]
+        preorder = list(iter_nodes(self.root))
+        internal = [n for n in preorder if isinstance(n, InternalNode)]
+        self.levels = levels = {self.root.node_id: 1}
         for node in internal:
             if node.svm is None:
                 raise ValidationError(f"internal node {node.node_id} has no classifier: "
                                       "phase two has not been attached")
-        levels = path_levels(self.root)
+            levels[node.left.node_id] = levels[node.right.node_id] = levels[node.node_id] + 1
+        self.nodes = sorted(preorder, key=lambda n: n.node_id)
         self.depth = max(levels.values())
         ranks = [levels[n.node_id] * len(internal) + k for k, n in enumerate(internal)]
         self.bank, placed = ClassifierBank.of([n.svm for n in internal], self.config.kernel,
                                               self.dimension, ranks)
-        self.leaves = [n for n in nodes if isinstance(n, LeafNode)]
+        self.leaves = [n for n in preorder if isinstance(n, LeafNode)]
         code = {id(n): k for k, n in enumerate(internal)}
         code.update((id(n), ~k) for k, n in enumerate(self.leaves))
         self.table = []
@@ -240,16 +246,6 @@ def iter_nodes(root):
         if isinstance(node, InternalNode):
             stack.append(node.right)
             stack.append(node.left)
-
-
-def path_levels(root):
-    """Level of every node on its path from the root (the root is level 1),
-    keyed by node id."""
-    levels = {root.node_id: 1}
-    for node in iter_nodes(root):
-        if isinstance(node, InternalNode):
-            levels[node.left.node_id] = levels[node.right.node_id] = levels[node.node_id] + 1
-    return levels
 
 
 def _xlogx(v):
@@ -624,7 +620,6 @@ def serialize(tree):
     """Lossless JSON text for a tree, its float arrays _pack() text. The
     bank's table is its sv_ids in increasing order and their rows, so every
     support vector appears once however many node classifiers keep it."""
-    nodes = sorted(iter_nodes(tree.root), key=lambda n: n.node_id)
     bank = tree.bank
     by_id = np.argsort(bank.sv_ids)
     doc = {
@@ -633,7 +628,7 @@ def serialize(tree):
         "label_names": tree.label_names,
         "dimension": tree.dimension,
         "support_vectors": {"ids": bank.sv_ids[by_id], "rows": _pack(bank.rows[by_id])},
-        "nodes": [_node_to_doc(n) for n in nodes],
+        "nodes": [_node_to_doc(n) for n in tree.nodes],
     }
     return json.dumps(doc, default=np.ndarray.tolist)
 
@@ -757,10 +752,7 @@ def deserialize(text):
         dimension, label_names = doc["dimension"], doc["label_names"]
         if type(dimension) is not int or dimension < 1:
             raise SchemaError(f"dimension {dimension!r} is not a positive int")
-        if (not _is_list_of(label_names, {int, str}) or len(label_names) < 2
-                or len(set(map(str, label_names))) < len(label_names)):
-            raise SchemaError(f"label_names {label_names!r} is not a list of at least two ints "
-                              "or strings whose str() forms, which name classes in files, differ")
+        check_label_names(label_names, SchemaError)
         table = _table_from_doc(doc["support_vectors"], dimension)
         node_docs = doc["nodes"]
         built = {}
@@ -817,16 +809,14 @@ def to_dot(tree, max_depth=None):
     """Graphviz DOT text; max_depth limits rendering to the top levels of
     the root paths."""
     lines = ["digraph atree {"]
-    nodes = sorted(iter_nodes(tree.root), key=lambda n: n.node_id)
-    levels = path_levels(tree.root)
-    kept = {n.node_id for n in nodes if max_depth is None or levels[n.node_id] <= max_depth}
-    for node in nodes:
+    kept = {k for k, level in tree.levels.items() if max_depth is None or level <= max_depth}
+    for node in tree.nodes:
         if node.node_id not in kept:
             continue
         shape = "box" if isinstance(node, InternalNode) else "ellipse"
         lines.append(f'  n{node.node_id} [shape={shape}, '
                      f'label="{_dot_label(node, tree.label_names)}"];')
-    for node in nodes:
+    for node in tree.nodes:
         if not isinstance(node, InternalNode) or node.node_id not in kept:
             continue
         if node.left.node_id in kept:

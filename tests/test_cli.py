@@ -6,8 +6,10 @@ import threading
 
 import pytest
 
+from atree import cli
 from atree.cli import RunConfig, main
 from atree.dataset import Dataset, load_csv, write_csv
+from atree.errors import AtreeError
 from atree.tree import InternalNode, iter_nodes, load, predict, save, train_atree
 from oracles import BAD_PACKINGS, model_table, packed, set_model_table, unpacked
 
@@ -646,6 +648,29 @@ class TestSweep:
 
     def test_sweep_without_mode_rejected(self, tmp_path):
         assert run("--quiet", "sweep", "--out", tmp_path / "s.csv") == 2
+
+    def test_a_bug_inside_an_entry_shows_its_own_exception(self, monkeypatch, tmp_path):
+        # as in train and eval: a fault that is no input error is not
+        # turned into an exit code
+        def broken(*args):
+            raise ZeroDivisionError("inside one-vs-all")
+
+        monkeypatch.setattr(cli.mt, "train_one_vs_all", broken)
+        with pytest.raises(ZeroDivisionError, match="inside one-vs-all"):
+            run("--quiet", "sweep", "--classes", "3", "--per-class", 10, "--dim", 2,
+                "--max-depth", 2, "--out", tmp_path / "s.csv")
+        assert not (tmp_path / "s.csv").exists()
+
+
+def test_an_error_of_the_base_class_exits_2(monkeypatch, tmp_path, capsys):
+    # exit 2 is the code of every package error, not only ValidationError's
+    def fail(path):
+        raise AtreeError("bare")
+
+    monkeypatch.setattr(cli.tr, "load", fail)
+    assert run("--quiet", "export-tree", "m.json", "--out", tmp_path / "x.dot") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestFileErrors:

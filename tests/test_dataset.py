@@ -366,6 +366,27 @@ class TestDatasetInvariants:
         with pytest.raises(ValidationError):
             data.subset(np.array([], dtype=np.int64))
 
+    # a model file holds the names as JSON, and files name classes by str()
+    @pytest.mark.parametrize("names, accepted", [
+        ([0, "0", 2], False),
+        ([0.0, 1.0, 2.0], False),
+        ([True, 1, 2], False),
+        (["a", "b", "a"], False),
+        ([np.int64(0), np.int64(1), np.int64(2)], False),
+        ([3, 7, 9], True),
+        (["3", "7", "cat"], True),
+    ], ids=repr)
+    def test_label_names_must_be_ints_or_strings_with_distinct_str_forms(self, names,
+                                                                         accepted):
+        def make():
+            return Dataset(np.zeros((3, 1)), [0, 1, 2], np.full(3, 1 / 3), 3, names)
+
+        if accepted:
+            assert make().label_names == names
+        else:
+            with pytest.raises(ValidationError, match="label_names"):
+                make()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         features = np.array([[0.0, 1.0], [2.0, bad]])

@@ -6,7 +6,7 @@ from atree import svm as svm_module
 from atree.boosting import BoostConfig
 from atree.dataset import Dataset, generate_gaussian_blobs, split_train_test
 from atree.errors import ValidationError
-from atree.metrics import (EvaluationRun, OneVsAllModel, OneVsOneModel, _flat_bank,
+from atree.metrics import (EvaluationRun, FlatModel, _flat_bank,
                            _flat_decision_values, complexity_report, evaluate_atree,
                            evaluate_one_vs_all, evaluate_one_vs_one, mean_per_class_accuracy,
                            train_one_vs_all, train_one_vs_one)
@@ -125,10 +125,25 @@ class TestOneVsOne:
         # (0, 2) and (1, 2) vote 2
         pairs = [(0, 1), (0, 2), (1, 2)]
         models = [LinearSvmModel(np.zeros(2), 0.0) for _ in pairs]
-        model = OneVsOneModel(pairs, models, 3, *_flat_bank(models, KernelSpec("linear"), 2))
+        model = FlatModel(models, 3, *_flat_bank(models, KernelSpec("linear"), 2), pairs)
         data = Dataset(np.ones((3, 2)), [0, 1, 2], np.full(3, 1 / 3), 3)
         assert (_flat_decision_values(model, data.features) == 0.0).all()
         assert evaluate_one_vs_one(model, data).predictions.tolist() == [2, 2, 2]
+
+    def test_the_models_pairs_not_the_function_pick_argmax_or_votes(self):
+        # decision values 0.5, -1 and 2: their argmax is class 2, and as the
+        # pairs (0, 1), (0, 2) and (1, 2) they vote 1, 0 and 2, a tie that
+        # class 0 takes
+        models = [LinearSvmModel(np.array([v]), 0.0) for v in (0.5, -1.0, 2.0)]
+        bank = _flat_bank(models, KernelSpec("linear"), 1)
+        ova = FlatModel(models, 3, *bank)
+        ovo = FlatModel(models, 3, *bank, [(0, 1), (0, 2), (1, 2)])
+        data = Dataset(np.ones((3, 1)), [0, 1, 2], np.full(3, 1 / 3), 3)
+        for evaluate in (evaluate_one_vs_all, evaluate_one_vs_one):
+            for model, method, label in ((ova, "ova", 2), (ovo, "ovo", 0)):
+                run = evaluate(model, data)
+                assert run.method == method
+                assert run.predictions.tolist() == [label] * 3
 
     def test_relative_complexity_is_half_n_minus_one(self):
         for n in (2, 8, 256, 397):
@@ -179,7 +194,7 @@ class TestComplexityReport:
                            np.ones(4), 0.0, KernelSpec("rbf", 1.0), np.arange(4))
         b = KernelSvmModel(np.random.default_rng(2).uniform(size=(6, 2)),
                            np.ones(6), 0.0, KernelSpec("rbf", 1.0), np.arange(10, 16))
-        model = OneVsAllModel([a, b], 2, *_flat_bank([a, b], KernelSpec("rbf", 1.0), 2))
+        model = FlatModel([a, b], 2, *_flat_bank([a, b], KernelSpec("rbf", 1.0), 2))
         run = evaluate_one_vs_all(model, Dataset(np.zeros((1, 2)), [0], [1.0], 2))
         assert (run.kernel_computations[0], run.kernel_computations_uncached[0]) == (10, 10)
 

@@ -621,8 +621,8 @@ def _flat_run(models, kernel, n=1, dimension=2):
     """The evaluation run of n instances of ``dimension`` zeros through a
     flat baseline of ``models``: a one-vs-one model with every model voting
     between classes 0 and 1 (metrics.evaluate_one_vs_one)."""
-    model = metrics.OneVsOneModel([(0, 1)] * len(models), models, 2,
-                                  *metrics._flat_bank(models, kernel, dimension))
+    model = metrics.FlatModel(models, 2, *metrics._flat_bank(models, kernel, dimension),
+                              [(0, 1)] * len(models))
     data = dataset.Dataset(np.zeros((n, dimension)), np.zeros(n, dtype=np.int64),
                            np.full(n, 1.0 / n), 2)
     return metrics.evaluate_one_vs_one(model, data)

@@ -23,7 +23,7 @@ from atree import tree as tree_module
 from atree.tree import (MODEL_SCHEMA_VERSION, Atree, AtreeConfig, EntropySplit,
                         InternalNode, LeafNode, attach_svms_phase2, binarize_labels,
                         build_phase1, deserialize, entropy_split, iter_nodes, load,
-                        node_cost, partition_samples, path_levels, predict, route,
+                        node_cost, partition_samples, predict, route,
                         serialize, to_dot, train_atree)
 from oracles import (BAD_PACKINGS, boost_ending, brute_force_entropy_split, model_table, packed,
                      random_weighted_multiclass, reference_binarize_labels,
@@ -662,6 +662,16 @@ def _manual_internal(node_id, left, right, bias):
                         svm=LinearSvmModel(np.array([0.0]), bias))
 
 
+def _hand_built_tree():
+    """Root 0 with leaf 4 on its left and internal node 1, over leaves 2 and
+    3, on its right: the ids are not in preorder."""
+    deep = _manual_internal(1, _leaf(2, 0), _leaf(3, 1), bias=0.0)
+    deep.svm = LinearSvmModel(np.array([1.0]), -1.0)
+    root = _manual_internal(0, _leaf(4, 0), deep, bias=0.0)
+    root.svm = LinearSvmModel(np.array([1.0]), 0.0)
+    return Atree(root, AtreeConfig(), [0, 1], 1)
+
+
 FINITE_CHECK_TREE = train_atree(generate_gaussian_blobs(3, 15, 3, 0.5, seed=4),
                                 AtreeConfig(max_depth=3, boost=BoostConfig(max_rounds=5)))
 
@@ -781,11 +791,7 @@ class TestPredict:
 
 class TestRoute:
     def test_groups_rows_by_leaf_across_levels(self):
-        deep = _manual_internal(1, _leaf(2, 0), _leaf(3, 1), bias=0.0)
-        deep.svm = LinearSvmModel(np.array([1.0]), -1.0)
-        root = _manual_internal(0, _leaf(4, 0), deep, bias=0.0)
-        root.svm = LinearSvmModel(np.array([1.0]), 0.0)
-        tree = Atree(root, AtreeConfig(), [0, 1], 1)
+        tree = _hand_built_tree()
         X = np.array([[-1.0], [2.0], [0.5], [3.0]])
         groups = {g.leaf.node_id: g for g in route(tree, X)}
         assert sorted(groups) == [2, 3, 4]
@@ -894,6 +900,64 @@ class TestRoute:
         root.right.svm = None
         with pytest.raises(ValidationError, match="node 3 has no classifier"):
             route(Atree(root, AtreeConfig(), [0, 1], 1), np.zeros((2, 1)))
+
+
+def _walked_levels(node, level=1):
+    """(node id, level) of every node under node, by a recursive walk."""
+    yield node.node_id, level
+    if isinstance(node, InternalNode):
+        yield from _walked_levels(node.left, level + 1)
+        yield from _walked_levels(node.right, level + 1)
+
+
+VIEW_DATA = generate_gaussian_blobs(5, 12, 3, 0.6, seed=9)
+
+
+class TestNodesAndLevels:
+    """Atree.nodes and Atree.levels, derived once when a tree is built or
+    loaded, against iter_nodes sorted by id and a recursive walk."""
+
+    @staticmethod
+    def _check(tree):
+        by_id = sorted(iter_nodes(tree.root), key=lambda n: n.node_id)
+        assert [id(n) for n in tree.nodes] == [id(n) for n in by_id]
+        assert tree.levels == dict(_walked_levels(tree.root))
+        assert tree.depth == max(tree.levels.values())
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda k: k.kind)
+    def test_trained_and_loaded_trees(self, kernel):
+        tree = train_atree(VIEW_DATA, AtreeConfig(max_depth=4, kernel=kernel,
+                                                  boost=BoostConfig(max_rounds=5)))
+        assert tree.depth >= 3
+        self._check(tree)
+        self._check(deserialize(serialize(tree)))
+
+    def test_tree_whose_root_is_a_leaf(self):
+        tree = train_atree(VIEW_DATA, AtreeConfig(max_depth=1))
+        assert isinstance(tree.root, LeafNode)
+        self._check(tree)
+        assert tree.nodes == [tree.root] and tree.levels == {0: 1}
+
+    def test_ids_out_of_preorder(self):
+        tree = _hand_built_tree()
+        assert [n.node_id for n in iter_nodes(tree.root)] == [0, 4, 1, 2, 3]
+        self._check(tree)
+        assert [n.node_id for n in tree.nodes] == [0, 1, 2, 3, 4]
+        assert tree.levels == {0: 1, 4: 2, 1: 2, 2: 3, 3: 3}
+        # the model file and the DOT text list the nodes by id
+        nodes = json.loads(serialize(tree))["nodes"]
+        assert [("svm" in d) for d in nodes] == [True, True, False, False, False]
+        assert [nodes[0]["left"], nodes[0]["right"]] == [4, 1]
+        assert [d["label"] for d in nodes[2:]] == [0, 1, 0]
+        dot = to_dot(tree)
+        assert re.findall(r"^  n(\d+) \[", dot, re.M) == ["0", "1", "2", "3", "4"]
+        assert re.findall(r"^  n(\d+) -> n(\d+)", dot, re.M) == [
+            ("0", "4"), ("0", "1"), ("1", "2"), ("1", "3")]
+        assert re.findall(r"^  n(\d+) \[", to_dot(tree, max_depth=2), re.M) == ["0", "1", "4"]
+        loaded = deserialize(serialize(tree))
+        self._check(loaded)
+        assert to_dot(loaded) == dot
 
 
 class TestNodeCost:
@@ -1147,6 +1211,20 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="label_names"):
             deserialize(json.dumps(doc))
 
+    @settings(max_examples=25, deadline=None)
+    @given(names=st.lists(st.integers(-2, 2) | st.integers() | st.text(max_size=3),
+                          min_size=3, max_size=3))
+    def test_label_names_a_dataset_accepts_survive_the_model_file(self, names):
+        blobs = VIEW_DATA.subset(np.flatnonzero(VIEW_DATA.labels < 3))
+        try:
+            data = Dataset(blobs.features, blobs.labels, blobs.weights, 3, names)
+        except ValidationError:
+            assume(False)
+        tree = train_atree(data, AtreeConfig(max_depth=2, boost=BoostConfig(max_rounds=3)))
+        clone = deserialize(serialize(tree))
+        assert clone.label_names == names
+        assert list(map(type, clone.label_names)) == list(map(type, names))
+
     @settings(max_examples=20, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(["linear", "rbf"]))
     def test_packed_values_round_trip_bit_for_bit(self, data, kind):
@@ -1334,7 +1412,7 @@ def _check_bank(tree):
             assert (lo, hi) == (0, tree.dimension)
             assert segment.tobytes() == node.svm.weights.tobytes()
         return
-    levels = path_levels(tree.root)
+    levels = tree.levels
     keeper = {}
     for k, node in enumerate(internal):
         for i in node.svm.sv_ids.tolist():
@@ -1513,7 +1591,7 @@ class TestDotExport:
         tree = train_atree(data, AtreeConfig(delta=0.7, max_depth=6))
         full = to_dot(tree)
         top = to_dot(tree, max_depth=3)
-        deep_nodes = [nid for nid, level in path_levels(tree.root).items() if level > 3]
+        deep_nodes = [nid for nid, level in tree.levels.items() if level > 3]
         assert deep_nodes
         for nid in deep_nodes:
             assert f"n{nid} [" not in top
