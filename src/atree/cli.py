@@ -129,9 +129,13 @@ def _outputs(*paths):
     The command writes each stand-in; once it has succeeded every stand-in
     replaces its path, and if it fails they are all removed. A path that
     exists but is no regular file, such as /dev/stdout or a pipe, is its
-    own stand-in and is written in place."""
+    own stand-in and is written in place. Two paths that resolve to one
+    file would keep only the last written, so they are an error."""
     temps = [path if path is None or os.path.exists(path) and not os.path.isfile(path)
              else f"{path}.{os.getpid()}-{k}.tmp" for k, path in enumerate(paths)]
+    files = [os.path.realpath(path) for temp, path in zip(temps, paths) if temp != path]
+    if len(set(files)) < len(files):
+        raise ValidationError(f"outputs name one file: {' and '.join(filter(None, paths))}")
     made = []
     try:
         for temp, path in zip(temps, paths):
@@ -280,11 +284,7 @@ def cmd_eval(args):
             rows.append(_metrics_row(run, None, kernel_kind, reference, tree.label_names))
         _write_metrics(metrics_out, rows)
         if traces_out:
-            node_ids = [None] * len(test)
-            for group in atree_run.paths:
-                joined = ";".join(str(node.node_id) for node in group.nodes)
-                for row in group.rows.tolist():
-                    node_ids[row] = joined
+            node_ids = [";".join(str(node.node_id) for node in path) for path in tree.paths]
             names = [str(name) for name in tree.label_names]
             kernel = atree_run.kernel_computations
             _write_rows(traces_out, TRACE_COLUMNS, zip(
@@ -293,7 +293,7 @@ def cmd_eval(args):
                 [names[k] for k in atree_run.predictions.tolist()],
                 map(str, atree_run.classifier_evaluations.tolist()),
                 [""] * len(test) if kernel is None else map(str, kernel.tolist()),
-                node_ids))
+                map(node_ids.__getitem__, atree_run.leaves.tolist())))
     _say(args, f"evaluated {len(test)} instances -> {args.out_metrics}")
     return 0
 
@@ -323,7 +323,7 @@ def cmd_sweep(args):
 
 
 def _sweep_rows(args, run_config):
-    if args.deltas:
+    if args.deltas is not None:
         if not (args.train_csv and args.test_csv):
             raise ValidationError("a delta sweep needs --train-csv and --test-csv")
         deltas = _parse_list(args.deltas, "--deltas", float)
@@ -331,7 +331,7 @@ def _sweep_rows(args, run_config):
         test = load_csv(args.test_csv, args.has_header, train.label_names)
         return [_tradeoff_row(replace(run_config, delta=delta), train, test)
                 for delta in deltas]
-    if args.classes:
+    if args.classes is not None:
         rows = []
         for n in _parse_list(args.classes, "--classes", int):
             data = generate_gaussian_blobs(n, args.per_class, args.dim, args.spread,
@@ -428,8 +428,9 @@ def build_parser():
     p.add_argument("--train-csv", dest="train_csv", default=None)
     p.add_argument("--test-csv", dest="test_csv", default=None)
     p.add_argument("--has-header", dest="has_header", action="store_true")
-    p.add_argument("--deltas", default=None)
-    p.add_argument("--classes", default=None)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--deltas", default=None)
+    mode.add_argument("--classes", default=None)
     p.add_argument("--per-class", dest="per_class", type=int, default=50)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--spread", type=float, default=1.0)

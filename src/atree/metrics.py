@@ -42,7 +42,7 @@ class EvaluationRun:
     classifier_evaluations: np.ndarray
     kernel_computations: np.ndarray | None = None       # union-cached
     kernel_computations_uncached: np.ndarray | None = None
-    paths: list | None = None          # ATree only: tree.route's leaf, nodes and rows
+    leaves: np.ndarray | None = None   # ATree only: tree.route's leaf index of each row
 
 
 @dataclass
@@ -114,33 +114,25 @@ def mean_per_class_accuracy(predictions, truths, num_classes, label_names=None):
 
 
 def evaluate_atree(tree, data):
-    """Route the whole test set through the tree (tree.route) and keep its
-    path groups on ``run.paths``. Each instance's label, evaluation count
-    and, for kernel trees, cached/uncached kernel computation counts come
-    from its group: the instances reaching one leaf share one path, whose
-    kernel computation counts the tree derived when it was built. The
-    dataset's labels must be the tree's classes: its label_names must be the
-    tree's (load_csv maps a file's labels through them)."""
+    """Route the whole test set through the tree (tree.route) and keep each
+    instance's leaf index on ``run.leaves``. Each instance's label,
+    evaluation count and, for kernel trees, cached/uncached kernel
+    computation counts are its leaf's: the instances reaching one leaf share
+    one path, whose kernel computation counts the tree derived when it was
+    built. The dataset's labels must be the tree's classes: its label_names
+    must be the tree's (load_csv maps a file's labels through them)."""
     if list(data.label_names) != list(tree.label_names):
         raise ValidationError(f"the test data's classes {list(data.label_names)} are not the "
                               f"tree's {list(tree.label_names)}")
-    nonlinear = not tree.config.kernel.is_linear
-    n = len(data)
-    preds = np.empty(n, dtype=np.int64)
-    evals = np.empty(n, dtype=np.int64)
-    counts = np.empty((n, 2), dtype=np.int64)
-    paths = route_tree(tree, data.features)
-    for group in paths:
-        preds[group.rows] = group.leaf.label
-        evals[group.rows] = len(group.nodes)
-        if nonlinear:
-            counts[group.rows] = tree.leaf_kernel_computations[group.leaf.node_id]
+    leaves = route_tree(tree, data.features)
+    labels = np.array([leaf.label for leaf in tree.leaves], dtype=np.int64)
+    evals = np.array([len(path) for path in tree.paths], dtype=np.int64)
     run = EvaluationRun(
-        method="atree", num_classes=tree.num_classes, predictions=preds,
-        truths=data.labels.copy(), classifier_evaluations=evals, paths=paths)
-    if nonlinear:
-        run.kernel_computations = counts[:, 0]
-        run.kernel_computations_uncached = counts[:, 1]
+        method="atree", num_classes=tree.num_classes, predictions=labels[leaves],
+        truths=data.labels.copy(), classifier_evaluations=evals[leaves], leaves=leaves)
+    if tree.leaf_kernel_computations is not None:
+        run.kernel_computations, run.kernel_computations_uncached = (
+            tree.leaf_kernel_computations[leaves].T)
     return run
 
 

@@ -166,11 +166,12 @@ class Atree:
     which every internal node must hold; its table, one NodeEntry per
     internal node in preorder, entry i reading bank columns table[i].span
     with bias table[i].bias, its node's svm.bias; its leaves in preorder;
-    and for a kernel tree the (union, uncached) kernel computations of the
-    path to each leaf, keyed by leaf id: the distinct support vectors of the
-    path's classifiers and their total count (empty for a linear tree).
-    Traversal starts at code 0, the root's entry, or at ~0, leaves[0], when
-    the root is a leaf and the table is empty.
+    their paths, paths[k] the internal nodes from the root down to
+    leaves[k]; and for a kernel tree (None for a linear one) a (leaves, 2)
+    int array of each leaf's path's (union, uncached) kernel computations:
+    the distinct support vectors of the path's classifiers and their total
+    count. Traversal starts at code 0, the root's entry, or at ~0,
+    leaves[0], when the root is a leaf and the table is empty.
 
     The bank's table is in tree order: it lists the support vectors node by
     node in preorder, each with the deepest node that keeps it (the last in
@@ -190,7 +191,8 @@ class Atree:
     bank: ClassifierBank = field(init=False, repr=False, compare=False)
     table: list = field(init=False, repr=False, compare=False)
     leaves: list = field(init=False, repr=False, compare=False)
-    leaf_kernel_computations: dict = field(init=False, repr=False, compare=False)
+    paths: list = field(init=False, repr=False, compare=False)
+    leaf_kernel_computations: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         preorder = list(iter_nodes(self.root))
@@ -202,6 +204,10 @@ class Atree:
                                       "phase two has not been attached")
             levels[node.left.node_id] = levels[node.right.node_id] = levels[node.node_id] + 1
         self.nodes = sorted(preorder, key=lambda n: n.node_id)
+        ids = [n.node_id for n in self.nodes]
+        if ids != [*range(len(ids))] or any(type(i) is not int for i in ids) or any(
+                min(n.left.node_id, n.right.node_id) <= n.node_id for n in internal):
+            raise ValidationError("node ids must be ints 0..n-1, rising from parent to child")
         self.depth = max(levels.values())
         ranks = [levels[n.node_id] * len(internal) + k for k, n in enumerate(internal)]
         self.bank, placed = ClassifierBank.of([n.svm for n in internal], self.config.kernel,
@@ -217,21 +223,27 @@ class Atree:
             span = None if (lo, hi) == (0, self.bank.width) else slice(lo, hi)
             self.table.append(NodeEntry(node, span, segment, node.svm.bias,
                                         code[id(node.left)], code[id(node.right)]))
-        self.leaf_kernel_computations = {}
-        if not self.config.kernel.is_linear:
-            # seen marks the table columns of the support vectors met on the path
-            paths = [(0 if self.table else ~0, np.zeros(len(self.bank.sv_ids), dtype=bool), 0)]
-            while paths:
-                i, seen, uncached = paths.pop()
-                if i < 0:
-                    self.leaf_kernel_computations[self.leaves[~i].node_id] = (
-                        int(np.count_nonzero(seen)), uncached)
-                    continue
-                entry = self.table[i]
+        self.paths = [None] * len(self.leaves)
+        linear = self.config.kernel.is_linear
+        counts = None if linear else np.empty((len(self.leaves), 2), dtype=np.int64)
+        # on a kernel path, seen marks the table columns of the support vectors met
+        walk = [(0 if self.table else ~0, [],
+                 None if linear else np.zeros(len(self.bank.sv_ids), dtype=bool), 0)]
+        while walk:
+            i, path, seen, uncached = walk.pop()
+            if i < 0:
+                self.paths[~i] = path
+                if not linear:
+                    counts[~i] = np.count_nonzero(seen), uncached
+                continue
+            entry = self.table[i]
+            if not linear:
                 seen = seen.copy()
                 seen[placed[i][0]] = True
                 uncached += len(entry.node.svm.sv_ids)
-                paths += [(entry.left, seen, uncached), (entry.right, seen, uncached)]
+            path = [*path, entry.node]
+            walk += [(entry.left, path, seen, uncached), (entry.right, path, seen, uncached)]
+        self.leaf_kernel_computations = counts
 
     @property
     def num_classes(self):
@@ -514,52 +526,39 @@ def predict(tree, x):
     return tree.leaves[~i].label, trace
 
 
-@dataclass
-class PathGroup:
-    """The rows of a batch that reach one leaf. Every row of the group
-    follows the same path: ``nodes`` lists the evaluated internal nodes from
-    the root down."""
-
-    leaf: LeafNode
-    nodes: list
-    rows: np.ndarray
-
-
 def route(tree, X):
     """Traverse every row of X at once, level by level: each node evaluates
     its classifier once, over the rows that reach it, and routes them right
-    where the decision value is nonnegative. Labels and paths are those of
-    predict() on each row, whose trace holds the decision values. Rows go
-    through in tree.bank.input_blocks() of a row-major copy of X, and every
-    node reads its span of its block's inputs, laid out as predict() lays
-    out one instance. Returns one PathGroup per leaf that a block reaches,
-    its rows indexing X."""
+    where the decision value is nonnegative. Returns each row's leaf as its
+    index k into tree.leaves, whose label and path tree.paths[k] are those
+    of predict() on the row. Rows go through in tree.bank.input_blocks() of
+    a row-major copy of X, and every node reads its span of its block's
+    inputs, laid out as predict() lays out one instance."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.dimension:
         raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
     _require_finite(X.reshape(-1))
-    groups = []
+    leaves = np.empty(len(X), dtype=np.int64)
     for first, inputs in tree.bank.input_blocks(np.ascontiguousarray(X)):
-        groups += _route_block(tree, inputs, first)
-    return groups
+        _route_block(tree, inputs, leaves[first:first + len(inputs)])
+    return leaves
 
 
-def _route_block(tree, inputs, first):
-    """route() over one block of inputs, whose row 0 is row ``first`` of X,
-    walking tree.table as predict() does. A node that a third of the block's
-    rows or more reach reads its span in place, on every row, and keeps its
-    rows' values; any other node reads a copy of its rows' spans."""
+def _route_block(tree, inputs, leaves):
+    """route() over one block of inputs, whose leaf indices it writes to
+    ``leaves``, walking tree.table as predict() does. A node that a third of
+    the block's rows or more reach reads its span in place, on every row, and
+    keeps its rows' values; any other node reads a copy of its rows' spans."""
     n = len(inputs)
     table = tree.table
-    groups = []
-    level = [(0 if table else ~0, np.arange(n), [])]
+    level = [(0 if table else ~0, np.arange(n))]
     while level:
         below = []
-        for i, rows, path in level:
+        for i, rows in level:
             if i < 0:
-                groups.append(PathGroup(tree.leaves[~i], path, rows + first))
+                leaves[rows] = ~i
                 continue
-            node, span, segment, bias, left, right = table[i]
+            _, span, segment, bias, left, right = table[i]
             columns = inputs if span is None else inputs[:, span]
             if 3 * len(rows) >= n:
                 dv = np.vecdot(columns, segment)[rows]
@@ -567,12 +566,10 @@ def _route_block(tree, inputs, first):
                 dv = np.vecdot(columns[rows], segment)
             dv += bias
             goes_right = dv >= 0
-            path = path + [node]
             for child, below_rows in ((left, rows[~goes_right]), (right, rows[goes_right])):
                 if len(below_rows):
-                    below.append((child, below_rows, path))
+                    below.append((child, below_rows))
         level = below
-    return groups
 
 
 # ---------------------------------------------------------------------------

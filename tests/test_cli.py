@@ -637,10 +637,14 @@ class TestSweep:
         assert len(lines) == 1 + 2
         assert [int(l.split(",")[2]) for l in lines[1:]] == [4, 8]
 
-    def test_empty_delta_list_rejected(self, blob_csvs, tmp_path):
+    def test_empty_delta_list_rejected(self, blob_csvs, tmp_path, capsys):
         train, test = blob_csvs
         assert run("--quiet", "sweep", "--train-csv", train, "--test-csv", test,
                    "--deltas", "", "--out", tmp_path / "s.csv") == 2
+        # an empty list is named as empty, not as a missing mode
+        assert "--deltas must not be empty" in capsys.readouterr().err
+        assert run("--quiet", "sweep", "--classes", "", "--out", tmp_path / "s.csv") == 2
+        assert "--classes must not be empty" in capsys.readouterr().err
 
     def test_fractional_class_count_rejected(self, tmp_path):
         assert run("--quiet", "sweep", "--classes", "2.5", "--per-class", 10,
@@ -648,6 +652,16 @@ class TestSweep:
 
     def test_sweep_without_mode_rejected(self, tmp_path):
         assert run("--quiet", "sweep", "--out", tmp_path / "s.csv") == 2
+
+    def test_deltas_and_classes_together_rejected(self, blob_csvs, tmp_path, capsys):
+        # one sweep is a delta sweep or a class-count sweep, never both
+        train, test = blob_csvs
+        with pytest.raises(SystemExit) as exc:
+            run("--quiet", "sweep", "--train-csv", train, "--test-csv", test,
+                "--deltas", "0.7", "--classes", "3,4", "--out", tmp_path / "s.csv")
+        assert exc.value.code == 2
+        assert "--classes: not allowed with argument --deltas" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_a_bug_inside_an_entry_shows_its_own_exception(self, monkeypatch, tmp_path):
         # as in train and eval: a fault that is no input error is not
@@ -744,6 +758,33 @@ class TestNoOutputOnFailure:
         assert capsys.readouterr().err.startswith("error:")
         expected = {name: "earlier\n" for name in outputs} if earlier else {}
         assert {p.name: p.read_text() for p in out.iterdir()} == expected
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "{train}", "--out", "{tmp}/same.json", "--log", "{tmp}/same.json"),
+        ("eval", "{model}", "{test}", "--out-metrics", "{tmp}/same.csv",
+         "--out-traces", "{tmp}/../out/./same.csv"),
+    ], ids=["train", "eval"])
+    def test_two_outputs_that_name_one_file_exit_2_before_any_work(
+            self, blob_csvs, tmp_path, capsys, monkeypatch, argv):
+        # the second output written would replace the first, so the command
+        # fails before it reads an input
+        train, test = blob_csvs
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 2) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+
+        def unread(*args):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "load_csv", unread)
+        monkeypatch.setattr(cli.tr, "load", unread)
+        paths = {"tmp": out, "train": train, "test": test, "model": model}
+        assert run("--quiet", *(a.format(**paths) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: outputs name one file") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
 
     def test_a_pipe_is_written_in_place(self, tmp_path):
         pipe = tmp_path / "pipe"

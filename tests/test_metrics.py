@@ -24,18 +24,15 @@ def _linear_run(method, n_classes, n_instances, per_instance_cost):
         classifier_evaluations=np.full(n_instances, per_instance_cost, dtype=np.int64))
 
 
-def _node_paths(run, n):
-    """Per-instance node-id paths rebuilt from run.paths, after checking
-    that the groups' rows partition range(n) and that each group's rows are
-    labelled with its leaf's label."""
-    rows = np.concatenate([group.rows for group in run.paths])
-    np.testing.assert_array_equal(np.sort(rows), np.arange(n))
-    paths = [None] * n
-    for group in run.paths:
-        assert (run.predictions[group.rows] == group.leaf.label).all()
-        for row in group.rows.tolist():
-            paths[row] = [node.node_id for node in group.nodes]
-    return paths
+def _node_paths(tree, run, n):
+    """Per-instance node-id paths rebuilt from run.leaves and tree.paths,
+    after checking that run.leaves holds one index into tree.leaves for each
+    of the n rows and that each row is labelled with its leaf's label."""
+    assert run.leaves.dtype == np.int64 and run.leaves.shape == (n,)
+    assert ((0 <= run.leaves) & (run.leaves < len(tree.leaves))).all()
+    leaves = run.leaves.tolist()
+    assert run.predictions.tolist() == [tree.leaves[k].label for k in leaves]
+    return [[node.node_id for node in tree.paths[k]] for k in leaves]
 
 
 class TestOneVsAll:
@@ -258,7 +255,7 @@ class TestEndToEnd:
         sv_ids = {n.node_id: n.svm.sv_ids.tolist() for n in iter_nodes(tree.root)
                   if isinstance(n, InternalNode) and n.svm is not None}
         run = evaluate_atree(tree, test)
-        paths = _node_paths(run, len(test))
+        paths = _node_paths(tree, run, len(test))
         for i, x in enumerate(test.features):
             label, trace = predict(tree, x)
             ids = [sid for nid, _ in trace for sid in sv_ids[nid]]
@@ -309,7 +306,8 @@ class TestEndToEnd:
         run = evaluate_atree(tree, test)
         singles = [predict(tree, x) for x in test.features]
         np.testing.assert_array_equal(run.predictions, [label for label, _ in singles])
-        assert _node_paths(run, len(test)) == [[nid for nid, _ in trace] for _, trace in singles]
+        assert _node_paths(tree, run, len(test)) == [[nid for nid, _ in trace]
+                                                     for _, trace in singles]
         np.testing.assert_array_equal(run.classifier_evaluations,
                                       [len(trace) for _, trace in singles])
         # the reloaded tree: the same labels and paths, and predict's
@@ -317,7 +315,7 @@ class TestEndToEnd:
         clone = deserialize(serialize(tree))
         reloaded = evaluate_atree(clone, test)
         assert reloaded.predictions.tobytes() == run.predictions.tobytes()
-        assert _node_paths(reloaded, len(test)) == _node_paths(run, len(test))
+        assert _node_paths(clone, reloaded, len(test)) == _node_paths(tree, run, len(test))
         assert all(
             [(i, np.float64(v).tobytes()) for i, v in trace]
             == [(i, np.float64(v).tobytes()) for i, v in predict(clone, x)[1]]
@@ -451,7 +449,7 @@ class TestRowBlocks:
             assert blocked.kernel_computations.tobytes() == run.kernel_computations.tobytes()
             assert (blocked.kernel_computations_uncached.tobytes()
                     == run.kernel_computations_uncached.tobytes())
-        assert _node_paths(blocked, len(test)) == _node_paths(run, len(test))
+        assert _node_paths(tree, blocked, len(test)) == _node_paths(tree, run, len(test))
         for model, evaluate, expected, values in flat:
             monkeypatch.setattr(svm_module, "_EVAL_ELEMENTS", 7 * model.bank.width)
             blocks.clear()

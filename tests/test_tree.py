@@ -793,19 +793,23 @@ class TestRoute:
     def test_groups_rows_by_leaf_across_levels(self):
         tree = _hand_built_tree()
         X = np.array([[-1.0], [2.0], [0.5], [3.0]])
-        groups = {g.leaf.node_id: g for g in route(tree, X)}
-        assert sorted(groups) == [2, 3, 4]
-        assert groups[4].rows.tolist() == [0]
-        assert [n.node_id for n in groups[4].nodes] == [0]
-        assert groups[3].rows.tolist() == [1, 3]
-        assert [n.node_id for n in groups[3].nodes] == [0, 1]
-        assert groups[2].rows.tolist() == [2]
-        assert [n.node_id for n in groups[2].nodes] == [0, 1]
-        for g in groups.values():
-            for row in g.rows:
-                label, trace = predict(tree, X[row])
-                assert label == g.leaf.label
-                assert [node_id for node_id, _ in trace] == [n.node_id for n in g.nodes]
+        leaves = route(tree, X)
+        assert leaves.dtype == np.int64 and leaves.shape == (len(X),)
+        # each leaf's rows and path, keyed by the leaf's id
+        ids = [leaf.node_id for leaf in tree.leaves]
+        rows = {node_id: np.flatnonzero(leaves == k) for k, node_id in enumerate(ids)}
+        paths = {node_id: tree.paths[k] for k, node_id in enumerate(ids)}
+        assert sorted(rows) == [2, 3, 4]
+        assert rows[4].tolist() == [0]
+        assert [n.node_id for n in paths[4]] == [0]
+        assert rows[3].tolist() == [1, 3]
+        assert [n.node_id for n in paths[3]] == [0, 1]
+        assert rows[2].tolist() == [2]
+        assert [n.node_id for n in paths[2]] == [0, 1]
+        for row, k in enumerate(leaves.tolist()):
+            label, trace = predict(tree, X[row])
+            assert label == tree.leaves[k].label
+            assert [node_id for node_id, _ in trace] == [n.node_id for n in tree.paths[k]]
         assert predict(tree, X[1]) == (1, [(0, 2.0), (1, 1.0)])
         assert predict(tree, X[3]) == (1, [(0, 3.0), (1, 2.0)])
         assert predict(tree, X[2]) == (0, [(0, 0.5), (1, -0.5)])
@@ -830,11 +834,12 @@ class TestRoute:
 
         monkeypatch.setattr(svm_module.ClassifierBank, "inputs", recorded_inputs)
         monkeypatch.setattr(np, "vecdot", recorded_vecdot)
-        groups = route(tree, data.features)
+        leaves = route(tree, data.features)
         monkeypatch.undo()
         assert len(blocks) == 1
         block = blocks[0]
-        reached = {n.node_id: sum(len(g.rows) for g in groups if n in g.nodes)
+        reached = {n.node_id: sum(int(np.count_nonzero(leaves == k))
+                                  for k, path in enumerate(tree.paths) if n in path)
                    for n in iter_nodes(tree.root) if isinstance(n, InternalNode)}
         reached = {node_id: count for node_id, count in reached.items() if count}
         assert len(seen) == len(reached)
@@ -892,7 +897,7 @@ class TestRoute:
         X[2, 1] = value
         with pytest.raises(ValidationError, match="finite"):
             route(tree, X)
-        assert route(tree, np.full((2, tree.dimension), 1e200))
+        assert len(route(tree, np.full((2, tree.dimension), 1e200))) == 2
 
     def test_phase1_only_tree_cannot_route(self):
         root = _manual_internal(0, _leaf(1, 0), _leaf(2, 1), bias=0.0)
@@ -958,6 +963,115 @@ class TestNodesAndLevels:
         loaded = deserialize(serialize(tree))
         self._check(loaded)
         assert to_dot(loaded) == dot
+
+
+def _walked_paths(node, path=()):
+    """(leaf, path) of every leaf under node, left to right, by a recursive
+    walk: path lists the internal nodes from the root down to the leaf."""
+    if isinstance(node, LeafNode):
+        yield node, list(path)
+        return
+    yield from _walked_paths(node.left, (*path, node))
+    yield from _walked_paths(node.right, (*path, node))
+
+
+class TestLeafPaths:
+    """Atree.paths and Atree.leaf_kernel_computations, derived once when a
+    tree is built or loaded, against a recursive walk whose kernel counts
+    are the set union of the path's sv_ids and their total count."""
+
+    @staticmethod
+    def _check(tree):
+        walked = list(_walked_paths(tree.root))
+        assert [id(leaf) for leaf, _ in walked] == [id(leaf) for leaf in tree.leaves]
+        assert [[id(n) for n in path] for path in tree.paths] == [
+            [id(n) for n in path] for _, path in walked]
+        counts = tree.leaf_kernel_computations
+        if tree.config.kernel.is_linear:
+            assert counts is None
+            return
+        assert counts.dtype == np.int64 and counts.shape == (len(tree.leaves), 2)
+        assert counts.tolist() == [
+            [len(set().union(*(n.svm.sv_ids.tolist() for n in path))),
+             sum(len(n.svm.sv_ids) for n in path)] for _, path in walked]
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda k: k.kind)
+    def test_trained_and_loaded_trees(self, kernel):
+        tree = train_atree(VIEW_DATA, AtreeConfig(max_depth=4, kernel=kernel,
+                                                  boost=BoostConfig(max_rounds=5)))
+        assert tree.depth >= 3
+        self._check(tree)
+        self._check(deserialize(serialize(tree)))
+        if not kernel.is_linear:
+            # the paths share support vectors: the union is below the total
+            counts = tree.leaf_kernel_computations
+            assert (counts[:, 0] < counts[:, 1]).any()
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda k: k.kind)
+    def test_tree_whose_root_is_a_leaf(self, kernel):
+        tree = train_atree(VIEW_DATA, AtreeConfig(max_depth=1, kernel=kernel))
+        assert isinstance(tree.root, LeafNode)
+        self._check(tree)
+        assert tree.paths == [[]]
+        if not kernel.is_linear:
+            assert tree.leaf_kernel_computations.tolist() == [[0, 0]]
+
+    def test_ids_out_of_preorder(self):
+        tree = _hand_built_tree()
+        self._check(tree)
+        assert [leaf.node_id for leaf in tree.leaves] == [4, 2, 3]
+        assert [[n.node_id for n in path] for path in tree.paths] == [[0], [0, 1], [0, 1]]
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(svm_module.KERNEL_KINDS), k=st.integers(2, 5),
+           per_class=st.integers(3, 15), d=st.integers(1, 4), spread=st.floats(0.1, 2.0),
+           seed=st.integers(0, 2 ** 16), delta=st.floats(0.5, 0.99),
+           max_depth=st.integers(1, 6))
+    def test_each_row_reaches_the_leaf_predict_reaches(self, kind, k, per_class, d, spread,
+                                                        seed, delta, max_depth):
+        """route's entry k for a row names the leaf that predict() reaches:
+        tree.leaves[k] has predict's label, and tree.paths[k] lists the
+        nodes of its trace."""
+        blobs = generate_gaussian_blobs(k, per_class, d, spread, seed=seed)
+        # nonnegative features, as two of the kernels require
+        data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
+        tree = train_atree(data, AtreeConfig(delta=delta, max_depth=max_depth,
+                                             kernel=_kernel_of(kind),
+                                             boost=BoostConfig(max_rounds=5)))
+        X = np.vstack([data.features, np.abs(
+            data.features[::-1] + np.random.default_rng(seed).normal(size=data.features.shape))])
+        leaves = route(tree, X)
+        assert leaves.shape == (len(X),)
+        for x, leaf in zip(X, leaves.tolist()):
+            label, trace = predict(tree, x)
+            assert tree.leaves[leaf].label == label
+            assert [n.node_id for n in tree.paths[leaf]] == [i for i, _ in trace]
+
+
+class TestNodeIds:
+    """A tree's node ids are 0..n-1 with every child's above its parent's,
+    as phase one draws them and as the model file stores them; Atree
+    rejects any other root, whose model file save would fail to write or
+    load would refuse."""
+
+    @pytest.mark.parametrize("ids", [(0, 1, 5), (0, 1, 1), (1, 0, 2), (0, 1.0, 2),
+                                     (0, np.int64(1), 2), (0, True, 2)],
+                             ids=["gap", "repeated", "child-below-parent", "float",
+                                  "numpy-int", "bool"])
+    def test_ids_the_model_file_cannot_hold_rejected(self, ids):
+        root = _manual_internal(ids[0], _leaf(ids[1], 0), _leaf(ids[2], 1), bias=0.0)
+        with pytest.raises(ValidationError, match=r"node ids must be ints 0\.\.n-1"):
+            Atree(root, AtreeConfig(), [0, 1], 1)
+        # the same tree with ids 0, 1, 2 builds, and its model file loads
+        root.node_id, root.left.node_id, root.right.node_id = 0, 1, 2
+        tree = Atree(root, AtreeConfig(), [0, 1], 1)
+        assert [n.node_id for n in deserialize(serialize(tree)).nodes] == [0, 1, 2]
+
+    def test_ids_out_of_preorder_accepted(self):
+        tree = _hand_built_tree()
+        assert deserialize(serialize(tree)).nodes[4].node_id == 4
 
 
 class TestNodeCost:
@@ -1259,7 +1373,8 @@ class TestSerialization:
                 assert (a.span, a.left, a.right) == (b.span, b.left, b.right)
                 assert a.segment.tobytes() == b.segment.tobytes()
                 assert np.float64(a.bias).tobytes() == np.float64(b.bias).tobytes()
-            assert clone.leaf_kernel_computations == built.leaf_kernel_computations
+            assert np.array_equal(clone.leaf_kernel_computations,
+                                  built.leaf_kernel_computations)
             for x in np.random.default_rng(0).normal(size=(20, tree.dimension)):
                 (label, trace), (clone_label, clone_trace) = predict(built, x), predict(clone, x)
                 assert clone_label == label
@@ -1443,16 +1558,15 @@ def _check_routes_predicts_and_round_trips(tree, X):
             assert node.split is node.boost is node.partition is None
     routed = []
     for t in (tree, clone):
-        groups = route(t, X)
-        assert np.array_equal(np.sort(np.concatenate([g.rows for g in groups])),
-                              np.arange(len(X)))
-        routed.append([(g.leaf.node_id, [n.node_id for n in g.nodes], g.rows.tolist())
-                       for g in groups])
-        for g in groups:
-            for row in g.rows:
-                label, trace = predict(t, X[row])
-                assert label == g.leaf.label
-                assert [i for i, _ in trace] == [n.node_id for n in g.nodes]
+        leaves = route(t, X)
+        assert leaves.dtype == np.int64 and leaves.shape == (len(X),)
+        assert ((0 <= leaves) & (leaves < len(t.leaves))).all()
+        routed.append([(t.leaves[k].node_id, [n.node_id for n in t.paths[k]])
+                       for k in leaves.tolist()])
+        for row, k in enumerate(leaves.tolist()):
+            label, trace = predict(t, X[row])
+            assert label == t.leaves[k].label
+            assert [i for i, _ in trace] == [n.node_id for n in t.paths[k]]
     assert routed[0] == routed[1]
     for x in X:
         (label, trace), (clone_label, clone_trace) = predict(tree, x), predict(clone, x)
