@@ -122,7 +122,7 @@ def _write_metrics(path, rows):
 
 
 @contextlib.contextmanager
-def _outputs(*paths):
+def _outputs(*paths, inputs=()):
     """Stand-ins for a command's output paths (None for an output it does
     not write): an empty temporary file beside each, made before any work,
     so an output that cannot be written fails the command before it starts.
@@ -130,12 +130,18 @@ def _outputs(*paths):
     replaces its path, and if it fails they are all removed. A path that
     exists but is no regular file, such as /dev/stdout or a pipe, is its
     own stand-in and is written in place. Two paths that resolve to one
-    file would keep only the last written, so they are an error."""
+    file would keep only the last written, and a path that resolves to one
+    of the command's ``inputs`` (None for an input it does not read) would
+    replace it, so both are errors."""
     temps = [path if path is None or os.path.exists(path) and not os.path.isfile(path)
              else f"{path}.{os.getpid()}-{k}.tmp" for k, path in enumerate(paths)]
     files = [os.path.realpath(path) for temp, path in zip(temps, paths) if temp != path]
     if len(set(files)) < len(files):
         raise ValidationError(f"outputs name one file: {' and '.join(filter(None, paths))}")
+    read = {os.path.realpath(path) for path in inputs if path is not None}
+    for temp, path in zip(temps, paths):
+        if temp != path and os.path.realpath(path) in read:
+            raise ValidationError(f"output {path} names an input file")
     made = []
     try:
         for temp, path in zip(temps, paths):
@@ -166,7 +172,7 @@ def _say(args, message):
 
 def cmd_synth(args):
     seed = _resolve_run_config(args).seed
-    with _outputs(args.out) as (out,):
+    with _outputs(args.out, inputs=(args.config,)) as (out,):
         if args.kind == "two-cluster-2d":
             data = generate_two_cluster_2d(args.count, seed)
         else:
@@ -220,7 +226,7 @@ def _training_log_lines(tree, include_timestamp):
 def cmd_train(args):
     run_config = _resolve_run_config(args)
     config = run_config.to_atree_config()
-    with _outputs(args.out, args.log) as (out, log):
+    with _outputs(args.out, args.log, inputs=(args.train_csv, args.config)) as (out, log):
         data = load_csv(args.train_csv, args.has_header)
         tree = tr.train_atree(data, config)
         tr.save(tree, out)
@@ -253,7 +259,8 @@ def _metrics_row(run, tree_delta, kernel_kind, reference, label_names):
 
 def cmd_eval(args):
     svm_config = _resolve_run_config(args).to_svm_config()
-    with _outputs(args.out_metrics, args.out_traces) as (metrics_out, traces_out):
+    inputs = (args.model, args.test_csv, args.train_csv, args.config)
+    with _outputs(args.out_metrics, args.out_traces, inputs=inputs) as (metrics_out, traces_out):
         tree = tr.load(args.model)
         # both files' labels are the model's classes
         test = load_csv(args.test_csv, args.has_header, tree.label_names)
@@ -315,7 +322,7 @@ def _tradeoff_row(run_config, train, test):
 
 def cmd_sweep(args):
     run_config = _resolve_run_config(args)
-    with _outputs(args.out) as (out,):
+    with _outputs(args.out, inputs=(args.train_csv, args.test_csv, args.config)) as (out,):
         rows = _sweep_rows(args, run_config)
         _write_metrics(out, rows)
     _say(args, f"swept {len(rows)} configurations -> {args.out}")
@@ -347,7 +354,7 @@ def _sweep_rows(args, run_config):
 
 
 def cmd_export_tree(args):
-    with _outputs(args.out) as (out,):
+    with _outputs(args.out, inputs=(args.model,)) as (out,):
         tree = tr.load(args.model)
         text = tr.to_dot(tree, max_depth=args.max_depth)
         with open(out, "w", encoding="utf-8") as fh:

@@ -26,7 +26,7 @@ class FlatModel:
     models: list
     num_classes: int
     bank: ClassifierBank = field(repr=False)   # the models', built when trained
-    coefficients: np.ndarray = field(repr=False)   # _flat_bank's coefficient matrix
+    coefficients: np.ndarray = field(repr=False)   # bank.coefficients() of the models
     pairs: list | None = None   # one-vs-one: model j's (class_a, class_b), a < b
 
 
@@ -58,14 +58,9 @@ def _check_all_classes_present(data):
 
 
 def _flat_bank(models, kernel, dimension):
-    """The models' bank and their (inputs, models) coefficient matrix over
-    its inputs, 0 where a model reads nothing: model j gives
-    bank.inputs(X) @ matrix[:, j] + bank.biases[j]."""
+    """The models' bank and its coefficients() matrix of the models."""
     bank, placed = ClassifierBank.of(models, kernel, dimension)
-    matrix = np.zeros((bank.width, len(placed)))
-    for j, (columns, values) in enumerate(placed):
-        matrix[columns, j] = values
-    return bank, matrix
+    return bank, bank.coefficients(placed)
 
 
 def train_one_vs_all(data, kernel, svm_config):

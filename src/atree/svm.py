@@ -592,11 +592,20 @@ class ClassifierBank:
             _require_nonnegative(X, self.kernel.kind)
         return _kernel_rows(self.kernel, X, self.rows, self.norms)
 
-    def input_blocks(self, X):
+    def coefficients(self, placed):
+        """The (inputs, models) matrix of the coefficients ``placed`` that
+        of() gave with this bank, 0 where a model reads nothing: model j's
+        decision values are inputs(X) @ matrix[:, j] + biases[j]."""
+        matrix = np.zeros((self.width, len(placed)))
+        for j, (columns, values) in enumerate(placed):
+            matrix[columns, j] = values
+        return matrix
+
+    def input_blocks(self, X, outputs=0):
         """(i, inputs(X[i:j])) over consecutive row blocks of X, each block
-        of inputs at most _EVAL_ELEMENTS entries. A row's inputs are those of
-        one inputs(X) call, bit for bit (kernel_matrix's rows are
-        independent)."""
-        rows = max(1, _EVAL_ELEMENTS // max(1, self.width))
+        of inputs, and the caller's ``outputs`` values per row of it, at most
+        _EVAL_ELEMENTS entries. A row's inputs are those of one inputs(X)
+        call, bit for bit (kernel_matrix's rows are independent)."""
+        rows = max(1, _EVAL_ELEMENTS // max(1, self.width, outputs))
         for i in range(0, len(X), rows):
             yield i, self.inputs(X[i:i + rows])

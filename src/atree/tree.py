@@ -157,6 +157,20 @@ class NodeEntry(NamedTuple):
     right: int
 
 
+class LinearRoute(NamedTuple):
+    """What route() reads of a linear tree besides its bank's biases. With
+    internal node table[i] coded i and leaf k coded len(table) + k:
+    coefficients, the (features, internal nodes) matrix whose column i is
+    table[i]'s weights; bound, the decision values' rounding bound per unit
+    of a row's augmented norm (see _route_linear); and steps, the walk's
+    moves: code c moves to steps[2c] when its decision value is negative
+    and to steps[2c + 1] when it is not. A leaf moves to itself."""
+
+    coefficients: np.ndarray
+    bound: float
+    steps: np.ndarray
+
+
 @dataclass
 class Atree:
     """A tree and what traversal derives from it once, when the tree is
@@ -171,7 +185,9 @@ class Atree:
     int array of each leaf's path's (union, uncached) kernel computations:
     the distinct support vectors of the path's classifiers and their total
     count. Traversal starts at code 0, the root's entry, or at ~0,
-    leaves[0], when the root is a leaf and the table is empty.
+    leaves[0], when the root is a leaf and the table is empty. A linear tree
+    also holds its LinearRoute, the coefficient matrix, rounding bound and
+    walk that route() reads (None for a kernel tree).
 
     The bank's table is in tree order: it lists the support vectors node by
     node in preorder, each with the deepest node that keeps it (the last in
@@ -193,6 +209,7 @@ class Atree:
     leaves: list = field(init=False, repr=False, compare=False)
     paths: list = field(init=False, repr=False, compare=False)
     leaf_kernel_computations: np.ndarray | None = field(init=False, repr=False, compare=False)
+    linear: LinearRoute | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         preorder = list(iter_nodes(self.root))
@@ -244,6 +261,19 @@ class Atree:
             path = [*path, entry.node]
             walk += [(entry.left, path, seen, uncached), (entry.right, path, seen, uncached)]
         self.leaf_kernel_computations = counts
+        self.linear = None
+        if linear:
+            m, width = len(internal), self.dimension + 1
+            coefficients = self.bank.coefficients(placed)
+            # weights whose squares overflow make the bound infinite: route
+            # then computes every value as predict does
+            with np.errstate(over="ignore"):
+                norms = np.vecdot(coefficients.T, coefficients.T) + self.bank.biases ** 2
+            bound = 4 * width * 2.0 ** -53 * math.sqrt(norms.max(initial=0.0))
+            moves = [[c if c >= 0 else m + ~c for c in (e.left, e.right)] for e in self.table]
+            moves += [[m + k] * 2 for k in range(len(self.leaves))]
+            self.linear = LinearRoute(coefficients, bound + width * 2.0 ** -1073,
+                                      np.array(moves, dtype=np.intp).reshape(-1))
 
     @property
     def num_classes(self):
@@ -496,11 +526,11 @@ def train_atree(data, config):
     return attach_svms_phase2(root, data, config)
 
 
-def _require_finite(v):
-    """Reject NaN and inf in the 1-d array v. v.v is finite only when every
-    entry is; the dearer elementwise test runs only when it is not, as when
-    v.v overflows."""
-    if not (math.isfinite(v.dot(v)) or np.isfinite(v).all()):
+def _require_finite(v, sum_of_squares):
+    """Reject NaN and inf in the array v, given the sum of its entries'
+    squares. That sum is finite only when every entry is; the dearer
+    elementwise test runs only when it is not, as when the sum overflows."""
+    if not (math.isfinite(sum_of_squares) or np.isfinite(v).all()):
         raise ValidationError("features must be finite (no NaN or inf)")
 
 
@@ -513,7 +543,7 @@ def predict(tree, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
-    _require_finite(x)
+    _require_finite(x, x.dot(x))
     row = tree.bank.inputs(x[None, :])[0]
     table = tree.table
     trace = []
@@ -527,28 +557,83 @@ def predict(tree, x):
 
 
 def route(tree, X):
-    """Traverse every row of X at once, level by level: each node evaluates
-    its classifier once, over the rows that reach it, and routes them right
-    where the decision value is nonnegative. Returns each row's leaf as its
+    """Traverse every row of X at once, routing a row right at a node where
+    the node's decision value is nonnegative. Returns each row's leaf as its
     index k into tree.leaves, whose label and path tree.paths[k] are those
     of predict() on the row. Rows go through in tree.bank.input_blocks() of
-    a row-major copy of X, and every node reads its span of its block's
-    inputs, laid out as predict() lays out one instance."""
+    a row-major copy of X. A kernel tree walks them level by level: each
+    node evaluates its classifier once, over the rows that reach it,
+    reading its span of its block's inputs, laid out as predict() lays out
+    one instance. A linear tree computes every node's decision value on a
+    block in one product and walks all its rows at once (_route_linear); a
+    value whose sign the product's rounding could flip is computed again as
+    predict() computes it. Each row's squared norm serves both the finite
+    check and that rounding bound."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.dimension:
         raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
-    _require_finite(X.reshape(-1))
+    X = np.ascontiguousarray(X)
+    squares = np.einsum("ij,ij->i", X, X)
+    _require_finite(X, squares.sum())
     leaves = np.empty(len(X), dtype=np.int64)
-    for first, inputs in tree.bank.input_blocks(np.ascontiguousarray(X)):
-        _route_block(tree, inputs, leaves[first:first + len(inputs)])
+    if tree.linear is None:
+        for first, inputs in tree.bank.input_blocks(X):
+            _route_block(tree, inputs, leaves[first:first + len(inputs)])
+        return leaves
+    for first, inputs in tree.bank.input_blocks(X, len(tree.table)):
+        rows = slice(first, first + len(inputs))
+        _route_linear(tree, inputs, squares[rows], leaves[rows])
     return leaves
 
 
+def _route_linear(tree, X, squares, leaves):
+    """route() over one block of rows X of a linear tree, given their
+    squared norms, writing their leaf indices to ``leaves``. One product
+    gives every node's decision value on every row, D = X @ C + b, and the
+    walk moves all rows at once, depth - 1 times, reading each row's value
+    at its current code (tree.linear.steps).
+
+    D's entries are sums of the same d + 1 terms x_i w_i and b as predict()'s
+    x.dot(w) + b, in another order. In any order, with or without fused
+    multiply-adds, such a sum is within E = gamma(d + 1) (|x_1 w_1| + ... +
+    |x_d w_d| + |b|) of the exact s = x.w + b, gamma(k) = ku / (1 - ku) and
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1), and that sum of terms is at most |(x, 1)| |(w, b)|
+    (Cauchy-Schwarz). A value v with |v| > 2E has the sign of s, and so has
+    predict()'s value, which is then nonzero as well: both route the row
+    the same way. tree.linear.bound is 4(d + 1)u times the largest node's
+    |(w, b)|; times sqrt(|x|^2 + 1) that covers 2E with a factor of two to
+    spare for the rounding of the norms, and its added (d + 1) 2^-1073 covers
+    products that underflow, each off by at most 2^-1075. An entry whose
+    magnitude is not above its row's bound, NaN and inf included (as for a
+    row whose squared norm overflows), is computed again by predict()'s
+    per-row dot."""
+    coefficients, bound, steps = tree.linear
+    biases = tree.bank.biases
+    n, m = len(X), len(biases)
+    # one spare entry per leaf after the last row's: a leaf's code reads an
+    # entry its move ignores
+    flat = np.zeros(n * m + len(tree.leaves))
+    values = flat[:n * m].reshape(n, m)
+    np.matmul(X, coefficients, out=values)
+    values += biases
+    certain = np.abs(values) > (np.sqrt(squares + 1.0) * bound)[:, None]
+    if not certain.all():
+        rows, nodes = np.nonzero(~certain)
+        values[rows, nodes] = np.vecdot(X[rows], coefficients.T[nodes]) + biases[nodes]
+    code = np.zeros(n, dtype=np.intp)
+    at = np.arange(n) * m
+    for _ in range(tree.depth - 1):
+        code = steps[2 * code + (flat[at + code] >= 0)]
+    leaves[:] = code - m
+
+
 def _route_block(tree, inputs, leaves):
-    """route() over one block of inputs, whose leaf indices it writes to
-    ``leaves``, walking tree.table as predict() does. A node that a third of
-    the block's rows or more reach reads its span in place, on every row, and
-    keeps its rows' values; any other node reads a copy of its rows' spans."""
+    """route() over one block of a kernel tree's inputs, whose leaf indices
+    it writes to ``leaves``, walking tree.table as predict() does. A node
+    that a third of the block's rows or more reach reads its span in place,
+    on every row, and keeps its rows' values; any other node reads a copy
+    of its rows' spans."""
     n = len(inputs)
     table = tree.table
     level = [(0 if table else ~0, np.arange(n))]

@@ -786,6 +786,43 @@ class TestNoOutputOnFailure:
         assert err.startswith("error: outputs name one file") and err.count("\n") == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ("train", "{train}", "--out", "{train}"),
+        ("train", "{train}", "--out", "{dir}/m.json", "--log", "{dir}/../data/train.csv"),
+        ("train", "{train}", "--out", "{config}", "--config", "{config}"),
+        ("eval", "{model}", "{test}", "--out-metrics", "{model}"),
+        ("eval", "{model}", "{test}", "--out-metrics", "{dir}/m.csv", "--out-traces", "{test}"),
+        ("eval", "{model}", "{test}", "--baseline", "ova", "--train-csv", "{train}",
+         "--out-metrics", "{train}"),
+        ("sweep", "--train-csv", "{train}", "--test-csv", "{test}", "--deltas", "0.7",
+         "--out", "{test}"),
+        ("export-tree", "{model}", "--out", "{model}"),
+        ("synth", "blobs", "--config", "{config}", "--out", "{config}"),
+    ], ids=["train-out", "train-log", "train-config", "eval-model", "eval-test",
+            "eval-train", "sweep", "export-tree", "synth-config"])
+    def test_output_that_names_an_input_exits_2_and_keeps_it(self, tmp_path, capsys, argv):
+        # the output's stand-in would replace the input once the command succeeded
+        data = tmp_path / "data"
+        data.mkdir()
+        paths = {"dir": tmp_path / "out", "train": data / "train.csv",
+                 "test": data / "test.csv", "model": data / "model.json",
+                 "config": data / "config.json"}
+        paths["dir"].mkdir()
+        for name in ("train", "test"):
+            assert run("--quiet", "synth", "blobs", "--classes", 3, "--per-class", 10,
+                       "--dim", 2, "--out", paths[name]) == 0
+        assert run("--quiet", "train", paths["train"], "--out", paths["model"],
+                   "--max-depth", 2) == 0
+        paths["config"].write_text('{"max_depth": 2}')
+        before = {p.name: _digest(p) for p in data.iterdir()}
+        capsys.readouterr()
+        assert run("--quiet", *(a.format(**paths) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output ") and "names an input" in err
+        assert err.count("\n") == 1
+        assert {p.name: _digest(p) for p in data.iterdir()} == before
+        assert list(paths["dir"].iterdir()) == []
+
     def test_a_pipe_is_written_in_place(self, tmp_path):
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)

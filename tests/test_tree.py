@@ -3,6 +3,7 @@ import json
 import math
 import re
 from dataclasses import asdict, fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -821,8 +822,8 @@ class TestRoute:
         tree = train_atree(data, AtreeConfig(max_depth=4, kernel=kernel,
                                              boost=BoostConfig(max_rounds=5)))
         assert isinstance(tree.root, InternalNode)
-        blocks, seen = [], []
-        inputs, vecdot = svm_module.ClassifierBank.inputs, np.vecdot
+        blocks, seen, products = [], [], []
+        inputs, vecdot, matmul = svm_module.ClassifierBank.inputs, np.vecdot, np.matmul
 
         def recorded_inputs(bank, X):
             blocks.append(inputs(bank, X))
@@ -832,12 +833,23 @@ class TestRoute:
             seen.append((rows, segment))
             return vecdot(rows, segment)
 
+        def recorded_matmul(a, b, **kwargs):
+            products.append(a)
+            return matmul(a, b, **kwargs)
+
         monkeypatch.setattr(svm_module.ClassifierBank, "inputs", recorded_inputs)
         monkeypatch.setattr(np, "vecdot", recorded_vecdot)
+        monkeypatch.setattr(np, "matmul", recorded_matmul)
         leaves = route(tree, data.features)
         monkeypatch.undo()
         assert len(blocks) == 1
         block = blocks[0]
+        if kernel.is_linear:
+            # a linear tree's one product reads the whole block in place, and
+            # no decision value of these rows lies within rounding of zero
+            assert [np.shares_memory(a, block) and len(a) == len(data) for a in products] == [True]
+            assert seen == []
+            return
         reached = {n.node_id: sum(int(np.count_nonzero(leaves == k))
                                   for k, path in enumerate(tree.paths) if n in path)
                    for n in iter_nodes(tree.root) if isinstance(n, InternalNode)}
@@ -871,6 +883,17 @@ class TestRoute:
         assert tree.bank.biases.shape == (0,) and tree.table == []
         assert tree.leaves == [tree.root]
         _check_routes_predicts_and_round_trips(tree, data.features)
+
+    def test_zero_decision_value_routes_right(self):
+        # rows 0 and 2 meet a value of exactly 0 at the root, row 1 at node 1:
+        # each is within rounding of zero, so the linear form recomputes it
+        tree = _hand_built_tree()
+        assert tree.linear is not None
+        X = np.array([[0.0], [1.0], [-0.0]])
+        assert [tree.leaves[k].node_id for k in route(tree, X)] == [2, 3, 2]
+        assert [predict(tree, x) for x in X] == [(0, [(0, 0.0), (1, -1.0)]),
+                                                 (1, [(0, 1.0), (1, 0.0)]),
+                                                 (0, [(0, 0.0), (1, -1.0)])]
 
     def test_column_major_input_routes_like_row_major(self):
         # wide rows: a row's squared norm summed along a column-major layout
@@ -1637,6 +1660,45 @@ class TestTreeOrderedTable:
         X = np.vstack([data.features, *np.abs(data.features[::-1] + noise)])
         assert len(X) > svm_module._BLOCK_ROWS
         _check_routes_predicts_and_round_trips(tree, X)
+
+
+def _nudged(X, ulps):
+    """X with every entry moved ``ulps`` doubles up (or down, when negative)."""
+    for _ in range(abs(ulps)):
+        X = np.nextafter(X, math.copysign(math.inf, ulps))
+    return X
+
+
+class TestLinearRoute:
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(2, 6), per_class=st.integers(4, 15), d=st.integers(1, 20),
+           spread=st.floats(0.1, 2.0), seed=st.integers(0, 2 ** 16),
+           delta=st.floats(0.5, 0.95), max_depth=st.integers(1, 6),
+           scale=st.floats(0.0, 200.0))
+    def test_route_equals_predict_on_and_beside_every_hyperplane(
+            self, k, per_class, d, spread, seed, delta, max_depth, scale):
+        """On trained and reloaded linear trees, route's leaf is predict's on
+        rows projected onto each node's hyperplane and moved -3 to +3 ulps,
+        where the product's rounding can flip a sign, and on rows of
+        magnitude up to 1e200, in more than one row block."""
+        data = generate_gaussian_blobs(k, per_class, d, spread, seed=seed)
+        tree = train_atree(data, AtreeConfig(delta=delta, max_depth=max_depth,
+                                             boost=BoostConfig(max_rounds=5)))
+        rng = np.random.default_rng(seed)
+        base = data.features[rng.integers(len(data), size=4)]
+        rows = [base, base * 10.0 ** scale, np.full((1, d), 1e200), np.full((1, d), -1e200)]
+        for entry in tree.table:
+            w, b = entry.segment, entry.bias
+            if w.any():
+                onto = base - np.outer((base @ w + b) / w.dot(w), w)
+                rows += [_nudged(onto, ulps) for ulps in range(-3, 4)]
+        X = np.vstack(rows)
+        per_block = 5
+        assert len(X) > per_block
+        with (mock.patch.object(svm_module, "_EVAL_ELEMENTS",
+                                per_block * max(d, len(tree.table))),
+              np.errstate(all="ignore")):
+            _check_routes_predicts_and_round_trips(tree, X)
 
 
 def _check_predict_equals_the_node_walk(tree, X):
