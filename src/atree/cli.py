@@ -291,16 +291,19 @@ def cmd_eval(args):
             rows.append(_metrics_row(run, None, kernel_kind, reference, tree.label_names))
         _write_metrics(metrics_out, rows)
         if traces_out:
-            node_ids = [";".join(str(node.node_id) for node in path) for path in tree.paths]
+            # a row is the instance, its true label and its leaf's part, made
+            # once per leaf: the leaf's label, path length, kernel
+            # computations and node ids
             names = [str(name) for name in tree.label_names]
-            kernel = atree_run.kernel_computations
+            kernel = ([""] * len(tree.leaves) if tree.leaf_kernel_computations is None
+                      else tree.leaf_kernel_computations[:, 0].tolist())
+            leaf_parts = [f"{names[leaf.label]},{len(path)},{computations},"
+                          + ";".join(str(node.node_id) for node in path)
+                          for leaf, path, computations in zip(tree.leaves, tree.paths, kernel)]
             _write_rows(traces_out, TRACE_COLUMNS, zip(
                 map(str, range(len(test))),
                 [names[k] for k in test.labels.tolist()],
-                [names[k] for k in atree_run.predictions.tolist()],
-                map(str, atree_run.classifier_evaluations.tolist()),
-                [""] * len(test) if kernel is None else map(str, kernel.tolist()),
-                map(node_ids.__getitem__, atree_run.leaves.tolist())))
+                map(leaf_parts.__getitem__, atree_run.leaves.tolist())))
     _say(args, f"evaluated {len(test)} instances -> {args.out_metrics}")
     return 0
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -513,6 +514,32 @@ def train_svm(X, y, kernel, config, sample_ids=None, gram=None):
     return train_kernel_svm(X, y, kernel, config, sample_ids, gram)
 
 
+def unique_ids(ids):
+    """np.unique(ids, return_inverse=True) of the 1-d int64 array ``ids``.
+    Ids such as sample ids, nonnegative and below four times their count,
+    are marked in a boolean array indexed by id instead of sorted."""
+    if len(ids) and ids.min() >= 0 and ids.max() < 4 * len(ids):
+        marked = np.zeros(ids.max() + 1, dtype=bool)
+        marked[ids] = True
+        return np.flatnonzero(marked), (np.cumsum(marked) - 1)[ids]
+    return np.unique(ids, return_inverse=True)
+
+
+class Placement(NamedTuple):
+    """Where the models of a ClassifierBank read its inputs, all models
+    together: model j's entries are those from starts[j] to starts[j + 1],
+    columns[k] the input column at which it reads with coefficient
+    values[k]."""
+
+    columns: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+
+    def owners(self):
+        """The model of each entry."""
+        return np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
+
+
 @dataclass(frozen=True, eq=False)
 class ClassifierBank:
     """What models of one kernel read, computed together, and their biases.
@@ -536,44 +563,51 @@ class ClassifierBank:
     @classmethod
     def of(cls, models, kernel, dimension, ranks=None):
         """The bank of ``models``, of the family of ``kernel``, over rows of
-        ``dimension`` features, and for each model (columns, values): the
-        columns of the inputs it reads and its coefficients there, its
-        weights over every feature or its dual coefficients at their support
-        vectors' table columns. The table lists the support vectors by sv_id.
-        Given ``ranks``, distinct ints, one per model, it lists them in one
-        group per model instead, in model order, each group by sv_id: a
-        support vector joins the group of the highest-ranked model that keeps
-        it. Rejects values that are not finite, and negative support-vector
-        features under the chi-square and histogram-intersection kernels."""
+        ``dimension`` features, and their Placement: the columns of the
+        inputs each model reads and its coefficients there, its weights over
+        every feature or its dual coefficients at their support vectors'
+        table columns. The table lists the support vectors by sv_id. Given
+        ``ranks``, distinct ints, one per model, it lists them in one group
+        per model instead, in model order, each group by sv_id: a support
+        vector joins the group of the highest-ranked model that keeps it.
+        Rejects values that are not finite, and negative support-vector
+        features under the chi-square and histogram-intersection kernels.
+        Each of these steps is one pass over all the models together."""
         biases = np.array([m.bias for m in models], dtype=np.float64)
         sv_ids, rows = np.empty(0, dtype=np.int64), np.empty((0, dimension))
         if kernel.is_linear:
-            columns = [np.arange(dimension)] * len(models)
+            counts = [dimension] * len(models)
+            columns = np.tile(np.arange(dimension), len(models))
             values = [m.weights for m in models]
         else:
             counts = [len(m.sv_ids) for m in models]
             ids = np.concatenate([sv_ids] + [m.sv_ids for m in models])
-            sv_ids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            sv_ids, inverse = unique_ids(ids)
+            # each support vector's row comes from its first occurrence
+            first = np.full(len(sv_ids), len(ids))
+            np.minimum.at(first, inverse, np.arange(len(ids)))
             order = np.arange(len(sv_ids))
-            if ranks is not None and len(ids):
-                owner = np.repeat(np.arange(len(models)), counts)
-                # occurrences by sv_id, then rank: the last of each id is its keeper's
-                by = np.lexsort((np.asarray(ranks)[owner], inverse))
-                last = np.append(np.diff(inverse[by]) != 0, True)
-                order = np.lexsort((sv_ids, owner[by][last]))
+            if ranks is not None:
+                by_rank = np.argsort(ranks)
+                place = np.empty(len(models), dtype=np.intp)
+                place[by_rank] = np.arange(len(models))
+                # the keeper of each support vector, then groups in model order
+                top = np.full(len(sv_ids), -1)
+                np.maximum.at(top, inverse, place[np.repeat(np.arange(len(models)), counts)])
+                order = np.argsort(by_rank[top], kind="stable")
             rows = np.concatenate([rows] + [m.support_vectors for m in models])[first[order]]
             sv_ids = sv_ids[order]
-            columns = np.split(np.argsort(order)[inverse], np.cumsum(counts)[:-1])
+            columns = np.argsort(order)[inverse]
             values = [m.dual_coefficients for m in models]
-        values = [np.asarray(v, dtype=np.float64) for v in values]
-        if not all(np.isfinite(a).all() for a in [biases, rows, *values]):
+        values = np.concatenate([np.empty(0)] + values, dtype=np.float64)
+        if not all(np.isfinite(a).all() for a in (biases, rows, values)):
             raise ValidationError("classifier weights, biases, dual coefficients and "
                                   "support vectors must be finite")
         if kernel.kind in _NONNEGATIVE_KINDS:
             _require_nonnegative(rows, kernel.kind)
         rows = np.asfortranarray(rows)
         bank = cls(kernel, biases, sv_ids, rows, squared_norms(rows))
-        return bank, list(zip(columns, values))
+        return bank, Placement(columns, values, np.cumsum([0] + counts))
 
     @property
     def width(self):
@@ -593,12 +627,11 @@ class ClassifierBank:
         return _kernel_rows(self.kernel, X, self.rows, self.norms)
 
     def coefficients(self, placed):
-        """The (inputs, models) matrix of the coefficients ``placed`` that
-        of() gave with this bank, 0 where a model reads nothing: model j's
+        """The (inputs, models) matrix of the Placement ``placed`` that of()
+        gave with this bank, 0 where a model reads nothing: model j's
         decision values are inputs(X) @ matrix[:, j] + biases[j]."""
-        matrix = np.zeros((self.width, len(placed)))
-        for j, (columns, values) in enumerate(placed):
-            matrix[columns, j] = values
+        matrix = np.zeros((self.width, len(placed.starts) - 1))
+        matrix[placed.columns, placed.owners()] = placed.values
         return matrix
 
     def input_blocks(self, X, outputs=0):

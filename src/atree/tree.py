@@ -19,10 +19,10 @@ holding a private trace.
 from __future__ import annotations
 
 import base64
-import contextlib
 import itertools
 import json
 import math
+import string
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -33,7 +33,7 @@ from .boosting import (BoostConfig, BoostedClassifier, Presort, _argmin_rescored
 from .dataset import check_label_names
 from .errors import SchemaError, ValidationError, check_field_types
 from .svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
-                  train_svm)
+                  train_svm, unique_ids)
 
 MODEL_SCHEMA_VERSION = 8
 
@@ -214,6 +214,7 @@ class Atree:
     def __post_init__(self):
         preorder = list(iter_nodes(self.root))
         internal = [n for n in preorder if isinstance(n, InternalNode)]
+        self.leaves = [n for n in preorder if isinstance(n, LeafNode)]
         self.levels = levels = {self.root.node_id: 1}
         for node in internal:
             if node.svm is None:
@@ -226,53 +227,64 @@ class Atree:
                 min(n.left.node_id, n.right.node_id) <= n.node_id for n in internal):
             raise ValidationError("node ids must be ints 0..n-1, rising from parent to child")
         self.depth = max(levels.values())
-        ranks = [levels[n.node_id] * len(internal) + k for k, n in enumerate(internal)]
+        m = len(internal)
+        ranks = [levels[n.node_id] * m + k for k, n in enumerate(internal)]
         self.bank, placed = ClassifierBank.of([n.svm for n in internal], self.config.kernel,
                                               self.dimension, ranks)
-        self.leaves = [n for n in preorder if isinstance(n, LeafNode)]
+        # node j's span is columns lo[j] to hi[j], (0, 0) when it reads none,
+        # and its segment the slice of segments that ends at ends[j]
+        columns, _, starts = placed
+        owners = placed.owners()
+        held = np.diff(starts) > 0
+        lo, hi = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp)
+        lo[held] = np.minimum.reduceat(columns, starts[:-1][held])
+        hi[held] = np.maximum.reduceat(columns, starts[:-1][held]) + 1
+        ends = np.cumsum(hi - lo)
+        segments = np.zeros((hi - lo).sum())
+        segments[(ends - hi)[owners] + columns] = placed.values
         code = {id(n): k for k, n in enumerate(internal)}
         code.update((id(n), ~k) for k, n in enumerate(self.leaves))
-        self.table = []
-        for node, (columns, values) in zip(internal, placed):
-            lo, hi = (int(columns.min()), int(columns.max()) + 1) if len(columns) else (0, 0)
-            segment = np.zeros(hi - lo)
-            segment[columns - lo] = values
-            span = None if (lo, hi) == (0, self.bank.width) else slice(lo, hi)
-            self.table.append(NodeEntry(node, span, segment, node.svm.bias,
-                                        code[id(node.left)], code[id(node.right)]))
+        width = self.bank.width
+        self.table = [NodeEntry(node, None if (a, b) == (0, width) else slice(a, b),
+                                segments[e - b + a:e], node.svm.bias,
+                                code[id(node.left)], code[id(node.right)])
+                      for node, a, b, e in zip(internal, lo.tolist(), hi.tolist(),
+                                               ends.tolist())]
+        # seen, on a path, is the bit set of the table columns of the support
+        # vectors met (for a linear tree, of the features, not counted)
+        marks = np.zeros((m, width), dtype=bool)
+        marks[owners, columns] = True
+        masks = [int.from_bytes(row, "little")
+                 for row in np.packbits(marks, axis=1, bitorder="little")]
+        bounds = starts.tolist()
         self.paths = [None] * len(self.leaves)
-        linear = self.config.kernel.is_linear
-        counts = None if linear else np.empty((len(self.leaves), 2), dtype=np.int64)
-        # on a kernel path, seen marks the table columns of the support vectors met
-        walk = [(0 if self.table else ~0, [],
-                 None if linear else np.zeros(len(self.bank.sv_ids), dtype=bool), 0)]
+        counts = [None] * len(self.leaves)
+        walk = [(0 if self.table else ~0, [], 0, 0)]
         while walk:
             i, path, seen, uncached = walk.pop()
             if i < 0:
                 self.paths[~i] = path
-                if not linear:
-                    counts[~i] = np.count_nonzero(seen), uncached
+                counts[~i] = seen.bit_count(), uncached
                 continue
             entry = self.table[i]
-            if not linear:
-                seen = seen.copy()
-                seen[placed[i][0]] = True
-                uncached += len(entry.node.svm.sv_ids)
+            seen |= masks[i]
+            uncached += bounds[i + 1] - bounds[i]
             path = [*path, entry.node]
             walk += [(entry.left, path, seen, uncached), (entry.right, path, seen, uncached)]
-        self.leaf_kernel_computations = counts
+        linear = self.config.kernel.is_linear
+        self.leaf_kernel_computations = None if linear else np.array(counts, dtype=np.int64)
         self.linear = None
         if linear:
-            m, width = len(internal), self.dimension + 1
+            terms = self.dimension + 1
             coefficients = self.bank.coefficients(placed)
             # weights whose squares overflow make the bound infinite: route
             # then computes every value as predict does
             with np.errstate(over="ignore"):
                 norms = np.vecdot(coefficients.T, coefficients.T) + self.bank.biases ** 2
-            bound = 4 * width * 2.0 ** -53 * math.sqrt(norms.max(initial=0.0))
+            bound = 4 * terms * 2.0 ** -53 * math.sqrt(norms.max(initial=0.0))
             moves = [[c if c >= 0 else m + ~c for c in (e.left, e.right)] for e in self.table]
             moves += [[m + k] * 2 for k in range(len(self.leaves))]
-            self.linear = LinearRoute(coefficients, bound + width * 2.0 ** -1073,
+            self.linear = LinearRoute(coefficients, bound + terms * 2.0 ** -1073,
                                       np.array(moves, dtype=np.intp).reshape(-1))
 
     @property
@@ -526,24 +538,29 @@ def train_atree(data, config):
     return attach_svms_phase2(root, data, config)
 
 
-def _require_finite(v, sum_of_squares):
-    """Reject NaN and inf in the array v, given the sum of its entries'
-    squares. That sum is finite only when every entry is; the dearer
-    elementwise test runs only when it is not, as when the sum overflows."""
-    if not (math.isfinite(sum_of_squares) or np.isfinite(v).all()):
+def _require_finite(v, magnitude):
+    """Reject NaN and inf in the array v, given a magnitude of it that is
+    finite only when every entry is, such as the sum of its entries'
+    squares; the dearer elementwise test runs only when it is not, as when
+    that sum overflows."""
+    if not (math.isfinite(magnitude) or np.isfinite(v).all()):
         raise ValidationError("features must be finite (no NaN or inf)")
 
 
 def predict(tree, x):
     """Traverse from the root, routing right when the node decision value is
     nonnegative. Returns (class id, trace); the trace lists every evaluated
-    node as (node_id, decision value). The instance's one row of
-    tree.bank.inputs() is computed first, and the walk reads tree.table:
-    each node on the path reads its value from its span of that row."""
+    node as (node_id, decision value). x is read as a row-major float64
+    vector, as route() reads its rows, so the trace does not depend on x's
+    memory layout. The instance's one row of tree.bank.inputs() is computed
+    first, and the walk reads tree.table: each node on the path reads its
+    value from its span of that row."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
-    _require_finite(x, x.dot(x))
+    x = np.ascontiguousarray(x)
+    # x's Euclidean norm, which unlike x.dot(x) cannot overflow on finite entries
+    _require_finite(x, math.hypot(*x.tolist()))
     row = tree.bank.inputs(x[None, :])[0]
     table = tree.table
     trace = []
@@ -661,6 +678,11 @@ def _route_block(tree, inputs, leaves):
 # Serialization
 
 
+# each base64 letter's 6-bit value
+_BASE64_VALUES = {c: k for k, c in enumerate(string.ascii_uppercase + string.ascii_lowercase
+                                             + string.digits + "+/")}
+
+
 def _pack(values):
     """The little-endian float64 bytes of ``values``, row-major, as base64
     text, which loads without parsing a decimal literal per value."""
@@ -669,12 +691,20 @@ def _pack(values):
 
 def _unpack(doc, key, count, rule):
     """doc[key], _pack() text of ``count`` float64 values, as a read-only
-    array; ``rule`` says why that many, for the error."""
+    array; ``rule`` says why that many, for the error. The text must be
+    what _pack() writes for its bytes: b64decode(validate=True) takes only
+    base64 letters followed by at most two "=", the length then leaves the
+    padding _pack() writes and no more, and the letter before the padding
+    must not set bits past the last byte."""
     text, raw = doc[key], None
-    with contextlib.suppress(ValueError):  # binascii.Error, or text outside ASCII
-        raw = base64.b64decode(text, validate=True) if type(text) is str else None
-    # b64decode also takes padding and trailing bits that _pack never writes
-    if raw is None or len(raw) != 8 * count or base64.b64encode(raw).decode() != text:
+    if type(text) is str:
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError:  # binascii.Error, or text outside ASCII
+            pass
+    pad = -8 * count % 3
+    if (raw is None or len(raw) != 8 * count or len(text) != 4 * -(-8 * count // 3)
+            or pad and _BASE64_VALUES[text[-1 - pad]] & (15 if pad == 2 else 3)):
         raise SchemaError(f"{rule}: {key} must be the base64 text of {count} float64 values")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
 
@@ -740,40 +770,67 @@ def _table_from_doc(doc, dimension):
     """The support-vector table as (ids, rows): int ids strictly increasing,
     and their rows, ``dimension`` values each."""
     ids = doc["ids"] if set(doc) == {"ids", "rows"} else None
-    if not _is_list_of(ids, {int}) or (np.diff(ids) <= 0).any():
+    listed = np.asarray(ids) if _is_list_of(ids, {int}) else None
+    if listed is None or (np.diff(listed) <= 0).any():
         raise SchemaError("support-vector table must be exactly its 'ids', each int once and "
                           "in increasing order, and their 'rows'")
     rows = _unpack(doc, "rows", len(ids) * dimension,
                    f"support-vector table rows must be {dimension} values wide")
-    return np.array(ids, dtype=np.int64), rows.reshape(len(ids), dimension)
+    # np.asarray gives an empty list, and ids that int64 cannot hold, another
+    # dtype; converting such ids raises OverflowError
+    if listed.dtype != np.int64:
+        listed = np.array(ids, dtype=np.int64)
+    return listed, rows.reshape(len(ids), dimension)
 
 
-def _svm_from_doc(doc, kernel, table):
-    """The node classifier of the configured kernel's family."""
+def _svm_from_doc(doc, kernel, dimension):
+    """The node classifier of the configured kernel's family. A kernel
+    node's document is returned as it is once its fields are checked and
+    its sv_ids are a list of ints: _kernel_svms checks the rest and makes
+    every kernel node's model at once."""
     keys = {"weights", "bias"} if kernel.is_linear else {"sv_ids", "dual_coefficients", "bias"}
     if set(doc) != keys:
         raise SchemaError(f"node classifier with fields {sorted(doc)} does not fit "
                           f"the configured {kernel.kind} kernel")
     if type(doc["bias"]) not in _NUMBER:
         raise SchemaError("node classifier bias must be a number")
-    bias = float(doc["bias"])
-    ids, rows = table
     if kernel.is_linear:
-        # the table's rows are dimension wide even when it holds none
-        return LinearSvmModel(_unpack(doc, "weights", rows.shape[1], "linear node weights "
-                                      f"must be {rows.shape[1]} wide"), bias)
-    sv_ids = doc["sv_ids"]
-    if not _is_list_of(sv_ids, {int}) or len(set(sv_ids)) != len(sv_ids):
+        return LinearSvmModel(_unpack(doc, "weights", dimension, "linear node weights "
+                                      f"must be {dimension} wide"), float(doc["bias"]))
+    if not _is_list_of(doc["sv_ids"], {int}):
         raise SchemaError("a kernel node's sv_ids must be distinct ints")
-    sv_ids = np.array(sv_ids, dtype=np.int64)
-    at = np.searchsorted(ids, sv_ids)
-    if (at >= len(ids)).any() or not np.array_equal(ids[at], sv_ids):
+    return doc
+
+
+def _kernel_svms(nodes, kernel, table):
+    """Replace the classifier document of each of the kernel ``nodes`` by
+    its model, checking the sv_ids of all nodes at once: each node's are
+    distinct, and the distinct sv_ids of all nodes are looked up in the
+    table in one search. Every node's rows come from one take."""
+    ids, rows = table
+    counts = [len(node.svm["sv_ids"]) for node in nodes]
+    named = np.fromiter(itertools.chain.from_iterable(node.svm["sv_ids"] for node in nodes),
+                        dtype=np.int64)
+    distinct, inverse = unique_ids(named)
+    # a node that names an sv_id twice marks one (node, sv_id) pair twice
+    pairs = np.zeros((len(nodes), len(distinct)), dtype=bool)
+    pairs[np.repeat(np.arange(len(nodes)), counts), inverse] = True
+    if np.count_nonzero(pairs) != len(named):
+        raise SchemaError("a kernel node's sv_ids must be distinct ints")
+    at = ids.searchsorted(distinct)
+    if len(named) and not (len(ids) and np.array_equal(ids.take(at, mode="clip"), distinct)):
         raise SchemaError("node classifier refers to an sv_id the support-vector "
                           "table does not hold")
-    values = _unpack(doc, "dual_coefficients", len(sv_ids),
-                     "a kernel node needs one dual coefficient per sv_id")
-    return KernelSvmModel(support_vectors=rows[at], dual_coefficients=values, bias=bias,
-                          kernel=kernel, sv_ids=sv_ids)
+    support_vectors = rows[at[inverse]]
+    end = 0
+    for node, count in zip(nodes, counts):
+        doc = node.svm
+        start, end = end, end + count
+        values = _unpack(doc, "dual_coefficients", count,
+                         "a kernel node needs one dual coefficient per sv_id")
+        node.svm = KernelSvmModel(support_vectors=support_vectors[start:end],
+                                  dual_coefficients=values, bias=float(doc["bias"]),
+                                  kernel=kernel, sv_ids=named[start:end])
 
 
 _DOC_KEYS = {"version", "config", "label_names", "dimension", "support_vectors", "nodes"}
@@ -785,7 +842,7 @@ def _is_class_id(v, num_classes):
     return type(v) is int and 0 <= v < num_classes
 
 
-def _node_from_doc(node_id, doc, built, kernel, table, num_classes):
+def _node_from_doc(node_id, doc, built, kernel, dimension, num_classes):
     kind, keys = ("internal", _INTERNAL_KEYS) if "svm" in doc else ("leaf", _LEAF_KEYS)
     if set(doc) != keys:
         raise SchemaError(f"{kind} node {node_id} must have exactly the fields "
@@ -801,13 +858,12 @@ def _node_from_doc(node_id, doc, built, kernel, table, num_classes):
         return LeafNode(node_id, label, purity)
     for key in ("pos_classes", "neg_classes"):
         classes = doc[key]
-        if (type(classes) is not list or not classes
-                or not all(_is_class_id(c, num_classes) for c in classes)
-                or len(set(classes)) != len(classes)):
+        if (not _is_list_of(classes, {int}) or not classes or min(classes) < 0
+                or max(classes) >= num_classes or len(set(classes)) != len(classes)):
             raise SchemaError(f"internal node {node_id} has {key} {classes!r}, not a nonempty "
                               f"list of distinct class ids in range({num_classes})")
     return InternalNode(node_id, doc["pos_classes"], doc["neg_classes"], built[doc["left"]],
-                        built[doc["right"]], _svm_from_doc(doc["svm"], kernel, table))
+                        built[doc["right"]], _svm_from_doc(doc["svm"], kernel, dimension))
 
 
 def deserialize(text):
@@ -843,10 +899,13 @@ def deserialize(text):
         for node_id in range(len(node_docs) - 1, -1, -1):
             try:
                 built[node_id] = _node_from_doc(node_id, node_docs[node_id], built,
-                                                config.kernel, table, len(label_names))
+                                                config.kernel, dimension, len(label_names))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"malformed model document: node {node_id}: "
                                   f"{exc!r}") from None
+        if not config.kernel.is_linear:
+            _kernel_svms([n for n in built.values() if isinstance(n, InternalNode)],
+                         config.kernel, table)
         named = sorted(d[side] for d in node_docs if "svm" in d for side in ("left", "right"))
         if named != [*range(1, len(node_docs))] or any(type(c) is not int for c in named):
             raise SchemaError("every node but the root must be the child of exactly one node")

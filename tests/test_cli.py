@@ -368,6 +368,26 @@ class TestEval:
             assert int(evaluations) == len(trace)
             assert node_ids == ";".join(str(nid) for nid, _ in trace)
 
+    def test_kernel_trace_rows_per_instance(self, blob_csvs, tmp_path):
+        train, test = blob_csvs
+        model, traces = tmp_path / "model.json", tmp_path / "t.csv"
+        assert run("--quiet", "train", train, "--out", model, "--delta", 0.6, "--max-depth", 4,
+                   "--kernel", "rbf", "--kernel-gamma", 0.5) == 0
+        assert run("--quiet", "eval", model, test, "--out-metrics", tmp_path / "m.csv",
+                   "--out-traces", traces) == 0
+        tree = load(model)
+        data = load_csv(test)
+        rows = [line.split(",") for line in traces.read_text().splitlines()[1:]]
+        assert len(rows) == len(data)
+        assert len({row[2:] for row in map(tuple, rows)}) > 1
+        for i, row in enumerate(rows):
+            label, trace = predict(tree, data.features[i])
+            # the union of the support vectors of the classifiers on the path
+            met = {k for nid, _ in trace for k in tree.nodes[nid].svm.sv_ids.tolist()}
+            assert row == [str(i), str(tree.label_names[data.labels[i]]),
+                           str(tree.label_names[label]), str(len(trace)), str(len(met)),
+                           ";".join(str(nid) for nid, _ in trace)]
+
     def test_config_file_sets_baseline_svm(self, blob_csvs, tmp_path):
         train, test = blob_csvs
         model = tmp_path / "model.json"

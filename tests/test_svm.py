@@ -660,6 +660,11 @@ class TestKernelEvalCounter:
 
 
 
+def _columns_by_model(placed):
+    """Each model's input columns in a Placement, as lists."""
+    return [placed.columns[a:b].tolist() for a, b in zip(placed.starts, placed.starts[1:])]
+
+
 class TestClassifierBank:
     """One bank per set of models: their biases, where their coefficients
     sit among its inputs, and, for kernel models, the table of their
@@ -671,7 +676,7 @@ class TestClassifierBank:
                   LinearSvmModel(np.array([0.0, 3.0, -1.0]), -1.5)]
         linear = KernelSpec("linear")
         bank, placed = ClassifierBank.of(models, linear, 3)
-        assert [columns.tolist() for columns, _ in placed] == [[0, 1, 2]] * 2
+        assert _columns_by_model(placed) == [[0, 1, 2]] * 2
         assert metrics._flat_bank(models, linear, 3)[1].tobytes() == np.column_stack(
             [m.weights for m in models]).tobytes()
         assert bank.biases.tolist() == [0.25, -1.5]
@@ -685,7 +690,8 @@ class TestClassifierBank:
         first, second = _toy_kernel_model([4, 9, 2]), _toy_kernel_model([9, 7])
         bank, placed = ClassifierBank.of([first, second], KernelSpec("rbf", 1.0), 2)
         assert bank.sv_ids.tolist() == [2, 4, 7, 9]
-        assert [columns.tolist() for columns, _ in placed] == [[1, 3, 0], [3, 2]]
+        assert _columns_by_model(placed) == [[1, 3, 0], [3, 2]]
+        assert placed.values.tolist() == [*first.dual_coefficients, *second.dual_coefficients]
         expected = np.zeros((4, 2))
         expected[[1, 3, 0], 0] = first.dual_coefficients
         expected[[3, 2], 1] = second.dual_coefficients
@@ -706,7 +712,7 @@ class TestClassifierBank:
     def test_no_models_give_no_values(self, kernel):
         bank, placed = ClassifierBank.of([], kernel, 3)
         X = np.ones((4, 3))
-        assert placed == []
+        assert _columns_by_model(placed) == [] and placed.values.shape == (0,)
         bank, coefficients = metrics._flat_bank([], kernel, 3)
         assert (bank.inputs(X) @ coefficients).shape == (4, 0)
         assert bank.biases.shape == (0,)

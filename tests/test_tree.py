@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from dataclasses import asdict, fields, replace
 from unittest import mock
 
@@ -17,7 +18,8 @@ from atree.boosting import (BoostConfig, BoostedClassifier, DecisionStump, Preso
 from atree.dataset import (Dataset, generate_gaussian_blobs, generate_two_cluster_2d,
                            split_train_test)
 from atree.errors import SchemaError, ValidationError
-from atree.svm import KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig, squared_norms
+from atree.svm import (KERNEL_KINDS, KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
+                       squared_norms)
 from atree import cli
 from atree import svm as svm_module
 from atree import tree as tree_module
@@ -789,6 +791,39 @@ class TestPredict:
         x = np.array([1e200, -1e200, 0.0])
         assert predict(tree, x) == predict(tree, x.copy())
 
+    def test_finite_rows_whose_squares_overflow_reach_routes_leaf_without_warning(self):
+        tree = FINITE_CHECK_TREE
+        assert tree.linear is not None
+        X = np.array([[1e200] * 3, [-1e200] * 3, [1e200, -1e200, 0.0], [-1e200, 0.0, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            leaves = route(tree, X)
+            for x, k in zip(X, leaves.tolist()):
+                label, trace = predict(tree, x)
+                assert label == tree.leaves[k].label
+                assert [i for i, _ in trace] == [n.node_id for n in tree.paths[k]]
+
+    # each kernel at a width where a strided row's products, read in place,
+    # round differently from a contiguous row's
+    @pytest.mark.parametrize("kernel, d", [(KernelSpec("linear"), 40),
+                                           (KernelSpec("rbf", 0.05), 3)],
+                             ids=["linear", "rbf"])
+    def test_trace_does_not_depend_on_the_row_layout(self, kernel, d):
+        data = generate_gaussian_blobs(3, 15, d, 1.0, seed=8)
+        tree = train_atree(data, AtreeConfig(max_depth=3, kernel=kernel,
+                                             boost=BoostConfig(max_rounds=5)))
+        X = data.features + np.random.default_rng(8).normal(size=data.features.shape)
+        wide = np.zeros((len(X), 2 * tree.dimension))
+        wide[:, ::2] = X
+        for strided in (np.asfortranarray(X), wide[:, ::2]):
+            for x, y in zip(X, strided):
+                assert not y.flags.c_contiguous
+                label, trace = predict(tree, x)
+                strided_label, strided_trace = predict(tree, y)
+                assert strided_label == label
+                assert [(i, np.float64(v).tobytes()) for i, v in strided_trace] == [
+                    (i, np.float64(v).tobytes()) for i, v in trace]
+
 
 class TestRoute:
     def test_groups_rows_by_leaf_across_levels(self):
@@ -1403,6 +1438,43 @@ class TestSerialization:
                 assert clone_label == label
                 assert [(i, np.float64(v).tobytes()) for i, v in clone_trace] == \
                     [(i, np.float64(v).tobytes()) for i, v in trace]
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(KERNEL_KINDS), k=st.integers(3, 5),
+           per_class=st.integers(6, 12), d=st.integers(1, 3), spread=st.floats(0.3, 1.5),
+           seed=st.integers(0, 2 ** 16), delta=st.floats(0.5, 0.8))
+    def test_loaded_bank_and_table_are_the_trained_ones_bit_for_bit(
+            self, kind, k, per_class, d, spread, seed, delta):
+        blobs = generate_gaussian_blobs(k, per_class, d, spread, seed=seed)
+        # nonnegative features, as the chi-square and histogram-intersection kernels require
+        data = Dataset(np.abs(blobs.features), blobs.labels, blobs.weights, blobs.num_classes)
+        kernel = KernelSpec(kind, 0.5 if kind in ("rbf", "chi_square") else None)
+        tree = train_atree(data, AtreeConfig(delta=delta, max_depth=4, kernel=kernel,
+                                             boost=BoostConfig(max_rounds=5)))
+        assume(tree.table)
+        if not kernel.is_linear:
+            # some support vector serves several nodes
+            ids = np.concatenate([e.node.svm.sv_ids for e in tree.table])
+            assume(len(ids) > len(np.unique(ids)))
+        clone = deserialize(serialize(tree))
+        for part in ("sv_ids", "rows", "norms", "biases"):
+            built, loaded = getattr(tree.bank, part), getattr(clone.bank, part)
+            assert (loaded.dtype, loaded.shape) == (built.dtype, built.shape), part
+            assert loaded.tobytes() == built.tobytes(), part
+        assert clone.bank.rows.flags.f_contiguous and tree.bank.rows.flags.f_contiguous
+        for built, loaded in zip(tree.table, clone.table, strict=True):
+            assert (loaded.span, loaded.left, loaded.right) == (built.span, built.left,
+                                                                built.right)
+            assert loaded.segment.tobytes() == built.segment.tobytes()
+            assert np.float64(loaded.bias).tobytes() == np.float64(built.bias).tobytes()
+        if kernel.is_linear:
+            assert clone.linear.coefficients.tobytes() == tree.linear.coefficients.tobytes()
+            assert clone.linear.bound == tree.linear.bound
+            assert clone.linear.steps.tobytes() == tree.linear.steps.tobytes()
+        else:
+            assert clone.linear is tree.linear is None
+            assert clone.leaf_kernel_computations.tobytes() == \
+                tree.leaf_kernel_computations.tobytes()
 
     @pytest.mark.parametrize("case", sorted(BAD_PACKINGS))
     @pytest.mark.parametrize("field", ["rows", "dual_coefficients", "weights"])
