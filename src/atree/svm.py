@@ -514,17 +514,6 @@ def train_svm(X, y, kernel, config, sample_ids=None, gram=None):
     return train_kernel_svm(X, y, kernel, config, sample_ids, gram)
 
 
-def unique_ids(ids):
-    """np.unique(ids, return_inverse=True) of the 1-d int64 array ``ids``.
-    Ids such as sample ids, nonnegative and below four times their count,
-    are marked in a boolean array indexed by id instead of sorted."""
-    if len(ids) and ids.min() >= 0 and ids.max() < 4 * len(ids):
-        marked = np.zeros(ids.max() + 1, dtype=bool)
-        marked[ids] = True
-        return np.flatnonzero(marked), (np.cumsum(marked) - 1)[ids]
-    return np.unique(ids, return_inverse=True)
-
-
 class Placement(NamedTuple):
     """Where the models of a ClassifierBank read its inputs, all models
     together: model j's entries are those from starts[j] to starts[j + 1],
@@ -582,10 +571,7 @@ class ClassifierBank:
         else:
             counts = [len(m.sv_ids) for m in models]
             ids = np.concatenate([sv_ids] + [m.sv_ids for m in models])
-            sv_ids, inverse = unique_ids(ids)
-            # each support vector's row comes from its first occurrence
-            first = np.full(len(sv_ids), len(ids))
-            np.minimum.at(first, inverse, np.arange(len(ids)))
+            sv_ids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
             order = np.arange(len(sv_ids))
             if ranks is not None:
                 by_rank = np.argsort(ranks)

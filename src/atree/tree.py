@@ -19,10 +19,10 @@ holding a private trace.
 from __future__ import annotations
 
 import base64
+import contextlib
 import itertools
 import json
 import math
-import string
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -33,7 +33,7 @@ from .boosting import (BoostConfig, BoostedClassifier, Presort, _argmin_rescored
 from .dataset import check_label_names
 from .errors import SchemaError, ValidationError, check_field_types
 from .svm import (ClassifierBank, KernelSpec, KernelSvmModel, LinearSvmModel, SvmConfig,
-                  train_svm, unique_ids)
+                  train_svm)
 
 MODEL_SCHEMA_VERSION = 8
 
@@ -251,11 +251,17 @@ class Atree:
                       for node, a, b, e in zip(internal, lo.tolist(), hi.tolist(),
                                                ends.tolist())]
         # seen, on a path, is the bit set of the table columns of the support
-        # vectors met (for a linear tree, of the features, not counted)
-        marks = np.zeros((m, width), dtype=bool)
-        marks[owners, columns] = True
-        masks = [int.from_bytes(row, "little")
-                 for row in np.packbits(marks, axis=1, bitorder="little")]
+        # vectors met (for a linear tree, of the features, not counted). Node
+        # j's own set, shifted down by lo[j], is its run of packed bytes: one
+        # bit per column of its span, each run padded to whole bytes, so the
+        # sets take a bit per segment value, not one per node and table column
+        sizes = (hi - lo + 7) // 8
+        byte_ends = np.cumsum(sizes)
+        marks = np.zeros(8 * sizes.sum(), dtype=bool)
+        marks[8 * (byte_ends - sizes)[owners] + columns - lo[owners]] = True
+        packed = np.packbits(marks, bitorder="little").tobytes()
+        masks = [(int.from_bytes(packed[e - n:e], "little"), a)
+                 for n, e, a in zip(sizes.tolist(), byte_ends.tolist(), lo.tolist())]
         bounds = starts.tolist()
         self.paths = [None] * len(self.leaves)
         counts = [None] * len(self.leaves)
@@ -267,7 +273,8 @@ class Atree:
                 counts[~i] = seen.bit_count(), uncached
                 continue
             entry = self.table[i]
-            seen |= masks[i]
+            mask, shift = masks[i]
+            seen |= mask << shift
             uncached += bounds[i + 1] - bounds[i]
             path = [*path, entry.node]
             walk += [(entry.left, path, seen, uncached), (entry.right, path, seen, uncached)]
@@ -678,11 +685,6 @@ def _route_block(tree, inputs, leaves):
 # Serialization
 
 
-# each base64 letter's 6-bit value
-_BASE64_VALUES = {c: k for k, c in enumerate(string.ascii_uppercase + string.ascii_lowercase
-                                             + string.digits + "+/")}
-
-
 def _pack(values):
     """The little-endian float64 bytes of ``values``, row-major, as base64
     text, which loads without parsing a decimal literal per value."""
@@ -691,20 +693,12 @@ def _pack(values):
 
 def _unpack(doc, key, count, rule):
     """doc[key], _pack() text of ``count`` float64 values, as a read-only
-    array; ``rule`` says why that many, for the error. The text must be
-    what _pack() writes for its bytes: b64decode(validate=True) takes only
-    base64 letters followed by at most two "=", the length then leaves the
-    padding _pack() writes and no more, and the letter before the padding
-    must not set bits past the last byte."""
+    array; ``rule`` says why that many, for the error."""
     text, raw = doc[key], None
-    if type(text) is str:
-        try:
-            raw = base64.b64decode(text, validate=True)
-        except ValueError:  # binascii.Error, or text outside ASCII
-            pass
-    pad = -8 * count % 3
-    if (raw is None or len(raw) != 8 * count or len(text) != 4 * -(-8 * count // 3)
-            or pad and _BASE64_VALUES[text[-1 - pad]] & (15 if pad == 2 else 3)):
+    with contextlib.suppress(ValueError):  # binascii.Error, or text outside ASCII
+        raw = base64.b64decode(text, validate=True) if type(text) is str else None
+    # b64decode also takes padding and trailing bits that _pack never writes
+    if raw is None or len(raw) != 8 * count or base64.b64encode(raw).decode() != text:
         raise SchemaError(f"{rule}: {key} must be the base64 text of {count} float64 values")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
 
@@ -811,11 +805,10 @@ def _kernel_svms(nodes, kernel, table):
     counts = [len(node.svm["sv_ids"]) for node in nodes]
     named = np.fromiter(itertools.chain.from_iterable(node.svm["sv_ids"] for node in nodes),
                         dtype=np.int64)
-    distinct, inverse = unique_ids(named)
-    # a node that names an sv_id twice marks one (node, sv_id) pair twice
-    pairs = np.zeros((len(nodes), len(distinct)), dtype=bool)
-    pairs[np.repeat(np.arange(len(nodes)), counts), inverse] = True
-    if np.count_nonzero(pairs) != len(named):
+    distinct, inverse = np.unique(named, return_inverse=True)
+    # a node that names an sv_id twice repeats one (node, sv_id) pair
+    pairs = np.sort(np.repeat(np.arange(len(nodes)), counts) * len(distinct) + inverse)
+    if (pairs[1:] == pairs[:-1]).any():
         raise SchemaError("a kernel node's sv_ids must be distinct ints")
     at = ids.searchsorted(distinct)
     if len(named) and not (len(ids) and np.array_equal(ids.take(at, mode="clip"), distinct)):
