@@ -571,7 +571,9 @@ class ClassifierBank:
         else:
             counts = [len(m.sv_ids) for m in models]
             ids = np.concatenate([sv_ids] + [m.sv_ids for m in models])
-            sv_ids, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            sv_ids, inverse = np.unique(ids, return_inverse=True)
+            first = np.full(len(sv_ids), len(ids))
+            np.minimum.at(first, inverse, np.arange(len(ids)))
             order = np.arange(len(sv_ids))
             if ranks is not None:
                 by_rank = np.argsort(ranks)

@@ -158,17 +158,20 @@ class NodeEntry(NamedTuple):
 
 
 class LinearRoute(NamedTuple):
-    """What route() reads of a linear tree besides its bank's biases. With
-    internal node table[i] coded i and leaf k coded len(table) + k:
-    coefficients, the (features, internal nodes) matrix whose column i is
-    table[i]'s weights; bound, the decision values' rounding bound per unit
-    of a row's augmented norm (see _route_linear); and steps, the walk's
-    moves: code c moves to steps[2c] when its decision value is negative
-    and to steps[2c + 1] when it is not. A leaf moves to itself."""
+    """What route() reads of a linear tree. With internal node table[i]
+    coded i and leaf k coded len(table) + k: coefficients, the (features,
+    internal nodes) matrix whose column i is table[i]'s weights; bound, the
+    decision values' rounding bound per unit of a row's augmented norm (see
+    _route_linear); steps, the walk's moves: code c moves to steps[2c] when
+    its decision value is negative and to steps[2c + 1] when it is not, and
+    a leaf moves to itself; and biases, each code's bias, table[i].bias for
+    code i and +inf for a leaf, so that a leaf's read is never within
+    rounding of zero (its move ignores it)."""
 
     coefficients: np.ndarray
     bound: float
     steps: np.ndarray
+    biases: np.ndarray
 
 
 @dataclass
@@ -292,7 +295,8 @@ class Atree:
             moves = [[c if c >= 0 else m + ~c for c in (e.left, e.right)] for e in self.table]
             moves += [[m + k] * 2 for k in range(len(self.leaves))]
             self.linear = LinearRoute(coefficients, bound + terms * 2.0 ** -1073,
-                                      np.array(moves, dtype=np.intp).reshape(-1))
+                                      np.array(moves, dtype=np.intp).reshape(-1),
+                                      np.append(self.bank.biases, [np.inf] * len(self.leaves)))
 
     @property
     def num_classes(self):
@@ -547,9 +551,9 @@ def train_atree(data, config):
 
 def _require_finite(v, magnitude):
     """Reject NaN and inf in the array v, given a magnitude of it that is
-    finite only when every entry is, such as the sum of its entries'
-    squares; the dearer elementwise test runs only when it is not, as when
-    that sum overflows."""
+    finite only when every entry is, such as its rows' largest squared
+    norm; the dearer elementwise test runs only when it is not, as when a
+    finite row's square overflows."""
     if not (math.isfinite(magnitude) or np.isfinite(v).all()):
         raise ValidationError("features must be finite (no NaN or inf)")
 
@@ -590,15 +594,15 @@ def route(tree, X):
     reading its span of its block's inputs, laid out as predict() lays out
     one instance. A linear tree computes every node's decision value on a
     block in one product and walks all its rows at once (_route_linear); a
-    value whose sign the product's rounding could flip is computed again as
-    predict() computes it. Each row's squared norm serves both the finite
-    check and that rounding bound."""
+    row that read a value whose sign the product's rounding could flip walks
+    again with values computed as predict() computes them. Each row's
+    squared norm serves both the finite check and that rounding bound."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.dimension:
         raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
     X = np.ascontiguousarray(X)
     squares = np.einsum("ij,ij->i", X, X)
-    _require_finite(X, squares.sum())
+    _require_finite(X, squares.max(initial=0.0))
     leaves = np.empty(len(X), dtype=np.int64)
     if tree.linear is None:
         for first, inputs in tree.bank.input_blocks(X):
@@ -613,11 +617,12 @@ def route(tree, X):
 def _route_linear(tree, X, squares, leaves):
     """route() over one block of rows X of a linear tree, given their
     squared norms, writing their leaf indices to ``leaves``. One product
-    gives every node's decision value on every row, D = X @ C + b, and the
-    walk moves all rows at once, depth - 1 times, reading each row's value
-    at its current code (tree.linear.steps).
+    gives every node's weighted sum on every row, X @ C. The walk then moves
+    all rows at once, depth - 1 times: a row reads the sum at its code, adds
+    the code's bias (tree.linear.biases), records the value and moves by its
+    sign (tree.linear.steps). Past the product, work grows with the depth.
 
-    D's entries are sums of the same d + 1 terms x_i w_i and b as predict()'s
+    A read value sums the same d + 1 terms x_i w_i and b as predict()'s
     x.dot(w) + b, in another order. In any order, with or without fused
     multiply-adds, such a sum is within E = gamma(d + 1) (|x_1 w_1| + ... +
     |x_d w_d| + |b|) of the exact s = x.w + b, gamma(k) = ku / (1 - ku) and
@@ -628,27 +633,41 @@ def _route_linear(tree, X, squares, leaves):
     the same way. tree.linear.bound is 4(d + 1)u times the largest node's
     |(w, b)|; times sqrt(|x|^2 + 1) that covers 2E with a factor of two to
     spare for the rounding of the norms, and its added (d + 1) 2^-1073 covers
-    products that underflow, each off by at most 2^-1075. An entry whose
-    magnitude is not above its row's bound, NaN and inf included (as for a
-    row whose squared norm overflows), is computed again by predict()'s
-    per-row dot."""
-    coefficients, bound, steps = tree.linear
-    biases = tree.bank.biases
-    n, m = len(X), len(biases)
-    # one spare entry per leaf after the last row's: a leaf's code reads an
-    # entry its move ignores
-    flat = np.zeros(n * m + len(tree.leaves))
-    values = flat[:n * m].reshape(n, m)
-    np.matmul(X, coefficients, out=values)
-    values += biases
-    certain = np.abs(values) > (np.sqrt(squares + 1.0) * bound)[:, None]
-    if not certain.all():
-        rows, nodes = np.nonzero(~certain)
-        values[rows, nodes] = np.vecdot(X[rows], coefficients.T[nodes]) + biases[nodes]
+    products that underflow, each off by at most 2^-1075.
+
+    The band is tested on the recorded values only: a row whose every read
+    is beyond its bound followed predict()'s path. A leaf's read is +inf, so
+    the steps a row spends at its leaf never count (NaN, over an entry that
+    is -inf or NaN, costs a recompute). An infinite internal read, with the
+    squared norms finite, comes from a partial sum so near overflow that the
+    terms left cannot flip its sign. A row with a read inside the band or
+    NaN, or with an infinite bound (its squared norm overflows), walks again
+    from the root, every value computed by predict()'s per-row dot."""
+    coefficients, bound, steps, biases = tree.linear
+    n, m = len(X), coefficients.shape[1]
+    # a zero spare entry per leaf after the last row's, for leaf codes to read
+    flat = np.empty(n * m + len(tree.leaves))
+    flat[n * m:] = 0.0
+    np.matmul(X, coefficients, out=flat[:n * m].reshape(n, m))
     code = np.zeros(n, dtype=np.intp)
     at = np.arange(n) * m
-    for _ in range(tree.depth - 1):
-        code = steps[2 * code + (flat[at + code] >= 0)]
+    index = np.empty(n, dtype=np.intp)
+    reads = np.empty((tree.depth - 1, n))
+    for read in reads:
+        np.add(at, code, out=index)
+        np.add(flat[index], biases[code], out=read)
+        np.add(code, code, out=index)
+        index += read >= 0
+        code = steps[index]
+    # a row's smallest read is NaN when any of its reads is, and NaN fails
+    sure = np.abs(reads, out=reads).min(axis=0, initial=np.inf) > np.sqrt(squares + 1.0) * bound
+    if not sure.all():
+        redo = np.flatnonzero(~sure)
+        code[redo] = 0
+        for _ in range(tree.depth - 1):
+            rows = redo[code[redo] < m]
+            c = code[rows]
+            code[rows] = steps[2 * c + (np.vecdot(X[rows], coefficients.T[c]) + biases[c] >= 0)]
     leaves[:] = code - m
 
 
@@ -765,7 +784,7 @@ def _table_from_doc(doc, dimension):
     and their rows, ``dimension`` values each."""
     ids = doc["ids"] if set(doc) == {"ids", "rows"} else None
     listed = np.asarray(ids) if _is_list_of(ids, {int}) else None
-    if listed is None or (np.diff(listed) <= 0).any():
+    if listed is None or (listed[1:] <= listed[:-1]).any():
         raise SchemaError("support-vector table must be exactly its 'ids', each int once and "
                           "in increasing order, and their 'rows'")
     rows = _unpack(doc, "rows", len(ids) * dimension,

@@ -919,6 +919,19 @@ class TestRoute:
         assert tree.leaves == [tree.root]
         _check_routes_predicts_and_round_trips(tree, data.features)
 
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 0.5)],
+                             ids=lambda k: k.kind)
+    def test_rows_whose_squares_total_overflows_route_without_warning(self, kernel):
+        # each row's squared norm, 7.5e307, is finite; the 20 rows' total is not
+        tree = train_atree(generate_gaussian_blobs(3, 15, 3, 0.5, seed=4),
+                           AtreeConfig(max_depth=3, kernel=kernel,
+                                       boost=BoostConfig(max_rounds=5)))
+        X = np.full((20, 3), 5e153)
+        for x, k in zip(X, route(tree, X).tolist()):
+            label, trace = predict(tree, x)
+            assert label == tree.leaves[k].label
+            assert [i for i, _ in trace] == [n.node_id for n in tree.paths[k]]
+
     def test_zero_decision_value_routes_right(self):
         # rows 0 and 2 meet a value of exactly 0 at the root, row 1 at node 1:
         # each is within rounding of zero, so the linear form recomputes it
@@ -1261,6 +1274,38 @@ class TestSerialization:
         set_model_table(doc, table)
         with pytest.raises(SchemaError, match="once"):
             deserialize(json.dumps(doc))
+
+    def test_table_ids_out_of_order_rejected(self):
+        doc = self._doc(1)
+        table = model_table(doc)
+        table[0], table[1] = table[1], table[0]
+        set_model_table(doc, table)
+        with pytest.raises(SchemaError, match="increasing order"):
+            deserialize(json.dumps(doc))
+
+    def test_smallest_int64_sv_id_saves_and_loads(self):
+        # ids are compared as neighbours: a difference from -2**63 would wrap
+        tree, data = self._random_tree(1)
+        doc = json.loads(serialize(tree))
+        first = doc["support_vectors"]["ids"][0]
+        doc["support_vectors"]["ids"][0] = -2 ** 63
+        for node in doc["nodes"]:
+            if "svm" in node:
+                node["svm"]["sv_ids"] = [-2 ** 63 if i == first else i
+                                         for i in node["svm"]["sv_ids"]]
+        loaded = deserialize(json.dumps(doc))
+        assert -2 ** 63 in loaded.bank.sv_ids.tolist()
+        text = serialize(loaded)
+        resaved = deserialize(text)
+        assert serialize(resaved) == text
+        X = np.vstack([data.features, data.features[::-1] + 0.25])
+        for t in (loaded, resaved):
+            assert route(t, X).tolist() == route(tree, X).tolist()
+            for x in X:
+                (label, trace), (ref_label, ref_trace) = predict(t, x), predict(tree, x)
+                assert label == ref_label
+                assert [(i, np.float64(v).tobytes()) for i, v in trace] == [
+                    (i, np.float64(v).tobytes()) for i, v in ref_trace]
 
     def test_kernel_node_needs_one_coefficient_per_sv_id(self):
         doc = self._doc(1)
@@ -1771,6 +1816,76 @@ class TestLinearRoute:
                                 per_block * max(d, len(tree.table))),
               np.errstate(all="ignore")):
             _check_routes_predicts_and_round_trips(tree, X)
+
+    def test_in_band_value_off_the_path_is_not_recomputed(self, monkeypatch):
+        tree = _uneven_linear_tree()
+        # row 0's value is 0 at node 6 only, off its path (the root, then leaf 1)
+        X = np.array([[-3.0], [20.0]])
+        seen = _recorded_vecdot(monkeypatch)
+        leaves = route(tree, X)
+        monkeypatch.undo()
+        assert seen == []
+        assert [tree.leaves[k].node_id for k in leaves] == [1, 7]
+        assert predict(tree, X[0]) == (1, [(0, -3.0)])
+
+    def test_in_band_value_deep_on_the_path_is_recomputed(self, monkeypatch):
+        tree = _uneven_linear_tree()
+        # row 1's value is 0 at node 3, on level 3 of its path
+        X = np.array([[20.0], [5.0], [-3.0]])
+        seen = _recorded_vecdot(monkeypatch)
+        leaves = route(tree, X)
+        monkeypatch.undo()
+        # row 1 alone walks again, with one per-row dot at each node of its
+        # path: the root, node 2 and node 3, whose weights are 1, 2 and 4
+        assert [(rows.tolist(), segments.tolist()) for rows, segments in seen if len(rows)] == [
+            ([[5.0]], [[1.0]]), ([[5.0]], [[2.0]]), ([[5.0]], [[4.0]])]
+        assert [tree.leaves[k].node_id for k in leaves] == [7, 5, 1]
+        assert predict(tree, X[1]) == (1, [(0, 5.0), (2, -10.0), (3, 0.0)])
+
+    def test_rows_that_reach_a_leaf_early_route_as_predict(self):
+        tree = _uneven_linear_tree()
+        assert sorted(tree.levels[leaf.node_id] for leaf in tree.leaves) == [2, 4, 4, 4, 4]
+        # steps of 0.5, through every node's zero: x = 0, 10, 5 and -3
+        X = np.linspace(-30.0, 30.0, 121)[:, None]
+        assert set(route(tree, X).tolist()) == {0, 1, 2, 3}
+        _check_routes_predicts_and_round_trips(tree, X)
+
+    def test_root_leaf_tree_routes_every_row_to_leaf_0(self, monkeypatch):
+        tree = Atree(_leaf(0, 1), AtreeConfig(), [0, 1], 2)
+        assert tree.depth == 1 and tree.table == [] and tree.linear is not None
+        X = np.array([[0.0, 0.0], [-1.0, 2.0], [5e153, 5e153], [1e200, -1e200]])
+        seen = _recorded_vecdot(monkeypatch)
+        leaves = route(tree, X)
+        monkeypatch.undo()
+        assert seen == []
+        assert leaves.tolist() == [0] * len(X)
+
+
+def _uneven_linear_tree():
+    """A linear tree over one feature with leaves at levels 2 and 4: the
+    root (value x) over leaf 1 and node 2 (2x - 20); node 2 over node 3
+    (4x - 20, over leaves 4 and 5) and node 6 (-x - 3, over leaves 7 and
+    8)."""
+    def node(node_id, left, right, weight, bias):
+        internal = _manual_internal(node_id, left, right, bias)
+        internal.svm = LinearSvmModel(np.array([weight]), bias)
+        return internal
+
+    below = node(2, node(3, _leaf(4, 0), _leaf(5, 1), 4.0, -20.0),
+                 node(6, _leaf(7, 0), _leaf(8, 1), -1.0, -3.0), 2.0, -20.0)
+    return Atree(node(0, _leaf(1, 1), below, 1.0, 0.0), AtreeConfig(), [0, 1], 1)
+
+
+def _recorded_vecdot(monkeypatch):
+    """The (rows, segments) arguments of every np.vecdot call from now on."""
+    seen, vecdot = [], np.vecdot
+
+    def recorded(rows, segments):
+        seen.append((rows, segments))
+        return vecdot(rows, segments)
+
+    monkeypatch.setattr(np, "vecdot", recorded)
+    return seen
 
 
 def _check_predict_equals_the_node_walk(tree, X):
