@@ -113,18 +113,17 @@ def evaluate_atree(tree, data):
     instance's leaf index on ``run.leaves``. Each instance's label,
     evaluation count and, for kernel trees, cached/uncached kernel
     computation counts are its leaf's: the instances reaching one leaf share
-    one path, whose kernel computation counts the tree derived when it was
+    one path, and the tree derived each leaf's label and counts when it was
     built. The dataset's labels must be the tree's classes: its label_names
     must be the tree's (load_csv maps a file's labels through them)."""
     if list(data.label_names) != list(tree.label_names):
         raise ValidationError(f"the test data's classes {list(data.label_names)} are not the "
                               f"tree's {list(tree.label_names)}")
     leaves = route_tree(tree, data.features)
-    labels = np.array([leaf.label for leaf in tree.leaves], dtype=np.int64)
-    evals = np.array([len(path) for path in tree.paths], dtype=np.int64)
     run = EvaluationRun(
-        method="atree", num_classes=tree.num_classes, predictions=labels[leaves],
-        truths=data.labels.copy(), classifier_evaluations=evals[leaves], leaves=leaves)
+        method="atree", num_classes=tree.num_classes, predictions=tree.leaf_labels[leaves],
+        truths=data.labels.copy(), classifier_evaluations=tree.leaf_evaluations[leaves],
+        leaves=leaves)
     if tree.leaf_kernel_computations is not None:
         run.kernel_computations, run.kernel_computations_uncached = (
             tree.leaf_kernel_computations[leaves].T)

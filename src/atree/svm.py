@@ -100,6 +100,21 @@ def squared_norms(A):
     return (A * A).sum(axis=1)
 
 
+def _training_norms(A, reach):
+    """squared_norms(A), computed without an overflow warning, for a solver
+    whose arithmetic reaches ``reach`` times the largest of them. When that
+    is not finite, training would compute with values that overflowed, so
+    the features are rejected with a ValidationError."""
+    with np.errstate(over="ignore"):
+        norms = squared_norms(A)
+        fits = np.isfinite(norms.max(initial=0.0) * reach)
+    if not fits:
+        times = "" if reach == 1 else f" times {reach}"
+        raise ValidationError(f"features too large to train on: a training row's squared "
+                              f"norm{times} is not finite in float64")
+    return norms
+
+
 # The kernel formulas, one block function each: block(gamma, A, B, a_norms,
 # b_norms, out, scratch) writes k(a_i, b_j) for the rows of A into out. The
 # rbf kernel reads the squared norms of A's and B's rows and uses scratch, an
@@ -300,6 +315,11 @@ def train_linear_svm(X, y, config):
     round exactly as they would on the unsigned rows. The dual weights and
     the rows' squared norms are Python floats and each row is a view, so a
     step costs one dot, one scaled row and one in-place add in numpy.
+
+    A row whose squared norm (with the constant column) overflows would
+    leave its dual weight at 0 whatever its gradient, and the solve would
+    end at once, converged on zero weights; such features are rejected with
+    a ValidationError instead.
     """
     X = np.asarray(X, dtype=np.float64)
     y = _split_labels(y)
@@ -308,7 +328,7 @@ def train_linear_svm(X, y, config):
     Ya = np.hstack([X, np.ones((n, 1))])
     Ya *= y[:, None]
     rows = list(Ya)
-    qd = (Ya * Ya).sum(axis=1).tolist()
+    qd = _training_norms(Ya, 1).tolist()
     alpha = [0.0] * n
     w = np.zeros(d + 1)
     C = config.c
@@ -383,12 +403,16 @@ def training_gram(kernel, X):
     so no second n x n array is allocated. Its entries need not be
     symmetric bit for bit, so the layout cannot come from a plain
     transpose. Raises ValidationError when the n x n Gram would exceed
-    _GRAM_ELEMENTS entries."""
+    _GRAM_ELEMENTS entries, and for the rbf kernel when a row's squared norm
+    times 4 overflows: the kernel's squared distance |a|^2 + |b|^2 - 2 a.b
+    reaches 4 times the largest squared norm (at a = -b)."""
     n = len(X)
     if n * n > _GRAM_ELEMENTS:
         raise ValidationError(f"a training Gram of {n} x {n} kernel values exceeds the "
                               f"limit of {_GRAM_ELEMENTS} entries (at most "
                               f"{math.isqrt(_GRAM_ELEMENTS)} training samples)")
+    if kernel.kind == "rbf":
+        _training_norms(X, 4)
     K = kernel_matrix(kernel, X, X)
     for a in range(0, len(K), _TILE):
         rows = slice(a, a + _TILE)

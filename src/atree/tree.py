@@ -142,14 +142,17 @@ class InternalNode:
 
 
 class NodeEntry(NamedTuple):
-    """One internal node as traversal reads it: the node, its span of the
-    bank's columns as a slice (None when it is every column, as for every
-    linear node, so that no view of a whole row is made), its segment of
-    coefficients over that span, its classifier's bias, and its left and
-    right children as codes. A child's code is its index in the tree's
-    table when it is internal, and ~k when it is the tree's leaf k."""
+    """One internal node as traversal reads it: the node and its id, its
+    span of the bank's columns as a slice (None when it is every column, as
+    for every linear node, so that no view of a whole row is made), its
+    segment of coefficients over that span, its classifier's bias as the
+    bank's float64 (so that adding it to a dot product converts nothing),
+    and its left and right children as codes. A child's code is its index
+    in the tree's table when it is internal, and ~k when it is the tree's
+    leaf k."""
 
     node: InternalNode
+    node_id: int
     span: slice | None
     segment: np.ndarray
     bias: float
@@ -182,9 +185,12 @@ class Atree:
     the longest root path); the ClassifierBank of its node classifiers,
     which every internal node must hold; its table, one NodeEntry per
     internal node in preorder, entry i reading bank columns table[i].span
-    with bias table[i].bias, its node's svm.bias; its leaves in preorder;
-    their paths, paths[k] the internal nodes from the root down to
-    leaves[k]; and for a kernel tree (None for a linear one) a (leaves, 2)
+    with bias table[i].bias, its node's svm.bias as the bank's float64
+    biases[i]; its leaves in preorder; their paths, paths[k] the internal
+    nodes from the root down to leaves[k]; per leaf, as int64 arrays, its
+    label (leaf_labels) and its path's length, the classifier evaluations
+    an instance that reaches it costs (leaf_evaluations); and for a kernel
+    tree (None for a linear one) a (leaves, 2)
     int array of each leaf's path's (union, uncached) kernel computations:
     the distinct support vectors of the path's classifiers and their total
     count. Traversal starts at code 0, the root's entry, or at ~0,
@@ -211,6 +217,8 @@ class Atree:
     table: list = field(init=False, repr=False, compare=False)
     leaves: list = field(init=False, repr=False, compare=False)
     paths: list = field(init=False, repr=False, compare=False)
+    leaf_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    leaf_evaluations: np.ndarray = field(init=False, repr=False, compare=False)
     leaf_kernel_computations: np.ndarray | None = field(init=False, repr=False, compare=False)
     linear: LinearRoute | None = field(init=False, repr=False, compare=False)
 
@@ -248,11 +256,12 @@ class Atree:
         code = {id(n): k for k, n in enumerate(internal)}
         code.update((id(n), ~k) for k, n in enumerate(self.leaves))
         width = self.bank.width
-        self.table = [NodeEntry(node, None if (a, b) == (0, width) else slice(a, b),
-                                segments[e - b + a:e], node.svm.bias,
+        self.table = [NodeEntry(node, node.node_id,
+                                None if (a, b) == (0, width) else slice(a, b),
+                                segments[e - b + a:e], bias,
                                 code[id(node.left)], code[id(node.right)])
-                      for node, a, b, e in zip(internal, lo.tolist(), hi.tolist(),
-                                               ends.tolist())]
+                      for node, a, b, e, bias in zip(internal, lo.tolist(), hi.tolist(),
+                                                     ends.tolist(), self.bank.biases)]
         # seen, on a path, is the bit set of the table columns of the support
         # vectors met (for a linear tree, of the features, not counted). Node
         # j's own set, shifted down by lo[j], is its run of packed bytes: one
@@ -281,6 +290,8 @@ class Atree:
             uncached += bounds[i + 1] - bounds[i]
             path = [*path, entry.node]
             walk += [(entry.left, path, seen, uncached), (entry.right, path, seen, uncached)]
+        self.leaf_labels = np.array([leaf.label for leaf in self.leaves], dtype=np.int64)
+        self.leaf_evaluations = np.array([len(path) for path in self.paths], dtype=np.int64)
         linear = self.config.kernel.is_linear
         self.leaf_kernel_computations = None if linear else np.array(counts, dtype=np.int64)
         self.linear = None
@@ -564,22 +575,22 @@ def predict(tree, x):
     node as (node_id, decision value). x is read as a row-major float64
     vector, as route() reads its rows, so the trace does not depend on x's
     memory layout. The instance's one row of tree.bank.inputs() is computed
-    first, and the walk reads tree.table: each node on the path reads its
-    value from its span of that row."""
-    x = np.asarray(x, dtype=np.float64)
+    first (a linear tree reads the vector itself), and the walk reads
+    tree.table: each node on the path reads its value from its span of that
+    row."""
+    x = np.asarray(x, dtype=np.float64, order="C")
     if x.shape != (tree.dimension,):
         raise ValidationError(f"expected a vector of dimension {tree.dimension}")
-    x = np.ascontiguousarray(x)
     # x's Euclidean norm, which unlike x.dot(x) cannot overflow on finite entries
     _require_finite(x, math.hypot(*x.tolist()))
-    row = tree.bank.inputs(x[None, :])[0]
+    row = x if tree.linear is not None else tree.bank.inputs(x[None, :])[0]
     table = tree.table
     trace = []
     i = 0 if table else ~0
     while i >= 0:
-        node, span, segment, bias, left, right = table[i]
+        _, node_id, span, segment, bias, left, right = table[i]
         dv = (row if span is None else row[span]).dot(segment) + bias
-        trace.append((node.node_id, dv))
+        trace.append((node_id, dv))
         i = right if dv >= 0 else left
     return tree.leaves[~i].label, trace
 
@@ -686,7 +697,7 @@ def _route_block(tree, inputs, leaves):
             if i < 0:
                 leaves[rows] = ~i
                 continue
-            _, span, segment, bias, left, right = table[i]
+            _, _, span, segment, bias, left, right = table[i]
             columns = inputs if span is None else inputs[:, span]
             if 3 * len(rows) >= n:
                 dv = np.vecdot(columns, segment)[rows]

@@ -3,6 +3,7 @@ import json
 import os
 import stat
 import threading
+import warnings
 
 import pytest
 
@@ -319,6 +320,35 @@ class TestTrain:
         bad.write_text(f"0,1.0,2.0\n1,{cell},3.0\n0,1.5,2.5\n1,4.0,3.5\n")
         assert run("--quiet", "train", bad, "--out", tmp_path / "m.json") == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kernel", [("--kernel", "linear"),
+                                        ("--kernel", "rbf", "--kernel-gamma", 0.5)],
+                             ids=["linear", "rbf"])
+    def test_features_whose_squares_overflow_exit_2(self, blob_csvs, tmp_path, capsys,
+                                                    kernel):
+        """Training rows scaled by 1e155 are finite but their squared norms
+        are not: training and the baseline's training exit 2 with one error
+        line that names the features, before any numpy warning, and write
+        nothing."""
+        train, test = blob_csvs
+        model = tmp_path / "model.json"
+        assert run("--quiet", "train", train, "--out", model, "--max-depth", 2, *kernel) == 0
+        big = tmp_path / "big.csv"
+        big.write_text("".join(f"{label},{','.join(repr(float(v) * 1e155) for v in rest)}\n"
+                               for label, *rest in (line.split(",") for line in
+                                                    train.read_text().splitlines())))
+        capsys.readouterr()
+        outputs = [tmp_path / "big.json", tmp_path / "big_metrics.csv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("--quiet", "train", big, "--out", outputs[0], *kernel) == 2
+            first = capsys.readouterr().err
+            assert run("--quiet", "eval", model, test, "--baseline", "ova", "--train-csv", big,
+                       "--out-metrics", outputs[1]) == 2
+            second = capsys.readouterr().err
+        for err in (first, second):
+            assert err.startswith("error: features too large") and err.count("\n") == 1
+        assert not any(path.exists() for path in outputs)
 
 
 class TestEval:

@@ -1,8 +1,9 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atree import dataset, metrics
@@ -486,6 +487,58 @@ class TestTrainSvm:
         assert model.bias == expected.bias
         np.testing.assert_array_equal(train_svm(X, y, spec, SvmConfig()).sv_ids,
                                       expected.sv_ids - 100)
+
+
+class TestTrainingFeatureRange:
+    """Training rejects features whose squared norms overflow the arithmetic
+    its solver does with them, with an error that names the features, and
+    trains on any others without a floating-point warning. The linear
+    solver adds a row's squares and its constant column's 1; the rbf
+    training Gram's squared distances reach 4 times the largest squared
+    norm."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["linear", "rbf"]), seed=st.integers(0, 2 ** 16),
+           mantissa=st.floats(1.0, 10.0), exponent=st.integers(0, 307))
+    @example(kind="linear", seed=0, mantissa=8.0, exponent=153)
+    @example(kind="rbf", seed=0, mantissa=8.0, exponent=153)
+    def test_rejected_exactly_when_a_squared_norm_overflows(self, kind, seed, mantissa,
+                                                              exponent):
+        """The largest feature magnitude is mantissa * 10**exponent, up to
+        1e308. The explicit examples' largest squared norm is finite and 4
+        times it is not: the linear solver trains and the rbf Gram rejects."""
+        X, y = random_binary_dataset(np.random.default_rng(seed), 12, 3)
+        X *= mantissa * 10.0 ** exponent / np.abs(X).max()
+        with np.errstate(over="ignore"):
+            if kind == "linear":
+                kernel = KernelSpec("linear")
+                reached = squared_norms(np.hstack([X, np.ones((12, 1))]))
+            else:
+                kernel, reached = KernelSpec("rbf", 0.5), 4 * squared_norms(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if np.isfinite(reached).all():
+                model = train_svm(X, y, kernel, SvmConfig())
+                assert model.convergence.iterations > 0
+            else:
+                with pytest.raises(ValidationError, match="features too large"):
+                    train_svm(X, y, kernel, SvmConfig())
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_overflowing_blobs_are_rejected_before_any_warning(self, kind):
+        """The 6-class blobs scaled by 1e154, whose squared norms overflow:
+        a node solve and one-vs-all both reject them before any warning."""
+        blobs = dataset.generate_gaussian_blobs(6, 30, 4, 1.0, 3)
+        X = blobs.features * 1e154
+        kernel = KernelSpec(kind, 0.5 if kind == "rbf" else None)
+        y = np.where(blobs.labels == 0, 1.0, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="features too large"):
+                train_svm(X, y, kernel, SvmConfig())
+            with pytest.raises(ValidationError, match="features too large"):
+                metrics.train_one_vs_all(dataset.Dataset(X, blobs.labels, blobs.weights,
+                                                         blobs.num_classes), kernel, SvmConfig())
 
 
 def _one_model_bank(model, dimension):

@@ -1057,6 +1057,10 @@ class TestLeafPaths:
         assert [id(leaf) for leaf, _ in walked] == [id(leaf) for leaf in tree.leaves]
         assert [[id(n) for n in path] for path in tree.paths] == [
             [id(n) for n in path] for _, path in walked]
+        for per_leaf in (tree.leaf_labels, tree.leaf_evaluations):
+            assert per_leaf.dtype == np.int64 and per_leaf.shape == (len(walked),)
+        assert tree.leaf_labels.tolist() == [leaf.label for leaf, _ in walked]
+        assert tree.leaf_evaluations.tolist() == [len(path) for _, path in walked]
         counts = tree.leaf_kernel_computations
         if tree.config.kernel.is_linear:
             assert counts is None
@@ -1937,6 +1941,40 @@ class TestPredictOracle:
         assert isinstance(leaf_root.root, LeafNode)
         for tree in (spliced, leaf_root):
             _check_predict_equals_the_node_walk(tree, data.features)
+
+    @pytest.mark.parametrize("bias", [-0.0, 0.0, 5e-324, 1.7e308, -1.7e308])
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_hand_built_trees_with_extreme_biases(self, kind, bias):
+        """Every node's bias a signed zero, the smallest subnormal or near
+        the largest double: predict gives reference_predict's trace bit for
+        bit, and route the leaf of predict's path. On the rows at the
+        origin every node's sum is exactly 0, so the bias alone decides."""
+        kernel = _kernel_of(kind)
+
+        def node(node_id, left, right, sv_ids):
+            internal = _manual_internal(node_id, left, right, bias)
+            if kernel.is_linear:
+                internal.svm = LinearSvmModel(np.array([1.0, -2.0]), bias)
+            else:
+                # two support vectors at +-v with coefficients +-1 cancel at x = 0
+                v = np.array([[0.5, -1.0]])
+                internal.svm = KernelSvmModel(np.vstack([v, -v]), np.array([1.0, -1.0]), bias,
+                                              kernel, np.array(sv_ids))
+            return internal
+
+        root = node(0, node(1, _leaf(2, 0), _leaf(3, 1), [0, 1]),
+                    node(4, _leaf(5, 0), _leaf(6, 1), [2, 3]), [0, 1])
+        tree = Atree(root, AtreeConfig(kernel=kernel), [0, 1], 2)
+        X = np.vstack([np.zeros((2, 2)), [[-0.0, 0.0]],
+                       np.random.default_rng(3).normal(size=(12, 2))])
+        with np.errstate(over="ignore"):
+            leaves = route(tree, X)
+        _check_predict_equals_the_node_walk(tree, X)
+        for x, leaf in zip(X, leaves.tolist()):
+            label, trace = predict(tree, x)
+            assert tree.leaves[leaf].label == label
+            assert [n.node_id for n in tree.paths[leaf]] == [i for i, _ in trace]
+        assert predict(tree, X[0])[1] == [(0, bias), (4 if bias >= 0 else 1, bias)]
 
 
 class TestDotExport:
