@@ -312,15 +312,18 @@ def cmd_eval(args):
 # sweep
 
 
-def _tradeoff_row(run_config, train, test):
-    """One sweep entry: train a tree and a one-vs-all reference, return a row."""
-    config = run_config.to_atree_config()
-    tree = tr.train_atree(train, config)
-    atree_run = mt.evaluate_atree(tree, test)
-    ova = mt.train_one_vs_all(train, config.kernel, config.svm)
-    reference = mt.evaluate_one_vs_all(ova, test)
-    return _metrics_row(atree_run, run_config.delta, run_config.kernel, reference,
-                        train.label_names)
+def _tradeoff_rows(run_configs, train, test):
+    """Sweep rows on one split, a tree per run config, all against one
+    one-vs-all reference: the configs differ in delta only, on which the
+    reference does not depend."""
+    config = run_configs[0].to_atree_config()
+    reference = mt.evaluate_one_vs_all(mt.train_one_vs_all(train, config.kernel, config.svm), test)
+    rows = []
+    for run_config in run_configs:
+        tree = tr.train_atree(train, run_config.to_atree_config())
+        rows.append(_metrics_row(mt.evaluate_atree(tree, test), run_config.delta,
+                                 run_config.kernel, reference, train.label_names))
+    return rows
 
 
 def cmd_sweep(args):
@@ -339,15 +342,14 @@ def _sweep_rows(args, run_config):
         deltas = _parse_list(args.deltas, "--deltas", float)
         train = load_csv(args.train_csv, args.has_header)
         test = load_csv(args.test_csv, args.has_header, train.label_names)
-        return [_tradeoff_row(replace(run_config, delta=delta), train, test)
-                for delta in deltas]
+        return _tradeoff_rows([replace(run_config, delta=delta) for delta in deltas], train, test)
     if args.classes is not None:
         rows = []
         for n in _parse_list(args.classes, "--classes", int):
             data = generate_gaussian_blobs(n, args.per_class, args.dim, args.spread,
                                            run_config.seed)
-            rows.append(_tradeoff_row(run_config, *split_train_test(
-                data, args.train_fraction, run_config.seed, stratified=True)))
+            rows += _tradeoff_rows([run_config], *split_train_test(
+                data, args.train_fraction, run_config.seed, stratified=True))
         return rows
     raise ValidationError("sweep needs --deltas or --classes")
 

@@ -35,8 +35,6 @@ _GRAM_ELEMENTS = 1 << 25
 # Largest (rows, inputs) block, in entries, that evaluation builds at a time
 # (32 MB of float64): ClassifierBank.input_blocks splits a test set to fit.
 _EVAL_ELEMENTS = 1 << 22
-# Side of the square tiles that training_gram swaps (32 KB of float64 each).
-_TILE = 64
 
 
 def _finite_positive(v):
@@ -100,15 +98,25 @@ def squared_norms(A):
     return (A * A).sum(axis=1)
 
 
-def _training_norms(A, reach):
-    """squared_norms(A), computed without an overflow warning, for a solver
-    whose arithmetic reaches ``reach`` times the largest of them. When that
-    is not finite, training would compute with values that overflowed, so
-    the features are rejected with a ValidationError."""
+# How far each kernel's training arithmetic reaches in multiples of the
+# largest squared norm: a dot product to it, the rbf |a|^2 + |b|^2 - 2 a.b to
+# 4 times it (a = -b), a chi-square (a_j - b_j)^2 on nonnegative features to
+# at most max(a_j, b_j)^2. Histogram intersection squares nothing.
+_REACH = {"linear": 1, "rbf": 4, "chi_square": 1, "histogram_intersection": 0}
+
+
+def _training_norms(A, kind):
+    """squared_norms(A), computed without an overflow warning, for training
+    under the kernel ``kind``. Rejects with a ValidationError features that
+    are not finite, and features that the kernel's arithmetic would
+    overflow: where _REACH[kind] times the largest norm is not finite."""
+    reach = _REACH[kind]
     with np.errstate(over="ignore"):
         norms = squared_norms(A)
-        fits = np.isfinite(norms.max(initial=0.0) * reach)
-    if not fits:
+        largest = float(norms.max(initial=0.0))
+    if not math.isfinite(largest) and not np.isfinite(A).all():
+        raise ValidationError("features must be finite (no NaN or inf)")
+    if reach and not math.isfinite(largest * reach):
         times = "" if reach == 1 else f" times {reach}"
         raise ValidationError(f"features too large to train on: a training row's squared "
                               f"norm{times} is not finite in float64")
@@ -328,7 +336,7 @@ def train_linear_svm(X, y, config):
     Ya = np.hstack([X, np.ones((n, 1))])
     Ya *= y[:, None]
     rows = list(Ya)
-    qd = _training_norms(Ya, 1).tolist()
+    qd = _training_norms(Ya, "linear").tolist()
     alpha = [0.0] * n
     w = np.zeros(d + 1)
     C = config.c
@@ -398,31 +406,25 @@ def _pg_spread(Ya, alpha, w, C):
 
 def training_gram(kernel, X):
     """kernel_matrix(kernel, X, X), bit for bit, laid out column-major so
-    that the kernel solver reads each column contiguously. The Gram is
-    transposed in place tile by tile and returned as the transpose's view,
-    so no second n x n array is allocated. Its entries need not be
-    symmetric bit for bit, so the layout cannot come from a plain
-    transpose. Raises ValidationError when the n x n Gram would exceed
-    _GRAM_ELEMENTS entries, and for the rbf kernel when a row's squared norm
-    times 4 overflows: the kernel's squared distance |a|^2 + |b|^2 - 2 a.b
-    reaches 4 times the largest squared norm (at a = -b)."""
+    that the kernel solver reads each column contiguously: each block of
+    _BLOCK_ROWS rows is computed as kernel_matrix computes it (rows are
+    independent) and copied into its rows of the Gram, so no second n x n
+    array is made. The feature check's squared norms are the Gram's column
+    norms. Raises ValidationError when the Gram would exceed _GRAM_ELEMENTS
+    entries, for features that _training_norms rejects, and for negative
+    features under the chi-square and histogram-intersection kernels."""
     n = len(X)
     if n * n > _GRAM_ELEMENTS:
         raise ValidationError(f"a training Gram of {n} x {n} kernel values exceeds the "
                               f"limit of {_GRAM_ELEMENTS} entries (at most "
                               f"{math.isqrt(_GRAM_ELEMENTS)} training samples)")
-    if kernel.kind == "rbf":
-        _training_norms(X, 4)
-    K = kernel_matrix(kernel, X, X)
-    for a in range(0, len(K), _TILE):
-        rows = slice(a, a + _TILE)
-        K[rows, rows] = K[rows, rows].T.copy()
-        for b in range(a + _TILE, len(K), _TILE):
-            cols = slice(b, b + _TILE)
-            upper = K[rows, cols].copy()
-            K[rows, cols] = K[cols, rows].T
-            K[cols, rows] = upper.T
-    return K.T
+    norms = _training_norms(X, kernel.kind)
+    if kernel.kind in _NONNEGATIVE_KINDS:
+        _require_nonnegative(X, kernel.kind)
+    K = np.empty((n, n), order="F")
+    for i in range(0, n, _BLOCK_ROWS):
+        K[i:i + _BLOCK_ROWS] = _kernel_rows(kernel, X[i:i + _BLOCK_ROWS], X, norms)
+    return K
 
 
 def train_kernel_svm(X, y, kernel, config, sample_ids=None, gram=None):

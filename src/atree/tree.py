@@ -147,9 +147,9 @@ class NodeEntry(NamedTuple):
     for every linear node, so that no view of a whole row is made), its
     segment of coefficients over that span, its classifier's bias as the
     bank's float64 (so that adding it to a dot product converts nothing),
-    and its left and right children as codes. A child's code is its index
-    in the tree's table when it is internal, and ~k when it is the tree's
-    leaf k."""
+    and its left and right children as node codes: internal node table[i]
+    is coded i and the tree's leaf k len(table) + k, so code 0 is the
+    root."""
 
     node: InternalNode
     node_id: int
@@ -161,15 +161,14 @@ class NodeEntry(NamedTuple):
 
 
 class LinearRoute(NamedTuple):
-    """What route() reads of a linear tree. With internal node table[i]
-    coded i and leaf k coded len(table) + k: coefficients, the (features,
-    internal nodes) matrix whose column i is table[i]'s weights; bound, the
-    decision values' rounding bound per unit of a row's augmented norm (see
-    _route_linear); steps, the walk's moves: code c moves to steps[2c] when
-    its decision value is negative and to steps[2c + 1] when it is not, and
-    a leaf moves to itself; and biases, each code's bias, table[i].bias for
-    code i and +inf for a leaf, so that a leaf's read is never within
-    rounding of zero (its move ignores it)."""
+    """What route() reads of a linear tree, by node code (NodeEntry):
+    coefficients, the (features, internal nodes) matrix whose column i is
+    table[i]'s weights; bound, the decision values' rounding bound per unit
+    of a row's augmented norm (see _route_linear); steps, the walk's moves:
+    code c moves to steps[2c] when its decision value is negative and to
+    steps[2c + 1] when it is not, and a leaf moves to itself; and biases,
+    each code's bias, table[i].bias for code i and +inf for a leaf, so that
+    a leaf's read is never within rounding of zero (its move ignores it)."""
 
     coefficients: np.ndarray
     bound: float
@@ -193,10 +192,9 @@ class Atree:
     tree (None for a linear one) a (leaves, 2)
     int array of each leaf's path's (union, uncached) kernel computations:
     the distinct support vectors of the path's classifiers and their total
-    count. Traversal starts at code 0, the root's entry, or at ~0,
-    leaves[0], when the root is a leaf and the table is empty. A linear tree
-    also holds its LinearRoute, the coefficient matrix, rounding bound and
-    walk that route() reads (None for a kernel tree).
+    count. Traversal starts at code 0, the root. A linear tree also holds
+    its LinearRoute, the coefficient matrix, rounding bound and walk that
+    route() reads (None for a kernel tree).
 
     The bank's table is in tree order: it lists the support vectors node by
     node in preorder, each with the deepest node that keeps it (the last in
@@ -253,8 +251,7 @@ class Atree:
         ends = np.cumsum(hi - lo)
         segments = np.zeros((hi - lo).sum())
         segments[(ends - hi)[owners] + columns] = placed.values
-        code = {id(n): k for k, n in enumerate(internal)}
-        code.update((id(n), ~k) for k, n in enumerate(self.leaves))
+        code = {id(n): k for k, n in enumerate(internal + self.leaves)}
         width = self.bank.width
         self.table = [NodeEntry(node, node.node_id,
                                 None if (a, b) == (0, width) else slice(a, b),
@@ -277,12 +274,12 @@ class Atree:
         bounds = starts.tolist()
         self.paths = [None] * len(self.leaves)
         counts = [None] * len(self.leaves)
-        walk = [(0 if self.table else ~0, [], 0, 0)]
+        walk = [(0, [], 0, 0)]
         while walk:
             i, path, seen, uncached = walk.pop()
-            if i < 0:
-                self.paths[~i] = path
-                counts[~i] = seen.bit_count(), uncached
+            if i >= m:
+                self.paths[i - m] = path
+                counts[i - m] = seen.bit_count(), uncached
                 continue
             entry = self.table[i]
             mask, shift = masks[i]
@@ -303,10 +300,9 @@ class Atree:
             with np.errstate(over="ignore"):
                 norms = np.vecdot(coefficients.T, coefficients.T) + self.bank.biases ** 2
             bound = 4 * terms * 2.0 ** -53 * math.sqrt(norms.max(initial=0.0))
-            moves = [[c if c >= 0 else m + ~c for c in (e.left, e.right)] for e in self.table]
-            moves += [[m + k] * 2 for k in range(len(self.leaves))]
-            self.linear = LinearRoute(coefficients, bound + terms * 2.0 ** -1073,
-                                      np.array(moves, dtype=np.intp).reshape(-1),
+            steps = np.repeat(np.arange(len(self.nodes)), 2)
+            steps[:2 * m] = [c for e in self.table for c in (e.left, e.right)]
+            self.linear = LinearRoute(coefficients, bound + terms * 2.0 ** -1073, steps,
                                       np.append(self.bank.biases, [np.inf] * len(self.leaves)))
 
     @property
@@ -586,13 +582,13 @@ def predict(tree, x):
     row = x if tree.linear is not None else tree.bank.inputs(x[None, :])[0]
     table = tree.table
     trace = []
-    i = 0 if table else ~0
-    while i >= 0:
+    i, m = 0, len(table)
+    while i < m:
         _, node_id, span, segment, bias, left, right = table[i]
         dv = (row if span is None else row[span]).dot(segment) + bias
         trace.append((node_id, dv))
         i = right if dv >= 0 else left
-    return tree.leaves[~i].label, trace
+    return tree.leaves[i - m].label, trace
 
 
 def route(tree, X):
@@ -600,14 +596,12 @@ def route(tree, X):
     the node's decision value is nonnegative. Returns each row's leaf as its
     index k into tree.leaves, whose label and path tree.paths[k] are those
     of predict() on the row. Rows go through in tree.bank.input_blocks() of
-    a row-major copy of X. A kernel tree walks them level by level: each
-    node evaluates its classifier once, over the rows that reach it,
-    reading its span of its block's inputs, laid out as predict() lays out
-    one instance. A linear tree computes every node's decision value on a
+    a row-major copy of X. A kernel tree's block walks level by level
+    (_route_block). A linear tree computes every node's decision value on a
     block in one product and walks all its rows at once (_route_linear); a
     row that read a value whose sign the product's rounding could flip walks
-    again with values computed as predict() computes them. Each row's
-    squared norm serves both the finite check and that rounding bound."""
+    again through _route_block. Each row's squared norm serves both the
+    finite check and that rounding bound."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.dimension:
         raise ValidationError(f"expected an (n, {tree.dimension}) matrix")
@@ -615,23 +609,20 @@ def route(tree, X):
     squares = np.einsum("ij,ij->i", X, X)
     _require_finite(X, squares.max(initial=0.0))
     leaves = np.empty(len(X), dtype=np.int64)
-    if tree.linear is None:
-        for first, inputs in tree.bank.input_blocks(X):
-            _route_block(tree, inputs, leaves[first:first + len(inputs)])
-        return leaves
     for first, inputs in tree.bank.input_blocks(X, len(tree.table)):
         rows = slice(first, first + len(inputs))
-        _route_linear(tree, inputs, squares[rows], leaves[rows])
+        leaves[rows] = (_route_block(tree, inputs) if tree.linear is None
+                        else _route_linear(tree, inputs, squares[rows]))
     return leaves
 
 
-def _route_linear(tree, X, squares, leaves):
-    """route() over one block of rows X of a linear tree, given their
-    squared norms, writing their leaf indices to ``leaves``. One product
-    gives every node's weighted sum on every row, X @ C. The walk then moves
-    all rows at once, depth - 1 times: a row reads the sum at its code, adds
-    the code's bias (tree.linear.biases), records the value and moves by its
-    sign (tree.linear.steps). Past the product, work grows with the depth.
+def _route_linear(tree, X, squares):
+    """The leaf indices of route() over one block of rows X of a linear
+    tree, given their squared norms. One product gives every node's weighted
+    sum on every row, X @ C. The walk then moves all rows at once, depth - 1
+    times: a row reads the sum at its code, adds the code's bias
+    (tree.linear.biases), records the value and moves by its sign
+    (tree.linear.steps). Past the product, work grows with the depth.
 
     A read value sums the same d + 1 terms x_i w_i and b as predict()'s
     x.dot(w) + b, in another order. In any order, with or without fused
@@ -649,11 +640,11 @@ def _route_linear(tree, X, squares, leaves):
     The band is tested on the recorded values only: a row whose every read
     is beyond its bound followed predict()'s path. A leaf's read is +inf, so
     the steps a row spends at its leaf never count (NaN, over an entry that
-    is -inf or NaN, costs a recompute). An infinite internal read, with the
+    is -inf or NaN, costs a re-walk). An infinite internal read, with the
     squared norms finite, comes from a partial sum so near overflow that the
     terms left cannot flip its sign. A row with a read inside the band or
     NaN, or with an infinite bound (its squared norm overflows), walks again
-    from the root, every value computed by predict()'s per-row dot."""
+    through _route_block, every value computed as predict() computes it."""
     coefficients, bound, steps, biases = tree.linear
     n, m = len(X), coefficients.shape[1]
     # a zero spare entry per leaf after the last row's, for leaf codes to read
@@ -672,32 +663,29 @@ def _route_linear(tree, X, squares, leaves):
         code = steps[index]
     # a row's smallest read is NaN when any of its reads is, and NaN fails
     sure = np.abs(reads, out=reads).min(axis=0, initial=np.inf) > np.sqrt(squares + 1.0) * bound
+    leaves = code - m
     if not sure.all():
-        redo = np.flatnonzero(~sure)
-        code[redo] = 0
-        for _ in range(tree.depth - 1):
-            rows = redo[code[redo] < m]
-            c = code[rows]
-            code[rows] = steps[2 * c + (np.vecdot(X[rows], coefficients.T[c]) + biases[c] >= 0)]
-    leaves[:] = code - m
+        leaves[~sure] = _route_block(tree, X[~sure])
+    return leaves
 
 
-def _route_block(tree, inputs, leaves):
-    """route() over one block of a kernel tree's inputs, whose leaf indices
-    it writes to ``leaves``, walking tree.table as predict() does. A node
-    that a third of the block's rows or more reach reads its span in place,
-    on every row, and keeps its rows' values; any other node reads a copy
-    of its rows' spans."""
-    n = len(inputs)
-    table = tree.table
-    level = [(0 if table else ~0, np.arange(n))]
+def _route_block(tree, inputs):
+    """The leaf index of each row of a block of tree.bank.inputs(), walking
+    tree.table level by level with predict()'s decision values: one per-row
+    dot of the node's span and segment, plus its bias. A node that a third
+    of the block's rows or more reach reads its span in place, on every row,
+    and keeps its rows' values; any other node reads a copy of its rows'
+    spans."""
+    n, m = len(inputs), len(tree.table)
+    leaves = np.empty(n, dtype=np.int64)
+    level = [(0, np.arange(n))]
     while level:
         below = []
         for i, rows in level:
-            if i < 0:
-                leaves[rows] = ~i
+            if i >= m:
+                leaves[rows] = i - m
                 continue
-            _, _, span, segment, bias, left, right = table[i]
+            _, _, span, segment, bias, left, right = tree.table[i]
             columns = inputs if span is None else inputs[:, span]
             if 3 * len(rows) >= n:
                 dv = np.vecdot(columns, segment)[rows]
@@ -709,6 +697,7 @@ def _route_block(tree, inputs, leaves):
                 if len(below_rows):
                     below.append((child, below_rows))
         level = below
+    return leaves
 
 
 # ---------------------------------------------------------------------------

@@ -678,6 +678,28 @@ class TestSweep:
         deltas = [float(l.split(",")[1]) for l in lines[1:]]
         assert deltas == [0.5, 0.6, 0.7, 0.8, 0.9]
 
+    def test_delta_sweep_trains_the_reference_once(self, monkeypatch, blob_csvs, tmp_path):
+        # the one-vs-all reference does not depend on delta: one training
+        # serves every row, and each row is the one its delta sweeps alone
+        train, test = blob_csvs
+        calls, original = [], cli.mt.train_one_vs_all
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli.mt, "train_one_vs_all", counted)
+        out = tmp_path / "sweep.csv"
+        assert run("--quiet", "sweep", "--train-csv", train, "--test-csv", test,
+                   "--deltas", "0.6,0.7,0.8", "--max-depth", 3, "--out", out) == 0
+        assert len(calls) == 1
+        header, *rows = out.read_text().splitlines()
+        for delta, row in zip(("0.6", "0.7", "0.8"), rows, strict=True):
+            alone = tmp_path / f"sweep_{delta}.csv"
+            assert run("--quiet", "sweep", "--train-csv", train, "--test-csv", test,
+                       "--deltas", delta, "--max-depth", 3, "--out", alone) == 0
+            assert alone.read_text().splitlines() == [header, row]
+
     def test_class_count_sweep_rows(self, tmp_path):
         out = tmp_path / "growth.csv"
         assert run("--quiet", "sweep", "--classes", "4,8", "--per-class", 20,

@@ -74,17 +74,23 @@ class TestOneVsAll:
         data = generate_gaussian_blobs(4, 12, 3, 0.8, seed=5)
         # nonnegative features, as histogram intersection requires
         data = Dataset(np.abs(data.features), data.labels, data.weights, data.num_classes)
+        # every kernel value goes through _kernel_rows: one Gram's worth of
+        # blocks, n rows against n columns, serves every class
         blocks = []
-        original = svm_module.kernel_matrix
+        original = svm_module._kernel_rows
 
-        def counted(spec, A, B):
+        def counted(spec, A, B, b_norms):
             blocks.append((len(A), len(B)))
-            return original(spec, A, B)
+            return original(spec, A, B, b_norms)
 
-        monkeypatch.setattr(svm_module, "kernel_matrix", counted)
+        monkeypatch.setattr(svm_module, "_kernel_rows", counted)
         model = train_one_vs_all(data, kernel, SvmConfig())
-        assert blocks == ([] if kernel.is_linear else [(len(data), len(data))])
         monkeypatch.undo()
+        if kernel.is_linear:
+            assert blocks == []
+        else:
+            assert sum(rows for rows, _ in blocks) == len(data)
+            assert {columns for _, columns in blocks} == {len(data)}
         for cls, got in enumerate(model.models):
             y = np.where(data.labels == cls, 1.0, -1.0)
             expected = train_svm(data.features, y, kernel, SvmConfig())

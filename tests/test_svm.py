@@ -1,3 +1,5 @@
+import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -70,24 +72,29 @@ class TestKernels:
 
     @pytest.mark.parametrize("n", [1, 5, 64, 65, 130, 200])
     def test_training_gram_is_the_gram_column_major_in_place(self, monkeypatch, n):
-        # an asymmetric stand-in for the Gram: a transposition shows
+        # an asymmetric stand-in for the kernel rows, each row of X naming
+        # its stand-in row in its first feature: a transposition shows
         rng = np.random.default_rng(n)
-        made = []
-
-        def gram_of(spec, A, B):
-            made.append(rng.normal(size=(len(A), len(B))))
-            made.append(made[0].copy())
-            return made[1]
-
-        monkeypatch.setattr(svm_module, "kernel_matrix", gram_of)
-        X = rng.normal(size=(n, 3))
-        gram = training_gram(KernelSpec("rbf", 0.5), X)
+        stand_in = rng.normal(size=(n, n))
+        X = np.column_stack([np.arange(n, dtype=np.float64), rng.normal(size=(n, 2))])
+        monkeypatch.setattr(svm_module, "_kernel_rows",
+                            lambda spec, A, B, b_norms: stand_in[A[:, 0].astype(np.intp)])
+        tracemalloc.start()
+        try:
+            gram = training_gram(KernelSpec("rbf", 0.5), X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         monkeypatch.undo()
         assert gram.flags.f_contiguous and gram.shape == (n, n)
-        assert np.shares_memory(gram, made[1])
-        np.testing.assert_array_equal(gram, made[0])
-        rbf = KernelSpec("rbf", 0.5)
-        assert training_gram(rbf, X).tobytes("F") == kernel_matrix(rbf, X, X).tobytes("F")
+        assert gram.tobytes("F") == stand_in.tobytes("F")
+        # the Gram, one block of rows and the norms: at n = 130 and 200 a
+        # second n x n array would pass this bound
+        assert peak - gram.nbytes < 8 * n * (svm_module._BLOCK_ROWS + 2) + 4096
+        U = rng.uniform(0.0, 2.0, size=(n, 90))
+        for kind in KERNEL_KINDS:
+            spec = KernelSpec(kind, 0.02 if kind in ("rbf", "chi_square") else None)
+            assert training_gram(spec, U).tobytes("F") == kernel_matrix(spec, U, U).tobytes("F")
 
     def test_training_gram_above_the_budget_is_rejected(self, monkeypatch):
         # the budget holds the largest Gram of the 64-class growth probe many times
@@ -490,31 +497,37 @@ class TestTrainSvm:
 
 
 class TestTrainingFeatureRange:
-    """Training rejects features whose squared norms overflow the arithmetic
-    its solver does with them, with an error that names the features, and
-    trains on any others without a floating-point warning. The linear
-    solver adds a row's squares and its constant column's 1; the rbf
-    training Gram's squared distances reach 4 times the largest squared
-    norm."""
+    """Training rejects features that are not finite, with the error that
+    Dataset and route give, and features whose squared norms overflow the
+    arithmetic its solver does with them, with an error that names the
+    features; it trains on any others without a floating-point warning.
+    The linear solver adds a row's squares and its constant column's 1; the
+    rbf training Gram's squared distances reach 4 times the largest squared
+    norm, and a chi-square term's squared difference, on nonnegative
+    features, at most that norm. Histogram intersection squares nothing."""
 
     @settings(max_examples=80, deadline=None)
-    @given(kind=st.sampled_from(["linear", "rbf"]), seed=st.integers(0, 2 ** 16),
+    @given(kind=st.sampled_from(["linear", "rbf", "chi_square"]), seed=st.integers(0, 2 ** 16),
            mantissa=st.floats(1.0, 10.0), exponent=st.integers(0, 307))
     @example(kind="linear", seed=0, mantissa=8.0, exponent=153)
     @example(kind="rbf", seed=0, mantissa=8.0, exponent=153)
+    @example(kind="chi_square", seed=0, mantissa=8.0, exponent=153)
     def test_rejected_exactly_when_a_squared_norm_overflows(self, kind, seed, mantissa,
                                                               exponent):
         """The largest feature magnitude is mantissa * 10**exponent, up to
-        1e308. The explicit examples' largest squared norm is finite and 4
-        times it is not: the linear solver trains and the rbf Gram rejects."""
+        1e308, and chi-square's features are nonnegative. The explicit
+        examples' largest squared norm is finite and 4 times it is not: the
+        linear and chi-square solvers train and the rbf Gram rejects."""
         X, y = random_binary_dataset(np.random.default_rng(seed), 12, 3)
+        if kind == "chi_square":
+            X = np.abs(X)
         X *= mantissa * 10.0 ** exponent / np.abs(X).max()
+        kernel = KernelSpec(kind, None if kind == "linear" else 0.5)
         with np.errstate(over="ignore"):
             if kind == "linear":
-                kernel = KernelSpec("linear")
                 reached = squared_norms(np.hstack([X, np.ones((12, 1))]))
             else:
-                kernel, reached = KernelSpec("rbf", 0.5), 4 * squared_norms(X)
+                reached = (4 if kind == "rbf" else 1) * squared_norms(X)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if np.isfinite(reached).all():
@@ -524,13 +537,14 @@ class TestTrainingFeatureRange:
                 with pytest.raises(ValidationError, match="features too large"):
                     train_svm(X, y, kernel, SvmConfig())
 
-    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "chi_square"])
     def test_overflowing_blobs_are_rejected_before_any_warning(self, kind):
-        """The 6-class blobs scaled by 1e154, whose squared norms overflow:
-        a node solve and one-vs-all both reject them before any warning."""
+        """The 6-class blobs scaled by 1e154 (their magnitudes, for
+        chi-square), whose squared norms overflow: a node solve and
+        one-vs-all both reject them before any warning."""
         blobs = dataset.generate_gaussian_blobs(6, 30, 4, 1.0, 3)
-        X = blobs.features * 1e154
-        kernel = KernelSpec(kind, 0.5 if kind == "rbf" else None)
+        X = (np.abs(blobs.features) if kind == "chi_square" else blobs.features) * 1e154
+        kernel = KernelSpec(kind, None if kind == "linear" else 0.5)
         y = np.where(blobs.labels == 0, 1.0, -1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -539,6 +553,40 @@ class TestTrainingFeatureRange:
             with pytest.raises(ValidationError, match="features too large"):
                 metrics.train_one_vs_all(dataset.Dataset(X, blobs.labels, blobs.weights,
                                                          blobs.num_classes), kernel, SvmConfig())
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_features_are_rejected(self, kind, cell):
+        """One NaN or inf feature among 20 nonnegative rows: the solver and
+        the training Gram reject it as not finite, before any warning
+        (Dataset, which one-vs-all and the tree train from, rejects it
+        too)."""
+        blobs = dataset.generate_gaussian_blobs(2, 10, 3, 1.0, 4)
+        X = np.abs(blobs.features)
+        X[7, 1] = cell
+        kernel = KernelSpec(kind, 0.5 if kind in ("rbf", "chi_square") else None)
+        y = np.where(blobs.labels == 0, 1.0, -1.0)
+        message = re.escape("features must be finite (no NaN or inf)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                train_svm(X, y, kernel, SvmConfig())
+            with pytest.raises(ValidationError, match=message):
+                training_gram(kernel, X)
+
+    def test_histogram_intersection_trains_on_features_whose_squares_overflow(self):
+        """Blob magnitudes scaled by 1e160, whose squares overflow and which
+        chi-square rejects, train under histogram intersection without a
+        warning."""
+        blobs = dataset.generate_gaussian_blobs(6, 30, 4, 1.0, 3)
+        X = np.abs(blobs.features) * 1e160
+        y = np.where(blobs.labels == 0, 1.0, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="features too large"):
+                train_svm(X, y, KernelSpec("chi_square", 0.5), SvmConfig())
+            model = train_svm(X, y, KernelSpec("histogram_intersection"), SvmConfig())
+        assert model.convergence.iterations > 0 and np.isfinite(model.bias)
 
 
 def _one_model_bank(model, dimension):

@@ -1634,7 +1634,7 @@ def _check_bank(tree):
     the node, its span of the bank's columns as a slice, or None when it is
     every column, a contiguous segment of as many coefficients, the node's
     bias, and its children's codes, an internal child's index in the table
-    or ~k for leaf k of the tree's leaves in preorder. A linear node's span
+    and len(table) + k for leaf k of the tree's leaves in preorder. A linear node's span
     is every feature and its segment its weights; a linear tree's table is
     empty. A
     kernel tree's table lists each distinct sv_id of its node models once,
@@ -1648,8 +1648,7 @@ def _check_bank(tree):
     internal = [n for n in nodes if isinstance(n, InternalNode)]
     bank = tree.bank
     assert tree.leaves == [n for n in nodes if isinstance(n, LeafNode)]
-    code = {id(n): k for k, n in enumerate(internal)}
-    code.update((id(n), ~k) for k, n in enumerate(tree.leaves))
+    code = {id(n): k for k, n in enumerate(internal + tree.leaves)}
     assert len(tree.table) == len(internal)
     assert all(e.node is node for e, node in zip(tree.table, internal))
     assert bank.biases.tolist() == [n.svm.bias for n in internal]
@@ -1842,7 +1841,7 @@ class TestLinearRoute:
         # row 1 alone walks again, with one per-row dot at each node of its
         # path: the root, node 2 and node 3, whose weights are 1, 2 and 4
         assert [(rows.tolist(), segments.tolist()) for rows, segments in seen if len(rows)] == [
-            ([[5.0]], [[1.0]]), ([[5.0]], [[2.0]]), ([[5.0]], [[4.0]])]
+            ([[5.0]], [1.0]), ([[5.0]], [2.0]), ([[5.0]], [4.0])]
         assert [tree.leaves[k].node_id for k in leaves] == [7, 5, 1]
         assert predict(tree, X[1]) == (1, [(0, 5.0), (2, -10.0), (3, 0.0)])
 
@@ -1855,14 +1854,19 @@ class TestLinearRoute:
         _check_routes_predicts_and_round_trips(tree, X)
 
     def test_root_leaf_tree_routes_every_row_to_leaf_0(self, monkeypatch):
-        tree = Atree(_leaf(0, 1), AtreeConfig(), [0, 1], 2)
-        assert tree.depth == 1 and tree.table == [] and tree.linear is not None
-        X = np.array([[0.0, 0.0], [-1.0, 2.0], [5e153, 5e153], [1e200, -1e200]])
-        seen = _recorded_vecdot(monkeypatch)
-        leaves = route(tree, X)
-        monkeypatch.undo()
-        assert seen == []
-        assert leaves.tolist() == [0] * len(X)
+        for kernel in (KernelSpec("linear"), KernelSpec("rbf", 0.5)):
+            tree = Atree(_leaf(0, 1), AtreeConfig(kernel=kernel), [0, 1], 2)
+            assert tree.depth == 1 and tree.table == []
+            assert (tree.linear is not None) == kernel.is_linear
+            X = np.array([[0.0, 0.0], [-1.0, 2.0], [5e153, 5e153]])
+            if kernel.is_linear:
+                # a row whose squared norm overflows (the rbf kernel row squares it)
+                X = np.vstack([X, [1e200, -1e200]])
+            seen = _recorded_vecdot(monkeypatch)
+            leaves = route(tree, X)
+            monkeypatch.undo()
+            assert seen == []
+            assert leaves.tolist() == [0] * len(X)
 
 
 def _uneven_linear_tree():
