@@ -18,8 +18,6 @@ KERNEL_KINDS = ("linear", "rbf", "chi_square", "histogram_intersection")
 
 # Guard for the chi-square denominator on zero bins.
 _CHI2_EPS = 1e-12
-# Dual weights at or below this are treated as zero when extracting SVs.
-_SV_EPS = 1e-10
 # The linear solver leaves a coordinate alone when its projected gradient is
 # within this of zero (LIBLINEAR's threshold).
 _PG_EPS = 1e-12
@@ -99,27 +97,33 @@ def squared_norms(A):
 
 
 # How far each kernel's training arithmetic reaches in multiples of the
-# largest squared norm: a dot product to it, the rbf |a|^2 + |b|^2 - 2 a.b to
-# 4 times it (a = -b), a chi-square (a_j - b_j)^2 on nonnegative features to
-# at most max(a_j, b_j)^2. Histogram intersection squares nothing.
-_REACH = {"linear": 1, "rbf": 4, "chi_square": 1, "histogram_intersection": 0}
+# largest row measure: a dot product to the squared norm, the rbf
+# |a|^2 + |b|^2 - 2 a.b to 4 times it (a = -b), a chi-square (a_j - b_j)^2 on
+# nonnegative features to at most max(a_j, b_j)^2. Histogram intersection's
+# largest Gram entry is a diagonal one, a row's feature sum, and the kernel
+# solver's eta adds two of them.
+_REACH = {"linear": 1, "rbf": 4, "chi_square": 1, "histogram_intersection": 2}
 
 
 def _training_norms(A, kind):
-    """squared_norms(A), computed without an overflow warning, for training
-    under the kernel ``kind``. Rejects with a ValidationError features that
-    are not finite, and features that the kernel's arithmetic would
-    overflow: where _REACH[kind] times the largest norm is not finite."""
-    reach = _REACH[kind]
+    """The row measure that the kernel ``kind`` trains on, computed without
+    an overflow warning: each row's feature sum for histogram intersection,
+    else squared_norms(A). Rejects with a ValidationError features that are
+    not finite, and features that the kernel's arithmetic would overflow:
+    where _REACH[kind] times the largest magnitude of a measure is not
+    finite."""
+    summed = kind == "histogram_intersection"
     with np.errstate(over="ignore"):
-        norms = squared_norms(A)
-        largest = float(norms.max(initial=0.0))
+        norms = A.sum(axis=1) if summed else squared_norms(A)
+        largest = float(np.abs(norms).max(initial=0.0))
     if not math.isfinite(largest) and not np.isfinite(A).all():
         raise ValidationError("features must be finite (no NaN or inf)")
-    if reach and not math.isfinite(largest * reach):
+    reach = _REACH[kind]
+    if not math.isfinite(largest * reach):
+        measure = "feature sum" if summed else "squared norm"
         times = "" if reach == 1 else f" times {reach}"
-        raise ValidationError(f"features too large to train on: a training row's squared "
-                              f"norm{times} is not finite in float64")
+        raise ValidationError(f"features too large to train on: a training row's {measure}"
+                              f"{times} is not finite in float64")
     return norms
 
 
@@ -381,14 +385,16 @@ def train_linear_svm(X, y, config):
         if pg_max - pg_min <= config.tolerance:
             # the pass saw moving iterates and only the active set: measure
             # every coordinate at the current weights before stopping
-            if _pg_spread(Ya, alpha, w, C) <= config.tolerance:
+            gap = _pg_spread(Ya, alpha, w, C)
+            if gap <= config.tolerance:
                 break
             active, old_max, old_min = everyone, math.inf, -math.inf
             continue
         active = np.array(kept, dtype=np.int64)
         old_max = pg_max if pg_max > 0.0 else math.inf
         old_min = pg_min if pg_min < 0.0 else -math.inf
-    gap = _pg_spread(Ya, alpha, w, C)
+    else:
+        gap = _pg_spread(Ya, alpha, w, C)
     record = SolverRecord(passes, gap, gap <= config.tolerance)
     return LinearSvmModel(w[:d].copy(), float(w[d]), record)
 
@@ -409,8 +415,8 @@ def training_gram(kernel, X):
     that the kernel solver reads each column contiguously: each block of
     _BLOCK_ROWS rows is computed as kernel_matrix computes it (rows are
     independent) and copied into its rows of the Gram, so no second n x n
-    array is made. The feature check's squared norms are the Gram's column
-    norms. Raises ValidationError when the Gram would exceed _GRAM_ELEMENTS
+    array is made. The feature check's squared norms are the rbf Gram's
+    column norms. Raises ValidationError when the Gram would exceed _GRAM_ELEMENTS
     entries, for features that _training_norms rejects, and for negative
     features under the chi-square and histogram-intersection kernels."""
     n = len(X)
@@ -511,7 +517,7 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None, gram=None):
             vals_low[k] = v if low[k] else math.inf
         updates += 1
     alpha = np.array(alpha)
-    free = (alpha > _SV_EPS) & (alpha < C - _SV_EPS)
+    free = (alpha > 0.0) & (alpha < C)
     if free.any():
         # a free coordinate may move either way: vals_up holds its value
         bias = float(np.mean(vals_up[free]))
@@ -520,7 +526,7 @@ def train_kernel_svm(X, y, kernel, config, sample_ids=None, gram=None):
         # updates keep sum y*alpha at 0, so the positives cannot all sit at
         # C (or all at 0) while the negatives all sit at 0 (or at C)
         bias = (hi + lo) / 2.0
-    keep = alpha > _SV_EPS
+    keep = alpha > 0.0
     return KernelSvmModel(
         support_vectors=X[keep].copy(),
         dual_coefficients=(alpha[keep] * y[keep]),
@@ -543,16 +549,13 @@ def train_svm(X, y, kernel, config, sample_ids=None, gram=None):
 class Placement(NamedTuple):
     """Where the models of a ClassifierBank read its inputs, all models
     together: model j's entries are those from starts[j] to starts[j + 1],
-    columns[k] the input column at which it reads with coefficient
-    values[k]."""
+    entry k belongs to model owners[k] and reads the input column columns[k]
+    with coefficient values[k]."""
 
     columns: np.ndarray
     values: np.ndarray
     starts: np.ndarray
-
-    def owners(self):
-        """The model of each entry."""
-        return np.repeat(np.arange(len(self.starts) - 1), np.diff(self.starts))
+    owners: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,40 +579,33 @@ class ClassifierBank:
     norms: np.ndarray
 
     @classmethod
-    def of(cls, models, kernel, dimension, ranks=None):
+    def of(cls, models, kernel, dimension):
         """The bank of ``models``, of the family of ``kernel``, over rows of
         ``dimension`` features, and their Placement: the columns of the
         inputs each model reads and its coefficients there, its weights over
         every feature or its dual coefficients at their support vectors'
-        table columns. The table lists the support vectors by sv_id. Given
-        ``ranks``, distinct ints, one per model, it lists them in one group
-        per model instead, in model order, each group by sv_id: a support
-        vector joins the group of the highest-ranked model that keeps it.
-        Rejects values that are not finite, and negative support-vector
-        features under the chi-square and histogram-intersection kernels.
-        Each of these steps is one pass over all the models together."""
+        table columns. The table lists the support vectors in one group per
+        model, in model order, each group by sv_id: a support vector joins
+        the group of the last model that keeps it, and its row is that
+        model's. Rejects values that are not finite, and negative
+        support-vector features under the chi-square and
+        histogram-intersection kernels. Each of these steps is one pass over
+        all the models together."""
         biases = np.array([m.bias for m in models], dtype=np.float64)
         sv_ids, rows = np.empty(0, dtype=np.int64), np.empty((0, dimension))
+        counts = [dimension if kernel.is_linear else len(m.sv_ids) for m in models]
+        owners = np.repeat(np.arange(len(models)), np.array(counts, dtype=np.intp))
         if kernel.is_linear:
-            counts = [dimension] * len(models)
             columns = np.tile(np.arange(dimension), len(models))
             values = [m.weights for m in models]
         else:
-            counts = [len(m.sv_ids) for m in models]
             ids = np.concatenate([sv_ids] + [m.sv_ids for m in models])
             sv_ids, inverse = np.unique(ids, return_inverse=True)
-            first = np.full(len(sv_ids), len(ids))
-            np.minimum.at(first, inverse, np.arange(len(ids)))
-            order = np.arange(len(sv_ids))
-            if ranks is not None:
-                by_rank = np.argsort(ranks)
-                place = np.empty(len(models), dtype=np.intp)
-                place[by_rank] = np.arange(len(models))
-                # the keeper of each support vector, then groups in model order
-                top = np.full(len(sv_ids), -1)
-                np.maximum.at(top, inverse, place[np.repeat(np.arange(len(models)), counts)])
-                order = np.argsort(by_rank[top], kind="stable")
-            rows = np.concatenate([rows] + [m.support_vectors for m in models])[first[order]]
+            # each support vector's last entry, in its keeper's group
+            last = np.zeros(len(sv_ids), dtype=np.intp)
+            np.maximum.at(last, inverse, np.arange(len(ids)))
+            order = np.argsort(owners[last], kind="stable")
+            rows = np.concatenate([rows] + [m.support_vectors for m in models])[last[order]]
             sv_ids = sv_ids[order]
             columns = np.argsort(order)[inverse]
             values = [m.dual_coefficients for m in models]
@@ -621,7 +617,7 @@ class ClassifierBank:
             _require_nonnegative(rows, kernel.kind)
         rows = np.asfortranarray(rows)
         bank = cls(kernel, biases, sv_ids, rows, squared_norms(rows))
-        return bank, Placement(columns, values, np.cumsum([0] + counts))
+        return bank, Placement(columns, values, np.cumsum([0] + counts), owners)
 
     @property
     def width(self):
@@ -645,7 +641,7 @@ class ClassifierBank:
         gave with this bank, 0 where a model reads nothing: model j's
         decision values are inputs(X) @ matrix[:, j] + biases[j]."""
         matrix = np.zeros((self.width, len(placed.starts) - 1))
-        matrix[placed.columns, placed.owners()] = placed.values
+        matrix[placed.columns, placed.owners] = placed.values
         return matrix
 
     def input_blocks(self, X, outputs=0):

@@ -196,10 +196,10 @@ class Atree:
     its LinearRoute, the coefficient matrix, rounding bound and walk that
     route() reads (None for a kernel tree).
 
-    The bank's table is in tree order: it lists the support vectors node by
-    node in preorder, each with the deepest node that keeps it (the last in
-    preorder among equals), so a node's span holds its own support vectors
-    and mostly those of its descendants.
+    The bank's table is in tree order, ClassifierBank.of's order over the
+    internal nodes in preorder: it lists the support vectors node by node,
+    each with the last node in preorder that keeps it, so a node's span
+    holds its own support vectors and mostly those of its descendants.
 
     Nothing derived is updated later: a built tree must not be mutated.
     Change a node and build a new Atree from its root instead."""
@@ -237,20 +237,18 @@ class Atree:
             raise ValidationError("node ids must be ints 0..n-1, rising from parent to child")
         self.depth = max(levels.values())
         m = len(internal)
-        ranks = [levels[n.node_id] * m + k for k, n in enumerate(internal)]
         self.bank, placed = ClassifierBank.of([n.svm for n in internal], self.config.kernel,
-                                              self.dimension, ranks)
+                                              self.dimension)
         # node j's span is columns lo[j] to hi[j], (0, 0) when it reads none,
         # and its segment the slice of segments that ends at ends[j]
-        columns, _, starts = placed
-        owners = placed.owners()
+        columns, values, starts, owners = placed
         held = np.diff(starts) > 0
         lo, hi = np.zeros(m, dtype=np.intp), np.zeros(m, dtype=np.intp)
         lo[held] = np.minimum.reduceat(columns, starts[:-1][held])
         hi[held] = np.maximum.reduceat(columns, starts[:-1][held]) + 1
         ends = np.cumsum(hi - lo)
         segments = np.zeros((hi - lo).sum())
-        segments[(ends - hi)[owners] + columns] = placed.values
+        segments[(ends - hi)[owners] + columns] = values
         code = {id(n): k for k, n in enumerate(internal + self.leaves)}
         width = self.bank.width
         self.table = [NodeEntry(node, node.node_id,

@@ -13,8 +13,8 @@ import numpy as np
 from atree.boosting import _MIN_WEIGHT_FLOOR, _TIE_SLACK, DecisionStump
 from atree.dataset import Dataset
 from atree.errors import ParseError, ValidationError
-from atree.svm import (_SV_EPS, KernelSvmModel, LinearSvmModel, SolverRecord,
-                       _split_labels, kernel_matrix)
+from atree.svm import (KernelSvmModel, LinearSvmModel, SolverRecord, _split_labels,
+                       kernel_matrix)
 from atree.tree import EntropySplit, InternalNode
 
 
@@ -354,7 +354,7 @@ def reference_kernel_svm(X, y, kernel, config, sample_ids=None):
         alpha[j] -= y[j] * t
         grad += t * y * (K[:, i] - K[:, j])
         updates += 1
-    free = (alpha > _SV_EPS) & (alpha < C - _SV_EPS)
+    free = (alpha > 0.0) & (alpha < C)
     if free.any():
         bias = float(np.mean(-y[free] * grad[free]))
     else:
@@ -362,7 +362,7 @@ def reference_kernel_svm(X, y, kernel, config, sample_ids=None):
         hi = vals[up].max() if up.any() else 0.0
         lo = vals[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
-    keep = alpha > _SV_EPS
+    keep = alpha > 0.0
     return KernelSvmModel(
         support_vectors=X[keep].copy(),
         dual_coefficients=(alpha[keep] * y[keep]),

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from atree import dataset, metrics
@@ -498,34 +498,42 @@ class TestTrainSvm:
 
 class TestTrainingFeatureRange:
     """Training rejects features that are not finite, with the error that
-    Dataset and route give, and features whose squared norms overflow the
-    arithmetic its solver does with them, with an error that names the
-    features; it trains on any others without a floating-point warning.
-    The linear solver adds a row's squares and its constant column's 1; the
-    rbf training Gram's squared distances reach 4 times the largest squared
-    norm, and a chi-square term's squared difference, on nonnegative
-    features, at most that norm. Histogram intersection squares nothing."""
+    Dataset and route give, and features that overflow the arithmetic its
+    solver does with them, with an error that names the features; it trains
+    on any others without a floating-point warning. The linear solver adds
+    a row's squares and its constant column's 1; the rbf training Gram's
+    squared distances reach 4 times the largest squared norm, and a
+    chi-square term's squared difference, on nonnegative features, at most
+    that norm. Histogram intersection squares nothing: its largest Gram
+    entry is a row's feature sum, and the solver adds two of them."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(kind=st.sampled_from(["linear", "rbf", "chi_square"]), seed=st.integers(0, 2 ** 16),
-           mantissa=st.floats(1.0, 10.0), exponent=st.integers(0, 307))
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["linear", "rbf", "chi_square", "histogram_intersection"]),
+           seed=st.integers(0, 2 ** 16), mantissa=st.floats(1.0, 10.0),
+           exponent=st.integers(0, 307))
     @example(kind="linear", seed=0, mantissa=8.0, exponent=153)
     @example(kind="rbf", seed=0, mantissa=8.0, exponent=153)
     @example(kind="chi_square", seed=0, mantissa=8.0, exponent=153)
+    @example(kind="histogram_intersection", seed=0, mantissa=2.0, exponent=307)
+    @example(kind="histogram_intersection", seed=0, mantissa=9.0, exponent=307)
     def test_rejected_exactly_when_a_squared_norm_overflows(self, kind, seed, mantissa,
                                                               exponent):
         """The largest feature magnitude is mantissa * 10**exponent, up to
-        1e308, and chi-square's features are nonnegative. The explicit
-        examples' largest squared norm is finite and 4 times it is not: the
-        linear and chi-square solvers train and the rbf Gram rejects."""
+        1e308, and the nonnegative kernels' features are nonnegative. In the
+        explicit examples, the largest squared norm is finite and 4 times it
+        is not, so the linear and chi-square solvers train and the rbf Gram
+        rejects; histogram intersection trains on 3 features up to 2e307
+        and rejects rows whose feature sum times 2 is not finite."""
         X, y = random_binary_dataset(np.random.default_rng(seed), 12, 3)
-        if kind == "chi_square":
+        if kind in ("chi_square", "histogram_intersection"):
             X = np.abs(X)
         X *= mantissa * 10.0 ** exponent / np.abs(X).max()
-        kernel = KernelSpec(kind, None if kind == "linear" else 0.5)
+        kernel = KernelSpec(kind, 0.5 if kind in ("rbf", "chi_square") else None)
         with np.errstate(over="ignore"):
             if kind == "linear":
                 reached = squared_norms(np.hstack([X, np.ones((12, 1))]))
+            elif kind == "histogram_intersection":
+                reached = 2 * X.sum(axis=1)
             else:
                 reached = (4 if kind == "rbf" else 1) * squared_norms(X)
         with warnings.catch_warnings():
@@ -553,6 +561,50 @@ class TestTrainingFeatureRange:
             with pytest.raises(ValidationError, match="features too large"):
                 metrics.train_one_vs_all(dataset.Dataset(X, blobs.labels, blobs.weights,
                                                          blobs.num_classes), kernel, SvmConfig())
+
+    def test_histogram_intersection_rows_near_the_largest_double_are_rejected(self):
+        """The 6-class blobs' magnitudes with each row scaled so that its
+        largest feature is 1e308, whose Gram sums of minima overflow: a node
+        solve, the training Gram and one-vs-all reject them before any
+        warning."""
+        blobs = dataset.generate_gaussian_blobs(6, 30, 4, 1.0, 3)
+        X = np.abs(blobs.features)
+        X *= 1e308 / X.max(axis=1, keepdims=True)
+        kernel = KernelSpec("histogram_intersection")
+        y = np.where(blobs.labels == 0, 1.0, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="features too large"):
+                train_svm(X, y, kernel, SvmConfig())
+            with pytest.raises(ValidationError, match="features too large"):
+                training_gram(kernel, X)
+            with pytest.raises(ValidationError, match="features too large"):
+                metrics.train_one_vs_all(dataset.Dataset(X, blobs.labels, blobs.weights,
+                                                         blobs.num_classes), kernel, SvmConfig())
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["rbf", "chi_square", "histogram_intersection"]),
+           seed=st.integers(0, 2 ** 16), mantissa=st.floats(1.0, 10.0),
+           exponent=st.integers(-300, 307))
+    @example(kind="histogram_intersection", seed=0, mantissa=1.0, exponent=160)
+    def test_both_classes_keep_a_support_vector_at_every_accepted_scale(self, kind, seed,
+                                                                       mantissa, exponent):
+        """At any feature scale that the feature rule accepts, from 1e-300
+        up, a kernel model trained on both classes keeps at least one
+        support vector of each: a support vector is a nonzero dual weight,
+        however small the kernel's scale makes it."""
+        X, y = random_binary_dataset(np.random.default_rng(seed), 12, 3)
+        X = np.abs(X) * (mantissa * 10.0 ** exponent / np.abs(X).max())
+        kernel = KernelSpec(kind, None if kind == "histogram_intersection" else 0.5)
+        try:
+            svm_module._training_norms(X, kind)
+        except ValidationError:
+            assume(False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_svm(X, y, kernel, SvmConfig())
+        assert set(np.sign(model.dual_coefficients).tolist()) == {-1.0, 1.0}
+        assert np.isfinite(model.bias)
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     @pytest.mark.parametrize("cell", [np.nan, np.inf])
@@ -792,6 +844,7 @@ class TestClassifierBank:
         bank, placed = ClassifierBank.of([first, second], KernelSpec("rbf", 1.0), 2)
         assert bank.sv_ids.tolist() == [2, 4, 7, 9]
         assert _columns_by_model(placed) == [[1, 3, 0], [3, 2]]
+        assert placed.owners.tolist() == [0, 0, 0, 1, 1]
         assert placed.values.tolist() == [*first.dual_coefficients, *second.dual_coefficients]
         expected = np.zeros((4, 2))
         expected[[1, 3, 0], 0] = first.dual_coefficients
@@ -800,8 +853,9 @@ class TestClassifierBank:
         assert coefficients.tobytes() == expected.tobytes()
         assert flat_bank.sv_ids.tobytes() == bank.sv_ids.tobytes()
         assert bank.rows.flags.f_contiguous
-        assert bank.rows[[1, 3, 0]].tobytes() == first.support_vectors.tobytes()
-        assert bank.rows[2].tobytes() == second.support_vectors[1].tobytes()
+        # sv_id 9, kept by both, sits in the second model's group with its row
+        assert bank.rows[[1, 0]].tobytes() == first.support_vectors[[0, 2]].tobytes()
+        assert bank.rows[[3, 2]].tobytes() == second.support_vectors.tobytes()
         assert bank.norms.tobytes() == squared_norms(bank.rows).tobytes()
         run = _flat_run([first, second], KernelSpec("rbf", 1.0), n=3)
         union, uncached = run.kernel_computations, run.kernel_computations_uncached

@@ -1639,8 +1639,8 @@ def _check_bank(tree):
     empty. A
     kernel tree's table lists each distinct sv_id of its node models once,
     column-major, with the models' own rows and fresh norms, in tree order: node by node
-    in preorder, each support vector with the deepest node that keeps it
-    (the last in preorder among equals), each node's group by sv_id. A
+    in preorder, each support vector with the last node in preorder that
+    keeps it, each node's group by sv_id. A
     kernel node's span is the narrowest that holds its support vectors, and
     its segment holds exactly its own dual coefficients, at their columns,
     and 0 elsewhere."""
@@ -1670,12 +1670,8 @@ def _check_bank(tree):
             assert (lo, hi) == (0, tree.dimension)
             assert segment.tobytes() == node.svm.weights.tobytes()
         return
-    levels = tree.levels
-    keeper = {}
-    for k, node in enumerate(internal):
-        for i in node.svm.sv_ids.tolist():
-            keeper[i] = max(keeper.get(i, (0, 0)), (levels[node.node_id], k))
-    assert ids.tolist() == sorted(keeper, key=lambda i: (keeper[i][1], i))
+    keeper = {i: k for k, node in enumerate(internal) for i in node.svm.sv_ids.tolist()}
+    assert ids.tolist() == sorted(keeper, key=lambda i: (keeper[i], i))
     column = {i: c for c, i in enumerate(ids.tolist())}
     for node in internal:
         lo, hi, segment = spans[node.node_id]
@@ -1780,6 +1776,30 @@ class TestTreeOrderedTable:
         X = np.vstack([data.features, *np.abs(data.features[::-1] + noise)])
         assert len(X) > svm_module._BLOCK_ROWS
         _check_routes_predicts_and_round_trips(tree, X)
+
+    def test_a_support_vector_sits_with_the_last_node_in_preorder_that_keeps_it(self):
+        """Support vector 5 is kept by node 2, two levels down the root's
+        left subtree, and by the root's right child 6, one level down: the
+        table puts it in node 6's group, not in the deeper node 2's."""
+        kernel = KernelSpec("rbf", 0.5)
+        rng = np.random.default_rng(7)
+        vectors = {i: rng.normal(size=2) for i in range(8)}
+
+        def node(node_id, left, right, sv_ids):
+            internal = _manual_internal(node_id, left, right, 0.25)
+            internal.svm = KernelSvmModel(np.array([vectors[i] for i in sv_ids]),
+                                          np.linspace(-1.0, 0.5, len(sv_ids)), 0.25, kernel,
+                                          np.array(sv_ids))
+            return internal
+
+        deep = node(2, _leaf(3, 0), _leaf(4, 1), [1, 5])
+        root = node(0, node(1, deep, _leaf(5, 0), [2, 3]),
+                    node(6, _leaf(7, 1), _leaf(8, 0), [4, 5, 6]), [0, 7])
+        tree = Atree(root, AtreeConfig(kernel=kernel), [0, 1], 2)
+        assert tree.bank.sv_ids.tolist() == [0, 7, 2, 3, 1, 4, 5, 6]
+        spans = {e.node_id: _bounds(tree, e.span) for e in tree.table}
+        assert spans == {0: (0, 2), 1: (2, 4), 2: (4, 7), 6: (5, 8)}
+        _check_routes_predicts_and_round_trips(tree, rng.normal(size=(20, 2)))
 
 
 def _nudged(X, ulps):
